@@ -362,7 +362,9 @@ impl BootstrapKey {
         let log2_two_n = self.poly_size.trailing_zeros() + 1;
         let b_tilde =
             probe.time(PbsStage::ModSwitch, || modulus_switch(ct.body(), log2_two_n)) as usize;
-        let mut acc = GlweCiphertext::trivial(self.glwe_dimension, lut.poly().rotate_left(b_tilde));
+        let mut acc = probe.time(PbsStage::Rotate, || {
+            GlweCiphertext::trivial(self.glwe_dimension, lut.poly().rotate_left(b_tilde))
+        });
         for (ggsw, &a) in self.ggsws.iter().zip(ct.mask()) {
             let a_tilde =
                 probe.time(PbsStage::ModSwitch, || modulus_switch(a, log2_two_n)) as usize;
@@ -500,8 +502,12 @@ impl BootstrapKey {
         let mut accs: Vec<GlweCiphertext> = jobs
             .iter()
             .map(|job| {
-                let b_tilde = modulus_switch(job.ct.body(), log2_two_n) as usize;
-                GlweCiphertext::trivial(self.glwe_dimension, job.lut.poly().rotate_left(b_tilde))
+                let b_tilde =
+                    probe.time(PbsStage::ModSwitch, || modulus_switch(job.ct.body(), log2_two_n));
+                probe.time(PbsStage::Rotate, || {
+                    let rotated = job.lut.poly().rotate_left(b_tilde as usize);
+                    GlweCiphertext::trivial(self.glwe_dimension, rotated)
+                })
             })
             .collect();
 
@@ -543,22 +549,31 @@ impl BootstrapKey {
     /// `acc ← acc + ggsw ⊡ (X^ã·acc − acc)` for each, bit-identically
     /// to the per-job path but scheduled for locality:
     ///
-    /// 1. **Stage** — per job: rotate-and-subtract, gadget-decompose
-    ///    all `k+1` difference polynomials, and run all `(k+1)·l`
-    ///    forward FFTs as one batched split-complex transform.
+    /// 1. **Stage** — per job and column, one pass
+    ///    ([`DecompositionParams::decompose_rotated_difference_levels`])
+    ///    reads the accumulator polynomial and writes the rounded
+    ///    digits of `X^ã·acc − acc` straight into the level buffer: the
+    ///    rotation is an index shift with a sign folded into the
+    ///    decomposer's rounding step, so no difference polynomial is
+    ///    ever written. Then all `(k+1)·l` forward FFTs run as one
+    ///    batched split-complex transform.
     /// 2. **VMA, row-major across the block** — for each of the
     ///    `(k+1)·l` key rows, multiply–accumulate it against every
     ///    staged job before the next row streams in, so the row stays
     ///    in L1 across the block.
     /// 3. **Drain** — per job: one batched inverse transform of the
-    ///    `k+1` accumulator spectra, fused with the torus conversion
-    ///    and the accumulator update.
+    ///    `k+1` accumulator spectra, then one packed pass per column
+    ///    that converts to the torus and accumulates
+    ///    ([`crate::torus::f64_to_torus`] is integer bit arithmetic,
+    ///    so this loop vectorises).
     ///
     /// Per job, rows are visited in the same order and every
-    /// floating-point/torus operation is the same as in
-    /// [`FourierGgsw::external_product_scratch`] — only the loop
-    /// nesting across *independent* jobs differs, which cannot change
-    /// a bit of any output.
+    /// floating-point/torus operation is the same as in the per-job
+    /// oracle (rotate → subtract → [`FourierGgsw::external_product_scratch`])
+    /// — the staging pass computes the same wrapping differences
+    /// without storing them, and only the loop nesting across
+    /// *independent* jobs differs, which cannot change a bit of any
+    /// output.
     // lint:hot-path-start — the blocked classical CMUX kernel must stay allocation-free
     fn cmux_block<P: Probe>(
         &self,
@@ -573,22 +588,19 @@ impl BootstrapKey {
         let k = self.glwe_dimension;
         let n = self.poly_size;
         let level = self.decomp.level;
-        let PbsScratch { diff, ep, all_digits, digit_batch, acc_batch, time_batch, .. } = scratch;
+        let PbsScratch { ep, all_digits, digit_batch, acc_batch, time_batch, .. } = scratch;
 
-        // Stage: rotate/subtract, decompose, batched forward FFTs.
+        // Stage: one rotate-subtract-decompose pass per column, then the
+        // batched forward FFTs. The fused pass accounts to `Decompose`.
         for ((acc, &amt), digits) in accs.iter().zip(amounts).zip(digit_batch.iter_mut()) {
             if amt == 0 {
                 continue;
             }
-            probe.time(PbsStage::Rotate, || {
-                acc.rotate_right_into(amt as usize, diff);
-                // lint:allow(panic) shape invariant established at construction
-                diff.sub_assign(acc).expect("scratch shape is pre-validated");
-            });
             probe.time(PbsStage::Decompose, || {
-                for (j, poly) in diff.polys().enumerate() {
-                    self.decomp.decompose_polynomial_levels(
+                for (j, poly) in acc.polys().enumerate() {
+                    self.decomp.decompose_rotated_difference_levels(
                         poly,
+                        amt as usize,
                         &mut all_digits[j * level * n..(j + 1) * level * n],
                         &mut ep.decomp_state,
                     );
@@ -628,7 +640,7 @@ impl BootstrapKey {
             }
         });
 
-        // Drain: batched inverse, fused torus conversion + accumulate.
+        // Drain: batched inverse, then a packed convert-and-accumulate.
         for ((acc, &amt), spec) in accs.iter_mut().zip(amounts).zip(acc_batch.iter_mut()) {
             if amt == 0 {
                 continue;
@@ -1156,8 +1168,12 @@ impl MultiBitBootstrapKey {
         let mut accs: Vec<GlweCiphertext> = jobs
             .iter()
             .map(|job| {
-                let b_tilde = modulus_switch(job.ct.body(), log2_two_n) as usize;
-                GlweCiphertext::trivial(self.glwe_dimension, job.lut.poly().rotate_left(b_tilde))
+                let b_tilde =
+                    probe.time(PbsStage::ModSwitch, || modulus_switch(job.ct.body(), log2_two_n));
+                probe.time(PbsStage::Rotate, || {
+                    let rotated = job.lut.poly().rotate_left(b_tilde as usize);
+                    GlweCiphertext::trivial(self.glwe_dimension, rotated)
+                })
             })
             .collect();
 
@@ -1221,9 +1237,9 @@ impl MultiBitBootstrapKey {
     ///    the combined GGSW carries the rotation), one batched forward
     ///    transform, then the job-major VMA against the job's combined
     ///    spectrum (plane pointers hoisted once per job).
-    /// 4. **Drain** — one batched inverse transform per job, fused with
-    ///    the torus conversion, **replacing** the accumulator
-    ///    (`acc ← G ⊡ acc`, not `acc += …`).
+    /// 4. **Drain** — one batched inverse transform per job, then one
+    ///    packed torus-conversion pass per column **replacing** the
+    ///    accumulator (`acc ← G ⊡ acc`, not `acc += …`).
     #[allow(clippy::too_many_arguments)]
     // lint:hot-path-start — the blocked grouped CMUX kernel must stay allocation-free
     fn grouped_cmux_block<P: Probe>(
@@ -1381,8 +1397,8 @@ impl MultiBitBootstrapKey {
             }
         });
 
-        // Stage 4: batched inverse, fused torus conversion, *replacing*
-        // the accumulator.
+        // Stage 4: batched inverse, then a packed torus conversion
+        // *replacing* the accumulator.
         for (j, acc) in accs.iter_mut().enumerate() {
             if !active[j] {
                 continue;

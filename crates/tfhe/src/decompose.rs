@@ -212,24 +212,54 @@ impl DecompositionParams {
             state.copy_from_slice(poly.coeffs());
         } else {
             for (s, &c) in state.iter_mut().zip(poly.coeffs()) {
-                let carry = (c >> (dec.drop - 1)) & 1;
-                *s = ((c >> dec.drop).wrapping_add(carry)) & dec.state_mask;
+                *s = dec.round(c);
             }
         }
-        // Extraction, least-significant level first, all coefficients
-        // per level: same balance-and-carry arithmetic as the scalar
-        // loop, lane-parallel across the polynomial.
-        for lvl in (0..self.level).rev() {
-            let out = &mut levels[lvl * n..(lvl + 1) * n];
-            for (d, s) in out.iter_mut().zip(state.iter_mut()) {
-                let raw = *s & dec.digit_mask;
-                *s >>= dec.base_log;
-                let balance = u64::from(raw >= dec.half);
-                *d = raw as i64 - ((balance << dec.base_log) as i64);
-                *s = s.wrapping_add(balance);
-            }
-        }
+        dec.extract_levels(levels, state);
     }
+
+    /// Decomposes the CMUX difference `X^amount·poly − poly` level-major,
+    /// without materialising it: digits are **bit-identical** to
+    /// rotating `poly` into a buffer, subtracting `poly` and calling
+    /// [`Self::decompose_polynomial_levels`] on the result.
+    ///
+    /// The negacyclic rotation is an index shift with a sign: with
+    /// `s = amount mod N`, coefficient `j ≥ s` of `X^amount·poly` is
+    /// `±poly[j − s]` and coefficient `j < s` wraps to `∓poly[j + N − s]`
+    /// (`+` on the first segment when `amount ≥ N`, since `X^N = −1`).
+    /// So the rounding step runs over those two contiguous segments —
+    /// one subtraction and at most one negation per coefficient, all
+    /// wrapping and therefore exact — straight into `state`, followed
+    /// by the shared level extraction. One pass over the accumulator
+    /// replaces the rotate, subtract and rounding passes (and the
+    /// difference buffer) of the three-step form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `amount >= 2N`, `levels.len() != level · N` or
+    /// `state.len() != N`.
+    // lint:hot-path-start — the blocked CMUX's staging pass must stay allocation-free
+    pub fn decompose_rotated_difference_levels(
+        &self,
+        poly: &TorusPolynomial,
+        amount: usize,
+        levels: &mut [i64],
+        state: &mut [u64],
+    ) {
+        let n = poly.size();
+        assert!(amount < 2 * n, "rotation amount {amount} out of range for size {n}");
+        assert_eq!(levels.len(), self.level * n, "digit level buffer length mismatch");
+        assert_eq!(state.len(), n, "decomposition state buffer length mismatch");
+        let dec = self.decomposer();
+        let coeffs = poly.coeffs();
+        let shift = amount % n;
+        let wrapped_negated = amount < n;
+        let (head, tail) = state.split_at_mut(shift);
+        dec.round_difference(head, &coeffs[n - shift..], &coeffs[..shift], wrapped_negated);
+        dec.round_difference(tail, &coeffs[..n - shift], &coeffs[shift..], !wrapped_negated);
+        dec.extract_levels(levels, state);
+    }
+    // lint:hot-path-end
 }
 
 /// Hoisted-constant signed decomposer: the shifts, masks and balancing
@@ -269,12 +299,7 @@ impl Decomposer {
         // value equals rounding at full width then shifting — the
         // re-masking folds away the carry out of the represented bits,
         // exactly as the shift-up/shift-down pair did.
-        let mut state = if self.drop == 0 {
-            a
-        } else {
-            let carry = (a >> (self.drop - 1)) & 1;
-            ((a >> self.drop).wrapping_add(carry)) & self.state_mask
-        };
+        let mut state = if self.drop == 0 { a } else { self.round(a) };
         // Extract from the least-significant digit (level l) upwards so
         // carries propagate toward level 1; a carry out of level 1
         // represents a multiple of q and vanishes on the torus.
@@ -298,6 +323,57 @@ impl Decomposer {
     pub fn level(&self) -> usize {
         self.level
     }
+
+    /// Rounding step for one word when `drop > 0`: the carry from the
+    /// first dropped bit added onto the shifted value, masked to the
+    /// represented bits.
+    #[inline]
+    fn round(&self, a: u64) -> u64 {
+        let carry = (a >> (self.drop - 1)) & 1;
+        ((a >> self.drop).wrapping_add(carry)) & self.state_mask
+    }
+
+    /// Rounding step over one segment of a rotate-and-subtract
+    /// difference: `state[j] = round(±rotated[j] − acc[j])`, negating
+    /// `rotated` when `negate` is set. The sign is applied as a
+    /// conditional two's complement (`(r ^ m) − m` with `m` all-zero or
+    /// all-one bits), so one branch-free loop serves both signs.
+    // lint:hot-path-start — per-coefficient staging loops of the CMUX must stay allocation-free
+    #[inline]
+    fn round_difference(&self, state: &mut [u64], rotated: &[u64], acc: &[u64], negate: bool) {
+        let flip = u64::from(negate).wrapping_neg();
+        let terms = state.iter_mut().zip(rotated.iter().zip(acc));
+        if self.drop == 0 {
+            for (s, (&r, &a)) in terms {
+                *s = (r ^ flip).wrapping_sub(flip).wrapping_sub(a);
+            }
+        } else {
+            for (s, (&r, &a)) in terms {
+                *s = self.round((r ^ flip).wrapping_sub(flip).wrapping_sub(a));
+            }
+        }
+    }
+
+    /// Extraction step of the level-major decomposition, over rounded
+    /// states of `N = state.len()` coefficients: least-significant
+    /// level first, all coefficients per level — the balance-and-carry
+    /// arithmetic of [`Self::decompose_into`], lane-parallel across the
+    /// polynomial.
+    #[inline]
+    fn extract_levels(&self, levels: &mut [i64], state: &mut [u64]) {
+        let n = state.len();
+        for lvl in (0..self.level).rev() {
+            let out = &mut levels[lvl * n..(lvl + 1) * n];
+            for (d, s) in out.iter_mut().zip(state.iter_mut()) {
+                let raw = *s & self.digit_mask;
+                *s >>= self.base_log;
+                let balance = u64::from(raw >= self.half);
+                *d = raw as i64 - ((balance << self.base_log) as i64);
+                *s = s.wrapping_add(balance);
+            }
+        }
+    }
+    // lint:hot-path-end
 }
 
 #[cfg(test)]
@@ -420,6 +496,45 @@ mod tests {
             let mut state = vec![0u64; n];
             p.decompose_polynomial_levels(&poly, &mut lane, &mut state);
             assert_eq!(lane, flat, "base_log={base_log} level={level}");
+        }
+    }
+
+    #[test]
+    fn rotated_difference_decomposition_matches_rotate_subtract_decompose() {
+        use crate::params::{ParameterSet, TfheParameters};
+        // The (base_log, level) pair of every shipped parameter set, plus
+        // a full-width decomposition for the no-rounding branch.
+        let mut shipped: Vec<TfheParameters> =
+            ParameterSet::ALL.iter().map(|set| set.parameters()).collect();
+        shipped.extend([TfheParameters::testing_fast(), TfheParameters::testing_k2()]);
+        shipped.extend([1024, 2048, 4096].map(|n| TfheParameters::deep_nn(n).unwrap()));
+        let mut pairs: Vec<(u32, usize)> =
+            shipped.iter().map(|p| (p.pbs_base_log, p.pbs_level)).collect();
+        pairs.push((16, 4));
+        pairs.sort_unstable();
+        pairs.dedup();
+
+        for n in [512usize, 1024, 2048] {
+            // Pseudo-random words with the extremes that stress the
+            // rounding carry and the negation: 0, −1, 2^63, 2^63 − 1.
+            let mut coeffs: Vec<u64> =
+                (0..n as u64).map(|i| (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+            coeffs[..4].copy_from_slice(&[0, u64::MAX, 1 << 63, (1 << 63) - 1]);
+            let poly = TorusPolynomial::from_coeffs(coeffs);
+            let mut diff = TorusPolynomial::zero(n);
+            let mut state = vec![0u64; n];
+            for &(base_log, level) in &pairs {
+                let p = DecompositionParams::new(base_log, level);
+                let mut oracle = vec![0i64; level * n];
+                let mut fused = vec![0i64; level * n];
+                for amount in 0..2 * n {
+                    poly.rotate_right_into(amount, &mut diff);
+                    diff.sub_assign(&poly);
+                    p.decompose_polynomial_levels(&diff, &mut oracle, &mut state);
+                    p.decompose_rotated_difference_levels(&poly, amount, &mut fused, &mut state);
+                    assert_eq!(fused, oracle, "N={n} base_log={base_log} level={level} a={amount}");
+                }
+            }
         }
     }
 

@@ -18,7 +18,7 @@
 //! production parameters.
 
 use serde::{Deserialize, Serialize};
-use strix_fft::StrixFftBackend;
+use strix_fft::{FftError, StrixFftBackend};
 
 use crate::TfheError;
 
@@ -330,7 +330,9 @@ impl TfheParameters {
     }
 
     /// Validates structural invariants (power-of-two `N`, decomposition
-    /// within the torus width, non-degenerate dimensions).
+    /// within the torus width, non-degenerate dimensions) and that the
+    /// FFT backend resolves on this host — for `Auto`, including the
+    /// `STRIX_FFT_BACKEND` override.
     ///
     /// # Errors
     ///
@@ -360,10 +362,16 @@ impl TfheParameters {
         if self.ks_base_log as usize * self.ks_level > 64 {
             return Err(TfheError::InvalidParameters("ks decomposition exceeds torus width"));
         }
-        if !self.fft_backend.is_available() {
-            return Err(TfheError::InvalidParameters(
-                "requested fft backend is not supported by this cpu",
-            ));
+        // Resolve exactly as plan construction will (`Auto` consults
+        // `STRIX_FFT_BACKEND`), so keygen's plan `expect`s can rely on
+        // a validated set.
+        if let Err(e) = self.fft_backend.resolve() {
+            return Err(TfheError::InvalidParameters(match e {
+                FftError::InvalidBackendEnv => {
+                    "STRIX_FFT_BACKEND must be one of auto, portable, avx2, avx512"
+                }
+                _ => "requested fft backend is not supported by this cpu",
+            }));
         }
         if let PbsKernel::MultiBit { grouping_factor } = self.pbs_kernel {
             if grouping_factor == 0 {
@@ -698,9 +706,10 @@ mod tests {
 
     #[test]
     fn validation_tracks_backend_availability() {
-        // Auto and Portable always pass; SIMD tiers pass exactly when
-        // the host CPU supports them, so keygen's `expect` can rely on
-        // a validated parameter set never naming an unusable backend.
+        // A backend validates exactly when it resolves (SIMD tiers when
+        // the host CPU supports them; `Auto` unless `STRIX_FFT_BACKEND`
+        // names something unusable), so keygen's `expect` can rely on a
+        // validated parameter set never naming an unusable backend.
         let base = TfheParameters::testing_fast();
         for backend in [
             StrixFftBackend::Auto,
@@ -709,7 +718,7 @@ mod tests {
             StrixFftBackend::Avx512,
         ] {
             let p = base.clone().with_fft_backend(backend);
-            assert_eq!(p.validate().is_ok(), backend.is_available(), "{backend}");
+            assert_eq!(p.validate().is_ok(), backend.resolve().is_ok(), "{backend}");
         }
     }
 

@@ -13,7 +13,11 @@ use serde::{Deserialize, Serialize};
 /// The stages of a bootstrapped gate, at the granularity of Fig. 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PbsStage {
-    /// Negacyclic rotation and subtraction (rotator unit).
+    /// Negacyclic rotation and subtraction (rotator unit). The blocked
+    /// classical kernel folds the per-CMUX rotate-and-subtract into the
+    /// decomposer's rounding pass, which accounts to
+    /// [`PbsStage::Decompose`]; there this stage is the initial LUT
+    /// rotation by the body.
     Rotate,
     /// Gadget decomposition (decomposer unit).
     Decompose,

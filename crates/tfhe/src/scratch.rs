@@ -14,8 +14,10 @@
 //! * one Fourier spectrum for the transformed digits and `k+1` fused
 //!   accumulator spectra (FFT + VMA units),
 //! * a time-domain buffer for the inverse transform (IFFT unit),
-//! * two GLWE-shaped buffers for the rotate-and-subtract difference and
-//!   the external-product output (rotator + accumulator units),
+//! * two GLWE-shaped buffers for the per-job path's rotate-and-subtract
+//!   difference and external-product output (rotator + accumulator
+//!   units; the blocked CMUX folds the difference into its decomposer
+//!   pass and writes neither),
 //! * the blocked-CMUX staging set: per-job split-complex digit and
 //!   accumulator spectra for one block of [`CMUX_JOB_BLOCK`] jobs plus
 //!   a packed digit buffer and a batched inverse-transform buffer.
@@ -108,7 +110,7 @@ impl ExternalProductScratch {
 /// allocation inside the CMUX loop.
 #[derive(Clone, Debug)]
 pub struct PbsScratch {
-    /// Rotate-and-subtract difference buffer.
+    /// Rotate-and-subtract difference buffer (per-job path only).
     pub(crate) diff: GlweCiphertext,
     /// External-product output buffer.
     pub(crate) prod: GlweCiphertext,

@@ -16,6 +16,29 @@ pub const TORUS_BITS: u32 = 64;
 /// Values beyond 2^52 carry f64 rounding error of their own; that error
 /// is part of the FFT noise budget, not of this reduction.
 ///
+/// # Exactness
+///
+/// The result is `round_half_away(x) mod 2^64`, computed on the bits of
+/// `x` with integer operations only: a finite `x` is exactly
+/// `mantissa · 2^e`, so a left shift (`e ≥ 0`, bits past 2^64 fall off
+/// — that *is* the reduction) or a rounding right shift (`e < 0`,
+/// half away from zero on the magnitude) gives the rounded magnitude
+/// mod 2^64, and a two's-complement negation applies the sign. This is
+/// bit-for-bit the float formula `r = x − round(x·2^-64)·2^64;
+/// round(r) as i64`, because every step of that formula is exact:
+/// scaling by 2^-64 is an exponent shift, `round` of it is an integer,
+/// the subtraction is exact by Sterbenz's lemma, and `r` is
+/// `x mod 2^64` in `[-2^63, 2^63]`. The one place the two forms could
+/// differ is the float form's saturating cast of a residue of exactly
+/// `+2^63` (reached by negative `x ≡ 2^63 mod 2^64`) to `i64::MAX`; one
+/// compare keeps that. Infinities and NaN map to 0, as the saturating
+/// cast of the float form's NaN residue does.
+///
+/// Being shifts, masks, adds and one compare on `u64` lanes, the
+/// conversion vectorises, which is what makes the PBS drain loops
+/// packed; a float `round` + saturating `f64 → i64` cast does not (LLVM
+/// splits the cast into per-lane compare-and-branch code).
+///
 /// # Example
 ///
 /// ```
@@ -27,11 +50,29 @@ pub const TORUS_BITS: u32 = 64;
 /// ```
 #[inline]
 pub fn f64_to_torus(x: f64) -> u64 {
-    const TWO_64: f64 = 18446744073709551616.0; // 2^64
-    let reduced = x - (x / TWO_64).round() * TWO_64;
-    // reduced ∈ [-2^63, 2^63]; the boundary value saturates to i64::MAX,
-    // a 1-ulp error absorbed by the noise term.
-    reduced.round() as i64 as u64
+    const MANTISSA_BITS: u32 = 52;
+    // Exponent field of 2^52, where the mantissa (with its implicit
+    // bit) is the integer value itself.
+    const UNIT_EXPONENT: u64 = 1023 + MANTISSA_BITS as u64;
+    let bits = x.to_bits();
+    let exponent = (bits >> MANTISSA_BITS) & 0x7ff;
+    // Zero and subnormals take the implicit bit too: their shift below
+    // is ≥ 63, so they round to 0 either way.
+    let mantissa = (bits & ((1 << MANTISSA_BITS) - 1)) | (1 << MANTISSA_BITS);
+    // |x| = mantissa · 2^(exponent − UNIT_EXPONENT). At most one of the
+    // two shifted forms is non-zero: below UNIT_EXPONENT the left-shift
+    // count wraps to ≥ 64 (→ 0); from it upwards the right shift is
+    // clamped to 62 and drops all 53 mantissa bits.
+    let up = exponent.wrapping_sub(UNIT_EXPONENT);
+    let left = if up < 64 { mantissa << up } else { 0 };
+    let down = (UNIT_EXPONENT - 1).wrapping_sub(exponent).min(62);
+    let right = ((mantissa >> down) + 1) >> 1; // half away from zero
+    let magnitude = left | right;
+    let sign = ((bits as i64) >> 63) as u64; // all ones for negative x
+    let signed = (magnitude ^ sign).wrapping_sub(sign);
+    // The float form's saturating cast: a residue of +2^63 (negative x
+    // of magnitude 2^63 mod 2^64) becomes i64::MAX.
+    signed - (sign & u64::from(magnitude == 1 << 63))
 }
 
 /// Interprets a torus element as a *signed* real in `[-2^63, 2^63)`,
@@ -129,6 +170,105 @@ mod tests {
         // at 2^64, 8192 at 3·2^64) to stay exactly representable.
         assert_eq!(f64_to_torus(3.0 * two64 + 8192.0), 8192);
         assert_eq!(f64_to_torus(-two64 - 4096.0), 4096u64.wrapping_neg());
+    }
+
+    /// The float formula `r = x − round(x·2^-64)·2^64; round(r) as i64`:
+    /// the reference the differential tests hold `f64_to_torus` to.
+    fn f64_to_torus_float(x: f64) -> u64 {
+        const TWO_64: f64 = 18446744073709551616.0; // 2^64
+        let reduced = x - (x / TWO_64).round() * TWO_64;
+        // reduced ∈ [-2^63, 2^63]; the boundary value saturates to
+        // i64::MAX, a 1-ulp error absorbed by the noise term.
+        reduced.round() as i64 as u64
+    }
+
+    /// `f64_to_torus` against the float reference, compared bit for bit.
+    fn assert_matches_float(x: f64) {
+        assert_eq!(
+            f64_to_torus(x),
+            f64_to_torus_float(x),
+            "x = {x:e} (bits {:#018x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn integer_conversion_matches_float_formula_on_edge_cases() {
+        let two63 = 2f64.powi(63);
+        let two64 = 2f64.powi(64);
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            two63,
+            -two63,
+            two64,
+            -two64,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1), // smallest subnormal
+            -f64::from_bits(1),
+            f64::from_bits((1 << 52) - 1), // largest subnormal
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MAX,
+            f64::MIN,
+            0.5f64.next_down(),
+            -0.5f64.next_down(),
+            2f64.powi(52) - 0.5, // largest tie
+            -(2f64.powi(52) - 0.5),
+        ];
+        // Ties x.5 of both signs.
+        for m in [0.0, 1.0, 2.0, 3.0, 1e6, 4503599627370494.0] {
+            cases.extend([m + 0.5, -(m + 0.5)]);
+        }
+        // (m + ½)·2^64: the residue is ±2^63, and only the negative
+        // side saturates to i64::MAX.
+        for m in 0..64 {
+            let v = (f64::from(m) + 0.5) * two64;
+            cases.extend([v, -v, v.next_up(), v.next_down(), -v.next_up(), -v.next_down()]);
+        }
+        for &x in &cases {
+            assert_matches_float(x);
+        }
+        // Spot-check the saturating case by value.
+        assert_eq!(f64_to_torus(-two63), i64::MAX as u64);
+        assert_eq!(f64_to_torus(two63), 1 << 63);
+        assert_eq!(f64_to_torus(f64::NAN), 0);
+        assert_eq!(f64_to_torus(f64::NEG_INFINITY), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn integer_conversion_matches_float_formula_by_magnitude(
+            exponent in -4i32..=80,
+            fraction in proptest::any::<u64>(),
+            negative in proptest::any::<bool>(),
+        ) {
+            // Random mantissas in every binade 2^-4 … 2^80, both signs.
+            let magnitude = f64::from_bits(
+                ((1023 + exponent) as u64) << 52 | (fraction & ((1 << 52) - 1)),
+            );
+            let x = if negative { -magnitude } else { magnitude };
+            assert_matches_float(x);
+            assert_matches_float(x.next_up());
+        }
+
+        #[test]
+        fn integer_conversion_matches_float_formula_on_ties_and_raw_bits(
+            whole in 0u64..1 << 52,
+            bits in proptest::any::<u64>(),
+            negative in proptest::any::<bool>(),
+        ) {
+            let tie = whole as f64 + 0.5;
+            assert_matches_float(if negative { -tie } else { tie });
+            let boundary = (whole as f64 + 0.5) * 2f64.powi(64);
+            assert_matches_float(if negative { -boundary } else { boundary });
+            assert_matches_float(f64::from_bits(bits));
+        }
     }
 
     #[test]

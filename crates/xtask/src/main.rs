@@ -46,7 +46,8 @@ const PANIC_TOKENS: &[&str] =
     &[".unwrap()", ".expect(", "panic!", "todo!", "unimplemented!", "unreachable!"];
 
 /// Files that must contain marked hot-path regions.
-const HOT_PATH_FILES: &[&str] = &["crates/tfhe/src/bootstrap.rs", "crates/fft/src/soa.rs"];
+const HOT_PATH_FILES: &[&str] =
+    &["crates/tfhe/src/bootstrap.rs", "crates/tfhe/src/decompose.rs", "crates/fft/src/soa.rs"];
 
 /// Allocation-call spellings forbidden inside hot-path regions.
 const ALLOC_TOKENS: &[&str] = &["Vec::new", "vec!", ".to_vec()", ".collect()", "Box::new"];
@@ -797,6 +798,10 @@ mod tests {
             self.write(
                 "crates/tfhe/src/bootstrap.rs",
                 "// lint:hot-path-start\nfn rotate() {}\n// lint:hot-path-end\n",
+            );
+            self.write(
+                "crates/tfhe/src/decompose.rs",
+                "// lint:hot-path-start\nfn stage() {}\n// lint:hot-path-end\n",
             );
             self.write(
                 "crates/fft/src/soa.rs",
