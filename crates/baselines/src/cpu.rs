@@ -170,15 +170,20 @@ mod tests {
 
     #[test]
     fn measured_gate_has_paper_figure_1_shape() {
-        // PBS must dominate KS; both must be non-trivial. Enough
-        // iterations to ride out scheduler noise when the whole test
-        // suite runs in parallel.
+        // PBS must dominate KS, and so must a whole gate (one PBS, one
+        // KS and a linear pass). Only wall-clock comparisons with a wide
+        // margin are asserted: in a debug build of `testing_fast` on a
+        // 2-vCPU x86-64 host, PBS/KS and gate/KS both measure 15-22x.
+        // Gate vs PBS (1.02-1.13x) is not compared: the two separately
+        // timed means differ only by one keyswitch plus a linear pass,
+        // which suite-level load flips.
         let params = TfheParameters::testing_fast();
         let m = measure_gate(&params, 20, 7);
+        assert_eq!(m.iterations, 20);
         assert!(m.pbs_s > 0.0 && m.keyswitch_s > 0.0);
         assert!(m.pbs_s > m.keyswitch_s, "pbs {} ks {}", m.pbs_s, m.keyswitch_s);
-        assert!(m.gate_s >= m.pbs_s);
-        assert!(m.throughput_pbs_s > 0.0);
+        assert!(m.gate_s > m.keyswitch_s, "gate {} ks {}", m.gate_s, m.keyswitch_s);
+        assert_eq!(m.throughput_pbs_s, 1.0 / (m.pbs_s + m.keyswitch_s));
     }
 
     #[test]

@@ -113,8 +113,7 @@ fn main() {
     println!(
         "unrolling *hurts* a fully-streamed pipeline (1.5x latency, 1.5x key \
          traffic): quantitative support for the paper's §VII position that \
-         two-level batching, not unrolling, is the right lever for Strix. \
-         The real cryptographic implementation is strix_tfhe::unrolled.\n"
+         two-level batching, not unrolling, is the right lever for Strix.\n"
     );
 
     println!("{}", banner("Ablation F: bsk multicast bus width (set I)"));

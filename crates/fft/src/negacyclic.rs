@@ -552,7 +552,7 @@ pub fn pointwise_mul_add(acc: &mut [Complex64], a: &[Complex64], b: &[Complex64]
 /// As [`pointwise_mul_add`], but with the second operand in split
 /// (SoA) planes: `acc_k += a_k · (b_re_k + i·b_im_k)`. The complex
 /// multiply uses exactly [`Complex64`]'s expression, so mixing layouts
-/// never changes a bit. This is how the per-job oracle CMUX path
+/// never changes a bit. This is how the classical reference CMUX path
 /// consumes the split-layout bootstrapping key.
 ///
 /// # Panics

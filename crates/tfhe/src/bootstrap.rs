@@ -20,6 +20,31 @@
 //! (one rotation/subtraction, one decomposition, `(k+1)·l_b` FFTs,
 //! `(k+1)²·l_b` pointwise multiplies, `k+1` IFFTs) is identical.
 //!
+//! # One blind-rotation engine, two key layouts
+//!
+//! Both PBS kernels are one generic [`BlindRotationKey`] over a sealed
+//! [`KeyLayout`]:
+//!
+//! * [`BootstrapKey`] stores one Fourier GGSW per secret bit. Its step
+//!   stages the CMUX difference `X^ã·acc − acc` in one fused
+//!   rotate-subtract-decompose pass, runs the VMA row-major across the
+//!   block (one shared key row serves every job) and **adds** the
+//!   product into the accumulator.
+//! * [`MultiBitBootstrapKey`] stores `2^g` entries per group of `g`
+//!   bits. Its step finds the block's active jobs, derives their
+//!   monomial degrees, assembles each job's combined GGSW, decomposes
+//!   the accumulator directly, runs the VMA job-major and **replaces**
+//!   the accumulator with the product.
+//!
+//! Everything else is written once: shape and scratch checks, the body
+//! modulus switch and LUT rotation, the entry-major switched-mask table,
+//! the key-major job-blocked loop, the batched forward FFT, the inverse
+//! drain, the `Probe` hooks, sample extraction and thread sharding.
+//! A single PBS ([`BlindRotationKey::bootstrap`]) is a batch of one
+//! through that same loop. The interleaved per-job CMUX survives only as
+//! [`BootstrapKey::blind_rotate_reference`], the bit-identity reference
+//! the tests pin the engine against.
+//!
 //! # Hot-path execution model
 //!
 //! The CMUX loop runs entirely on per-thread [`PbsScratch`] buffers —
@@ -28,14 +53,15 @@
 //! spectra, accumulator spectra) lives in the transform plan's
 //! bit-reversed slot order end to end — the `strix-fft` kernel never
 //! runs a permutation pass, and nothing in PBS ever needs natural bin
-//! order. Batched epochs additionally hoist the per-iteration modulus
-//! switch: every job's mask is switched once into a per-epoch table
-//! before the key-major loop starts. Epochs scale across cores with
-//! [`BootstrapKey::bootstrap_batch_parallel`]: the job list is split
-//! into contiguous shards, each shard walks the shared bootstrapping
-//! key in key-major order with its own scratch, and the results come
-//! back in job order, bit-identical to the sequential
-//! [`BootstrapKey::bootstrap_batch`].
+//! order. Every job's mask is modulus-switched once into a per-epoch
+//! table before the key-major loop starts. Epochs scale across cores
+//! with [`BlindRotationKey::bootstrap_batch_parallel`]: the job list is
+//! split into contiguous shards, each shard walks the shared
+//! bootstrapping key in key-major order with its own scratch, and the
+//! results come back in job order, bit-identical to the sequential
+//! [`BlindRotationKey::bootstrap_batch`].
+
+use std::ops::Range;
 
 use strix_fft::{MonomialTable, NegacyclicFft};
 
@@ -47,7 +73,7 @@ use crate::params::{PbsKernel, TfheParameters};
 use crate::poly::TorusPolynomial;
 use crate::profiler::{NoProbe, PbsStage, Probe, StageTimings, TimingProbe};
 use crate::rng::NoiseSampler;
-use crate::scratch::{MultiBitPbsScratch, PbsScratch, CMUX_JOB_BLOCK};
+use crate::scratch::{ExternalProductScratch, PbsScratch, CMUX_JOB_BLOCK};
 use crate::torus::{encode_fraction, f64_to_torus, modulus_switch};
 use crate::TfheError;
 
@@ -167,114 +193,356 @@ pub struct PbsJob<'a> {
     pub lut: &'a Lut,
 }
 
-/// The bootstrapping key: `n` Fourier-domain GGSW encryptions of the LWE
-/// secret-key bits, plus the FFT plan they were transformed under.
+/// The classical bootstrapping key: `n` Fourier-domain GGSW encryptions
+/// of the LWE secret-key bits, one CMUX per bit.
+pub type BootstrapKey = BlindRotationKey<layout::PerBit>;
+
+/// The **multi-bit** bootstrapping key: `⌈n/g⌉` *groups* of
+/// Fourier-domain GGSW entries for grouping factor `g` — the software
+/// counterpart of tfhe-rs's CUDA `MULTI_BIT` PBS kernel.
+///
+/// Group `i` covers secret bits `s_{ig} .. s_{ig+g-1}` and stores `2^g`
+/// GGSW encryptions, one per bit pattern `b ∈ {0,1}^g`, of the
+/// *indicator product* `m_b = ∏_j s^{b_j} · (1−s)^{1−b_j}` — exactly
+/// one `m_b` equals 1 (the pattern matching the actual key bits), the
+/// rest encrypt 0. The last group covers the `n mod g` remainder bits
+/// with `2^{n mod g}` entries.
+///
+/// Blind rotation then needs only **one external product per group**
+/// instead of one CMUX per bit: since
+/// `X^{Σ_j ã_j s_j} = Σ_b X^{⟨b, ã⟩} · m_b`, the server assembles the
+/// *combined* GGSW `G = Σ_b X^{d_b} · GGSW(m_b)` (monomial weighting is
+/// a pointwise spectrum multiply, [`MonomialTable`]) and replaces the
+/// accumulator with `G ⊡ acc` — a rotation of the accumulator by the
+/// whole group's phase contribution in a single decompose → FFT → VMA →
+/// IFFT pass. `⌈n/g⌉` passes replace `n`, trading a `2^g/g ×` larger
+/// key (and a `2^g ×` key-noise term, see
+/// [`crate::noise::multi_bit_external_product_variance`]) for `g ×`
+/// fewer transforms.
+///
+/// Outputs are **not bit-identical** to [`BootstrapKey`] — the
+/// arithmetic is genuinely different — but decrypt to the same message:
+/// both kernels realise the same blind rotation
+/// `X^{b̃ + Σ ã_j s_j} · lut`.
+pub type MultiBitBootstrapKey = BlindRotationKey<layout::Grouped>;
+
+/// The key layouts a [`BlindRotationKey`] can hold: one GGSW per secret
+/// bit ([`BootstrapKey`]) or `2^g` per group of `g` bits
+/// ([`MultiBitBootstrapKey`]).
+///
+/// Sealed: generic code can be written over both kernels, but only this
+/// module implements a layout.
+pub trait KeyLayout: layout::Entries {}
+
+impl KeyLayout for layout::PerBit {}
+impl KeyLayout for layout::Grouped {}
+
+/// A bootstrapping key: Fourier-domain key entries in layout `E`, plus
+/// the FFT plan they were transformed under. Use it through its two
+/// instances, [`BootstrapKey`] and [`MultiBitBootstrapKey`]; everything
+/// that does not depend on the layout is implemented once, here.
 #[derive(Clone, Debug)]
-pub struct BootstrapKey {
-    ggsws: Vec<FourierGgsw>,
+pub struct BlindRotationKey<E> {
+    entries: E,
     fft: NegacyclicFft,
     glwe_dimension: usize,
     poly_size: usize,
     decomp: DecompositionParams,
+    input_dimension: usize,
 }
 
-impl BootstrapKey {
-    /// Generates a bootstrapping key encrypting `lwe_sk` under `glwe_sk`.
-    pub fn generate(
-        lwe_sk: &LweSecretKey,
-        glwe_sk: &GlweSecretKey,
+/// The two key layouts and the per-step work that differs between them.
+mod layout {
+    use super::*;
+
+    /// One key step's switched rotation amounts for one block of jobs:
+    /// a window onto the entry-major switched-mask table.
+    #[derive(Clone, Copy)]
+    pub struct StepAmounts<'a> {
+        pub(super) rows: &'a [u32],
+        pub(super) batch: usize,
+        pub(super) job0: usize,
+    }
+
+    impl StepAmounts<'_> {
+        /// The switched amount of the step's bit `t` for job `j` of the
+        /// block.
+        #[inline]
+        pub fn get(&self, t: usize, j: usize) -> usize {
+            self.rows[t * self.batch + self.job0 + j] as usize
+        }
+
+        /// Secret bits the step covers.
+        #[inline]
+        pub fn bits(&self) -> usize {
+            self.rows.len() / self.batch
+        }
+    }
+
+    /// What a key layout contributes to one blocked blind-rotation step;
+    /// the engine in [`BlindRotationKey`] does the rest.
+    pub trait Entries: Clone + std::fmt::Debug + Send + Sync {
+        /// `true` for a CMUX step: stage the difference `X^ã·acc − acc`
+        /// (one fused rotate-subtract-decompose pass per column) and add
+        /// the product into the accumulator. `false` for a grouped
+        /// product: decompose the accumulator directly and replace it
+        /// with the product.
+        const CMUX: bool;
+
+        /// Key-major steps per blind rotation.
+        fn steps(&self) -> usize;
+
+        /// Secret bits covered by step `step`.
+        fn bits(&self, step: usize) -> Range<usize>;
+
+        /// Fourier-domain key bytes.
+        fn byte_size(&self) -> usize;
+
+        /// The grouping factor the scratch assembly buffers are sized by
+        /// (`None`: no assembly).
+        fn grouping_factor(&self) -> Option<usize>;
+
+        /// Marks the block's jobs that this step moves (and prepares
+        /// whatever per-job state [`Self::vma`] reads); returns whether
+        /// any job is active.
+        fn activate(
+            &self,
+            amounts: StepAmounts<'_>,
+            active: &mut [bool],
+            scratch: &mut PbsScratch,
+        ) -> bool;
+
+        /// Multiply-accumulates every active job's digit spectra into its
+        /// (zeroed) accumulator spectra.
+        fn vma(&self, step: usize, active: &[bool], scratch: &mut PbsScratch, fft: &NegacyclicFft);
+    }
+
+    /// Classical layout: one stored GGSW per secret bit.
+    #[derive(Clone, Debug)]
+    pub struct PerBit(pub(super) Vec<FourierGgsw>);
+
+    /// Multi-bit layout: per group of `g` secret bits, `2^g` pattern
+    /// entries (fewer for the remainder group), plus the monomial table
+    /// the per-job assembly weights them with.
+    #[derive(Clone, Debug)]
+    pub struct Grouped {
+        pub(super) groups: Vec<Vec<FourierGgsw>>,
+        pub(super) mono: MonomialTable,
+        pub(super) grouping_factor: usize,
+    }
+
+    // lint:hot-path-start — both layouts' step hooks must stay allocation-free
+    impl Entries for PerBit {
+        const CMUX: bool = true;
+
+        fn steps(&self) -> usize {
+            self.0.len()
+        }
+
+        fn bits(&self, step: usize) -> Range<usize> {
+            step..step + 1
+        }
+
+        fn byte_size(&self) -> usize {
+            self.0.iter().map(FourierGgsw::byte_size).sum()
+        }
+
+        fn grouping_factor(&self) -> Option<usize> {
+            None
+        }
+
+        /// A job moves when its amount is non-zero: `X^0·acc − acc = 0`.
+        fn activate(
+            &self,
+            amounts: StepAmounts<'_>,
+            active: &mut [bool],
+            _scratch: &mut PbsScratch,
+        ) -> bool {
+            for (j, slot) in active.iter_mut().enumerate() {
+                *slot = amounts.get(0, j) != 0;
+            }
+            active.contains(&true)
+        }
+
+        /// Row-major across the block: key row `r` is loaded once and
+        /// applied to every active job while it sits in L1.
+        fn vma(&self, step: usize, active: &[bool], scratch: &mut PbsScratch, fft: &NegacyclicFft) {
+            let ggsw = &self.0[step];
+            let PbsScratch { digit_batch, acc_batch, .. } = scratch;
+            for r in 0..ggsw.row_count() {
+                for ((digits, spec), _) in
+                    digit_batch.iter().zip(acc_batch.iter_mut()).zip(active).filter(|(_, &a)| a)
+                {
+                    let (d_re, d_im) = digits.transform(r);
+                    for col in 0..spec.count() {
+                        let (k_re, k_im) = ggsw.row_col(r, col);
+                        let (a_re, a_im) = spec.transform_mut(col);
+                        fft.pointwise_mul_add_soa(a_re, a_im, d_re, d_im, k_re, k_im);
+                    }
+                }
+            }
+        }
+    }
+
+    impl Entries for Grouped {
+        const CMUX: bool = false;
+
+        fn steps(&self) -> usize {
+            self.groups.len()
+        }
+
+        fn bits(&self, step: usize) -> Range<usize> {
+            let first = step * self.grouping_factor;
+            first..first + self.groups[step].len().trailing_zeros() as usize
+        }
+
+        fn byte_size(&self) -> usize {
+            self.groups.iter().flatten().map(FourierGgsw::byte_size).sum()
+        }
+
+        fn grouping_factor(&self) -> Option<usize> {
+            Some(self.grouping_factor)
+        }
+
+        /// A job whose group amounts are all zero would assemble
+        /// `G = GGSW(X^0·Σ m_b) = GGSW(1)`, the exact identity the
+        /// classical kernel skips on `ã = 0`, so it stays inactive and no
+        /// later stage touches it. For active jobs, the `2^m` monomial
+        /// degrees `d_b = Σ_{t: b_t=1} ã_t mod 2N` follow by the
+        /// binary-counting recurrence `d_{b|bit} = d_b + ã_t`.
+        fn activate(
+            &self,
+            amounts: StepAmounts<'_>,
+            active: &mut [bool],
+            scratch: &mut PbsScratch,
+        ) -> bool {
+            let bits = amounts.bits();
+            let patterns = 1usize << bits;
+            let mask = 2 * scratch.poly_size - 1;
+            for (j, slot) in active.iter_mut().enumerate() {
+                *slot = (0..bits).any(|t| amounts.get(t, j) != 0);
+                if !*slot {
+                    continue;
+                }
+                let d = &mut scratch.degrees[j * patterns..(j + 1) * patterns];
+                d[0] = 0;
+                for t in 0..bits {
+                    let (a, bit) = (amounts.get(t, j), 1usize << t);
+                    for b in 0..bit {
+                        d[bit | b] = (d[b] + a) & mask;
+                    }
+                }
+            }
+            active.contains(&true)
+        }
+
+        /// First assembles each active job's combined GGSW, then runs
+        /// the VMA job-major: the combined spectrum is per job, so
+        /// row-major order would have nothing to reuse; job-major hoists
+        /// the three spectra's plane pointers once per job. Per
+        /// accumulator column the additions still run over `r` in
+        /// ascending order.
+        fn vma(&self, step: usize, active: &[bool], scratch: &mut PbsScratch, fft: &NegacyclicFft) {
+            self.assemble(&self.groups[step], active, scratch, fft);
+            let PbsScratch { digit_batch, acc_batch, comb_batch, .. } = scratch;
+            let jobs = digit_batch.iter().zip(comb_batch.iter()).zip(acc_batch.iter_mut());
+            for (((digits, comb), spec), _) in jobs.zip(active).filter(|(_, &a)| a) {
+                let (cols, half) = (spec.count(), spec.transform_len());
+                let (d_re_plane, d_im_plane) = digits.planes();
+                let (k_re_plane, k_im_plane) = comb.planes();
+                let (a_re_plane, a_im_plane) = spec.planes_mut();
+                for r in 0..digits.count() {
+                    let d_re = &d_re_plane[r * half..(r + 1) * half];
+                    let d_im = &d_im_plane[r * half..(r + 1) * half];
+                    for col in 0..cols {
+                        let s = (r * cols + col) * half;
+                        let k_re = &k_re_plane[s..s + half];
+                        let k_im = &k_im_plane[s..s + half];
+                        let a_re = &mut a_re_plane[col * half..(col + 1) * half];
+                        let a_im = &mut a_im_plane[col * half..(col + 1) * half];
+                        fft.pointwise_mul_add_soa(a_re, a_im, d_re, d_im, k_re, k_im);
+                    }
+                }
+            }
+        }
+    }
+
+    impl Grouped {
+        /// Pattern-major across the block: seed each active job's
+        /// combined spectrum with the pattern-0 entry (degree 0: a plane
+        /// copy), then MAC `entry_b × X^{d_b}` into it for every other
+        /// pattern, so each key entry streams once per block. The
+        /// monomial spectrum is built once per `(job, pattern)` and
+        /// reused across all `(k+1)·l · (k+1)` transforms.
+        fn assemble(
+            &self,
+            entries: &[FourierGgsw],
+            active: &[bool],
+            scratch: &mut PbsScratch,
+            fft: &NegacyclicFft,
+        ) {
+            let PbsScratch { comb_batch, mono_re, mono_im, degrees, .. } = scratch;
+            let half = mono_re.len();
+            for (comb, _) in comb_batch.iter_mut().zip(active).filter(|(_, &a)| a) {
+                comb.copy_from(entries[0].spectra());
+            }
+            for (pattern, entry) in entries.iter().enumerate().skip(1) {
+                let (e_re_plane, e_im_plane) = entry.spectra().planes();
+                for (j, (comb, _)) in
+                    comb_batch.iter_mut().zip(active).enumerate().filter(|(_, (_, &a))| a)
+                {
+                    self.mono
+                        .spectrum_into(degrees[j * entries.len() + pattern], mono_re, mono_im)
+                        // lint:allow(panic) shape invariant established at construction
+                        .expect("monomial planes are sized to the fft plan");
+                    let (c_re_plane, c_im_plane) = comb.planes_mut();
+                    let chunks = c_re_plane
+                        .chunks_exact_mut(half)
+                        .zip(c_im_plane.chunks_exact_mut(half))
+                        .zip(e_re_plane.chunks_exact(half).zip(e_im_plane.chunks_exact(half)));
+                    for ((c_re, c_im), (e_re, e_im)) in chunks {
+                        fft.pointwise_mul_add_soa(c_re, c_im, e_re, e_im, mono_re, mono_im);
+                    }
+                }
+            }
+        }
+    }
+    // lint:hot-path-end
+}
+
+/// Plaintext of multi-bit key entry `pattern` for a group of secret
+/// `bits`: the indicator product `∏_t s_t^{b_t}·(1−s_t)^{1−b_t}`, which is
+/// 1 exactly when `pattern` spells the group's key bits.
+pub(crate) fn pattern_indicator(bits: &[u64], pattern: usize) -> u64 {
+    bits.iter().enumerate().map(|(t, &s)| if (pattern >> t) & 1 == 1 { s } else { 1 - s }).product()
+}
+
+impl<E: KeyLayout> BlindRotationKey<E> {
+    /// The one keygen skeleton: builds the decomposition and FFT plan
+    /// from `params`, then the entries under that plan.
+    fn from_entries(
         params: &TfheParameters,
-        rng: &mut NoiseSampler,
+        input_dimension: usize,
+        entries: impl FnOnce(DecompositionParams, &NegacyclicFft) -> E,
     ) -> Self {
         let decomp = DecompositionParams::new(params.pbs_base_log, params.pbs_level);
         let fft = NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend)
             // lint:allow(panic) parameters were validated at construction
             .expect("validated parameters have power-of-two N and an available backend");
-        let ggsws = lwe_sk
-            .bits()
-            .iter()
-            .map(|&s| {
-                GgswCiphertext::encrypt_scalar(s, glwe_sk, decomp, params.glwe_noise_std, rng)
-                    .to_fourier(&fft)
-            })
-            .collect();
         Self {
-            ggsws,
+            entries: entries(decomp, &fft),
             fft,
             glwe_dimension: params.glwe_dimension,
             poly_size: params.polynomial_size,
             decomp,
+            input_dimension,
         }
     }
 
-    /// Generates a *timing-equivalent* bootstrapping key without real
-    /// encryption: every GGSW row is a trivial (zero-mask) encryption
-    /// carrying only the gadget term for secret bit 0.
-    ///
-    /// Running PBS with this key performs exactly the same arithmetic
-    /// (same decompositions, FFTs, multiplies) as with a real key, so
-    /// it is suitable for the CPU-baseline *performance* measurements
-    /// at large parameter sets, where real key generation via the exact
-    /// schoolbook path would be prohibitive. It is cryptographically
-    /// meaningless — outputs decrypt to the unrotated test vector.
-    pub fn generate_for_benchmark(params: &TfheParameters) -> Self {
-        let decomp = DecompositionParams::new(params.pbs_base_log, params.pbs_level);
-        let fft = NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend)
-            // lint:allow(panic) parameters were validated at construction
-            .expect("validated parameters have power-of-two N and an available backend");
-        // GGSW of message 1: gadget terms give the spectra non-trivial
-        // values so the FFT timing is honest.
-        let template =
-            GgswCiphertext::trivial(1, params.glwe_dimension, params.polynomial_size, decomp)
-                .to_fourier(&fft);
-        let ggsws = vec![template; params.lwe_dimension];
-        Self {
-            ggsws,
-            fft,
-            glwe_dimension: params.glwe_dimension,
-            poly_size: params.polynomial_size,
-            decomp,
-        }
-    }
-
-    /// Expansion half of seeded key transport: rebuilds each GGSW from
-    /// its stored body polynomials and the CRS mask stream (drawn in
-    /// generation order), then runs the usual Fourier materialisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bodies` does not hold one entry per secret bit with
-    /// `(k+1)·l` rows each (transport payload invariant).
-    pub(crate) fn from_seeded_parts(
-        bodies: &[Vec<TorusPolynomial>],
-        params: &TfheParameters,
-        crs: &mut NoiseSampler,
-    ) -> Self {
-        assert_eq!(bodies.len(), params.lwe_dimension, "seeded bsk entry count");
-        let decomp = DecompositionParams::new(params.pbs_base_log, params.pbs_level);
-        let fft = NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend)
-            // lint:allow(panic) parameters were validated at construction
-            .expect("validated parameters have power-of-two N and an available backend");
-        let ggsws = bodies
-            .iter()
-            .map(|entry| {
-                GgswCiphertext::from_seeded_parts(entry, decomp, params.glwe_dimension, crs)
-                    .to_fourier(&fft)
-            })
-            .collect();
-        Self {
-            ggsws,
-            fft,
-            glwe_dimension: params.glwe_dimension,
-            poly_size: params.polynomial_size,
-            decomp,
-        }
-    }
-
-    /// Input LWE dimension `n` (number of blind-rotation iterations).
+    /// Input LWE dimension `n`.
     #[inline]
     pub fn input_dimension(&self) -> usize {
-        self.ggsws.len()
+        self.input_dimension
     }
 
     /// Output LWE dimension `k·N` after sample extraction.
@@ -304,119 +572,34 @@ impl BootstrapKey {
     /// Allocates a [`PbsScratch`] sized to this key — one per thread,
     /// reused across every bootstrap that thread performs.
     pub fn scratch(&self) -> PbsScratch {
-        PbsScratch::new(self.glwe_dimension, self.poly_size, self.decomp)
+        PbsScratch::new(
+            self.glwe_dimension,
+            self.poly_size,
+            self.decomp,
+            self.entries.grouping_factor(),
+        )
     }
 
-    /// Total Fourier-domain key size in bytes (HBM traffic per full PBS).
+    /// Total Fourier-domain key size in bytes (HBM traffic per full
+    /// PBS); `2^g/g ×` the classical key for the multi-bit layout.
     pub fn byte_size(&self) -> usize {
-        self.ggsws.iter().map(FourierGgsw::byte_size).sum()
-    }
-
-    /// Blind rotation (Algorithm 1 lines 2–12): rotates `lut` by the
-    /// encrypted phase of `ct`, returning the GLWE accumulator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] if the ciphertext
-    /// dimension or LUT size disagrees with the key.
-    pub fn blind_rotate(&self, ct: &LweCiphertext, lut: &Lut) -> Result<GlweCiphertext, TfheError> {
-        let mut scratch = self.scratch();
-        self.blind_rotate_with(ct, lut, &mut scratch)
-    }
-
-    /// As [`Self::blind_rotate`] with caller-provided scratch: after
-    /// the initial accumulator setup, the CMUX loop performs no heap
-    /// allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was sized for a different parameter set.
-    pub fn blind_rotate_with(
-        &self,
-        ct: &LweCiphertext,
-        lut: &Lut,
-        scratch: &mut PbsScratch,
-    ) -> Result<GlweCiphertext, TfheError> {
-        self.blind_rotate_core(ct, lut, scratch, &mut NoProbe)
-    }
-
-    /// The single implementation behind the per-job blind-rotation
-    /// entry points, generic over a [`Probe`]: the production path
-    /// passes [`NoProbe`] (inlines to nothing), the profiled path a
-    /// [`TimingProbe`] — one rotation loop, so instrumented and
-    /// production execution can never drift.
-    // lint:hot-path-start — the classical per-job CMUX loop must stay allocation-free
-    fn blind_rotate_core<P: Probe>(
-        &self,
-        ct: &LweCiphertext,
-        lut: &Lut,
-        scratch: &mut PbsScratch,
-        probe: &mut P,
-    ) -> Result<GlweCiphertext, TfheError> {
-        self.check_shape(ct, lut)?;
-        scratch.check_shape(self.glwe_dimension, self.poly_size, self.decomp.level);
-        let log2_two_n = self.poly_size.trailing_zeros() + 1;
-        let b_tilde =
-            probe.time(PbsStage::ModSwitch, || modulus_switch(ct.body(), log2_two_n)) as usize;
-        let mut acc = probe.time(PbsStage::Rotate, || {
-            GlweCiphertext::trivial(self.glwe_dimension, lut.poly().rotate_left(b_tilde))
-        });
-        for (ggsw, &a) in self.ggsws.iter().zip(ct.mask()) {
-            let a_tilde =
-                probe.time(PbsStage::ModSwitch, || modulus_switch(a, log2_two_n)) as usize;
-            if a_tilde == 0 {
-                continue;
-            }
-            // CMUX: acc ← acc + ggsw ⊡ (X^ã·acc − acc), allocation-free.
-            let PbsScratch { diff, prod, ep, .. } = scratch;
-            probe.time(PbsStage::Rotate, || {
-                acc.rotate_right_into(a_tilde, diff);
-                // lint:allow(panic) shape invariant established at construction
-                diff.sub_assign(&acc).expect("scratch shape is pre-validated");
-            });
-            ggsw.external_product_probed(diff, &self.fft, prod, ep, probe);
-            // lint:allow(panic) shape invariant established at construction
-            acc.add_assign(prod).expect("scratch shape is pre-validated");
-        }
-        Ok(acc)
-    }
-    // lint:hot-path-end
-
-    /// Blind rotation with stage timing instrumentation — the same
-    /// rotation loop as [`Self::blind_rotate_with`], observed through
-    /// a timing probe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
-    pub fn blind_rotate_profiled(
-        &self,
-        ct: &LweCiphertext,
-        lut: &Lut,
-        timings: &mut StageTimings,
-    ) -> Result<GlweCiphertext, TfheError> {
-        let mut scratch = self.scratch();
-        self.blind_rotate_core(ct, lut, &mut scratch, &mut TimingProbe(timings))
+        self.entries.byte_size()
     }
 
     /// Checks that a `(ciphertext, LUT)` pair matches this key's shape
-    /// — the single validation both the single and batched bootstrap
-    /// paths apply, exposed so schedulers can pre-validate jobs before
-    /// committing them to a shared batch.
+    /// — the single validation every bootstrap path applies, exposed so
+    /// schedulers can pre-validate jobs before committing them to a
+    /// shared batch.
     ///
     /// # Errors
     ///
     /// Returns [`TfheError::ParameterMismatch`] naming the mismatch.
     pub fn check_shape(&self, ct: &LweCiphertext, lut: &Lut) -> Result<(), TfheError> {
-        if ct.dimension() != self.input_dimension() {
+        if ct.dimension() != self.input_dimension {
             return Err(TfheError::ParameterMismatch {
                 what: "lwe dimension",
                 left: ct.dimension(),
-                right: self.input_dimension(),
+                right: self.input_dimension,
             });
         }
         if lut.poly_size() != self.poly_size {
@@ -429,74 +612,64 @@ impl BootstrapKey {
         Ok(())
     }
 
-    /// Blind-rotates a whole batch with **key-major iteration order**,
-    /// the software analogue of the paper's core-level batching
-    /// (§IV-C): the outer loop walks the `n` bootstrapping-key entries
-    /// and the inner loop applies each GGSW to every accumulator in
-    /// the batch, so one key fetch is reused `batch` times — exactly
-    /// how an HSC amortises its per-iteration bsk stream. Jobs may
-    /// carry different LUTs; only the key material is shared.
+    /// Blind rotation (Algorithm 1 lines 2–12): rotates `lut` by the
+    /// encrypted phase of `ct`, returning the GLWE accumulator.
     ///
     /// # Errors
     ///
-    /// Returns [`TfheError::ParameterMismatch`] if any job's ciphertext
+    /// Returns [`TfheError::ParameterMismatch`] if the ciphertext
     /// dimension or LUT size disagrees with the key.
-    pub fn blind_rotate_batch(
-        &self,
-        jobs: &[PbsJob<'_>],
-    ) -> Result<Vec<GlweCiphertext>, TfheError> {
-        let mut scratch = self.scratch();
-        self.blind_rotate_batch_with(jobs, &mut scratch)
+    pub fn blind_rotate(&self, ct: &LweCiphertext, lut: &Lut) -> Result<GlweCiphertext, TfheError> {
+        self.blind_rotate_with(ct, lut, &mut self.scratch())
     }
 
-    /// As [`Self::blind_rotate_batch`] with caller-provided scratch —
-    /// one scratch serves the whole epoch, so the key-major loop
-    /// performs no heap allocation beyond the output accumulators and
-    /// one per-epoch switched-mask table: every job's mask is
-    /// modulus-switched **once, up front**, rather than per key entry
-    /// inside the hot loop (epoch-wide hoisting of Algorithm 1 line 5).
-    ///
-    /// This is the **coefficient-batched, job-blocked** CMUX path (the
-    /// paper's two batching levels realised together): per key entry,
-    /// accumulators are processed in blocks of
-    /// [`CMUX_JOB_BLOCK`] jobs whose
-    /// digit polynomials go through one batched split-complex forward
-    /// transform each ([`NegacyclicFft::forward_i64_many`]) and whose
-    /// VMA runs **row-major across the block**, so each key row is
-    /// fetched once per block instead of once per job. Outputs are
-    /// bit-identical to the per-job oracle path
-    /// ([`Self::blind_rotate_with`]) — the schedule changes, the
-    /// per-job arithmetic does not.
+    /// As [`Self::blind_rotate`] with caller-provided scratch: a batch of
+    /// one through the blocked engine, so the single and batched paths
+    /// are bit-identical by construction.
     ///
     /// # Errors
     ///
-    /// Returns [`TfheError::ParameterMismatch`] on any shape mismatch.
+    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
     ///
     /// # Panics
     ///
-    /// Panics if `scratch` was sized for a different parameter set.
-    pub fn blind_rotate_batch_with(
+    /// Panics if `scratch` was sized for a different key shape.
+    pub fn blind_rotate_with(
         &self,
-        jobs: &[PbsJob<'_>],
+        ct: &LweCiphertext,
+        lut: &Lut,
         scratch: &mut PbsScratch,
-    ) -> Result<Vec<GlweCiphertext>, TfheError> {
-        self.blind_rotate_batch_core(jobs, scratch, &mut NoProbe)
+    ) -> Result<GlweCiphertext, TfheError> {
+        Ok(only(self.blind_rotate_core(&[PbsJob { ct, lut }], scratch, &mut NoProbe)?))
     }
 
-    /// The single implementation behind the batched blind rotation,
-    /// generic over a [`Probe`] (production: [`NoProbe`]; the
-    /// per-stage breakdown harness: [`TimingProbe`]).
-    fn blind_rotate_batch_core<P: Probe>(
+    /// The single blind-rotation implementation, generic over a
+    /// [`Probe`] (production: [`NoProbe`]; profiling: [`TimingProbe`]).
+    ///
+    /// Iteration is **key-major**, the software analogue of the paper's
+    /// core-level batching (§IV-C): the outer loop walks the key steps
+    /// and the inner loop applies each to every accumulator in the
+    /// batch, so one key fetch is reused `batch` times — exactly how an
+    /// HSC amortises its per-iteration bsk stream. Jobs may carry
+    /// different LUTs; only the key material is shared. One scratch
+    /// serves the whole epoch, so the loop performs no heap allocation
+    /// beyond the output accumulators and one switched-mask table.
+    fn blind_rotate_core<P: Probe>(
         &self,
         jobs: &[PbsJob<'_>],
         scratch: &mut PbsScratch,
         probe: &mut P,
     ) -> Result<Vec<GlweCiphertext>, TfheError> {
-        let log2_two_n = self.poly_size.trailing_zeros() + 1;
         for job in jobs {
             self.check_shape(job.ct, job.lut)?;
         }
-        scratch.check_shape(self.glwe_dimension, self.poly_size, self.decomp.level);
+        scratch.check_shape(
+            self.glwe_dimension,
+            self.poly_size,
+            self.decomp.level,
+            self.entries.grouping_factor(),
+        );
+        let log2_two_n = self.poly_size.trailing_zeros() + 1;
 
         // Initial rotation by each body (Algorithm 1 lines 3–4).
         let mut accs: Vec<GlweCiphertext> = jobs
@@ -512,17 +685,14 @@ impl BootstrapKey {
             .collect();
 
         // Epoch-wide hoisting: switch every mask element of every job
-        // once, up front, instead of re-running `modulus_switch` inside
-        // the key-major inner loop (`n · batch` calls per epoch). The
-        // table is **entry-major** (`switched[i·batch + j]`), so the
-        // key-major loop below reads each entry's rotation amounts as
-        // one contiguous slice per block. The switched values live in
-        // `[0, 2N)` so `u32` keeps the table a quarter the size of the
-        // masks it replaces. `modulus_switch` is a pure rounding shift,
-        // so precomputation is bit-identical to switching in-loop.
-        let n_iter = self.ggsws.len();
+        // once, up front. The table is **entry-major**
+        // (`switched[i·batch + j]`), so a key step reads its bits'
+        // amounts for a block as contiguous slices; the switched values
+        // live in `[0, 2N)`, so `u32` keeps it a quarter the size of the
+        // masks. `modulus_switch` is a pure rounding shift, so hoisting
+        // is bit-identical to switching in-loop.
         let batch = jobs.len();
-        let mut switched = vec![0u32; batch * n_iter];
+        let mut switched = vec![0u32; batch * self.input_dimension];
         probe.time(PbsStage::ModSwitch, || {
             for (j, job) in jobs.iter().enumerate() {
                 for (i, &a) in job.ct.mask().iter().enumerate() {
@@ -530,80 +700,92 @@ impl BootstrapKey {
                 }
             }
         });
-
-        // Key-major, job-blocked blind rotation: fetch GGSW i once,
-        // use it for the whole batch, block by block.
-        for (i, ggsw) in self.ggsws.iter().enumerate() {
-            let amounts = &switched[i * batch..(i + 1) * batch];
-            for (accs_block, amounts_block) in
-                accs.chunks_mut(CMUX_JOB_BLOCK).zip(amounts.chunks(CMUX_JOB_BLOCK))
-            {
-                self.cmux_block(ggsw, accs_block, amounts_block, scratch, probe);
-            }
-        }
+        self.rotate_blocks(&mut accs, &switched, scratch, probe);
         Ok(accs)
     }
 
-    /// One blocked CMUX step: applies `ggsw` to every accumulator of
-    /// the block whose rotation amount is non-zero, computing
-    /// `acc ← acc + ggsw ⊡ (X^ã·acc − acc)` for each, bit-identically
-    /// to the per-job path but scheduled for locality:
-    ///
-    /// 1. **Stage** — per job and column, one pass
-    ///    ([`DecompositionParams::decompose_rotated_difference_levels`])
-    ///    reads the accumulator polynomial and writes the rounded
-    ///    digits of `X^ã·acc − acc` straight into the level buffer: the
-    ///    rotation is an index shift with a sign folded into the
-    ///    decomposer's rounding step, so no difference polynomial is
-    ///    ever written. Then all `(k+1)·l` forward FFTs run as one
-    ///    batched split-complex transform.
-    /// 2. **VMA, row-major across the block** — for each of the
-    ///    `(k+1)·l` key rows, multiply–accumulate it against every
-    ///    staged job before the next row streams in, so the row stays
-    ///    in L1 across the block.
-    /// 3. **Drain** — per job: one batched inverse transform of the
-    ///    `k+1` accumulator spectra, then one packed pass per column
-    ///    that converts to the torus and accumulates
-    ///    ([`crate::torus::f64_to_torus`] is integer bit arithmetic,
-    ///    so this loop vectorises).
-    ///
-    /// Per job, rows are visited in the same order and every
-    /// floating-point/torus operation is the same as in the per-job
-    /// oracle (rotate → subtract → [`FourierGgsw::external_product_scratch`])
-    /// — the staging pass computes the same wrapping differences
-    /// without storing them, and only the loop nesting across
-    /// *independent* jobs differs, which cannot change a bit of any
-    /// output.
-    // lint:hot-path-start — the blocked classical CMUX kernel must stay allocation-free
-    fn cmux_block<P: Probe>(
+    // lint:hot-path-start — the one blind-rotation loop must stay allocation-free
+    /// Key-major, job-blocked blind rotation: fetch key step `i` once and
+    /// apply it to the whole batch, [`CMUX_JOB_BLOCK`] jobs at a time.
+    fn rotate_blocks<P: Probe>(
         &self,
-        ggsw: &FourierGgsw,
         accs: &mut [GlweCiphertext],
-        amounts: &[u32],
+        switched: &[u32],
         scratch: &mut PbsScratch,
         probe: &mut P,
     ) {
-        debug_assert_eq!(accs.len(), amounts.len());
+        let batch = accs.len();
+        for step in 0..self.entries.steps() {
+            let bits = self.entries.bits(step);
+            let rows = &switched[bits.start * batch..bits.end * batch];
+            for (bi, block) in accs.chunks_mut(CMUX_JOB_BLOCK).enumerate() {
+                let amounts = layout::StepAmounts { rows, batch, job0: bi * CMUX_JOB_BLOCK };
+                self.cmux_block(step, amounts, block, scratch, probe);
+            }
+        }
+    }
+
+    /// One blocked step: applies key step `step` to every accumulator of
+    /// the block that it moves, bit-identically to one job at a time but
+    /// scheduled for locality:
+    ///
+    /// 1. **Activate** (layout) — pick the jobs the step moves (the
+    ///    multi-bit layout also derives their monomial degrees). A block
+    ///    with no active job returns here.
+    /// 2. **Stage** — per active job, one decomposition pass per column
+    ///    — of the CMUX difference `X^ã·acc − acc`, folded into the
+    ///    decomposer's rounding step
+    ///    ([`DecompositionParams::decompose_rotated_difference_levels`]),
+    ///    or of the accumulator itself for the multi-bit layout — then
+    ///    all `(k+1)·l` forward FFTs as one batched split-complex
+    ///    transform.
+    /// 3. **VMA** (layout) — into freshly zeroed accumulator spectra;
+    ///    the multi-bit layout first assembles each job's combined GGSW.
+    /// 4. **Drain** — per active job: one batched inverse transform of
+    ///    the `k+1` accumulator spectra, then one packed pass per column
+    ///    that converts to the torus ([`f64_to_torus`] is integer bit
+    ///    arithmetic, so the loop vectorises) and adds into
+    ///    (`acc += …`, CMUX) or replaces (`acc = …`) the accumulator.
+    ///
+    /// Per job, every floating-point and torus operation is the same as
+    /// in a batch of one; only the loop nesting across *independent*
+    /// jobs differs, which cannot change a bit of any output.
+    fn cmux_block<P: Probe>(
+        &self,
+        step: usize,
+        amounts: layout::StepAmounts<'_>,
+        accs: &mut [GlweCiphertext],
+        scratch: &mut PbsScratch,
+        probe: &mut P,
+    ) {
         debug_assert!(accs.len() <= CMUX_JOB_BLOCK);
-        let k = self.glwe_dimension;
         let n = self.poly_size;
         let level = self.decomp.level;
-        let PbsScratch { ep, all_digits, digit_batch, acc_batch, time_batch, .. } = scratch;
+        let mut active = [false; CMUX_JOB_BLOCK];
+        let active = &mut active[..accs.len()];
+        if !probe.time(PbsStage::ModSwitch, || self.entries.activate(amounts, active, scratch)) {
+            return;
+        }
 
-        // Stage: one rotate-subtract-decompose pass per column, then the
-        // batched forward FFTs. The fused pass accounts to `Decompose`.
-        for ((acc, &amt), digits) in accs.iter().zip(amounts).zip(digit_batch.iter_mut()) {
-            if amt == 0 {
+        let PbsScratch { decomp_state, all_digits, digit_batch, .. } = scratch;
+        for (j, (acc, digits)) in accs.iter().zip(digit_batch.iter_mut()).enumerate() {
+            if !active[j] {
                 continue;
             }
             probe.time(PbsStage::Decompose, || {
-                for (j, poly) in acc.polys().enumerate() {
-                    self.decomp.decompose_rotated_difference_levels(
-                        poly,
-                        amt as usize,
-                        &mut all_digits[j * level * n..(j + 1) * level * n],
-                        &mut ep.decomp_state,
-                    );
+                for (p, poly) in acc.polys().enumerate() {
+                    let levels = &mut all_digits[p * level * n..(p + 1) * level * n];
+                    if E::CMUX {
+                        let amount = amounts.get(0, j);
+                        self.decomp.decompose_rotated_difference_levels(
+                            poly,
+                            amount,
+                            levels,
+                            decomp_state,
+                        );
+                    } else {
+                        self.decomp.decompose_polynomial_levels(poly, levels, decomp_state);
+                    }
                 }
             });
             probe.time(PbsStage::Fft, || {
@@ -614,37 +796,15 @@ impl BootstrapKey {
             });
         }
 
-        // VMA, row-major across the block: key row `r` is loaded once
-        // and applied to every staged job while hot.
         probe.time(PbsStage::VectorMultiply, || {
-            for spec in
-                acc_batch.iter_mut().zip(amounts).filter(|(_, &amt)| amt != 0).map(|(s, _)| s)
-            {
+            for (spec, _) in scratch.acc_batch.iter_mut().zip(&*active).filter(|(_, &a)| a) {
                 spec.fill_zero();
             }
-            for r in 0..(k + 1) * level {
-                for (digits, spec) in digit_batch
-                    .iter()
-                    .zip(acc_batch.iter_mut())
-                    .zip(amounts)
-                    .filter(|(_, &amt)| amt != 0)
-                    .map(|(pair, _)| pair)
-                {
-                    let (d_re, d_im) = digits.transform(r);
-                    for col in 0..=k {
-                        let (k_re, k_im) = ggsw.row_col(r, col);
-                        let (a_re, a_im) = spec.transform_mut(col);
-                        self.fft.pointwise_mul_add_soa(a_re, a_im, d_re, d_im, k_re, k_im);
-                    }
-                }
-            }
+            self.entries.vma(step, active, scratch, &self.fft);
         });
 
-        // Drain: batched inverse, then a packed convert-and-accumulate.
-        for ((acc, &amt), spec) in accs.iter_mut().zip(amounts).zip(acc_batch.iter_mut()) {
-            if amt == 0 {
-                continue;
-            }
+        let PbsScratch { acc_batch, time_batch, .. } = scratch;
+        for ((acc, spec), _) in accs.iter_mut().zip(acc_batch).zip(&*active).filter(|(_, &a)| a) {
             probe.time(PbsStage::IfftAccumulate, || {
                 self.fft
                     .backward_f64_many(spec, time_batch)
@@ -653,8 +813,11 @@ impl BootstrapKey {
                 for (col, time) in time_batch.chunks_exact(n).enumerate() {
                     // lint:allow(panic) shape invariant established at construction
                     let poly = acc.poly_mut(col).expect("column within GLWE dimension");
-                    for (o, &v) in poly.coeffs_mut().iter_mut().zip(time) {
-                        *o = o.wrapping_add(f64_to_torus(v));
+                    let coeffs = poly.coeffs_mut().iter_mut().zip(time);
+                    if E::CMUX {
+                        coeffs.for_each(|(o, &v)| *o = o.wrapping_add(f64_to_torus(v)));
+                    } else {
+                        coeffs.for_each(|(o, &v)| *o = f64_to_torus(v));
                     }
                 }
             });
@@ -662,23 +825,51 @@ impl BootstrapKey {
     }
     // lint:hot-path-end
 
-    /// Batched programmable bootstrap: [`Self::blind_rotate_batch`]
-    /// followed by per-job sample extraction. Outputs are in job order
-    /// and still under the extracted (`k·N`) key.
+    /// Full programmable bootstrap: blind rotation followed by sample
+    /// extraction. The output is an LWE ciphertext of dimension `k·N`
+    /// encrypting `lut[phase]` with *fresh* noise, still under the
+    /// extracted key — keyswitching back to the original key is a
+    /// separate step (Algorithm 2, [`crate::keyswitch`]).
     ///
     /// # Errors
     ///
-    /// Returns [`TfheError::ParameterMismatch`] on any shape mismatch.
+    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
+    pub fn bootstrap(&self, ct: &LweCiphertext, lut: &Lut) -> Result<LweCiphertext, TfheError> {
+        Ok(self.blind_rotate(ct, lut)?.sample_extract())
+    }
+
+    /// As [`Self::bootstrap`] with per-stage timing instrumentation (the
+    /// Figure-1 harness): a batch of one through
+    /// [`Self::bootstrap_batch_profiled`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
+    pub fn bootstrap_profiled(
+        &self,
+        ct: &LweCiphertext,
+        lut: &Lut,
+        timings: &mut StageTimings,
+    ) -> Result<LweCiphertext, TfheError> {
+        Ok(only(self.bootstrap_batch_profiled(&[PbsJob { ct, lut }], timings)?))
+    }
+
+    /// Batched programmable bootstrap: key-major blind rotation of the
+    /// whole batch followed by per-job sample extraction. Outputs are in
+    /// job order and still under the extracted (`k·N`) key.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TfheError::ParameterMismatch`] if any job's ciphertext
+    /// dimension or LUT size disagrees with the key.
     pub fn bootstrap_batch(&self, jobs: &[PbsJob<'_>]) -> Result<Vec<LweCiphertext>, TfheError> {
-        Ok(self.blind_rotate_batch(jobs)?.iter().map(GlweCiphertext::sample_extract).collect())
+        self.bootstrap_core(jobs, &mut NoProbe)
     }
 
     /// As [`Self::bootstrap_batch`] with per-stage timing
-    /// instrumentation over the **production blocked CMUX path** —
-    /// the same kernel the un-instrumented batch runs, observed
-    /// through a timing probe, so the per-stage breakdown
-    /// (decompose / forward FFT / VMA / inverse FFT) reflects exactly
-    /// what production executes. Used by the `bench_snapshot` harness.
+    /// instrumentation over the production kernel, observed through a
+    /// timing probe, so the per-stage breakdown reflects exactly what
+    /// production executes.
     ///
     /// # Errors
     ///
@@ -688,20 +879,24 @@ impl BootstrapKey {
         jobs: &[PbsJob<'_>],
         timings: &mut StageTimings,
     ) -> Result<Vec<LweCiphertext>, TfheError> {
-        let mut scratch = self.scratch();
-        let mut probe = TimingProbe(timings);
-        let accs = self.blind_rotate_batch_core(jobs, &mut scratch, &mut probe)?;
+        self.bootstrap_core(jobs, &mut TimingProbe(timings))
+    }
+
+    fn bootstrap_core<P: Probe>(
+        &self,
+        jobs: &[PbsJob<'_>],
+        probe: &mut P,
+    ) -> Result<Vec<LweCiphertext>, TfheError> {
+        let accs = self.blind_rotate_core(jobs, &mut self.scratch(), probe)?;
         Ok(probe.time(PbsStage::SampleExtract, || {
             accs.iter().map(GlweCiphertext::sample_extract).collect()
         }))
     }
 
-    /// Parallel epoch execution: splits `jobs` into `threads`
-    /// contiguous shards and runs each through the key-major
-    /// [`Self::bootstrap_batch`] on its own [`std::thread::scope`]
-    /// worker with its own [`PbsScratch`], all sharing this
-    /// `&BootstrapKey`. This is the software form of the paper's
-    /// two-level batching actually running in parallel: core-level
+    /// Parallel epoch execution: splits `jobs` into `threads` contiguous
+    /// shards and runs each through the key-major
+    /// [`Self::bootstrap_batch`] on its own [`std::thread::scope`] worker
+    /// with its own [`PbsScratch`], all sharing this key — core-level
     /// batching (key-major reuse) *within* each shard, device-level
     /// parallelism *across* shards.
     ///
@@ -732,9 +927,7 @@ impl BootstrapKey {
         }
         // Balanced contiguous shards: the first `jobs % threads` shards
         // take one extra job, so exactly `threads` workers spawn and no
-        // worker trails the rest by more than one PBS. Contiguity
-        // preserves key-major order within each shard and job order
-        // across the concatenated results.
+        // worker trails the rest by more than one PBS.
         let base = jobs.len() / threads;
         let extra = jobs.len() % threads;
         let shards: Vec<Result<Vec<LweCiphertext>, TfheError>> = std::thread::scope(|scope| {
@@ -756,78 +949,100 @@ impl BootstrapKey {
         }
         Ok(out)
     }
+}
 
-    /// Full programmable bootstrap: blind rotation followed by sample
-    /// extraction. The output is an LWE ciphertext of dimension `k·N`
-    /// encrypting `lut[phase]` with *fresh* noise, still under the
-    /// extracted key — keyswitching back to the original key is a
-    /// separate step (Algorithm 2, [`crate::keyswitch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
-    pub fn bootstrap(&self, ct: &LweCiphertext, lut: &Lut) -> Result<LweCiphertext, TfheError> {
-        Ok(self.blind_rotate(ct, lut)?.sample_extract())
+/// The one result of a batch of one.
+fn only<T>(mut results: Vec<T>) -> T {
+    // lint:allow(panic) a batch of one job yields one result
+    results.pop().expect("one job in, one result out")
+}
+
+impl BootstrapKey {
+    /// Generates a bootstrapping key encrypting `lwe_sk` under `glwe_sk`.
+    pub fn generate(
+        lwe_sk: &LweSecretKey,
+        glwe_sk: &GlweSecretKey,
+        params: &TfheParameters,
+        rng: &mut NoiseSampler,
+    ) -> Self {
+        Self::from_entries(params, lwe_sk.bits().len(), |decomp, fft| {
+            let mut encrypt = |m| encrypted_entry(m, glwe_sk, params, decomp, fft, rng);
+            layout::PerBit(lwe_sk.bits().iter().map(|&s| encrypt(s)).collect())
+        })
     }
 
-    /// Profiled variant of [`Self::bootstrap`].
+    /// Generates a *timing-equivalent* bootstrapping key without real
+    /// encryption: every GGSW row is a trivial (zero-mask) encryption
+    /// carrying only the gadget term for secret bit 0.
+    ///
+    /// Running PBS with this key performs exactly the same arithmetic
+    /// (same decompositions, FFTs, multiplies) as with a real key, so
+    /// it is suitable for the CPU-baseline *performance* measurements
+    /// at large parameter sets, where real key generation via the exact
+    /// schoolbook path would be prohibitive. It is cryptographically
+    /// meaningless — outputs decrypt to the unrotated test vector.
+    pub fn generate_for_benchmark(params: &TfheParameters) -> Self {
+        Self::from_entries(params, params.lwe_dimension, |decomp, fft| {
+            layout::PerBit(vec![trivial_entry(params, decomp, fft); params.lwe_dimension])
+        })
+    }
+
+    /// Expansion half of seeded key transport: rebuilds each GGSW from
+    /// its stored body polynomials and the CRS mask stream (drawn in
+    /// generation order), then runs the usual Fourier materialisation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bodies` does not hold one entry per secret bit with
+    /// `(k+1)·l` rows each (transport payload invariant).
+    pub(crate) fn from_seeded_parts(
+        bodies: &[Vec<TorusPolynomial>],
+        params: &TfheParameters,
+        crs: &mut NoiseSampler,
+    ) -> Self {
+        assert_eq!(bodies.len(), params.lwe_dimension, "seeded bsk entry count");
+        Self::from_entries(params, params.lwe_dimension, |decomp, fft| {
+            layout::PerBit(
+                bodies.iter().map(|entry| seeded_entry(entry, params, decomp, fft, crs)).collect(),
+            )
+        })
+    }
+
+    /// The classical **reference** blind rotation: the interleaved
+    /// per-job CMUX loop (rotate → subtract →
+    /// [`FourierGgsw::external_product_scratch`] → add), one job at a
+    /// time, on buffers it allocates itself. No production path runs
+    /// it; it is the oracle the blocked engine is pinned against bit for
+    /// bit.
     ///
     /// # Errors
     ///
     /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
-    pub fn bootstrap_profiled(
+    pub fn blind_rotate_reference(
         &self,
         ct: &LweCiphertext,
         lut: &Lut,
-        timings: &mut StageTimings,
-    ) -> Result<LweCiphertext, TfheError> {
-        let acc = self.blind_rotate_profiled(ct, lut, timings)?;
-        let t0 = std::time::Instant::now();
-        let out = acc.sample_extract();
-        timings.add(PbsStage::SampleExtract, t0.elapsed());
-        Ok(out)
+    ) -> Result<GlweCiphertext, TfheError> {
+        self.check_shape(ct, lut)?;
+        let (k, n) = (self.glwe_dimension, self.poly_size);
+        let log2_two_n = n.trailing_zeros() + 1;
+        let b_tilde = modulus_switch(ct.body(), log2_two_n) as usize;
+        let mut acc = GlweCiphertext::trivial(k, lut.poly().rotate_left(b_tilde));
+        let mut diff = GlweCiphertext::zero(k, n);
+        let mut prod = GlweCiphertext::zero(k, n);
+        let mut ep = ExternalProductScratch::new(k, n, self.decomp);
+        for (ggsw, &a) in self.entries.0.iter().zip(ct.mask()) {
+            let a_tilde = modulus_switch(a, log2_two_n) as usize;
+            if a_tilde == 0 {
+                continue;
+            }
+            acc.rotate_right_into(a_tilde, &mut diff);
+            diff.sub_assign(&acc)?;
+            ggsw.external_product_scratch(&diff, &self.fft, &mut prod, &mut ep);
+            acc.add_assign(&prod)?;
+        }
+        Ok(acc)
     }
-}
-
-/// The **multi-bit** bootstrapping key: `⌈n/g⌉` *groups* of
-/// Fourier-domain GGSW entries for grouping factor `g` — the software
-/// counterpart of tfhe-rs's CUDA `MULTI_BIT` PBS kernel.
-///
-/// Group `i` covers secret bits `s_{ig} .. s_{ig+g-1}` and stores `2^g`
-/// GGSW encryptions, one per bit pattern `b ∈ {0,1}^g`, of the
-/// *indicator product* `m_b = ∏_j s^{b_j} · (1−s)^{1−b_j}` — exactly
-/// one `m_b` equals 1 (the pattern matching the actual key bits), the
-/// rest encrypt 0. The last group covers the `n mod g` remainder bits
-/// with `2^{n mod g}` entries.
-///
-/// Blind rotation then needs only **one external product per group**
-/// instead of one CMUX per bit: since
-/// `X^{Σ_j ã_j s_j} = Σ_b X^{⟨b, ã⟩} · m_b`, the server assembles the
-/// *combined* GGSW `G = Σ_b X^{d_b} · GGSW(m_b)` (monomial weighting is
-/// a pointwise spectrum multiply, [`MonomialTable`]) and replaces the
-/// accumulator with `G ⊡ acc` — a rotation of the accumulator by the
-/// whole group's phase contribution in a single decompose → FFT → VMA →
-/// IFFT pass. `⌈n/g⌉` passes replace `n`, trading a `2^g/g ×` larger
-/// key (and a `2^g ×` key-noise term, see
-/// [`crate::noise::multi_bit_external_product_variance`]) for `g ×`
-/// fewer transforms.
-///
-/// Outputs are **not bit-identical** to [`BootstrapKey`] — the
-/// arithmetic is genuinely different — but decrypt to the same message:
-/// both kernels realise the same blind rotation
-/// `X^{b̃ + Σ ã_j s_j} · lut`.
-#[derive(Clone, Debug)]
-pub struct MultiBitBootstrapKey {
-    /// Group `i` holds `2^{m_i}` pattern entries (`m_i = g` except for
-    /// the remainder group).
-    groups: Vec<Vec<FourierGgsw>>,
-    fft: NegacyclicFft,
-    mono: MonomialTable,
-    glwe_dimension: usize,
-    poly_size: usize,
-    decomp: DecompositionParams,
-    grouping_factor: usize,
-    input_dimension: usize,
 }
 
 impl MultiBitBootstrapKey {
@@ -850,45 +1065,14 @@ impl MultiBitBootstrapKey {
         grouping_factor: usize,
         rng: &mut NoiseSampler,
     ) -> Self {
-        Self::check_grouping(grouping_factor, lwe_sk.bits().len());
-        let decomp = DecompositionParams::new(params.pbs_base_log, params.pbs_level);
-        let fft = NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend)
-            // lint:allow(panic) parameters were validated at construction
-            .expect("validated parameters have power-of-two N and an available backend");
-        let groups = lwe_sk
-            .bits()
-            .chunks(grouping_factor)
-            .map(|bits| {
-                (0..1usize << bits.len())
-                    .map(|pattern| {
-                        let indicator: u64 = bits
-                            .iter()
-                            .enumerate()
-                            .map(|(t, &s)| if (pattern >> t) & 1 == 1 { s } else { 1 - s })
-                            .product();
-                        GgswCiphertext::encrypt_scalar(
-                            indicator,
-                            glwe_sk,
-                            decomp,
-                            params.glwe_noise_std,
-                            rng,
-                        )
-                        .to_fourier(&fft)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mono = MonomialTable::for_plan(&fft);
-        Self {
-            groups,
-            fft,
-            mono,
-            glwe_dimension: params.glwe_dimension,
-            poly_size: params.polynomial_size,
-            decomp,
-            grouping_factor,
-            input_dimension: params.lwe_dimension,
-        }
+        check_grouping(grouping_factor, lwe_sk.bits().len());
+        Self::grouped(params, grouping_factor, |decomp, fft| {
+            let mut encrypt = |m| encrypted_entry(m, glwe_sk, params, decomp, fft, rng);
+            let group = |bits: &[u64]| -> Vec<FourierGgsw> {
+                (0..1usize << bits.len()).map(|b| encrypt(pattern_indicator(bits, b))).collect()
+            };
+            lwe_sk.bits().chunks(grouping_factor).map(group).collect()
+        })
     }
 
     /// Generates a *timing-equivalent* multi-bit key without real
@@ -902,32 +1086,14 @@ impl MultiBitBootstrapKey {
     /// Panics if `grouping_factor` is out of range (see
     /// [`Self::generate`]).
     pub fn generate_for_benchmark(params: &TfheParameters, grouping_factor: usize) -> Self {
-        Self::check_grouping(grouping_factor, params.lwe_dimension);
-        let decomp = DecompositionParams::new(params.pbs_base_log, params.pbs_level);
-        let fft = NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend)
-            // lint:allow(panic) parameters were validated at construction
-            .expect("validated parameters have power-of-two N and an available backend");
-        let template =
-            GgswCiphertext::trivial(1, params.glwe_dimension, params.polynomial_size, decomp)
-                .to_fourier(&fft);
-        let full_groups = params.lwe_dimension / grouping_factor;
-        let remainder = params.lwe_dimension % grouping_factor;
-        let mut groups: Vec<Vec<FourierGgsw>> =
-            vec![vec![template.clone(); 1 << grouping_factor]; full_groups];
-        if remainder > 0 {
-            groups.push(vec![template; 1 << remainder]);
-        }
-        let mono = MonomialTable::for_plan(&fft);
-        Self {
-            groups,
-            fft,
-            mono,
-            glwe_dimension: params.glwe_dimension,
-            poly_size: params.polynomial_size,
-            decomp,
-            grouping_factor,
-            input_dimension: params.lwe_dimension,
-        }
+        check_grouping(grouping_factor, params.lwe_dimension);
+        Self::grouped(params, grouping_factor, |decomp, fft| {
+            let template = trivial_entry(params, decomp, fft);
+            let n = params.lwe_dimension;
+            let widths = (0..n.div_ceil(grouping_factor))
+                .map(|gi| grouping_factor.min(n - gi * grouping_factor));
+            widths.map(|bits| vec![template.clone(); 1 << bits]).collect()
+        })
     }
 
     /// Expansion half of seeded key transport: rebuilds every pattern
@@ -945,567 +1111,92 @@ impl MultiBitBootstrapKey {
         grouping_factor: usize,
         crs: &mut NoiseSampler,
     ) -> Self {
-        Self::check_grouping(grouping_factor, params.lwe_dimension);
+        check_grouping(grouping_factor, params.lwe_dimension);
         assert_eq!(
             group_bodies.len(),
             params.multi_bit_group_count(grouping_factor),
             "seeded mbsk group count"
         );
-        let decomp = DecompositionParams::new(params.pbs_base_log, params.pbs_level);
-        let fft = NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend)
-            // lint:allow(panic) parameters were validated at construction
-            .expect("validated parameters have power-of-two N and an available backend");
-        let groups = group_bodies
-            .iter()
-            .map(|entries| {
-                entries
-                    .iter()
-                    .map(|entry| {
-                        GgswCiphertext::from_seeded_parts(entry, decomp, params.glwe_dimension, crs)
-                            .to_fourier(&fft)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mono = MonomialTable::for_plan(&fft);
-        Self {
-            groups,
-            fft,
-            mono,
-            glwe_dimension: params.glwe_dimension,
-            poly_size: params.polynomial_size,
-            decomp,
+        Self::grouped(params, grouping_factor, |decomp, fft| {
+            group_bodies
+                .iter()
+                .map(|entries| {
+                    entries
+                        .iter()
+                        .map(|entry| seeded_entry(entry, params, decomp, fft, crs))
+                        .collect()
+                })
+                .collect()
+        })
+    }
+
+    fn grouped(
+        params: &TfheParameters,
+        grouping_factor: usize,
+        groups: impl FnOnce(DecompositionParams, &NegacyclicFft) -> Vec<Vec<FourierGgsw>>,
+    ) -> Self {
+        Self::from_entries(params, params.lwe_dimension, |decomp, fft| layout::Grouped {
+            groups: groups(decomp, fft),
+            mono: MonomialTable::for_plan(fft),
             grouping_factor,
-            input_dimension: params.lwe_dimension,
-        }
-    }
-
-    fn check_grouping(grouping_factor: usize, lwe_dimension: usize) {
-        assert!(grouping_factor >= 1, "grouping factor must be positive");
-        assert!(
-            grouping_factor <= PbsKernel::MAX_GROUPING_FACTOR,
-            "grouping factor exceeds the supported maximum"
-        );
-        assert!(grouping_factor <= lwe_dimension, "grouping factor exceeds the lwe dimension");
-    }
-
-    /// Input LWE dimension `n`.
-    #[inline]
-    pub fn input_dimension(&self) -> usize {
-        self.input_dimension
-    }
-
-    /// Output LWE dimension `k·N` after sample extraction.
-    #[inline]
-    pub fn output_dimension(&self) -> usize {
-        self.glwe_dimension * self.poly_size
-    }
-
-    /// Polynomial size `N`.
-    #[inline]
-    pub fn poly_size(&self) -> usize {
-        self.poly_size
+        })
     }
 
     /// Secret bits collapsed per key entry.
     #[inline]
     pub fn grouping_factor(&self) -> usize {
-        self.grouping_factor
+        self.entries.grouping_factor
     }
 
     /// Number of blind-rotation groups `⌈n/g⌉` (= external products per
     /// bootstrap).
     #[inline]
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.entries.groups.len()
     }
+}
 
-    /// The decomposition used by the external products.
-    #[inline]
-    pub fn decomposition(&self) -> DecompositionParams {
-        self.decomp
-    }
+fn check_grouping(grouping_factor: usize, lwe_dimension: usize) {
+    assert!(grouping_factor >= 1, "grouping factor must be positive");
+    assert!(
+        grouping_factor <= PbsKernel::MAX_GROUPING_FACTOR,
+        "grouping factor exceeds the supported maximum"
+    );
+    assert!(grouping_factor <= lwe_dimension, "grouping factor exceeds the lwe dimension");
+}
 
-    /// The FFT plan shared by all external products.
-    #[inline]
-    pub fn fft(&self) -> &NegacyclicFft {
-        &self.fft
-    }
+/// One real key entry: a Fourier GGSW encryption of `m` under `glwe_sk`.
+fn encrypted_entry(
+    m: u64,
+    glwe_sk: &GlweSecretKey,
+    params: &TfheParameters,
+    decomp: DecompositionParams,
+    fft: &NegacyclicFft,
+    rng: &mut NoiseSampler,
+) -> FourierGgsw {
+    GgswCiphertext::encrypt_scalar(m, glwe_sk, decomp, params.glwe_noise_std, rng).to_fourier(fft)
+}
 
-    /// Allocates a [`MultiBitPbsScratch`] sized to this key — one per
-    /// thread, reused across every bootstrap that thread performs.
-    pub fn scratch(&self) -> MultiBitPbsScratch {
-        MultiBitPbsScratch::new(
-            self.glwe_dimension,
-            self.poly_size,
-            self.decomp,
-            self.grouping_factor,
-        )
-    }
+/// A trivial GGSW of message 1: its gadget terms give the spectra
+/// non-trivial values, so benchmark keys time honestly.
+fn trivial_entry(
+    params: &TfheParameters,
+    decomp: DecompositionParams,
+    fft: &NegacyclicFft,
+) -> FourierGgsw {
+    GgswCiphertext::trivial(1, params.glwe_dimension, params.polynomial_size, decomp)
+        .to_fourier(fft)
+}
 
-    /// Total Fourier-domain key size in bytes — `2^g/g ×` the classical
-    /// key (`Σ` over groups of `2^{m_i}` entries).
-    pub fn byte_size(&self) -> usize {
-        self.groups.iter().flatten().map(FourierGgsw::byte_size).sum()
-    }
-
-    /// Checks that a `(ciphertext, LUT)` pair matches this key's shape —
-    /// identical validation to [`BootstrapKey::check_shape`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] naming the mismatch.
-    pub fn check_shape(&self, ct: &LweCiphertext, lut: &Lut) -> Result<(), TfheError> {
-        if ct.dimension() != self.input_dimension {
-            return Err(TfheError::ParameterMismatch {
-                what: "lwe dimension",
-                left: ct.dimension(),
-                right: self.input_dimension,
-            });
-        }
-        if lut.poly_size() != self.poly_size {
-            return Err(TfheError::ParameterMismatch {
-                what: "polynomial size",
-                left: lut.poly_size(),
-                right: self.poly_size,
-            });
-        }
-        Ok(())
-    }
-
-    /// Grouped blind rotation: rotates `lut` by the encrypted phase of
-    /// `ct` in `⌈n/g⌉` external products.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
-    pub fn blind_rotate(&self, ct: &LweCiphertext, lut: &Lut) -> Result<GlweCiphertext, TfheError> {
-        let mut scratch = self.scratch();
-        self.blind_rotate_with(ct, lut, &mut scratch)
-    }
-
-    /// As [`Self::blind_rotate`] with caller-provided scratch. A single
-    /// job runs through the same grouped batch core as an epoch, so the
-    /// single and batched paths are bit-identical by construction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was sized for a different parameter set or
-    /// grouping factor.
-    pub fn blind_rotate_with(
-        &self,
-        ct: &LweCiphertext,
-        lut: &Lut,
-        scratch: &mut MultiBitPbsScratch,
-    ) -> Result<GlweCiphertext, TfheError> {
-        let jobs = [PbsJob { ct, lut }];
-        let mut accs = self.blind_rotate_batch_core(&jobs, scratch, &mut NoProbe)?;
-        // lint:allow(panic) batch core returns one accumulator per job
-        Ok(accs.pop().expect("one job in, one accumulator out"))
-    }
-
-    /// Grouped blind rotation of a whole batch, key-major and
-    /// job-blocked like the classical kernel: the outer loop walks the
-    /// `⌈n/g⌉` groups, and within each group the batch is processed in
-    /// blocks of [`CMUX_JOB_BLOCK`] jobs so a group's `2^g` pattern
-    /// entries are streamed once per block rather than once per job.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on any shape mismatch.
-    pub fn blind_rotate_batch(
-        &self,
-        jobs: &[PbsJob<'_>],
-    ) -> Result<Vec<GlweCiphertext>, TfheError> {
-        let mut scratch = self.scratch();
-        self.blind_rotate_batch_with(jobs, &mut scratch)
-    }
-
-    /// As [`Self::blind_rotate_batch`] with caller-provided scratch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on any shape mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was sized for a different parameter set or
-    /// grouping factor.
-    pub fn blind_rotate_batch_with(
-        &self,
-        jobs: &[PbsJob<'_>],
-        scratch: &mut MultiBitPbsScratch,
-    ) -> Result<Vec<GlweCiphertext>, TfheError> {
-        self.blind_rotate_batch_core(jobs, scratch, &mut NoProbe)
-    }
-
-    /// The single implementation behind every grouped blind-rotation
-    /// entry point, generic over a [`Probe`] so the profiled and
-    /// production paths cannot drift.
-    fn blind_rotate_batch_core<P: Probe>(
-        &self,
-        jobs: &[PbsJob<'_>],
-        scratch: &mut MultiBitPbsScratch,
-        probe: &mut P,
-    ) -> Result<Vec<GlweCiphertext>, TfheError> {
-        let log2_two_n = self.poly_size.trailing_zeros() + 1;
-        for job in jobs {
-            self.check_shape(job.ct, job.lut)?;
-        }
-        scratch.check_shape(
-            self.glwe_dimension,
-            self.poly_size,
-            self.decomp.level,
-            self.grouping_factor,
-        );
-
-        // Initial rotation by each body (identical to the classical
-        // kernel — only the mask handling differs between kernels).
-        let mut accs: Vec<GlweCiphertext> = jobs
-            .iter()
-            .map(|job| {
-                let b_tilde =
-                    probe.time(PbsStage::ModSwitch, || modulus_switch(job.ct.body(), log2_two_n));
-                probe.time(PbsStage::Rotate, || {
-                    let rotated = job.lut.poly().rotate_left(b_tilde as usize);
-                    GlweCiphertext::trivial(self.glwe_dimension, rotated)
-                })
-            })
-            .collect();
-
-        // Epoch-wide hoisted modulus switch, entry-major exactly like
-        // the classical batch path: bit `i`'s switched amounts for the
-        // whole batch are one contiguous slice.
-        let n_in = self.input_dimension;
-        let batch = jobs.len();
-        let mut switched = vec![0u32; batch * n_in];
-        probe.time(PbsStage::ModSwitch, || {
-            for (j, job) in jobs.iter().enumerate() {
-                for (i, &a) in job.ct.mask().iter().enumerate() {
-                    switched[i * batch + j] = modulus_switch(a, log2_two_n) as u32;
-                }
-            }
-        });
-
-        // Group-major, job-blocked grouped rotation: fetch group `gi`'s
-        // pattern entries once per block of jobs.
-        for (gi, entries) in self.groups.iter().enumerate() {
-            let first_bit = gi * self.grouping_factor;
-            let group_bits = entries.len().trailing_zeros() as usize;
-            for (bi, accs_block) in accs.chunks_mut(CMUX_JOB_BLOCK).enumerate() {
-                self.grouped_cmux_block(
-                    entries,
-                    first_bit,
-                    group_bits,
-                    &switched,
-                    batch,
-                    bi * CMUX_JOB_BLOCK,
-                    accs_block,
-                    scratch,
-                    probe,
-                );
-            }
-        }
-        Ok(accs)
-    }
-
-    /// One blocked grouped-CMUX step: replaces every active accumulator
-    /// of the block with `G_job ⊡ acc`, where `G_job` is the job's
-    /// combined GGSW for this group. Four stages:
-    ///
-    /// 1. **Degrees** — per job, first an all-zero probe of the group's
-    ///    digits (a job whose digits are all zero is skipped outright,
-    ///    *before* any degree work: `G` would encrypt `X^0 = 1`, the
-    ///    exact identity the classical kernel also takes on `ã = 0`),
-    ///    then the `2^m` monomial degrees
-    ///    `d_b = Σ_{t: b_t=1} ã_t mod 2N` by binary-counting recurrence
-    ///    (`d_{b|bit} = d_b + ã_t`). A block with no active job returns
-    ///    here.
-    /// 2. **Assembly, pattern-major across the block** — seed each
-    ///    job's combined spectrum with the pattern-0 entry (its degree
-    ///    is always 0: a plane copy), then for every other pattern MAC
-    ///    `entry_b × X^{d_b}` into it; the monomial spectrum is built
-    ///    once per `(job, pattern)` and reused across all
-    ///    `(k+1)·l · (k+1)` transforms. Pattern-major order streams
-    ///    each key entry once per block.
-    /// 3. **External product staging** — per job: gadget-decompose the
-    ///    accumulator polynomials *directly* (no rotate-and-subtract —
-    ///    the combined GGSW carries the rotation), one batched forward
-    ///    transform, then the job-major VMA against the job's combined
-    ///    spectrum (plane pointers hoisted once per job).
-    /// 4. **Drain** — one batched inverse transform per job, then one
-    ///    packed torus-conversion pass per column **replacing** the
-    ///    accumulator (`acc ← G ⊡ acc`, not `acc += …`).
-    #[allow(clippy::too_many_arguments)]
-    // lint:hot-path-start — the blocked grouped CMUX kernel must stay allocation-free
-    fn grouped_cmux_block<P: Probe>(
-        &self,
-        entries: &[FourierGgsw],
-        first_bit: usize,
-        group_bits: usize,
-        switched: &[u32],
-        batch: usize,
-        job0: usize,
-        accs: &mut [GlweCiphertext],
-        scratch: &mut MultiBitPbsScratch,
-        probe: &mut P,
-    ) {
-        debug_assert!(accs.len() <= CMUX_JOB_BLOCK);
-        let k = self.glwe_dimension;
-        let n = self.poly_size;
-        let two_n = 2 * n;
-        let level = self.decomp.level;
-        let cols = k + 1;
-        let rows = cols * level;
-        let patterns = 1usize << group_bits;
-        let MultiBitPbsScratch {
-            decomp_state,
-            all_digits,
-            digit_batch,
-            acc_batch,
-            comb_batch,
-            mono_re,
-            mono_im,
-            degrees,
-            time_batch,
-            ..
-        } = scratch;
-
-        // Stage 1: active flags, then monomial degrees for active jobs
-        // only. The all-zero probe runs *before* the `2^m` degree
-        // recurrence: a job whose group digits are all zero would
-        // assemble `G = GGSW(X^0·Σ m_b) = GGSW(1)`, the exact identity
-        // the classical kernel also skips on `ã = 0`, so neither the
-        // recurrence nor any later stage needs to touch it.
-        let mut active = [false; CMUX_JOB_BLOCK];
-        let mut any_active = false;
-        probe.time(PbsStage::ModSwitch, || {
-            for (j, slot) in active.iter_mut().enumerate().take(accs.len()) {
-                let digits =
-                    (0..group_bits).map(|t| switched[(first_bit + t) * batch + job0 + j] as usize);
-                if digits.clone().all(|a| a == 0) {
-                    continue;
-                }
-                *slot = true;
-                any_active = true;
-                let d = &mut degrees[j * patterns..(j + 1) * patterns];
-                d[0] = 0;
-                for (t, a) in digits.enumerate() {
-                    let bit = 1usize << t;
-                    for b in 0..bit {
-                        d[bit | b] = (d[b] + a) & (two_n - 1);
-                    }
-                }
-            }
-        });
-        // A fully idle block (common in sparse-mask workloads) pays for
-        // nothing beyond the probe above.
-        if !any_active {
-            return;
-        }
-
-        // Stage 2: assemble each active job's combined GGSW spectrum.
-        // Plane base pointers are hoisted out of the transform walk:
-        // one `planes()` borrow per `(pattern, job)` and a
-        // `chunks_exact` sweep, instead of `rows·cols` bounds-computed
-        // `transform()` calls per MAC.
-        let half = mono_re.len();
-        probe.time(PbsStage::VectorMultiply, || {
-            for (j, comb) in comb_batch.iter_mut().enumerate().take(accs.len()) {
-                if active[j] {
-                    comb.copy_from(entries[0].spectra());
-                }
-            }
-            for (pattern, entry) in entries.iter().enumerate().skip(1) {
-                let (e_re_plane, e_im_plane) = entry.spectra().planes();
-                for (j, comb) in comb_batch.iter_mut().enumerate().take(accs.len()) {
-                    if !active[j] {
-                        continue;
-                    }
-                    self.mono
-                        .spectrum_into(degrees[j * patterns + pattern], mono_re, mono_im)
-                        // lint:allow(panic) shape invariant established at construction
-                        .expect("monomial planes are sized to the fft plan");
-                    let (c_re_plane, c_im_plane) = comb.planes_mut();
-                    let chunks = c_re_plane
-                        .chunks_exact_mut(half)
-                        .zip(c_im_plane.chunks_exact_mut(half))
-                        .zip(e_re_plane.chunks_exact(half).zip(e_im_plane.chunks_exact(half)));
-                    for ((c_re, c_im), (e_re, e_im)) in chunks {
-                        self.fft.pointwise_mul_add_soa(c_re, c_im, e_re, e_im, mono_re, mono_im);
-                    }
-                }
-            }
-        });
-
-        // Stage 3a: decompose the accumulators directly and transform.
-        for (j, acc) in accs.iter().enumerate() {
-            if !active[j] {
-                continue;
-            }
-            probe.time(PbsStage::Decompose, || {
-                for (p, poly) in acc.polys().enumerate() {
-                    self.decomp.decompose_polynomial_levels(
-                        poly,
-                        &mut all_digits[p * level * n..(p + 1) * level * n],
-                        decomp_state,
-                    );
-                }
-            });
-            probe.time(PbsStage::Fft, || {
-                self.fft
-                    .forward_i64_many(all_digits, &mut digit_batch[j])
-                    // lint:allow(panic) shape invariant established at construction
-                    .expect("digit batch matches the fft plan");
-            });
-        }
-
-        // Stage 3b: VMA, job-major. Unlike the classical kernel — whose
-        // row-major-across-jobs order reuses one shared key row for the
-        // whole block — the combined spectrum here is *per job*, so
-        // row-major order has nothing to reuse and only re-derives the
-        // three spectra's plane pointers every row. Job-major hoists
-        // them once per job; per accumulator column the additions still
-        // run over `r` in ascending order, so results stay bit-identical
-        // to the row-major schedule (the per-job accumulators are
-        // disjoint).
-        probe.time(PbsStage::VectorMultiply, || {
-            for j in 0..accs.len() {
-                if !active[j] {
-                    continue;
-                }
-                acc_batch[j].fill_zero();
-                let (d_re_plane, d_im_plane) = digit_batch[j].planes();
-                let (k_re_plane, k_im_plane) = comb_batch[j].planes();
-                let (a_re_plane, a_im_plane) = acc_batch[j].planes_mut();
-                for r in 0..rows {
-                    let d_re = &d_re_plane[r * half..(r + 1) * half];
-                    let d_im = &d_im_plane[r * half..(r + 1) * half];
-                    for col in 0..cols {
-                        let s = (r * cols + col) * half;
-                        let k_re = &k_re_plane[s..s + half];
-                        let k_im = &k_im_plane[s..s + half];
-                        let a_re = &mut a_re_plane[col * half..(col + 1) * half];
-                        let a_im = &mut a_im_plane[col * half..(col + 1) * half];
-                        self.fft.pointwise_mul_add_soa(a_re, a_im, d_re, d_im, k_re, k_im);
-                    }
-                }
-            }
-        });
-
-        // Stage 4: batched inverse, then a packed torus conversion
-        // *replacing* the accumulator.
-        for (j, acc) in accs.iter_mut().enumerate() {
-            if !active[j] {
-                continue;
-            }
-            probe.time(PbsStage::IfftAccumulate, || {
-                self.fft
-                    .backward_f64_many(&mut acc_batch[j], time_batch)
-                    // lint:allow(panic) shape invariant established at construction
-                    .expect("accumulator batch matches the fft plan");
-                for (col, time) in time_batch.chunks_exact(n).enumerate() {
-                    // lint:allow(panic) shape invariant established at construction
-                    let poly = acc.poly_mut(col).expect("column within GLWE dimension");
-                    for (o, &v) in poly.coeffs_mut().iter_mut().zip(time) {
-                        *o = f64_to_torus(v);
-                    }
-                }
-            });
-        }
-    }
-    // lint:hot-path-end
-
-    /// Batched multi-bit programmable bootstrap: grouped blind rotation
-    /// followed by per-job sample extraction, in job order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on any shape mismatch.
-    pub fn bootstrap_batch(&self, jobs: &[PbsJob<'_>]) -> Result<Vec<LweCiphertext>, TfheError> {
-        Ok(self.blind_rotate_batch(jobs)?.iter().map(GlweCiphertext::sample_extract).collect())
-    }
-
-    /// As [`Self::bootstrap_batch`] with per-stage timing
-    /// instrumentation over the production grouped path — the same
-    /// kernel the un-instrumented batch runs, observed through a
-    /// timing probe (combined-GGSW assembly and the VMA both account
-    /// to [`PbsStage::VectorMultiply`]; monomial-degree computation to
-    /// [`PbsStage::ModSwitch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on any shape mismatch.
-    pub fn bootstrap_batch_profiled(
-        &self,
-        jobs: &[PbsJob<'_>],
-        timings: &mut StageTimings,
-    ) -> Result<Vec<LweCiphertext>, TfheError> {
-        let mut scratch = self.scratch();
-        let mut probe = TimingProbe(timings);
-        let accs = self.blind_rotate_batch_core(jobs, &mut scratch, &mut probe)?;
-        Ok(probe.time(PbsStage::SampleExtract, || {
-            accs.iter().map(GlweCiphertext::sample_extract).collect()
-        }))
-    }
-
-    /// Parallel multi-bit epoch execution: contiguous balanced shards,
-    /// one scratch per worker, results in job order — the same
-    /// scheduling contract as [`BootstrapKey::bootstrap_batch_parallel`]
-    /// and bit-identical to the sequential [`Self::bootstrap_batch`].
-    ///
-    /// `threads` is clamped to `[1, jobs.len()]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] if any job's shape
-    /// disagrees with the key (validated before any thread spawns).
-    pub fn bootstrap_batch_parallel(
-        &self,
-        jobs: &[PbsJob<'_>],
-        threads: usize,
-    ) -> Result<Vec<LweCiphertext>, TfheError> {
-        for job in jobs {
-            self.check_shape(job.ct, job.lut)?;
-        }
-        let threads = threads.max(1).min(jobs.len());
-        if threads <= 1 {
-            return self.bootstrap_batch(jobs);
-        }
-        let base = jobs.len() / threads;
-        let extra = jobs.len() % threads;
-        let shards: Vec<Result<Vec<LweCiphertext>, TfheError>> = std::thread::scope(|scope| {
-            let mut start = 0;
-            let handles: Vec<_> = (0..threads)
-                .map(|i| {
-                    let len = base + usize::from(i < extra);
-                    let shard = &jobs[start..start + len];
-                    start += len;
-                    scope.spawn(move || self.bootstrap_batch(shard))
-                })
-                .collect();
-            // lint:allow(panic) a worker panic is propagated, not swallowed
-            handles.into_iter().map(|h| h.join().expect("PBS shard worker panicked")).collect()
-        });
-        let mut out = Vec::with_capacity(jobs.len());
-        for shard in shards {
-            out.extend(shard?);
-        }
-        Ok(out)
-    }
-
-    /// Full multi-bit programmable bootstrap of a single ciphertext.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
-    pub fn bootstrap(&self, ct: &LweCiphertext, lut: &Lut) -> Result<LweCiphertext, TfheError> {
-        Ok(self.blind_rotate(ct, lut)?.sample_extract())
-    }
+/// One key entry rebuilt from its transported bodies and the CRS stream.
+fn seeded_entry(
+    bodies: &[TorusPolynomial],
+    params: &TfheParameters,
+    decomp: DecompositionParams,
+    fft: &NegacyclicFft,
+    crs: &mut NoiseSampler,
+) -> FourierGgsw {
+    GgswCiphertext::from_seeded_parts(bodies, decomp, params.glwe_dimension, crs).to_fourier(fft)
 }
 
 /// Encodes a boolean as `±1/8` on the torus (gate-bootstrapping
@@ -1765,10 +1456,11 @@ mod tests {
         let fx = &mut fixture(TfheParameters::testing_fast());
         let lut = Lut::sign(fx.params.polynomial_size, encode_fraction(1, 3));
         let ct = LweCiphertext::trivial(fx.params.lwe_dimension, 0);
-        let mut wrong = crate::scratch::PbsScratch::new(
+        let mut wrong = PbsScratch::new(
             fx.params.glwe_dimension,
             fx.params.polynomial_size * 2,
             fx.bsk.decomposition(),
+            None,
         );
         let _ = fx.bsk.blind_rotate_with(&ct, &lut, &mut wrong);
     }
@@ -1782,20 +1474,6 @@ mod tests {
         let jobs = [PbsJob { ct: &good, lut: &lut }, PbsJob { ct: &bad, lut: &lut }];
         assert!(fx.bsk.bootstrap_batch(&jobs).is_err());
         assert!(fx.bsk.bootstrap_batch(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn benchmark_key_has_real_key_shape_and_runs() {
-        let params = TfheParameters::testing_fast();
-        let bsk = BootstrapKey::generate_for_benchmark(&params);
-        assert_eq!(bsk.input_dimension(), params.lwe_dimension);
-        assert_eq!(bsk.byte_size(), params.bootstrap_key_bytes());
-        // PBS must execute (timing-equivalent arithmetic), whatever the
-        // output decrypts to.
-        let ct = LweCiphertext::trivial(params.lwe_dimension, encode_bool(true));
-        let lut = Lut::sign(params.polynomial_size, encode_fraction(1, 3));
-        let out = bsk.bootstrap(&ct, &lut).unwrap();
-        assert_eq!(out.dimension(), bsk.output_dimension());
     }
 
     fn multi_bit_key(fx: &mut Fixture, g: usize) -> MultiBitBootstrapKey {
@@ -1889,25 +1567,12 @@ mod tests {
         let mbsk = multi_bit_key(fx, 2);
         let lut = Lut::sign(fx.params.polynomial_size, encode_fraction(1, 3));
         let ct = LweCiphertext::trivial(fx.params.lwe_dimension, 0);
-        let mut wrong = crate::scratch::MultiBitPbsScratch::new(
+        let mut wrong = PbsScratch::new(
             fx.params.glwe_dimension,
             fx.params.polynomial_size,
             mbsk.decomposition(),
-            3,
+            Some(3),
         );
         let _ = mbsk.blind_rotate_with(&ct, &lut, &mut wrong);
-    }
-
-    #[test]
-    fn multi_bit_benchmark_key_has_real_shape_and_runs() {
-        let params = TfheParameters::testing_fast();
-        for g in [2usize, 3] {
-            let mbsk = MultiBitBootstrapKey::generate_for_benchmark(&params, g);
-            assert_eq!(mbsk.byte_size(), params.multi_bit_bootstrap_key_bytes(g), "g={g}");
-            let ct = LweCiphertext::trivial(params.lwe_dimension, encode_bool(true));
-            let lut = Lut::sign(params.polynomial_size, encode_fraction(1, 3));
-            let out = mbsk.bootstrap(&ct, &lut).unwrap();
-            assert_eq!(out.dimension(), mbsk.output_dimension());
-        }
     }
 }

@@ -348,10 +348,10 @@ impl FourierGgsw {
     }
 
     /// Allocation-free external product writing into `out` using
-    /// caller-provided scratch — the per-job oracle form driven by the
-    /// scratch-based single blind rotation (the blocked batch path
-    /// re-schedules the same arithmetic across jobs; this one is the
-    /// bit-identity reference). Bit-identical to
+    /// caller-provided scratch — the per-job form driven by the classical
+    /// reference blind rotation (the blocked engine re-schedules the
+    /// same arithmetic across jobs; this one is the bit-identity
+    /// reference). Bit-identical to
     /// [`Self::external_product`]: same decompositions, same transform
     /// and multiply order, same rounding.
     ///

@@ -7,7 +7,7 @@
 //! paper targets: the server — or the Strix accelerator — never sees a
 //! secret key.
 
-use crate::bootstrap::{BootstrapKey, MultiBitBootstrapKey};
+use crate::bootstrap::{pattern_indicator, BootstrapKey, MultiBitBootstrapKey};
 use crate::decompose::DecompositionParams;
 use crate::ggsw::GgswCiphertext;
 use crate::glwe::GlweSecretKey;
@@ -152,13 +152,8 @@ impl ClientKey {
                 .map(|bits| {
                     (0..1usize << bits.len())
                         .map(|pattern| {
-                            let indicator: u64 = bits
-                                .iter()
-                                .enumerate()
-                                .map(|(t, &s)| if (pattern >> t) & 1 == 1 { s } else { 1 - s })
-                                .product();
                             let ggsw = GgswCiphertext::encrypt_scalar_seeded(
-                                indicator,
+                                pattern_indicator(bits, pattern),
                                 &self.glwe_sk,
                                 decomp,
                                 noise_std,

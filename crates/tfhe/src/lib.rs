@@ -63,7 +63,6 @@ pub mod rng;
 pub mod scratch;
 pub mod shortint;
 pub mod torus;
-pub mod unrolled;
 
 pub use error::TfheError;
 pub use keys::{generate_keys, ClientKey, SeededServerKey, ServerKey};

@@ -5,32 +5,27 @@
 //! set *resident* — streamed key material flows past a fixed set of
 //! on-chip buffers — rather than re-materialising state per operation.
 //! The software analogue is [`PbsScratch`]: one allocation up front,
-//! zero heap traffic afterwards. Every CMUX iteration of
-//! [`crate::bootstrap::BootstrapKey`] then reuses
+//! zero heap traffic afterwards. Every blocked blind-rotation step of
+//! either kernel ([`crate::bootstrap::BlindRotationKey`]) then reuses
 //!
-//! * an extraction-state buffer and a level-major digit-polynomial
-//!   buffer for the lane-parallel gadget decomposition (decomposer
-//!   unit),
-//! * one Fourier spectrum for the transformed digits and `k+1` fused
-//!   accumulator spectra (FFT + VMA units),
-//! * a time-domain buffer for the inverse transform (IFFT unit),
-//! * two GLWE-shaped buffers for the per-job path's rotate-and-subtract
-//!   difference and external-product output (rotator + accumulator
-//!   units; the blocked CMUX folds the difference into its decomposer
-//!   pass and writes neither),
-//! * the blocked-CMUX staging set: per-job split-complex digit and
-//!   accumulator spectra for one block of [`CMUX_JOB_BLOCK`] jobs plus
-//!   a packed digit buffer and a batched inverse-transform buffer.
+//! * an extraction-state buffer and a packed digit buffer for the
+//!   lane-parallel gadget decomposition (decomposer unit),
+//! * per-job split-complex digit and accumulator spectra for one block
+//!   of [`CMUX_JOB_BLOCK`] jobs (FFT + VMA units),
+//! * a batched inverse-transform buffer (IFFT unit),
+//! * for the multi-bit kernel only, the combined-GGSW assembly set: one
+//!   combined key entry per job of a block, a monomial spectrum and the
+//!   per-(job, pattern) monomial degrees. These are sized by the
+//!   grouping factor and empty for the classical kernel.
 //!
 //! Scratch is deliberately **not** shared between threads: a parallel
-//! epoch ([`crate::bootstrap::BootstrapKey::bootstrap_batch_parallel`])
+//! epoch ([`crate::bootstrap::BlindRotationKey::bootstrap_batch_parallel`])
 //! gives each worker its own `PbsScratch` while all workers share one
-//! `&BootstrapKey`.
+//! key.
 
 use strix_fft::{Complex64, SoaSpectrum};
 
 use crate::decompose::DecompositionParams;
-use crate::glwe::GlweCiphertext;
 
 /// Number of accumulators the blocked CMUX processes per bootstrapping
 /// key entry before moving to the next block (the job-blocking factor
@@ -99,23 +94,17 @@ impl ExternalProductScratch {
     }
 }
 
-/// Per-thread reusable working memory for programmable bootstrapping:
-/// the external-product scratch plus the two GLWE-shaped buffers of the
-/// CMUX (`diff = X^ã·acc − acc` and the external-product output).
+/// Per-thread reusable working memory for programmable bootstrapping,
+/// for either kernel.
 ///
-/// Build one with [`crate::bootstrap::BootstrapKey::scratch`] (or
-/// [`Self::new`] from raw parameters), keep it alive for as many
-/// bootstraps as you like, and never share it across threads. With a
-/// scratch in hand the whole blind rotation performs no heap
-/// allocation inside the CMUX loop.
+/// Build one with [`crate::bootstrap::BlindRotationKey::scratch`], keep
+/// it alive for as many bootstraps as you like, and never share it
+/// across threads. With a scratch in hand the whole blind rotation
+/// performs no heap allocation inside the CMUX loop.
 #[derive(Clone, Debug)]
 pub struct PbsScratch {
-    /// Rotate-and-subtract difference buffer (per-job path only).
-    pub(crate) diff: GlweCiphertext,
-    /// External-product output buffer.
-    pub(crate) prod: GlweCiphertext,
-    /// Scratch for the external product itself.
-    pub(crate) ep: ExternalProductScratch,
+    /// Lane-parallel decomposition state (`N` extraction words).
+    pub(crate) decomp_state: Vec<u64>,
     /// One job's full digit decomposition, poly-major then level-major
     /// within each polynomial (`(k+1)·l · N` digits) — the packed
     /// input of the batched forward transform.
@@ -131,102 +120,53 @@ pub struct PbsScratch {
     /// Batched inverse-transform output (`(k+1) · N` reals), reused by
     /// every job of every block.
     pub(crate) time_batch: Vec<f64>,
+    /// Multi-bit only: per-job combined-GGSW spectra, `(k+1)·l · (k+1)`
+    /// transforms of `N/2` points each — one full key entry per job of
+    /// a block, assembled fresh per group.
+    pub(crate) comb_batch: Vec<SoaSpectrum>,
+    /// Multi-bit only: monomial spectrum staging (real plane, `N/2`).
+    pub(crate) mono_re: Vec<f64>,
+    /// Multi-bit only: monomial spectrum staging (imaginary plane).
+    pub(crate) mono_im: Vec<f64>,
+    /// Multi-bit only: per-(job, pattern) monomial degrees for one
+    /// block ([`CMUX_JOB_BLOCK`] · `2^g` entries, pattern-minor).
+    pub(crate) degrees: Vec<usize>,
+    glwe_dimension: usize,
+    pub(crate) poly_size: usize,
+    level: usize,
+    grouping_factor: Option<usize>,
 }
 
 impl PbsScratch {
-    /// Allocates scratch for bootstraps of shape `(k, N, l)`.
-    pub fn new(glwe_dimension: usize, poly_size: usize, decomp: DecompositionParams) -> Self {
-        let half = poly_size / 2;
-        let cols = glwe_dimension + 1;
-        Self {
-            diff: GlweCiphertext::zero(glwe_dimension, poly_size),
-            prod: GlweCiphertext::zero(glwe_dimension, poly_size),
-            ep: ExternalProductScratch::new(glwe_dimension, poly_size, decomp),
-            all_digits: vec![0i64; cols * decomp.level * poly_size],
-            digit_batch: (0..CMUX_JOB_BLOCK)
-                .map(|_| SoaSpectrum::new(cols * decomp.level, half))
-                .collect(),
-            acc_batch: (0..CMUX_JOB_BLOCK).map(|_| SoaSpectrum::new(cols, half)).collect(),
-            time_batch: vec![0.0f64; cols * poly_size],
-        }
-    }
-
-    /// Asserts this scratch matches the `(k, N, l)` shape of the key
-    /// about to use it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any mismatch.
-    pub(crate) fn check_shape(&self, glwe_dimension: usize, poly_size: usize, level: usize) {
-        assert_eq!(self.diff.dimension(), glwe_dimension, "scratch glwe dimension mismatch");
-        assert_eq!(self.diff.poly_size(), poly_size, "scratch polynomial size mismatch");
-        self.ep.check_shape(glwe_dimension, poly_size, level);
-    }
-}
-
-/// Per-thread reusable working memory for the **multi-bit** grouped
-/// blind rotation ([`crate::bootstrap::MultiBitBootstrapKey`]).
-///
-/// The grouped kernel never rotates the accumulator in the time domain,
-/// so there are no `diff`/`prod` GLWE buffers; instead each job of a
-/// block stages a *combined* GGSW — the monomial-weighted sum of the
-/// group's `2^g` pattern entries — in a split-complex spectrum the same
-/// shape as one bootstrapping-key entry, plus one scratch monomial
-/// spectrum reused across every `(row, col)` MAC of a pattern.
-#[derive(Clone, Debug)]
-pub struct MultiBitPbsScratch {
-    /// Lane-parallel decomposition state (`N` extraction words).
-    pub(crate) decomp_state: Vec<u64>,
-    /// One job's full digit decomposition (`(k+1)·l · N` digits),
-    /// poly-major then level-major — the packed input of the batched
-    /// forward transform.
-    pub(crate) all_digits: Vec<i64>,
-    /// Per-job split digit spectra for one block ([`CMUX_JOB_BLOCK`]
-    /// batches of `(k+1)·l` transforms of `N/2` points).
-    pub(crate) digit_batch: Vec<SoaSpectrum>,
-    /// Per-job split accumulator spectra (`k+1` transforms each).
-    pub(crate) acc_batch: Vec<SoaSpectrum>,
-    /// Per-job combined-GGSW spectra: `(k+1)·l · (k+1)` transforms of
-    /// `N/2` points each — one full key entry's worth per job of a
-    /// block, assembled fresh per group.
-    pub(crate) comb_batch: Vec<SoaSpectrum>,
-    /// Monomial spectrum staging (real plane, `N/2` points).
-    pub(crate) mono_re: Vec<f64>,
-    /// Monomial spectrum staging (imaginary plane, `N/2` points).
-    pub(crate) mono_im: Vec<f64>,
-    /// Per-(job, pattern) monomial degrees for one block
-    /// ([`CMUX_JOB_BLOCK`] · `2^g` entries, pattern-minor).
-    pub(crate) degrees: Vec<usize>,
-    /// Batched inverse-transform output (`(k+1) · N` reals).
-    pub(crate) time_batch: Vec<f64>,
-    glwe_dimension: usize,
-    poly_size: usize,
-    level: usize,
-    grouping_factor: usize,
-}
-
-impl MultiBitPbsScratch {
-    /// Allocates scratch for multi-bit bootstraps of shape
-    /// `(k, N, l)` at `grouping_factor` bits per key entry.
-    pub fn new(
+    /// Allocates scratch for bootstraps of shape `(k, N, l)`; the
+    /// multi-bit assembly buffers are sized by `grouping_factor` and
+    /// left empty when it is `None` (classical kernel).
+    pub(crate) fn new(
         glwe_dimension: usize,
         poly_size: usize,
         decomp: DecompositionParams,
-        grouping_factor: usize,
+        grouping_factor: Option<usize>,
     ) -> Self {
         let half = poly_size / 2;
         let cols = glwe_dimension + 1;
         let rows = cols * decomp.level;
+        let block = |count: usize| -> Vec<SoaSpectrum> {
+            (0..CMUX_JOB_BLOCK).map(|_| SoaSpectrum::new(count, half)).collect()
+        };
+        let (comb_batch, mono_len, degrees) = match grouping_factor {
+            Some(g) => (block(rows * cols), half, CMUX_JOB_BLOCK << g),
+            None => (Vec::new(), 0, 0),
+        };
         Self {
             decomp_state: vec![0u64; poly_size],
             all_digits: vec![0i64; rows * poly_size],
-            digit_batch: (0..CMUX_JOB_BLOCK).map(|_| SoaSpectrum::new(rows, half)).collect(),
-            acc_batch: (0..CMUX_JOB_BLOCK).map(|_| SoaSpectrum::new(cols, half)).collect(),
-            comb_batch: (0..CMUX_JOB_BLOCK).map(|_| SoaSpectrum::new(rows * cols, half)).collect(),
-            mono_re: vec![0.0f64; half],
-            mono_im: vec![0.0f64; half],
-            degrees: vec![0usize; CMUX_JOB_BLOCK << grouping_factor],
+            digit_batch: block(rows),
+            acc_batch: block(cols),
             time_batch: vec![0.0f64; cols * poly_size],
+            comb_batch,
+            mono_re: vec![0.0f64; mono_len],
+            mono_im: vec![0.0f64; mono_len],
+            degrees: vec![0usize; degrees],
             glwe_dimension,
             poly_size,
             level: decomp.level,
@@ -245,7 +185,7 @@ impl MultiBitPbsScratch {
         glwe_dimension: usize,
         poly_size: usize,
         level: usize,
-        grouping_factor: usize,
+        grouping_factor: Option<usize>,
     ) {
         assert_eq!(self.glwe_dimension, glwe_dimension, "scratch glwe dimension mismatch");
         assert_eq!(self.poly_size, poly_size, "scratch polynomial size mismatch");
@@ -261,14 +201,8 @@ mod tests {
     #[test]
     fn buffers_are_sized_to_the_shape() {
         let decomp = DecompositionParams::new(8, 3);
-        let s = PbsScratch::new(2, 64, decomp);
-        assert_eq!(s.ep.decomp_state.len(), 64);
-        assert_eq!(s.ep.digit_levels.len(), 3 * 64);
-        assert_eq!(s.ep.digit_spec.len(), 32);
-        assert_eq!(s.ep.fourier_acc.len(), 3 * 32);
-        assert_eq!(s.ep.time_domain.len(), 64);
-        assert_eq!(s.diff.dimension(), 2);
-        assert_eq!(s.prod.poly_size(), 64);
+        let s = PbsScratch::new(2, 64, decomp, None);
+        assert_eq!(s.decomp_state.len(), 64);
         // Blocked-CMUX staging: one digit buffer per job of a block,
         // (k+1)·l transforms each, plus k+1 accumulator spectra.
         assert_eq!(s.all_digits.len(), 3 * 3 * 64);
@@ -278,23 +212,23 @@ mod tests {
         assert_eq!(s.acc_batch.len(), CMUX_JOB_BLOCK);
         assert_eq!(s.acc_batch[0].count(), 3);
         assert_eq!(s.time_batch.len(), 3 * 64);
-        s.check_shape(2, 64, 3);
+        // No assembly buffers for the classical kernel.
+        assert!(s.comb_batch.is_empty() && s.mono_re.is_empty() && s.degrees.is_empty());
+        s.check_shape(2, 64, 3, None);
     }
 
     #[test]
     #[should_panic(expected = "scratch polynomial size mismatch")]
     fn shape_mismatch_panics() {
         let decomp = DecompositionParams::new(8, 3);
-        PbsScratch::new(1, 64, decomp).check_shape(1, 128, 3);
+        PbsScratch::new(1, 64, decomp, None).check_shape(1, 128, 3, None);
     }
 
     #[test]
     fn multi_bit_buffers_are_sized_to_the_shape() {
         let decomp = DecompositionParams::new(8, 3);
-        let s = MultiBitPbsScratch::new(1, 64, decomp, 2);
-        assert_eq!(s.decomp_state.len(), 64);
+        let s = PbsScratch::new(1, 64, decomp, Some(2));
         assert_eq!(s.all_digits.len(), 2 * 3 * 64);
-        assert_eq!(s.digit_batch.len(), CMUX_JOB_BLOCK);
         assert_eq!(s.digit_batch[0].count(), 2 * 3);
         assert_eq!(s.acc_batch[0].count(), 2);
         // One combined key entry per job: (k+1)l rows × (k+1) columns.
@@ -304,14 +238,13 @@ mod tests {
         assert_eq!(s.mono_re.len(), 32);
         assert_eq!(s.mono_im.len(), 32);
         assert_eq!(s.degrees.len(), CMUX_JOB_BLOCK << 2);
-        assert_eq!(s.time_batch.len(), 2 * 64);
-        s.check_shape(1, 64, 3, 2);
+        s.check_shape(1, 64, 3, Some(2));
     }
 
     #[test]
     #[should_panic(expected = "scratch grouping factor mismatch")]
     fn multi_bit_grouping_mismatch_panics() {
         let decomp = DecompositionParams::new(8, 3);
-        MultiBitPbsScratch::new(1, 64, decomp, 2).check_shape(1, 64, 3, 3);
+        PbsScratch::new(1, 64, decomp, Some(2)).check_shape(1, 64, 3, Some(3));
     }
 }

@@ -1,13 +1,13 @@
-//! Bit-identity of the coefficient-batched (SoA, job-blocked) CMUX
-//! path against the per-job interleaved oracle, across parameter
+//! Bit-identity of the coefficient-batched (SoA, job-blocked) blind
+//! rotation against the classical per-job reference, across parameter
 //! shapes and job counts.
 //!
-//! The blocked batch path (`blind_rotate_batch_with`) re-schedules the
-//! external product across jobs — batched split-complex FFTs, a
-//! row-major VMA over each block, a batched inverse — but performs the
-//! same per-job arithmetic in the same per-job order as the oracle
-//! (`blind_rotate_with` → `external_product_scratch`). These tests pin
-//! that equivalence at the bit level, including:
+//! The blocked engine re-schedules the external product across jobs —
+//! batched split-complex FFTs, a row-major VMA over each block, a
+//! batched inverse — but performs the same per-job arithmetic in the
+//! same per-job order as the reference
+//! (`blind_rotate_reference` → `external_product_scratch`). These tests
+//! pin that equivalence at the bit level, including:
 //!
 //! * every combination of k ∈ {1, 2}, N ∈ {512, 1024, 2048} and
 //!   level ∈ {2, 3} (first-stage radix of the half-size kernel flips
@@ -21,9 +21,8 @@
 //! Keys here are timing-equivalent trivial keys with dense pseudo-
 //! random ciphertext masks: bit-identity is a property of the
 //! *arithmetic schedule*, not of key secrecy, and trivial keys make
-//! N = 2048 keygen instant. Semantic correctness of the blocked path
-//! on real encrypted keys is covered by the bootstrap test module
-//! (`batched_bootstrap_matches_single_per_job` et al.).
+//! N = 2048 keygen instant. The same identities on real encrypted keys
+//! and on both kernels are pinned by `pbs_identity.rs`.
 
 use std::sync::OnceLock;
 
@@ -65,11 +64,10 @@ fn random_ct(seed: u64, dim: usize) -> LweCiphertext {
     LweCiphertext::from_raw((0..=dim).map(|_| splitmix(&mut state)).collect())
 }
 
-/// Per-job oracle: the PR 4 scratch path, one job at a time.
+/// The classical per-job reference, one job at a time.
 fn oracle_outputs(bsk: &BootstrapKey, jobs: &[PbsJob<'_>]) -> Vec<LweCiphertext> {
-    let mut scratch = bsk.scratch();
     jobs.iter()
-        .map(|job| bsk.blind_rotate_with(job.ct, job.lut, &mut scratch).unwrap().sample_extract())
+        .map(|job| bsk.blind_rotate_reference(job.ct, job.lut).unwrap().sample_extract())
         .collect()
 }
 
@@ -154,7 +152,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random job counts (including counts ≠ 0 mod CMUX_JOB_BLOCK),
-    /// random masks, mixed LUTs: blocked batch == per-job oracle,
+    /// random masks, mixed LUTs: blocked batch == per-job reference,
     /// bit for bit, and the parallel sharded path agrees too.
     #[test]
     fn blocked_batch_matches_oracle_for_uneven_job_counts(

@@ -1,38 +1,10 @@
 //! Integration tests for the extension features beyond the paper's
-//! headline pipeline: bootstrapping-key unrolling (§VII / Matcha),
-//! bivariate LUTs, radix integers and the shared FFT plan cache.
+//! headline pipeline: bivariate LUTs, radix integers and the shared FFT
+//! plan cache.
 
 use strix::fft::planner;
-use strix::tfhe::bootstrap::Lut;
 use strix::tfhe::integer::RadixSpec;
 use strix::tfhe::prelude::*;
-use strix::tfhe::rng::NoiseSampler;
-use strix::tfhe::torus::encode_fraction;
-use strix::tfhe::unrolled::UnrolledBootstrapKey;
-
-#[test]
-fn unrolled_key_computes_the_same_gates() {
-    let params = TfheParameters::testing_fast();
-    let mut rng = NoiseSampler::from_seed(808);
-    let lwe_sk = strix::tfhe::lwe::LweSecretKey::generate(params.lwe_dimension, &mut rng);
-    let glwe_sk = strix::tfhe::glwe::GlweSecretKey::generate(
-        params.glwe_dimension,
-        params.polynomial_size,
-        &mut rng,
-    );
-    let unrolled = UnrolledBootstrapKey::generate(&lwe_sk, &glwe_sk, &params, &mut rng);
-    assert_eq!(unrolled.iterations(), params.lwe_dimension / 2);
-
-    let extracted = glwe_sk.to_extracted_lwe_key();
-    let lut = Lut::sign(params.polynomial_size, encode_fraction(1, 3));
-    for b in [true, false] {
-        let pt = encode_fraction(if b { 1 } else { -1 }, 3);
-        let ct = lwe_sk.encrypt(pt, params.lwe_noise_std, &mut rng);
-        let out = unrolled.bootstrap(&ct, &lut).unwrap();
-        let phase = extracted.decrypt_phase(&out).unwrap();
-        assert_eq!((phase as i64) > 0, b, "b={b}");
-    }
-}
 
 #[test]
 fn radix_integers_do_arithmetic_end_to_end() {
