@@ -2,8 +2,8 @@
 //! circuit clients stream multi-stage programs through the runtime.
 //!
 //! One client executing a circuit DAG alone keeps only its dependency
-//! frontier in flight, so epochs flush undersized at the deadline —
-//! the fragmentation cost of the paper's Fig. 2. This harness sweeps
+//! frontier in flight, so its epochs go out undersized — the
+//! fragmentation cost of the paper's Fig. 2. This harness sweeps
 //! the concurrent-client count over the same per-client circuit mix
 //! (a 4-bit ripple-carry adder plus a 4-bit equality comparator
 //! compiled to dataflow programs) and prints how interleaved sessions

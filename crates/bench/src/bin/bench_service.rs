@@ -58,7 +58,7 @@ use strix_tfhe::{ServerKey, StrixFftBackend, TfheParameters};
 
 /// Offered loads as fractions of measured capacity. The last rung sits
 /// well past 1.0× so its excess arrivals outrun the system's whole
-/// buffer budget (ingress + epoch queue + in-flight epoch) within the
+/// buffer budget (pending requests + in-flight epochs) within the
 /// schedule, forcing backpressure to block submits — the committed
 /// curve always shows the far side of the knee.
 const LOAD_FRACTIONS: [f64; 5] = [0.4, 0.7, 0.9, 1.1, 1.5];

@@ -28,8 +28,8 @@
 //!   is 8x the budget.
 //!
 //! Each point floods the ingress from every hot tenant concurrently
-//! (closed-loop, full epochs; the DRR batcher interleaves single-key
-//! epochs across tenants), after a warmup pass that pays each hot
+//! (closed-loop, full epochs; the dispatcher serves single-key epochs
+//! round robin across tenants), after a warmup pass that pays each hot
 //! tenant's first-touch expansion outside the timed window. Cache
 //! counters are taken as a before/after delta on the registry so
 //! warmup does not pollute them.

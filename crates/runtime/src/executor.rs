@@ -581,8 +581,8 @@ impl BatchExecutor for TfheExecutor {
 /// The multi-tenant TFHE back-end: the same key-major epoch execution
 /// as [`TfheExecutor`], but with the server key resolved per epoch from
 /// a shared [`KeyRegistry`] instead of fixed at construction. Epochs
-/// are single-tenant by construction (the batcher partitions its open
-/// window by tenant), so one [`resolve`](KeyRegistry::resolve) pins the
+/// are single-tenant by construction (the dispatcher keeps one open
+/// batch per tenant), so one [`resolve`](KeyRegistry::resolve) pins the
 /// epoch's key — as an `Arc`, safe against concurrent eviction — for
 /// the whole PBS+KS run: the third batching level, grouping by *key*
 /// above the TvLP × core_batch grouping by ciphertext.

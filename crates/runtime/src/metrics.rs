@@ -43,13 +43,14 @@ pub struct RequestRecord {
     pub submitted_at: Instant,
     /// Submit-to-completion latency.
     pub latency: Duration,
-    /// Time from submission to the batcher pulling the request into
-    /// its open batch (ingress queueing).
+    /// Time from submission to admission into the tenant's open batch
+    /// — how long `submit` blocked on backpressure.
     pub queue_wait: Duration,
-    /// Time from batch entry to the epoch flushing (batch formation).
+    /// Time from admission until a worker took the batch as an epoch —
+    /// the wait for a worker.
     pub batch_wait: Duration,
-    /// Time from epoch flush to completion (epoch queueing plus
-    /// execution).
+    /// Time from a worker taking the epoch to completion — execution
+    /// alone, with no queueing behind a busy worker.
     pub execute: Duration,
     /// The request's class, for attribution.
     pub class: RequestClass,
@@ -94,7 +95,7 @@ struct MetricsInner {
     occupancy_sum: f64,
     occupancy_histogram: [usize; OCCUPANCY_BUCKETS],
     /// Epochs whose execution-thread usage was recorded (workers
-    /// record these; the batcher records the occupancy above).
+    /// record these; the dispatcher records the occupancy above).
     executed_epochs: usize,
     threads_used_sum: u64,
     threads_budget_sum: u64,
@@ -144,7 +145,7 @@ fn note_completion(slot: &mut Option<Instant>, now: Instant) {
     }
 }
 
-/// Shared sink the batcher and workers record into.
+/// Shared sink the dispatcher and workers record into.
 #[derive(Debug)]
 pub struct MetricsSink {
     inner: Mutex<MetricsInner>,
@@ -191,7 +192,8 @@ impl MetricsSink {
         inner.windows.back_mut().expect("ring has a live window")
     }
 
-    /// Records one flushed epoch of `len` requests against `capacity`.
+    /// Records one epoch of `len` requests a worker took, against
+    /// `capacity`.
     pub fn record_epoch(&self, len: usize, capacity: usize) {
         let now = Instant::now();
         let occ = len.min(capacity) as f64 / capacity.max(1) as f64;
@@ -228,8 +230,9 @@ impl MetricsSink {
         inner.kernel_jobs[1] += multi_bit;
     }
 
-    /// Records the ingress queue depth observed at a batcher flush, so
-    /// the windowed series carries a queue-depth gauge next to the
+    /// Records how many requests are still pending (admitted, not yet
+    /// taken by a worker) right after a worker took an epoch, so the
+    /// windowed series carries a queue-depth gauge next to the
     /// throughput counters.
     pub fn record_queue_depth(&self, depth: usize) {
         let now = Instant::now();
@@ -317,7 +320,8 @@ impl MetricsSink {
     /// Percentiles are exact up to [`LATENCY_RESERVOIR`] samples and
     /// reservoir estimates beyond; `max_latency_us` is always exact.
     /// The ingress-queue gauges are zero here — the runtime fills them
-    /// from the live queue, which owns the high-water mark.
+    /// from the dispatcher, which owns the pending count and its
+    /// high-water mark.
     pub fn report(&self, epoch_capacity: usize) -> RuntimeReport {
         let window_s = self.window.as_secs_f64();
         // Snapshot under the lock, sort outside it: record_request on
@@ -472,13 +476,14 @@ pub struct ClassLatency {
     pub completed: usize,
     /// Failed requests of this class.
     pub failed: usize,
-    /// Mean time queued in the ingress before the batcher pulled the
-    /// request (µs).
+    /// Mean time `submit` blocked on backpressure before the request
+    /// joined its tenant's open batch (µs).
     pub mean_queue_wait_us: f64,
-    /// Mean time waiting in the open batch for the epoch to flush (µs).
+    /// Mean time in the open batch until a worker took it — the wait
+    /// for a worker (µs).
     pub mean_batch_wait_us: f64,
-    /// Mean time from epoch flush to completion — epoch queueing plus
-    /// execution (µs).
+    /// Mean time from a worker taking the epoch to completion —
+    /// execution alone, with no queueing behind a busy worker (µs).
     pub mean_execute_us: f64,
     /// Mean end-to-end latency (µs); the three waits above sum to
     /// within scheduling jitter of this.
@@ -527,13 +532,14 @@ pub struct MetricsWindow {
     pub failed: usize,
     /// PBS-bearing requests completed in this window.
     pub pbs_completed: usize,
-    /// Epochs flushed in this window.
+    /// Epochs workers took in this window.
     pub epochs: usize,
     /// Achieved PBS/s over the window.
     pub pbs_per_s: f64,
-    /// Mean epoch occupancy over the window's flushed epochs.
+    /// Mean epoch occupancy over the window's epochs.
     pub mean_occupancy: f64,
-    /// Highest ingress-queue depth sampled in this window.
+    /// Most requests pending (admitted, not yet taken by a worker) seen
+    /// when a worker took an epoch in this window.
     pub max_queue_depth: usize,
 }
 
@@ -552,7 +558,7 @@ pub struct RuntimeReport {
     /// Deep-NN neurons) ahead of their bootstrap — the multi-input ops
     /// streamed by the session/dataflow layer.
     pub fused_linear_completed: usize,
-    /// Number of flushed epochs.
+    /// Number of epochs workers took.
     pub epochs: usize,
     /// Configured epoch capacity `TvLP × core_batch`.
     pub epoch_capacity: usize,
@@ -590,16 +596,17 @@ pub struct RuntimeReport {
     /// the worker thread alone and count as 1).
     pub mean_threads_per_epoch: f64,
     /// Mean planned threads over configured thread budget in `[0, 1]`
-    /// — below 1.0 means epochs flushed with too few PBS jobs to fill
-    /// the pool.
+    /// — below 1.0 means epochs ran with too few PBS jobs to fill the
+    /// pool.
     pub thread_occupancy: f64,
     /// Largest intra-epoch thread count any epoch planned.
     pub max_threads_per_epoch: usize,
-    /// Requests currently buffered in the ingress queue (filled by the
-    /// runtime at report time; backpressure builds here).
+    /// Requests admitted but not yet taken by a worker (filled by the
+    /// runtime at report time; `submit` blocks once this reaches
+    /// `ingress_depth`).
     pub ingress_queue_depth: usize,
-    /// Highest ingress-queue depth ever observed (filled by the
-    /// runtime at report time).
+    /// The most requests ever admitted but not yet taken by a worker
+    /// at once (filled by the runtime at report time).
     pub ingress_queue_high_water: usize,
     /// Tenants registered in the multi-tenant key registry (filled by
     /// the runtime at report time; 0 for single-tenant deployments and

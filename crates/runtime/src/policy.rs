@@ -1,67 +1,61 @@
-//! The deadline/size hybrid flush policy.
+//! The epoch-size and staleness bounds of worker-pull dispatch.
 //!
 //! The paper's Fig. 2 argument: undersized blind-rotation batches waste
-//! the bootstrapping-key stream (fragmentation), so the scheduler
-//! should wait for a full `TvLP × core_batch` epoch — but a live
-//! service cannot wait forever, so a deadline bounds the total wait of
-//! the *oldest* request in an open batch, measured from its
-//! `submitted_at` timestamp. Ingress queueing time counts against the
-//! bound: `max_delay` limits submit-to-flush scheduling delay, not
-//! merely time spent in an open batch. Flush whichever trips first:
-//! batch-full (throughput-optimal) or deadline (latency-bounded).
+//! the bootstrapping-key stream (fragmentation), so an epoch should be
+//! a full `TvLP × core_batch` whenever the load allows it. The runtime
+//! gets there without ever idling a worker: a request joins its
+//! tenant's open batch and stays there until a worker asks for work,
+//! so while every worker is busy the open batches keep absorbing
+//! arrivals, and an idle worker takes what is open at that moment — a
+//! batch of one if need be. The policy bounds the epoch size, not the
+//! wait.
 //!
-//! With multiple tenants the batcher keeps one open batch per tenant
-//! (epochs never mix keys) and arbitrates flushes with deficit round
-//! robin: each rotation visit credits a tenant [`FlushPolicy::quantum`]
-//! requests, and a tenant only spends credit on batch-full flushes.
-//! Deadline flushes always go through — the latency bound is a
-//! guarantee, not a quota — so the quantum shapes throughput sharing
-//! under saturation without ever stretching the tail.
+//! Which open batch a worker takes is decided in this order:
+//!
+//! 1. **stale** — a tenant whose oldest request was submitted at least
+//!    `max_delay` ago, oldest first. Submission time counts, so time a
+//!    submitter spent blocked on backpressure counts too. `max_delay`
+//!    is a staleness *priority*, never a flush trigger: it only decides
+//!    who goes first while workers are scarce.
+//! 2. **full** — tenants holding at least one full epoch, round robin
+//!    from a rotating cursor, one epoch per visit: a tenant with an
+//!    endless backlog cannot monopolise the workers while others hold
+//!    full batches.
+//! 3. **oldest** — otherwise, the tenant with the oldest request.
+//!
+//! Epochs never mix tenants (each executes under one tenant's key) and
+//! take at most [`FlushPolicy::max_epoch`] requests from the front of
+//! the chosen batch, so each tenant's requests execute in admission
+//! order.
 
 use std::time::Duration;
 
 use strix_core::BatchGeometry;
 
-/// When the batcher flushes an open epoch.
+/// How the dispatcher sizes and prioritises epochs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlushPolicy {
-    /// Flush as soon as this many requests are batched — the epoch
-    /// size `TvLP × core_batch` of the mirrored accelerator config.
+    /// The largest epoch a worker takes — `TvLP × core_batch` of the
+    /// mirrored accelerator config. An open batch this long is *full*.
     pub max_epoch: usize,
-    /// Flush when the oldest batched request has waited this long
-    /// since submission (ingress queueing included).
+    /// Age since submission past which a tenant's open batch is taken
+    /// before every fresher one.
     pub max_delay: Duration,
-    /// Deficit-round-robin credit (in requests) granted to each tenant
-    /// with pending work per flush rotation. A tenant spends credit
-    /// when a *full* batch flushes; deadline flushes bypass the quota.
-    /// One full epoch per visit (`quantum == max_epoch`) reproduces
-    /// the single-tenant policy exactly, which is why
-    /// [`Self::from_geometry`] defaults to it.
-    pub quantum: usize,
 }
 
 impl FlushPolicy {
-    /// A policy flushing full epochs or on deadline, with the fair
-    /// default of one full epoch of DRR credit per rotation visit.
+    /// A policy with the given epoch size and staleness bound.
     pub fn new(max_epoch: usize, max_delay: Duration) -> Self {
-        Self { max_epoch, max_delay, quantum: max_epoch }
+        Self { max_epoch, max_delay }
     }
 
     /// Policy mirroring an accelerator batch geometry with the given
-    /// deadline.
+    /// staleness bound.
     pub fn from_geometry(geometry: BatchGeometry, max_delay: Duration) -> Self {
         Self::new(geometry.epoch_size(), max_delay)
     }
 
-    /// Overrides the DRR quantum (clamped to at least 1: zero credit
-    /// would starve every full-batch flush forever).
-    #[must_use]
-    pub fn with_quantum(mut self, quantum: usize) -> Self {
-        self.quantum = quantum.max(1);
-        self
-    }
-
-    /// Whether an open batch of `len` requests must flush now.
+    /// Whether an open batch of `len` requests holds a full epoch.
     #[inline]
     pub fn is_full(&self, len: usize) -> bool {
         len >= self.max_epoch
@@ -77,15 +71,8 @@ mod tests {
         let p =
             FlushPolicy::from_geometry(BatchGeometry::explicit(8, 32), Duration::from_millis(5));
         assert_eq!(p.max_epoch, 256);
-        assert_eq!(p.quantum, 256, "default credit is one full epoch per visit");
+        assert_eq!(p.max_delay, Duration::from_millis(5));
         assert!(!p.is_full(255));
         assert!(p.is_full(256));
-    }
-
-    #[test]
-    fn quantum_override_clamps_to_one() {
-        let p = FlushPolicy::new(8, Duration::from_millis(5)).with_quantum(0);
-        assert_eq!(p.quantum, 1);
-        assert_eq!(p.with_quantum(3).quantum, 3);
     }
 }

@@ -56,7 +56,7 @@ pub enum RequestOp {
     /// A two-input boolean gate as one request: the gate recipe's
     /// linear combination of the request ciphertext and `other`, then
     /// the shared sign-LUT bootstrap, then keyswitch. Exposes the
-    /// [`strix_tfhe::boolean`] gate recipes through the batcher so a
+    /// [`strix_tfhe::boolean`] gate recipes through the dispatcher so a
     /// circuit level streams as ordinary epoch slots.
     Gate {
         /// Which gate to evaluate.
@@ -174,11 +174,12 @@ pub struct Request {
     pub op: RequestOp,
     /// Submission timestamp, for end-to-end latency accounting.
     pub submitted_at: Instant,
-    /// When the batcher pulled this request into its open batch
-    /// (`submitted_at → batched_at` is the ingress queue wait).
+    /// When the request was admitted into its tenant's open batch
+    /// (`submitted_at → batched_at` is the time `submit` blocked on
+    /// backpressure).
     pub batched_at: Option<Instant>,
-    /// When the open batch flushed as an epoch
-    /// (`batched_at → flushed_at` is the batch-formation wait).
+    /// When a worker took the open batch as an epoch
+    /// (`batched_at → flushed_at` is the wait for a worker).
     pub flushed_at: Option<Instant>,
 }
 
@@ -236,11 +237,12 @@ impl Response {
     }
 }
 
-/// A flushed device-level batch: up to `TvLP × core_batch` requests
-/// executed as one unit against shared key material.
+/// A device-level batch a worker took from one tenant's open batch: up
+/// to `TvLP × core_batch` requests executed as one unit against shared
+/// key material.
 #[derive(Clone, Debug)]
 pub struct Epoch {
-    /// Monotonic epoch number (flush order).
+    /// Monotonic epoch number (the order workers took epochs in).
     pub id: u64,
     /// The single tenant whose key this epoch executes under (epochs
     /// never mix tenants — that is the point of key-major batching).

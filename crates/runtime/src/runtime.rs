@@ -1,4 +1,4 @@
-//! The runtime orchestrator: ingress, batcher, worker pool, client
+//! The runtime orchestrator: the dispatcher, the worker pool, client
 //! handles and drain-on-shutdown.
 
 use std::collections::BTreeMap;
@@ -12,12 +12,11 @@ use strix_core::BatchGeometry;
 use strix_tfhe::lwe::LweCiphertext;
 
 use crate::analyzer::AdmissionPolicy;
-use crate::batcher;
+use crate::dispatch::Dispatcher;
 use crate::error::RuntimeError;
 use crate::executor::{BatchExecutor, KernelPolicy};
 use crate::metrics::{MetricsSink, RuntimeReport};
 use crate::policy::FlushPolicy;
-use crate::queue::BoundedQueue;
 use crate::registry::KeyRegistry;
 use crate::request::{ClientId, Request, RequestOp, Response, TenantId};
 use crate::trace::{TraceConfig, TraceStage, Tracer};
@@ -28,7 +27,9 @@ use crate::worker::{self, ClientRegistry};
 pub struct RuntimeConfig {
     /// The two-level batch shape (epoch = `tvlp × core_batch`).
     pub geometry: BatchGeometry,
-    /// Deadline for the oldest request in an open batch.
+    /// Staleness bound: a tenant whose oldest request was submitted
+    /// this long ago is served before every fresher batch. An idle
+    /// worker never waits for it — it takes what is open at once.
     pub max_delay: Duration,
     /// Worker threads executing epochs.
     pub workers: usize,
@@ -39,7 +40,8 @@ pub struct RuntimeConfig {
     /// [`TfheExecutor::with_threads`](crate::executor::TfheExecutor::with_threads)-style
     /// constructors.
     pub threads_per_worker: usize,
-    /// Ingress queue depth, in requests (backpressure bound).
+    /// Requests admitted but not yet taken by a worker at which
+    /// `submit` blocks (backpressure bound).
     pub ingress_depth: usize,
     /// Request tracing configuration (ring capacity, sampling).
     pub trace: TraceConfig,
@@ -60,8 +62,8 @@ pub struct RuntimeConfig {
 
 impl RuntimeConfig {
     /// A config mirroring an accelerator batch geometry, with a 10 ms
-    /// deadline, two single-threaded workers and an ingress of four
-    /// epochs.
+    /// staleness bound, two single-threaded workers and room for four
+    /// epochs of pending requests.
     pub fn new(geometry: BatchGeometry) -> Self {
         Self {
             geometry,
@@ -75,7 +77,7 @@ impl RuntimeConfig {
         }
     }
 
-    /// Overrides the flush deadline.
+    /// Overrides the staleness bound.
     pub fn with_max_delay(self, max_delay: Duration) -> Self {
         Self { max_delay, ..self }
     }
@@ -108,8 +110,9 @@ impl RuntimeConfig {
 }
 
 /// The streaming runtime: accepts tagged requests from many concurrent
-/// clients, forms `TvLP × core_batch` epochs with a deadline/size
-/// hybrid policy, and executes them on a worker pool.
+/// clients into per-tenant open batches, and lets every free worker
+/// take what is open as an epoch of up to `TvLP × core_batch` requests
+/// (see [`FlushPolicy`]).
 ///
 /// # Example
 ///
@@ -138,7 +141,7 @@ impl RuntimeConfig {
 /// assert_eq!(report.requests_completed, 1);
 /// ```
 pub struct Runtime {
-    ingress: Arc<BoundedQueue<Request>>,
+    dispatcher: Arc<Dispatcher>,
     registry: Arc<ClientRegistry>,
     metrics: Arc<MetricsSink>,
     tracer: Arc<Tracer>,
@@ -153,14 +156,12 @@ pub struct Runtime {
     /// through [`Self::start_multi_tenant`]: its cache counters are
     /// folded into every report.
     key_registry: Option<Arc<KeyRegistry>>,
-    epoch_capacity: usize,
     next_client: AtomicU64,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Runtime {
-    /// Starts the batcher and worker threads.
+    /// Starts the worker threads.
     pub fn start(config: RuntimeConfig, executor: impl BatchExecutor) -> Self {
         Self::start_dyn(config, Arc::new(executor))
     }
@@ -186,8 +187,8 @@ impl Runtime {
 
     /// Starts a multi-tenant runtime over a shared [`KeyRegistry`],
     /// honouring the config's `threads_per_worker` and `kernel_policy`
-    /// exactly like [`Self::start_tfhe`]. The batcher partitions its
-    /// open window by tenant — epochs never mix key domains — and each
+    /// exactly like [`Self::start_tfhe`]. Open batches are kept per
+    /// tenant — epochs never mix key domains — and each
     /// worker resolves the epoch tenant's server key from the registry
     /// (expanding the seeded transport form on first use, under the
     /// registry's LRU residency budget) and pins it for the epoch's
@@ -213,59 +214,46 @@ impl Runtime {
 
     /// As [`Self::start`], for an already-shared executor.
     pub fn start_dyn(config: RuntimeConfig, executor: Arc<dyn BatchExecutor>) -> Self {
-        let policy = FlushPolicy::from_geometry(config.geometry, config.max_delay);
-        let ingress = Arc::new(BoundedQueue::new(config.ingress_depth.max(1)));
-        // Enough in-flight epochs to keep every worker busy plus one
-        // being formed.
-        let epochs = Arc::new(BoundedQueue::new(config.workers.max(1) + 1));
         let registry = Arc::new(ClientRegistry::default());
         let metrics = Arc::new(MetricsSink::default());
         let tracer = Arc::new(Tracer::new(config.trace));
+        let dispatcher = Arc::new(Dispatcher::new(
+            FlushPolicy::from_geometry(config.geometry, config.max_delay),
+            config.ingress_depth,
+            Arc::clone(&metrics),
+            Arc::clone(&tracer),
+        ));
         let admission = executor.admission().map(Arc::new);
         let fft_backend = executor.fft_backend().unwrap_or_default();
 
-        let batcher = {
-            let (i, e, m, t) = (
-                Arc::clone(&ingress),
-                Arc::clone(&epochs),
-                Arc::clone(&metrics),
-                Arc::clone(&tracer),
-            );
-            std::thread::Builder::new()
-                .name("strix-batcher".into())
-                .spawn(move || batcher::run(i, e, policy, m, t))
-                // lint:allow(panic) thread spawn fails only on resource exhaustion at startup
-                .expect("spawn batcher")
-        };
         let profile_every = config.profile_every;
         let workers = (0..config.workers.max(1))
             .map(|idx| {
-                let (e, x, r, m, t) = (
-                    Arc::clone(&epochs),
+                let (d, x, r, m, t) = (
+                    Arc::clone(&dispatcher),
                     Arc::clone(&executor),
                     Arc::clone(&registry),
                     Arc::clone(&metrics),
                     Arc::clone(&tracer),
                 );
+                let epochs = std::iter::from_fn(move || d.next_epoch());
                 std::thread::Builder::new()
                     .name(format!("strix-worker-{idx}"))
-                    .spawn(move || worker::run(e, x, r, m, t, profile_every))
+                    .spawn(move || worker::run(epochs, x, r, m, t, profile_every))
                     // lint:allow(panic) thread spawn fails only on resource exhaustion at startup
                     .expect("spawn worker")
             })
             .collect();
 
         Self {
-            ingress,
+            dispatcher,
             registry,
             metrics,
             tracer,
             admission,
             fft_backend,
             key_registry: None,
-            epoch_capacity: policy.max_epoch,
             next_client: AtomicU64::new(0),
-            batcher: Some(batcher),
             workers,
         }
     }
@@ -289,7 +277,7 @@ impl Runtime {
         ClientHandle {
             id,
             tenant,
-            ingress: Arc::clone(&self.ingress),
+            dispatcher: Arc::clone(&self.dispatcher),
             registry: Arc::clone(&self.registry),
             tracer: Arc::clone(&self.tracer),
             admission: self.admission.clone(),
@@ -309,9 +297,9 @@ impl Runtime {
 
     /// A live snapshot of the metrics without shutting down.
     pub fn report(&self) -> RuntimeReport {
-        let mut report = self.metrics.report(self.epoch_capacity);
-        report.ingress_queue_depth = self.ingress.len();
-        report.ingress_queue_high_water = self.ingress.high_water();
+        let mut report = self.metrics.report(self.dispatcher.max_epoch());
+        report.ingress_queue_depth = self.dispatcher.pending();
+        report.ingress_queue_high_water = self.dispatcher.high_water();
         report.fft_backend = self.fft_backend.clone();
         self.fill_key_cache_stats(&mut report);
         report
@@ -332,26 +320,16 @@ impl Runtime {
         }
     }
 
-    /// Drains and stops the runtime: the ingress closes (further
-    /// `submit`s fail), every already-accepted request still executes,
-    /// and all threads are joined. Returns the final report.
+    /// Drains and stops the runtime: further `submit`s fail, every
+    /// already-admitted request still executes, and all threads are
+    /// joined. Returns the final report.
     pub fn shutdown(mut self) -> RuntimeReport {
-        // The high-water mark must be read before the drain empties the
-        // queue; the final depth is, by construction, zero.
-        let high_water = self.ingress.high_water();
         self.drain_and_join();
-        let mut report = self.metrics.report(self.epoch_capacity);
-        report.ingress_queue_high_water = high_water.max(self.ingress.high_water());
-        report.fft_backend = self.fft_backend.clone();
-        self.fill_key_cache_stats(&mut report);
-        report
+        self.report()
     }
 
     fn drain_and_join(&mut self) {
-        self.ingress.close();
-        if let Some(handle) = self.batcher.take() {
-            let _ = handle.join();
-        }
+        self.dispatcher.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -379,7 +357,7 @@ pub struct ClientHandle {
     /// The key domain every request submitted through this handle
     /// routes to.
     tenant: TenantId,
-    ingress: Arc<BoundedQueue<Request>>,
+    dispatcher: Arc<Dispatcher>,
     registry: Arc<ClientRegistry>,
     tracer: Arc<Tracer>,
     admission: Option<Arc<AdmissionPolicy>>,
@@ -407,17 +385,19 @@ impl ClientHandle {
         self.admission.as_deref()
     }
 
-    /// Submits a request, blocking if the ingress queue is full
+    /// Submits a request into its tenant's open batch, blocking while
+    /// `ingress_depth` admitted requests wait for a worker
     /// (backpressure). Returns the request's sequence number.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Shutdown`] after the runtime shut down.
+    /// Returns [`RuntimeError::Shutdown`] after the runtime shut down,
+    /// including to a submit that was blocked when it did.
     pub fn submit(&mut self, ct: LweCiphertext, op: RequestOp) -> Result<u64, RuntimeError> {
         let seq = self.next_submit;
         let span = self.tracer.next_span();
         let request = Request::new(self.id, seq, span, ct, op).with_tenant(self.tenant);
-        // The Submitted→Enqueued gap is the time `push` blocked on
+        // The Submitted→Enqueued gap is the time admission blocked on
         // backpressure — visible per request in the exported trace.
         self.tracer.record_at(
             span,
@@ -427,7 +407,7 @@ impl ClientHandle {
             TraceStage::Submitted,
             request.submitted_at,
         );
-        self.ingress.push(request).map_err(|_| RuntimeError::Shutdown)?;
+        self.dispatcher.submit(request)?;
         self.tracer.record(span, self.id, seq, None, TraceStage::Enqueued);
         self.next_submit += 1;
         Ok(seq)

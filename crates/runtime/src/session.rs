@@ -9,7 +9,7 @@
 //! cost of Fig. 2). This module lets many clients hold whole programs
 //! open against the runtime at once: each [`ProgramSession`]
 //! auto-submits every operation whose inputs have resolved, the
-//! batcher interleaves *independent* stages from concurrent sessions
+//! dispatcher interleaves *independent* stages from concurrent sessions
 //! into full `TvLP × core_batch` epochs, and responses route back into
 //! the waiting DAG through the client handle's existing reorder
 //! machinery.
@@ -362,7 +362,7 @@ pub struct ProgramSession<'p> {
     outstanding_nodes: usize,
     /// Whether the handle's admission policy has vetted this program.
     /// Checked once, on the first `submit_ready`, *before* anything is
-    /// enqueued — a rejected program never reaches the batcher.
+    /// enqueued — a rejected program never reaches the dispatcher.
     admission_checked: bool,
 }
 

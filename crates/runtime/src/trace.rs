@@ -1,24 +1,32 @@
 //! End-to-end request tracing: span ids, stage-boundary events and a
 //! Chrome-trace / Perfetto exporter.
 //!
-//! The paper's whole argument is a latency *attribution* story — the
-//! two-level batcher deliberately trades queueing delay for occupancy —
-//! so the runtime must be able to say where a request's time went, not
-//! just how much there was. Every request is assigned a [`SpanId`] at
+//! The paper's whole argument is a latency *attribution* story —
+//! two-level batching trades queueing delay for occupancy — so the
+//! runtime must be able to say where a request's time went, not just
+//! how much there was. Every request is assigned a [`SpanId`] at
 //! submission; the span is carried through
-//! [`Request`](crate::request::Request) → ingress queue → batcher →
+//! [`Request`](crate::request::Request) → its tenant's open batch →
 //! worker → [`Response`](crate::request::Response), and each layer
 //! records a stage-boundary timestamp into the shared [`Tracer`]:
 //!
 //! | stage | recorded by | meaning |
 //! |---|---|---|
 //! | `Submitted` | client handle | `submit()` called |
-//! | `Enqueued` | client handle | ingress `push` returned (gap from `Submitted` = backpressure wait) |
-//! | `BatchOpened` | batcher | popped into the open batch |
-//! | `EpochFlushed` | batcher | the batch became an [`Epoch`](crate::request::Epoch) |
+//! | `Enqueued` | client handle | admission returned (gap from `Submitted` = backpressure wait) |
+//! | `BatchOpened` | dispatcher | admitted into its tenant's open batch |
+//! | `EpochFlushed` | dispatcher | a worker took the batch as an [`Epoch`](crate::request::Epoch) |
 //! | `PbsStart`/`PbsEnd` | worker | the epoch's batched blind rotation ran |
 //! | `KsStart`/`KsEnd` | worker | the epoch's batched keyswitch tail ran |
 //! | `Completed` | worker | response handed to the client registry |
+//!
+//! Under worker-pull dispatch the request slices below mean:
+//! `queue-wait` (`Submitted → BatchOpened`) is the time `submit`
+//! blocked on backpressure; `batch-wait` (`BatchOpened → EpochFlushed`)
+//! is the wait for a worker, since a request stays in its open batch
+//! until a worker asks for work; `execute` (`EpochFlushed → Completed`)
+//! is the epoch's execution alone, with no queueing behind a busy
+//! worker.
 //!
 //! Events live in a **bounded ring buffer** (oldest evicted first, the
 //! eviction count is reported) behind a mutex whose critical section is
@@ -61,11 +69,11 @@ impl std::fmt::Display for SpanId {
 pub enum TraceStage {
     /// `submit()` was called on the client handle.
     Submitted,
-    /// The ingress queue accepted the request (backpressure resolved).
+    /// Admission returned (backpressure resolved).
     Enqueued,
-    /// The batcher popped the request into its open batch.
+    /// The request joined its tenant's open batch.
     BatchOpened,
-    /// The open batch flushed as an epoch.
+    /// A worker took the open batch as an epoch.
     EpochFlushed,
     /// The epoch's batched PBS began executing.
     PbsStart,

@@ -1,9 +1,9 @@
-//! The worker pool: executes flushed epochs and routes responses.
+//! The worker pool: executes epochs and routes responses.
 //!
-//! Workers pull epochs from the batcher's queue, run them through the
-//! [`BatchExecutor`], record metrics
-//! and deliver each response to its client's channel. Multiple workers
-//! may complete epochs out of flush order — the per-client reorder
+//! Each worker pulls its next epoch from the dispatcher the moment it
+//! is free, runs it through the [`BatchExecutor`], records metrics and
+//! delivers each response to its client's channel. Multiple workers
+//! may complete epochs out of take order — the per-client reorder
 //! buffer in [`ClientHandle`](crate::runtime::ClientHandle) restores
 //! per-client sequencing at the receive side.
 
@@ -15,7 +15,6 @@ use std::time::Instant;
 use crate::error::RuntimeError;
 use crate::executor::BatchExecutor;
 use crate::metrics::{MetricsSink, RequestRecord};
-use crate::queue::BoundedQueue;
 use crate::request::{ClientId, Epoch, Response};
 use crate::sync::lock_unpoisoned;
 use crate::trace::{TraceStage, Tracer};
@@ -52,15 +51,19 @@ impl ClientRegistry {
     }
 }
 
+/// Executes every epoch `epochs` yields, in order, delivering each
+/// response; returns when `epochs` ends. A runtime worker passes the
+/// dispatcher's blocking epoch stream, which ends on shutdown once
+/// nothing is pending.
 pub(crate) fn run(
-    epochs: Arc<BoundedQueue<Epoch>>,
+    epochs: impl IntoIterator<Item = Epoch>,
     executor: Arc<dyn BatchExecutor>,
     registry: Arc<ClientRegistry>,
     metrics: Arc<MetricsSink>,
     tracer: Arc<Tracer>,
     profile_every: u64,
 ) {
-    while let Ok(epoch) = epochs.pop() {
+    for epoch in epochs {
         let expected = epoch.requests.len();
         // Thread usage scales with the PBS-bearing subset of the epoch
         // (keyswitch-only requests never shard), so record against that
@@ -108,7 +111,7 @@ pub(crate) fn run(
         for (request, result) in epoch.requests.into_iter().zip(results) {
             let completed_at = Instant::now();
             let latency = completed_at.saturating_duration_since(request.submitted_at);
-            // The batcher stamps both waypoints; epochs injected by
+            // The dispatcher stamps both waypoints; epochs injected by
             // tests may omit them, in which case the missing interval
             // collapses to zero rather than inventing time.
             let batched = request.batched_at.unwrap_or(request.submitted_at);
@@ -174,7 +177,6 @@ mod tests {
 
     #[test]
     fn worker_delivers_to_the_right_client() {
-        let epochs = Arc::new(BoundedQueue::new(8));
         let registry = Arc::new(ClientRegistry::default());
         let metrics = Arc::new(MetricsSink::default());
         let (tx_a, rx_a) = mpsc::channel();
@@ -191,17 +193,14 @@ mod tests {
                 RequestOp::Keyswitch,
             )
         };
-        epochs
-            .push(Epoch {
-                id: 0,
-                tenant: TenantId::default(),
-                requests: vec![make(1, 0, 10), make(2, 0, 20), make(1, 1, 11)],
-            })
-            .unwrap();
-        epochs.close();
+        let epoch = Epoch {
+            id: 0,
+            tenant: TenantId::default(),
+            requests: vec![make(1, 0, 10), make(2, 0, 20), make(1, 1, 11)],
+        };
 
         run(
-            epochs,
+            [epoch],
             Arc::new(EchoExecutor),
             Arc::clone(&registry),
             Arc::clone(&metrics),
@@ -229,7 +228,6 @@ mod tests {
 
     #[test]
     fn short_executor_results_surface_as_losses_not_hangs() {
-        let epochs = Arc::new(BoundedQueue::new(8));
         let registry = Arc::new(ClientRegistry::default());
         let metrics = Arc::new(MetricsSink::default());
         let (tx, rx) = mpsc::channel();
@@ -243,12 +241,8 @@ mod tests {
                 RequestOp::Keyswitch,
             )
         };
-        epochs
-            .push(Epoch { id: 0, tenant: TenantId::default(), requests: vec![make(0), make(1)] })
-            .unwrap();
-        epochs.close();
         run(
-            epochs,
+            [Epoch { id: 0, tenant: TenantId::default(), requests: vec![make(0), make(1)] }],
             Arc::new(ShortExecutor),
             registry,
             Arc::clone(&metrics),
@@ -268,26 +262,22 @@ mod tests {
 
     #[test]
     fn dropped_client_does_not_wedge_the_worker() {
-        let epochs = Arc::new(BoundedQueue::new(8));
         let registry = Arc::new(ClientRegistry::default());
         let metrics = Arc::new(MetricsSink::default());
         // No registered client at all.
-        epochs
-            .push(Epoch {
-                id: 0,
-                tenant: TenantId::default(),
-                requests: vec![Request::new(
-                    ClientId(9),
-                    0,
-                    SpanId(0),
-                    LweCiphertext::trivial(4, 1),
-                    RequestOp::Keyswitch,
-                )],
-            })
-            .unwrap();
-        epochs.close();
+        let epoch = Epoch {
+            id: 0,
+            tenant: TenantId::default(),
+            requests: vec![Request::new(
+                ClientId(9),
+                0,
+                SpanId(0),
+                LweCiphertext::trivial(4, 1),
+                RequestOp::Keyswitch,
+            )],
+        };
         run(
-            epochs,
+            [epoch],
             Arc::new(EchoExecutor),
             registry,
             Arc::clone(&metrics),
@@ -317,28 +307,22 @@ mod tests {
 
     #[test]
     fn every_nth_epoch_is_profiled() {
-        let epochs = Arc::new(BoundedQueue::new(16));
         let registry = Arc::new(ClientRegistry::default());
         let metrics = Arc::new(MetricsSink::default());
         let exec = Arc::new(ProfileCountingExecutor(Mutex::new(Vec::new())));
-        for id in 0..6u64 {
-            epochs
-                .push(Epoch {
-                    id,
-                    tenant: TenantId::default(),
-                    requests: vec![Request::new(
-                        ClientId(1),
-                        id,
-                        SpanId(id),
-                        LweCiphertext::trivial(4, 0),
-                        RequestOp::Keyswitch,
-                    )],
-                })
-                .unwrap();
-        }
-        epochs.close();
+        let epochs = (0..6u64).map(|id| Epoch {
+            id,
+            tenant: TenantId::default(),
+            requests: vec![Request::new(
+                ClientId(1),
+                id,
+                SpanId(id),
+                LweCiphertext::trivial(4, 0),
+                RequestOp::Keyswitch,
+            )],
+        });
         run(
-            Arc::clone(&epochs),
+            epochs,
             Arc::clone(&exec) as Arc<dyn BatchExecutor>,
             registry,
             metrics,
