@@ -66,8 +66,10 @@ fn main() {
     println!();
     println!(
         "per-client mix: {BITS}-bit adder + {BITS}-bit equality \
-         ({} fused-gate requests), epoch capacity 16",
-        ripple_carry_adder_program(BITS).request_count() + equality_program(BITS).request_count()
+         ({} fused-gate requests as built, {} after lowering), epoch capacity 16",
+        ripple_carry_adder_program(BITS).request_count() + equality_program(BITS).request_count(),
+        ripple_carry_adder_program(BITS).lowered().request_count()
+            + equality_program(BITS).lowered().request_count()
     );
     println!();
     println!("| clients | requests | epochs | mean occupancy | PBS/s | p99 ms |");

@@ -5,8 +5,11 @@
 //! repository's shipped dataflow workloads — the ripple-carry adder,
 //! the bitwise equality circuit and the Deep-NN ReLU schedule — under
 //! both PBS kernels the dispatcher can select, and prints each
-//! program's budget table: request count, bootstrap depth, worst-case
-//! linear gain and the minimum decision margin in sigmas.
+//! program's budget table: request count and bootstrap depth as built
+//! and after the runtime's bootstrap-minimising lowering, the
+//! worst-case linear gain and the minimum decision margin in sigmas of
+//! both forms. Admission runs the lowered form when it clears the
+//! threshold and the program as built otherwise; the table marks which.
 //!
 //! ```text
 //! cargo run -p strix-bench --bin analyze_program
@@ -16,9 +19,11 @@
 //!
 //! `--check` turns the report into a gate: exit status 1 if any
 //! workload's worst margin falls below the threshold (default 10σ, the
-//! bound the parameter sets are documented to keep). CI runs this next
-//! to the test suite so a parameter or noise-model change that erodes
-//! the shipped margins fails loudly with the offending node named.
+//! bound the parameter sets are documented to keep), if lowering raises
+//! a workload's request count or depth, or if a lowered form is refused
+//! while its program as built passes. CI runs this next to the test
+//! suite so a parameter, noise-model or lowering change that erodes the
+//! shipped margins or bootstrap savings fails loudly.
 //!
 //! Unlike `bench_snapshot`/`bench_service`, this tool takes no
 //! `--backend` override: every SIMD kernel backend is bit-identical to
@@ -50,11 +55,65 @@ struct Row {
     workload: &'static str,
     params: String,
     kernel: PbsKernel,
-    analysis: ProgramAnalysis,
+    /// The program as its builder emits it.
+    built: ProgramAnalysis,
+    /// Its lowered form.
+    lowered: ProgramAnalysis,
 }
 
-fn analyze(program: &Program, params: &TfheParameters, kernel: PbsKernel) -> ProgramAnalysis {
-    AdmissionPolicy::new(params.clone(), KernelPolicy::uniform(kernel)).analyze(program)
+impl Row {
+    fn new(
+        workload: &'static str,
+        program: &Program,
+        params: &TfheParameters,
+        kernel: PbsKernel,
+    ) -> Self {
+        let policy = AdmissionPolicy::new(params.clone(), KernelPolicy::uniform(kernel));
+        Row {
+            workload,
+            params: params.name.clone(),
+            kernel,
+            built: policy.analyze(program),
+            lowered: policy.analyze(program.lowered()),
+        }
+    }
+
+    /// The form admission at `threshold` runs: the lowered one when it
+    /// clears the threshold, else the program as built.
+    fn runs(&self, threshold: f64) -> &ProgramAnalysis {
+        if self.lowered.worst_margin_sigmas() >= threshold {
+            &self.lowered
+        } else {
+            &self.built
+        }
+    }
+
+    /// Why `--check` fails this row, if it does.
+    fn failure(&self, threshold: f64) -> Option<String> {
+        let (built, lowered) = (&self.built, &self.lowered);
+        if self.runs(threshold).worst_margin_sigmas() < threshold {
+            Some(format!(
+                "worst margin {:.1} < {threshold:.1} sigmas",
+                self.runs(threshold).worst_margin_sigmas()
+            ))
+        } else if lowered.reports.len() > built.reports.len() || lowered.pbs_depth > built.pbs_depth
+        {
+            Some(format!(
+                "lowering raised requests {} -> {} or depth {} -> {}",
+                built.reports.len(),
+                lowered.reports.len(),
+                built.pbs_depth,
+                lowered.pbs_depth
+            ))
+        } else if lowered.worst_margin_sigmas() < threshold {
+            Some(format!(
+                "lowered form refused at {:.1} sigmas while the program as built passes",
+                lowered.worst_margin_sigmas()
+            ))
+        } else {
+            None
+        }
+    }
 }
 
 fn kernel_label(kernel: PbsKernel) -> String {
@@ -74,18 +133,8 @@ fn rows() -> Result<Vec<Row>, String> {
     let adder = ripple_carry_adder_program(GATE_BITS);
     let equality = equality_program(GATE_BITS);
     for kernel in kernels {
-        rows.push(Row {
-            workload: "adder-8bit",
-            params: gate_params.name.clone(),
-            kernel,
-            analysis: analyze(&adder, &gate_params, kernel),
-        });
-        rows.push(Row {
-            workload: "equality-8bit",
-            params: gate_params.name.clone(),
-            kernel,
-            analysis: analyze(&equality, &gate_params, kernel),
-        });
+        rows.push(Row::new("adder-8bit", &adder, &gate_params, kernel));
+        rows.push(Row::new("equality-8bit", &equality, &gate_params, kernel));
     }
 
     // The Deep-NN ReLU schedule, at every polynomial size the paper
@@ -95,12 +144,7 @@ fn rows() -> Result<Vec<Row>, String> {
         let schedule = ReluSchedule::new(NN_DEPTH, NN_WIDTH, NN_SEED);
         let program = schedule.program(poly).map_err(|e| e.to_string())?;
         for kernel in kernels {
-            rows.push(Row {
-                workload: "deep-nn-relu",
-                params: params.name.clone(),
-                kernel,
-                analysis: analyze(&program, &params, kernel),
-            });
+            rows.push(Row::new("deep-nn-relu", &program, &params, kernel));
         }
     }
     Ok(rows)
@@ -110,21 +154,25 @@ fn print_table(rows: &[Row], threshold: f64) {
     println!("# Static noise-budget analysis (threshold: {threshold:.1} sigmas)");
     println!();
     println!(
-        "| workload | params | kernel | requests | pbs depth | max gain | worst margin (σ) | verdict |"
+        "| workload | params | kernel | requests (built → run) | pbs depth (built → run) \
+         | max gain | worst margin σ (built → run) | verdict |"
     );
     println!("|---|---|---|---:|---:|---:|---:|---|");
     for row in rows {
-        let a = &row.analysis;
-        let verdict = if a.worst_margin_sigmas() >= threshold { "pass" } else { "FAIL" };
+        let (built, runs) = (&row.built, row.runs(threshold));
+        let verdict = if row.failure(threshold).is_none() { "pass" } else { "FAIL" };
         println!(
-            "| {} | {} | {} | {} | {} | {:.0} | {:.1} | {} |",
+            "| {} | {} | {} | {} → {} | {} → {} | {:.0} | {:.1} → {:.1} | {} |",
             row.workload,
             row.params,
             kernel_label(row.kernel),
-            a.reports.len(),
-            a.pbs_depth,
-            a.max_linear_gain,
-            a.worst_margin_sigmas(),
+            built.reports.len(),
+            runs.reports.len(),
+            built.pbs_depth,
+            runs.pbs_depth,
+            runs.max_linear_gain,
+            built.worst_margin_sigmas(),
+            runs.worst_margin_sigmas(),
             verdict,
         );
     }
@@ -171,12 +219,12 @@ fn main() -> ExitCode {
     print_table(&rows, threshold);
 
     let worst = rows.iter().min_by(|a, b| {
-        a.analysis.worst_margin_sigmas().total_cmp(&b.analysis.worst_margin_sigmas())
+        let margin = |r: &Row| r.runs(threshold).worst_margin_sigmas();
+        margin(a).total_cmp(&margin(b))
     });
     if let Some(row) = worst {
         println!();
-        let a = &row.analysis;
-        match a.worst_report() {
+        match row.runs(threshold).worst_report() {
             Some(r) => println!(
                 "Tightest node overall: {} / {} node {} at {:.1} sigmas \
                  (variance {:.3e}, distance {:.3e}).",
@@ -192,22 +240,24 @@ fn main() -> ExitCode {
     }
 
     if check {
-        let failed: Vec<&Row> =
-            rows.iter().filter(|r| r.analysis.worst_margin_sigmas() < threshold).collect();
+        let failed: Vec<(&Row, String)> =
+            rows.iter().filter_map(|r| r.failure(threshold).map(|why| (r, why))).collect();
         if !failed.is_empty() {
             eprintln!();
-            for row in &failed {
+            for (row, why) in &failed {
                 eprintln!(
-                    "FAIL: {} under {} ({}): worst margin {:.1} < {threshold:.1} sigmas",
+                    "FAIL: {} under {} ({}): {why}",
                     row.workload,
                     kernel_label(row.kernel),
                     row.params,
-                    row.analysis.worst_margin_sigmas(),
                 );
             }
             return ExitCode::FAILURE;
         }
-        println!("\nanalyze_program --check: every workload clears {threshold:.1} sigmas.");
+        println!(
+            "\nanalyze_program --check: every workload clears {threshold:.1} sigmas, \
+             and lowering never raises requests or depth."
+        );
     }
     ExitCode::SUCCESS
 }

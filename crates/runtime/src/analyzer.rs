@@ -24,14 +24,15 @@
 //! * **input wire** — fresh encryption variance
 //!   ([`noise::fresh_lwe_variance`]);
 //! * **NOT** — negation preserves variance;
-//! * **gate** — the recipe's linear preamble `w₀·a + w₁·b + offset`
-//!   accumulates `w₀²·var(a) + w₁²·var(b)`, plus the modulus-switch
-//!   rounding variance; the decision distance is the recipe's own
-//!   worst-case distance to a sign-LUT boundary (1/8 for the
-//!   unit-weight gates, 1/4 for XOR/XNOR — the ±2 weights double the
-//!   noise but the offsets also double the distance). The output
-//!   resets to the PBS output variance of the class's kernel plus the
-//!   keyswitch tail;
+//! * **gate** — the recipe's linear preamble `Σ wᵢ·inᵢ + offset` over
+//!   its 1–3 inputs accumulates `Σ wᵢ²·var(inᵢ)`, plus the
+//!   modulus-switch rounding variance; the decision distance is the
+//!   recipe's own worst-case distance to a sign-LUT boundary over all
+//!   `2^k` input patterns (1/8 for the unit-weight gates and a lowered
+//!   majority, 1/4 for XOR/XNOR and a lowered three-way parity — the ±2
+//!   weights amplify the noise but the offsets also double the
+//!   distance). The output resets to the PBS output variance of the
+//!   class's kernel plus the keyswitch tail;
 //! * **linear LUT** — identically, with the node's own weights
 //!   (`Σ wᵢ²·var(inputᵢ)`) and the LUT's own decision distance
 //!   (`2^-(p+2)` for a `p`-bit table).
@@ -46,9 +47,19 @@
 //! *before the first request is enqueued*, surfacing
 //! [`RuntimeError::NoiseBudgetExceeded`] at admission instead of a
 //! wrong decryption at the client.
+//!
+//! Admission also picks which form of the program runs. It analyzes
+//! the bootstrap-minimised form ([`Program::lowered`]) first and admits
+//! it if its worst margin clears the threshold; otherwise it judges the
+//! program as built, so lowering never turns an admitted program away.
+//! Collapsing gates moves margin both ways: a majority or parity over
+//! fresh inputs reads less noise than the gate chain it replaces,
+//! while a parity over three bootstrap outputs reads more (gain 12
+//! instead of two XORs' 8). The choice is recorded on the program for
+//! the session and [`Program::run_sync`] to share.
 
 use strix_tfhe::noise;
-use strix_tfhe::{PbsKernel, TfheParameters};
+use strix_tfhe::{PbsKernel, ServerKey, TfheParameters};
 
 use crate::error::RuntimeError;
 use crate::executor::KernelPolicy;
@@ -169,14 +180,41 @@ impl AdmissionPolicy {
         analyze(program, &self.params, &self.policy, self.threshold_sigmas)
     }
 
-    /// Analyzes `program` and accepts or rejects it.
+    /// The policy a [`TfheExecutor`](crate::TfheExecutor) on `server`
+    /// admits with by default: every class on the key's own kernel
+    /// (multi-bit when the key carries grouped material for a
+    /// multi-bit parameter set, classical otherwise), at the
+    /// [`DEFAULT_THRESHOLD_SIGMAS`] threshold.
+    pub(crate) fn for_server(server: &ServerKey) -> Self {
+        let kernel = match (server.params().pbs_kernel, server.multi_bit_bootstrap_key()) {
+            (PbsKernel::MultiBit { .. }, Some(mb)) => {
+                PbsKernel::MultiBit { grouping_factor: mb.grouping_factor() }
+            }
+            _ => PbsKernel::Classical,
+        };
+        Self::new(server.params().clone(), KernelPolicy::uniform(kernel))
+    }
+
+    /// Picks the form of `program` to run and admits it: the lowered
+    /// form ([`Program::lowered`]) if its worst margin clears the
+    /// threshold, otherwise the program as built. Returns the analysis
+    /// of the admitted form; see [`Self::admit`].
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::NoiseBudgetExceeded`] carrying the offending
-    /// node and its predicted margin when any live request node falls
-    /// below the threshold.
-    pub fn admit(&self, program: &Program) -> Result<ProgramAnalysis, RuntimeError> {
+    /// As [`Self::admit`].
+    pub(crate) fn choose<'p>(
+        &self,
+        program: &'p Program,
+    ) -> Result<(&'p Program, ProgramAnalysis), RuntimeError> {
+        let lowered = program.lowered();
+        if !std::ptr::eq(lowered, program) {
+            let analysis = self.analyze(lowered);
+            if analysis.passes() {
+                program.record_choice(true);
+                return Ok((lowered, analysis));
+            }
+        }
         let analysis = self.analyze(program);
         match analysis.worst_report() {
             Some(worst) if worst.margin_sigmas < analysis.threshold_sigmas => {
@@ -186,8 +224,28 @@ impl AdmissionPolicy {
                     threshold_sigmas: analysis.threshold_sigmas,
                 })
             }
-            _ => Ok(analysis),
+            _ => {
+                program.record_choice(false);
+                Ok((program, analysis))
+            }
         }
+    }
+
+    /// Admits `program` in the form that will run: its lowered form if
+    /// that clears the threshold, else the program as built, so no
+    /// program the as-built analysis admits is ever refused. The choice
+    /// is recorded on the program, and every
+    /// [`ProgramSession`](crate::session::ProgramSession) and
+    /// [`Program::run_sync`] that follows runs the same form. Returns
+    /// the admitted form's analysis.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::NoiseBudgetExceeded`] carrying the offending
+    /// node of the program as built and its predicted margin when
+    /// neither form clears the threshold.
+    pub fn admit(&self, program: &Program) -> Result<ProgramAnalysis, RuntimeError> {
+        self.choose(program).map(|(_, analysis)| analysis)
     }
 }
 
@@ -232,11 +290,9 @@ pub fn analyze(
                 depths[idx] = depth;
                 None
             }
-            NodeOp::Gate(gate) => Some((
-                gate.recipe().weights().to_vec(),
-                gate.recipe().decision_distance(),
-                RequestClass::Gate,
-            )),
+            NodeOp::Gate(recipe) => {
+                Some((recipe.weights().to_vec(), recipe.decision_distance(), RequestClass::Gate))
+            }
             NodeOp::LinearLut { weights, lut, .. } => {
                 Some((weights.clone(), lut.decision_distance(), RequestClass::LinearLut))
             }

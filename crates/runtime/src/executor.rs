@@ -327,14 +327,8 @@ fn execute_epoch_on_key(
     let mut preambles: Vec<Option<LweCiphertext>> = batch.iter().map(|_| None).collect();
     for (i, req) in batch.iter().enumerate() {
         let combined = match &req.op {
-            RequestOp::Gate { gate, other } => {
-                let recipe = gate.recipe();
-                Some(linear_preamble(
-                    &req.ct,
-                    &recipe.weights(),
-                    std::slice::from_ref(other),
-                    recipe.offset(),
-                ))
+            RequestOp::Gate { recipe, extra } => {
+                Some(linear_preamble(&req.ct, recipe.weights(), extra, recipe.offset()))
             }
             RequestOp::LinearLut { weights, extra, offset, .. } => {
                 Some(linear_preamble(&req.ct, weights, extra, *offset))
@@ -864,7 +858,7 @@ mod tests {
                     0,
                     0,
                     cx.as_lwe().clone(),
-                    RequestOp::Gate { gate, other: cy.as_lwe().clone() },
+                    RequestOp::Gate { recipe: gate.recipe(), extra: vec![cy.as_lwe().clone()] },
                 )];
                 let streamed = exec.execute(&batch).pop().unwrap().unwrap();
                 let reference = server.binary_gate(gate, &cx, &cy).unwrap();

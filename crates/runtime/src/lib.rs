@@ -40,7 +40,9 @@
 //!    same dispatcher: each [`ProgramSession`] keeps its whole ready
 //!    frontier in flight, so independent stages from many concurrent
 //!    clients interleave into full epochs instead of each client
-//!    serialising on its own dependencies.
+//!    serialising on its own dependencies. Gate programs run in their
+//!    bootstrap-minimised form ([`Program::lowered`]) whenever the
+//!    static noise analyzer ([`analyzer`]) admits it.
 //!
 //! [`OpenLoopTrafficGen`] supplies Poisson / bursty / backlog arrival
 //! schedules for the demo (`examples/streaming_server.rs`), the
@@ -84,6 +86,7 @@ pub mod analyzer;
 mod dispatch;
 mod error;
 pub mod executor;
+mod lowering;
 pub mod metrics;
 pub mod policy;
 pub mod registry;

@@ -105,6 +105,7 @@ struct MetricsInner {
     /// reported by the executors' epoch executions.
     kernel_jobs: [usize; 2],
     fused_linear_completed: usize,
+    bootstraps_lowered_away: u64,
     completed: usize,
     failed: usize,
     first_submit: Option<Instant>,
@@ -206,6 +207,12 @@ impl MetricsSink {
         let w = self.window_mut(&mut inner, now);
         w.epochs += 1;
         w.occupancy_sum += occ;
+    }
+
+    /// Records the bootstraps one program run saves by running its
+    /// lowered form.
+    pub fn record_lowering(&self, removed: usize) {
+        lock_unpoisoned(&self.inner).bootstraps_lowered_away += removed as u64;
     }
 
     /// Records the intra-epoch thread plan of one executed epoch:
@@ -415,6 +422,7 @@ impl MetricsSink {
                     requests_completed: inner.completed,
                     requests_failed: inner.failed,
                     fused_linear_completed: inner.fused_linear_completed,
+                    bootstraps_lowered_away: inner.bootstraps_lowered_away,
                     epochs: inner.epochs,
                     epoch_capacity,
                     p50_latency_us: 0,
@@ -558,6 +566,13 @@ pub struct RuntimeReport {
     /// Deep-NN neurons) ahead of their bootstrap — the multi-input ops
     /// streamed by the session/dataflow layer.
     pub fused_linear_completed: usize,
+    /// Bootstraps program lowering saved: for every session that ran a
+    /// program's lowered form, the live requests of the program as
+    /// built minus those of the lowered form. Requests per program are
+    /// the builder's gate count minus this over the programs run
+    /// (absent in reports from older schema versions).
+    #[serde(default)]
+    pub bootstraps_lowered_away: u64,
     /// Number of epochs workers took.
     pub epochs: usize,
     /// Configured epoch capacity `TvLP × core_batch`.
@@ -670,6 +685,12 @@ impl RuntimeReport {
             self.max_latency_us as f64 / 1e3,
             self.achieved_pbs_per_s,
         );
+        if self.bootstraps_lowered_away > 0 {
+            out.push_str(&format!(
+                "\nlowering: {} bootstraps removed from gate programs",
+                self.bootstraps_lowered_away
+            ));
+        }
         if !self.fft_backend.is_empty() {
             out.push_str(&format!("\nbackend:  {} fft/vma kernels", self.fft_backend));
         }

@@ -18,8 +18,10 @@
 //!   estimator.
 //!
 //! When materialising a key would exceed the budget, the least
-//! recently *resolved* seeded tenant is evicted (its resident key is
-//! dropped; the transport form stays, so a later resolve re-expands it
+//! recently *resolved* seeded tenants are evicted *before* the new key
+//! is expanded, so a miss never holds more than the budget's worth of
+//! registry-resident keys (their resident keys are dropped; the
+//! transport form stays, so a later resolve re-expands it
 //! deterministically — seeded expansion is bit-reproducible). Tenants
 //! registered with an already-expanded key are pinned: they count
 //! against the budget but are never evicted, because dropping them
@@ -167,8 +169,8 @@ impl KeyRegistry {
     }
 
     /// Resolves a tenant's resident server key, materialising the
-    /// seeded form on a miss and evicting least-recently-used seeded
-    /// residents to fit the budget. The returned `Arc` stays valid for
+    /// seeded form on a miss after evicting least-recently-used seeded
+    /// residents to make room for it. The returned `Arc` stays valid for
     /// as long as the caller holds it, eviction or not — workers pin
     /// it for an epoch's whole PBS+KS run.
     ///
@@ -188,30 +190,26 @@ impl KeyRegistry {
             inner.hits += 1;
             return Some(Arc::clone(key));
         }
-        let KeySource::Seeded(seeded) = &slot.source else {
+        if !matches!(slot.source, KeySource::Seeded(_)) {
             // A pinned slot is resident by construction; an empty one
             // cannot be rebuilt.
             return None;
-        };
+        }
         inner.misses += 1;
-        let key = Arc::new(seeded.expand());
-        slot.resident = Some(Arc::clone(&key));
-        inner.resident_bytes = inner.resident_bytes.saturating_add(self.key_bytes);
-        // Evict LRU seeded residents until the budget holds, never the
-        // key just resolved (the epoch about to run needs it).
-        while inner.resident_bytes > self.budget_bytes {
+        // Make room first: evict LRU seeded residents until the new key
+        // fits, so the expansion never holds budget + 1 keys. The
+        // resolving tenant is not resident, so it is never a victim.
+        while inner.resident_bytes.saturating_add(self.key_bytes) > self.budget_bytes {
             let victim = inner
                 .slots
                 .iter()
-                .filter(|(id, slot)| {
-                    **id != tenant
-                        && slot.resident.is_some()
-                        && matches!(slot.source, KeySource::Seeded(_))
+                .filter(|(_, slot)| {
+                    slot.resident.is_some() && matches!(slot.source, KeySource::Seeded(_))
                 })
                 .min_by_key(|(_, slot)| slot.last_use)
                 .map(|(id, _)| *id);
             let Some(victim) = victim else {
-                break; // only pinned keys (or the resolved one) remain
+                break; // only pinned keys remain: the epoch still needs its key
             };
             // lint:allow(panic) the victim id was just found in the map
             let slot = inner.slots.get_mut(&victim).expect("victim slot exists");
@@ -219,6 +217,11 @@ impl KeyRegistry {
             inner.resident_bytes = inner.resident_bytes.saturating_sub(self.key_bytes);
             inner.evictions += 1;
         }
+        let slot = inner.slots.get_mut(&tenant)?;
+        let KeySource::Seeded(seeded) = &slot.source else { return None };
+        let key = Arc::new(seeded.expand());
+        slot.resident = Some(Arc::clone(&key));
+        inner.resident_bytes = inner.resident_bytes.saturating_add(self.key_bytes);
         Some(key)
     }
 

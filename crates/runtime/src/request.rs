@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use strix_tfhe::boolean::BinaryGate;
+use strix_tfhe::boolean::GateRecipe;
 use strix_tfhe::bootstrap::Lut;
 use strix_tfhe::lwe::LweCiphertext;
 
@@ -53,16 +53,19 @@ pub enum RequestOp {
     Bootstrap(Arc<Lut>),
     /// Keyswitch only; the input must be under the extracted key.
     Keyswitch,
-    /// A two-input boolean gate as one request: the gate recipe's
-    /// linear combination of the request ciphertext and `other`, then
-    /// the shared sign-LUT bootstrap, then keyswitch. Exposes the
-    /// [`strix_tfhe::boolean`] gate recipes through the dispatcher so a
+    /// A sign-LUT gate over 1–3 boolean inputs as one request: the
+    /// recipe's linear combination of the request ciphertext and
+    /// `extra`, then the shared sign-LUT bootstrap, then keyswitch.
+    /// Exposes the [`strix_tfhe::boolean`] gate recipes — the two-input
+    /// [`BinaryGate`](strix_tfhe::boolean::BinaryGate)s and the wider
+    /// ones program lowering matches — through the dispatcher so a
     /// circuit level streams as ordinary epoch slots.
     Gate {
-        /// Which gate to evaluate.
-        gate: BinaryGate,
-        /// The second gate input (the first is [`Request::ct`]).
-        other: LweCiphertext,
+        /// The gate's weights and offset; `recipe.weights()[0]` scales
+        /// [`Request::ct`], `recipe.weights()[i + 1]` scales `extra[i]`.
+        recipe: GateRecipe,
+        /// The gate inputs after the first.
+        extra: Vec<LweCiphertext>,
     },
     /// Linear-combination preamble then LUT: computes
     /// `weights[0]·ct + Σ weights[i+1]·extra[i] + offset` on the small
@@ -253,6 +256,8 @@ pub struct Epoch {
 
 #[cfg(test)]
 mod tests {
+    use strix_tfhe::boolean::BinaryGate;
+
     use super::*;
 
     #[test]
@@ -261,7 +266,10 @@ mod tests {
         assert!(RequestOp::Lut(Arc::clone(&lut)).is_pbs());
         assert!(RequestOp::Bootstrap(Arc::clone(&lut)).is_pbs());
         assert!(!RequestOp::Keyswitch.is_pbs());
-        let gate = RequestOp::Gate { gate: BinaryGate::And, other: LweCiphertext::trivial(4, 0) };
+        let gate = RequestOp::Gate {
+            recipe: BinaryGate::And.recipe(),
+            extra: vec![LweCiphertext::trivial(4, 0)],
+        };
         assert!(gate.is_pbs() && gate.is_fused_linear());
         let lin = RequestOp::LinearLut { weights: vec![1], extra: vec![], offset: 0, lut };
         assert!(lin.is_pbs() && lin.is_fused_linear());
@@ -274,7 +282,11 @@ mod tests {
         assert_eq!(RequestOp::Lut(Arc::clone(&lut)).class(), RequestClass::Lut);
         assert_eq!(RequestOp::Keyswitch.class(), RequestClass::Keyswitch);
         assert_eq!(
-            RequestOp::Gate { gate: BinaryGate::Xor, other: LweCiphertext::trivial(4, 0) }.class(),
+            RequestOp::Gate {
+                recipe: BinaryGate::Xor.recipe(),
+                extra: vec![LweCiphertext::trivial(4, 0)]
+            }
+            .class(),
             RequestClass::Gate
         );
         for (i, class) in RequestClass::ALL.into_iter().enumerate() {

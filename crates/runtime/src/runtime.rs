@@ -280,6 +280,7 @@ impl Runtime {
             dispatcher: Arc::clone(&self.dispatcher),
             registry: Arc::clone(&self.registry),
             tracer: Arc::clone(&self.tracer),
+            metrics: Arc::clone(&self.metrics),
             admission: self.admission.clone(),
             rx,
             next_submit: 0,
@@ -360,6 +361,7 @@ pub struct ClientHandle {
     dispatcher: Arc<Dispatcher>,
     registry: Arc<ClientRegistry>,
     tracer: Arc<Tracer>,
+    metrics: Arc<MetricsSink>,
     admission: Option<Arc<AdmissionPolicy>>,
     rx: Receiver<Response>,
     next_submit: u64,
@@ -383,6 +385,12 @@ impl ClientHandle {
     /// checks every program against it before submitting anything.
     pub fn admission(&self) -> Option<&AdmissionPolicy> {
         self.admission.as_deref()
+    }
+
+    /// Counts the bootstraps a program session saves by running its
+    /// lowered form into the runtime report.
+    pub(crate) fn record_lowering(&self, removed: usize) {
+        self.metrics.record_lowering(removed);
     }
 
     /// Submits a request into its tenant's open batch, blocking while

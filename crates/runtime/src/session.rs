@@ -17,10 +17,22 @@
 //! A [`Program`] is a DAG over [`Wire`]s (program inputs or node
 //! outputs) with three node kinds:
 //!
-//! * a two-input boolean gate ([`RequestOp::Gate`]) — one epoch slot,
+//! * a sign-LUT gate ([`RequestOp::Gate`]) over 1–3 boolean inputs —
+//!   one epoch slot; the builder emits two-input [`BinaryGate`]s,
 //! * a linear-combination preamble plus LUT ([`RequestOp::LinearLut`])
 //!   — one epoch slot per Deep-NN neuron,
 //! * NOT — a free local negation, no runtime round trip.
+//!
+//! **Lowering.** Every program also has a bootstrap-minimised form
+//! ([`Program::lowered`], built once on first use by the runtime's
+//! lowering pass): gate cones with at most three
+//! leaves collapse into one sign-LUT gate each, so a full adder runs two
+//! bootstraps instead of five. Which form runs is the admission
+//! policy's choice ([`AdmissionPolicy::admit`]): the lowered form if its
+//! predicted noise margin clears the threshold, the program as built
+//! otherwise. The choice is recorded on the program, and a
+//! [`ProgramSession`] and [`Program::run_sync`] both run the recorded
+//! form; any builder call discards the lowered form and the choice.
 //!
 //! [`Program::run_sync`] is the synchronous reference execution over a
 //! [`ServerKey`]; it performs the same linear-preamble → bootstrap →
@@ -29,15 +41,18 @@
 //! the sequential one by construction).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock};
 
-use strix_tfhe::boolean::{gate_sign_lut, BinaryGate};
+use strix_tfhe::boolean::{gate_sign_lut, BinaryGate, GateRecipe};
 use strix_tfhe::bootstrap::Lut;
 use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::ServerKey;
 
+use crate::analyzer::AdmissionPolicy;
 use crate::error::RuntimeError;
 use crate::executor::linear_preamble;
+use crate::lowering::{self, Lowered};
 use crate::request::{RequestOp, Response};
 use crate::runtime::ClientHandle;
 
@@ -53,8 +68,9 @@ pub enum Wire {
 
 #[derive(Clone, Debug)]
 pub(crate) enum NodeOp {
-    /// Two-input boolean gate: one runtime request.
-    Gate(BinaryGate),
+    /// Sign-LUT gate over the node's 1–3 boolean inputs: one runtime
+    /// request.
+    Gate(GateRecipe),
     /// Local negation: resolved without a runtime round trip.
     Not,
     /// `Σ weights[i]·inputs[i] + offset`, then `lut`, then keyswitch:
@@ -68,6 +84,27 @@ pub(crate) struct Node {
     pub(crate) inputs: Vec<Wire>,
 }
 
+/// `Forms::choice` values beyond the default 0 (nothing admitted yet).
+const AS_BUILT: u8 = 1;
+const LOWERED: u8 = 2;
+
+/// A program's derived forms: the lowered form, built on first use,
+/// and the form admission last chose. Builder calls reset both.
+#[derive(Debug, Default)]
+struct Forms {
+    lowered: OnceLock<Option<Box<Lowered>>>,
+    choice: AtomicU8,
+}
+
+impl Clone for Forms {
+    fn clone(&self) -> Self {
+        Self {
+            lowered: self.lowered.clone(),
+            choice: AtomicU8::new(self.choice.load(Ordering::Relaxed)),
+        }
+    }
+}
+
 /// A dependency-carrying multi-stage homomorphic program: a DAG of
 /// gate / linear-LUT / NOT nodes over encrypted inputs.
 ///
@@ -79,12 +116,13 @@ pub struct Program {
     input_count: usize,
     pub(crate) nodes: Vec<Node>,
     outputs: Vec<Wire>,
+    forms: Forms,
 }
 
 impl Program {
     /// A program over `input_count` encrypted inputs.
     pub fn new(input_count: usize) -> Self {
-        Self { input_count, nodes: Vec::new(), outputs: Vec::new() }
+        Self { input_count, nodes: Vec::new(), outputs: Vec::new(), forms: Forms::default() }
     }
 
     /// Number of encrypted inputs the program expects.
@@ -119,6 +157,14 @@ impl Program {
         assert!(valid, "wire {w:?} does not exist yet in this program");
     }
 
+    /// Appends a node over existing wires, discarding the derived
+    /// forms (the lowered program and admission's choice).
+    pub(crate) fn push_node(&mut self, op: NodeOp, inputs: Vec<Wire>) -> Wire {
+        self.forms = Forms::default();
+        self.nodes.push(Node { op, inputs });
+        Wire::Node(self.nodes.len() - 1)
+    }
+
     /// Appends a two-input boolean gate node.
     ///
     /// # Panics
@@ -128,8 +174,7 @@ impl Program {
     pub fn gate(&mut self, gate: BinaryGate, a: Wire, b: Wire) -> Wire {
         self.check_wire(a);
         self.check_wire(b);
-        self.nodes.push(Node { op: NodeOp::Gate(gate), inputs: vec![a, b] });
-        Wire::Node(self.nodes.len() - 1)
+        self.push_node(NodeOp::Gate(gate.recipe()), vec![a, b])
     }
 
     /// Appends a free NOT node (no runtime request).
@@ -139,8 +184,7 @@ impl Program {
     /// Panics if the wire does not exist yet.
     pub fn not(&mut self, a: Wire) -> Wire {
         self.check_wire(a);
-        self.nodes.push(Node { op: NodeOp::Not, inputs: vec![a] });
-        Wire::Node(self.nodes.len() - 1)
+        self.push_node(NodeOp::Not, vec![a])
     }
 
     /// Appends a linear-combination + LUT node:
@@ -164,8 +208,7 @@ impl Program {
         for &w in &inputs {
             self.check_wire(w);
         }
-        self.nodes.push(Node { op: NodeOp::LinearLut { weights, offset, lut }, inputs });
-        Wire::Node(self.nodes.len() - 1)
+        self.push_node(NodeOp::LinearLut { weights, offset, lut }, inputs)
     }
 
     /// Declares `wire` as the next program output.
@@ -175,7 +218,72 @@ impl Program {
     /// Panics if the wire does not exist yet.
     pub fn output(&mut self, wire: Wire) {
         self.check_wire(wire);
+        self.forms = Forms::default();
         self.outputs.push(wire);
+    }
+
+    fn lowering(&self) -> Option<&Lowered> {
+        self.forms.lowered.get_or_init(|| lowering::lower(self).map(Box::new)).as_deref()
+    }
+
+    /// The program's bootstrap-minimised form: the same inputs and
+    /// outputs, with every gate cone of at most three leaves that one
+    /// sign-LUT recipe computes collapsed into a single gate, and never a
+    /// longer bootstrap chain. `self` when lowering improves nothing.
+    /// Built once, on first use.
+    pub fn lowered(&self) -> &Program {
+        self.lowering().map_or(self, |l| &l.program)
+    }
+
+    /// Live bootstraps one run of [`Self::lowered`] saves over the
+    /// program as built.
+    pub fn bootstraps_removed(&self) -> usize {
+        self.lowering().map_or(0, |l| l.removed)
+    }
+
+    /// Records which form admission chose, for the sessions and
+    /// synchronous runs that follow.
+    pub(crate) fn record_choice(&self, lowered: bool) {
+        self.forms.choice.store(if lowered { LOWERED } else { AS_BUILT }, Ordering::Relaxed);
+    }
+
+    /// The form admission last chose, `None` before any admission.
+    pub(crate) fn chosen_form(&self) -> Option<&Program> {
+        match self.forms.choice.load(Ordering::Relaxed) {
+            LOWERED => Some(self.lowered()),
+            AS_BUILT => Some(self),
+            _ => None,
+        }
+    }
+
+    /// Plaintext reference evaluation over boolean inputs: every live
+    /// gate through its recipe's sign decision, every NOT as negation.
+    /// `None` if the input count mismatches or a live node is a linear
+    /// LUT (whose messages are not booleans).
+    pub fn evaluate_plain(&self, inputs: &[bool]) -> Option<Vec<bool>> {
+        if inputs.len() != self.input_count {
+            return None;
+        }
+        let needed = self.needed_nodes();
+        let mut values = vec![false; self.nodes.len()];
+        let value = |values: &[bool], w: Wire| match w {
+            Wire::Input(i) => inputs[i],
+            Wire::Node(n) => values[n],
+        };
+        for (i, node) in self.nodes.iter().enumerate() {
+            if !needed[i] {
+                continue;
+            }
+            values[i] = match &node.op {
+                NodeOp::Not => !value(&values, node.inputs[0]),
+                NodeOp::Gate(recipe) => {
+                    let bits: Vec<bool> = node.inputs.iter().map(|&w| value(&values, w)).collect();
+                    recipe.eval(&bits)
+                }
+                NodeOp::LinearLut { .. } => return None,
+            };
+        }
+        Some(self.outputs.iter().map(|&w| value(&values, w)).collect())
     }
 
     /// Marks the nodes the output set transitively depends on. Both
@@ -211,6 +319,12 @@ impl Program {
     /// [`TfheExecutor`](crate::executor::TfheExecutor) built on the
     /// same key.
     ///
+    /// It runs the form admission chose ([`Self::lowered`] or the
+    /// program as built). Before any admission it makes that choice
+    /// itself, with the policy a `TfheExecutor` on `server` would admit
+    /// with, and records it; a program that policy refuses runs as
+    /// built.
+    ///
     /// # Errors
     ///
     /// [`RuntimeError::Program`] if `inputs` mismatches the program's
@@ -224,6 +338,18 @@ impl Program {
         if inputs.len() != self.input_count {
             return Err(RuntimeError::Program("input count mismatch"));
         }
+        let form = match self.chosen_form() {
+            Some(form) => form,
+            None => AdmissionPolicy::for_server(server).choose(self).map_or(self, |(form, _)| form),
+        };
+        form.execute_sync(server, inputs)
+    }
+
+    fn execute_sync(
+        &self,
+        server: &ServerKey,
+        inputs: &[LweCiphertext],
+    ) -> Result<Vec<LweCiphertext>, RuntimeError> {
         let sign = gate_sign_lut(server.params().polynomial_size);
         let needed = self.needed_nodes();
         let mut values: Vec<Option<LweCiphertext>> = vec![None; self.nodes.len()];
@@ -239,34 +365,25 @@ impl Program {
                         .ok_or(RuntimeError::Program("needed node referenced before it resolved")),
                 }
             };
-            let out = match &node.op {
+            let (weights, offset, lut) = match &node.op {
                 NodeOp::Not => {
                     let mut ct = value_of(node.inputs[0])?.clone();
                     ct.negate();
-                    ct
+                    values[idx] = Some(ct);
+                    continue;
                 }
-                NodeOp::Gate(gate) => {
-                    let recipe = gate.recipe();
-                    let sum = linear_preamble(
-                        value_of(node.inputs[0])?,
-                        &recipe.weights(),
-                        std::slice::from_ref(value_of(node.inputs[1])?),
-                        recipe.offset(),
-                    )?;
-                    let boot = server.bootstrap_key().bootstrap(&sum, &sign)?;
-                    server.keyswitch_key().keyswitch(&boot)?
-                }
+                NodeOp::Gate(recipe) => (recipe.weights(), recipe.offset(), &sign),
                 NodeOp::LinearLut { weights, offset, lut } => {
-                    let extra: Vec<LweCiphertext> = node.inputs[1..]
-                        .iter()
-                        .map(|&w| Ok(value_of(w)?.clone()))
-                        .collect::<Result<_, RuntimeError>>()?;
-                    let sum = linear_preamble(value_of(node.inputs[0])?, weights, &extra, *offset)?;
-                    let boot = server.bootstrap_key().bootstrap(&sum, lut)?;
-                    server.keyswitch_key().keyswitch(&boot)?
+                    (weights.as_slice(), *offset, lut.as_ref())
                 }
             };
-            values[idx] = Some(out);
+            let extra: Vec<LweCiphertext> = node.inputs[1..]
+                .iter()
+                .map(|&w| Ok(value_of(w)?.clone()))
+                .collect::<Result<_, RuntimeError>>()?;
+            let sum = linear_preamble(value_of(node.inputs[0])?, weights, &extra, offset)?;
+            let boot = server.bootstrap_key().bootstrap(&sum, lut)?;
+            values[idx] = Some(server.keyswitch_key().keyswitch(&boot)?);
         }
         self.outputs
             .iter()
@@ -343,6 +460,9 @@ impl Program {
 /// runtime.shutdown();
 /// ```
 pub struct ProgramSession<'p> {
+    /// The program as built: what admission vets.
+    source: &'p Program,
+    /// The form being run: `source` or its lowered form.
     program: &'p Program,
     inputs: Vec<LweCiphertext>,
     node_values: Vec<Option<LweCiphertext>>,
@@ -360,14 +480,18 @@ pub struct ProgramSession<'p> {
     in_flight: HashMap<u64, usize>,
     /// Needed nodes not yet resolved.
     outstanding_nodes: usize,
-    /// Whether the handle's admission policy has vetted this program.
-    /// Checked once, on the first `submit_ready`, *before* anything is
-    /// enqueued — a rejected program never reaches the dispatcher.
+    /// Whether the handle's admission policy has vetted this program
+    /// and chosen its form. Checked once, on the first `submit_ready`,
+    /// *before* anything is enqueued — a rejected program never reaches
+    /// the dispatcher.
     admission_checked: bool,
 }
 
 impl<'p> ProgramSession<'p> {
-    /// Binds a program to its input ciphertexts.
+    /// Binds a program to its input ciphertexts. The session starts on
+    /// the form admission last chose for the program (as built if
+    /// none); the handle's admission policy confirms or switches it on
+    /// the first [`Self::submit_ready`].
     ///
     /// # Errors
     ///
@@ -377,39 +501,49 @@ impl<'p> ProgramSession<'p> {
         if inputs.len() != program.input_count {
             return Err(RuntimeError::Program("input count mismatch"));
         }
-        let n = program.nodes.len();
-        let needed = program.needed_nodes();
-        let mut unresolved = vec![0usize; n];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut ready = Vec::new();
-        let mut outstanding_nodes = 0;
-        for (i, node) in program.nodes.iter().enumerate() {
+        let form = program.chosen_form().unwrap_or(program);
+        let mut session = Self {
+            source: program,
+            program: form,
+            inputs,
+            node_values: Vec::new(),
+            unresolved: Vec::new(),
+            dependents: Vec::new(),
+            ready: Vec::new(),
+            in_flight: HashMap::new(),
+            outstanding_nodes: 0,
+            admission_checked: false,
+        };
+        session.bind(form);
+        Ok(session)
+    }
+
+    /// Builds the dataflow state for running `form`. Only called before
+    /// anything is submitted.
+    fn bind(&mut self, form: &'p Program) {
+        let n = form.nodes.len();
+        let needed = form.needed_nodes();
+        self.program = form;
+        self.node_values = vec![None; n];
+        self.unresolved = vec![0usize; n];
+        self.dependents = vec![Vec::new(); n];
+        self.ready.clear();
+        self.outstanding_nodes = 0;
+        for (i, node) in form.nodes.iter().enumerate() {
             if !needed[i] {
                 continue;
             }
-            outstanding_nodes += 1;
+            self.outstanding_nodes += 1;
             for &w in &node.inputs {
                 if let Wire::Node(j) = w {
-                    unresolved[i] += 1;
-                    dependents[j].push(i);
+                    self.unresolved[i] += 1;
+                    self.dependents[j].push(i);
                 }
             }
-            if unresolved[i] == 0 {
-                ready.push(i);
+            if self.unresolved[i] == 0 {
+                self.ready.push(i);
             }
         }
-
-        Ok(Self {
-            program,
-            inputs,
-            node_values: vec![None; n],
-            unresolved,
-            dependents,
-            ready,
-            in_flight: HashMap::new(),
-            outstanding_nodes,
-            admission_checked: false,
-        })
     }
 
     fn wire_value(&self, w: Wire) -> Result<&LweCiphertext, RuntimeError> {
@@ -440,53 +574,60 @@ impl<'p> ProgramSession<'p> {
     /// unblock further nodes within the same call), gate and
     /// linear-LUT nodes become runtime requests.
     ///
+    /// On the first call the handle's admission policy (if any) picks
+    /// the form to run — lowered if it clears the threshold, else as
+    /// built — and a lowered run adds the bootstraps it saves to the
+    /// runtime report.
+    ///
     /// # Errors
     ///
     /// [`RuntimeError::NoiseBudgetExceeded`] if the handle carries an
-    /// admission policy and the program's predicted noise margin falls
-    /// below its threshold (checked once, before anything is enqueued);
+    /// admission policy and neither form's predicted noise margin
+    /// clears its threshold (checked once, before anything is enqueued);
     /// [`RuntimeError::Shutdown`] if the runtime stopped accepting
     /// requests.
     pub fn submit_ready(&mut self, handle: &mut ClientHandle) -> Result<(), RuntimeError> {
         if !self.admission_checked {
-            if let Some(policy) = handle.admission() {
-                policy.admit(self.program)?;
+            let form = match handle.admission() {
+                Some(policy) => policy.choose(self.source)?.0,
+                None => self.source.chosen_form().unwrap_or(self.source),
+            };
+            if !std::ptr::eq(form, self.program) {
+                self.bind(form);
+            }
+            if !std::ptr::eq(form, self.source) {
+                handle.record_lowering(self.source.bootstraps_removed());
             }
             self.admission_checked = true;
         }
+        let program = self.program;
         while let Some(n) = self.ready.pop() {
-            match &self.program.nodes[n].op {
+            let node = &program.nodes[n];
+            let ct = self.wire_value(node.inputs[0])?.clone();
+            let op = match &node.op {
                 NodeOp::Not => {
-                    let mut ct = self.wire_value(self.program.nodes[n].inputs[0])?.clone();
+                    let mut ct = ct;
                     ct.negate();
                     self.resolve(n, ct);
+                    continue;
                 }
-                NodeOp::Gate(gate) => {
-                    let node = &self.program.nodes[n];
-                    let ct = self.wire_value(node.inputs[0])?.clone();
-                    let other = self.wire_value(node.inputs[1])?.clone();
-                    let seq = handle.submit(ct, RequestOp::Gate { gate: *gate, other })?;
-                    self.in_flight.insert(seq, n);
-                }
-                NodeOp::LinearLut { weights, offset, lut } => {
-                    let node = &self.program.nodes[n];
-                    let ct = self.wire_value(node.inputs[0])?.clone();
-                    let extra: Vec<LweCiphertext> = node.inputs[1..]
-                        .iter()
-                        .map(|&w| Ok(self.wire_value(w)?.clone()))
-                        .collect::<Result<_, RuntimeError>>()?;
-                    let op = RequestOp::LinearLut {
-                        weights: weights.clone(),
-                        extra,
-                        offset: *offset,
-                        lut: Arc::clone(lut),
-                    };
-                    let seq = handle.submit(ct, op)?;
-                    self.in_flight.insert(seq, n);
-                }
-            }
+                NodeOp::Gate(recipe) => RequestOp::Gate { recipe: *recipe, extra: self.extra(n)? },
+                NodeOp::LinearLut { weights, offset, lut } => RequestOp::LinearLut {
+                    weights: weights.clone(),
+                    extra: self.extra(n)?,
+                    offset: *offset,
+                    lut: Arc::clone(lut),
+                },
+            };
+            let seq = handle.submit(ct, op)?;
+            self.in_flight.insert(seq, n);
         }
         Ok(())
+    }
+
+    /// The values of node `n`'s inputs after the first.
+    fn extra(&self, n: usize) -> Result<Vec<LweCiphertext>, RuntimeError> {
+        self.program.nodes[n].inputs[1..].iter().map(|&w| Ok(self.wire_value(w)?.clone())).collect()
     }
 
     /// Routes one response back into its pending node.

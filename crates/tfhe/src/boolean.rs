@@ -59,33 +59,87 @@ impl ClientKey {
     }
 }
 
-/// The linear pre-processing of a binary gate: `w1·c1 + w2·c2 + offset`.
+/// The most boolean inputs one sign-LUT gate recipe combines.
+pub const MAX_RECIPE_INPUTS: usize = 3;
+
+/// Largest weight magnitude [`GateRecipe::for_truth_table`] tries: the
+/// linear gain `Σ wᵢ²` grows with the square, so wider weights buy
+/// nothing a three-input table needs.
+const MAX_RECIPE_WEIGHT: i64 = 2;
+
+/// The linear pre-processing of a sign-LUT gate over 1–3 boolean
+/// inputs: `Σ wᵢ·cᵢ + offset`, the offset in eighths of the torus.
 ///
 /// Recipes are public so schedulers can evaluate a gate as one batched
 /// runtime request (linear preamble, then the shared [`gate_sign_lut`]
 /// bootstrap, then keyswitch) instead of calling [`ServerKey`] methods
-/// synchronously.
+/// synchronously. Every [`BinaryGate`] has a two-input recipe; a
+/// program lowering pass can match wider ones (majority, three-way
+/// parity) with [`GateRecipe::for_truth_table`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GateRecipe {
-    /// Weight of the first input ciphertext.
-    pub w1: i64,
-    /// Weight of the second input ciphertext.
-    pub w2: i64,
-    /// Offset numerator in eighths of the torus.
-    pub offset_eighths: i64,
+    weights: [i64; MAX_RECIPE_INPUTS],
+    arity: usize,
+    offset_eighths: i64,
 }
 
 impl GateRecipe {
+    const fn pair(w1: i64, w2: i64, offset_eighths: i64) -> Self {
+        Self { weights: [w1, w2, 0], arity: 2, offset_eighths }
+    }
+
+    /// The per-input weights, one per input ciphertext.
+    #[inline]
+    pub fn weights(&self) -> &[i64] {
+        &self.weights[..self.arity]
+    }
+
+    /// The constant offset, in eighths of the torus.
+    #[inline]
+    pub fn offset_eighths(&self) -> i64 {
+        self.offset_eighths
+    }
+
     /// The recipe's constant offset as a torus element.
     #[inline]
-    pub fn offset(self) -> u64 {
+    pub fn offset(&self) -> u64 {
         encode_fraction(self.offset_eighths, 3)
     }
 
-    /// The two input weights as a slice-friendly array.
-    #[inline]
-    pub fn weights(self) -> [i64; 2] {
-        [self.w1, self.w2]
+    /// `Σ wᵢ²`: the factor by which the preamble amplifies the noise
+    /// variance of (equally noisy, independent) inputs.
+    pub fn linear_gain(&self) -> i64 {
+        self.weights().iter().map(|w| w * w).sum()
+    }
+
+    /// Noiseless preamble phase, in eighths of the torus, for the
+    /// input pattern whose bit `i` is input `i` (inputs encode at
+    /// ±1/8).
+    fn phase_eighths(&self, pattern: usize) -> i64 {
+        let sum: i64 = self
+            .weights()
+            .iter()
+            .enumerate()
+            .map(|(i, w)| if (pattern >> i) & 1 == 1 { *w } else { -*w })
+            .sum();
+        sum + self.offset_eighths
+    }
+
+    /// The plaintext value the sign-LUT bootstrap decides for one
+    /// input pattern: true iff the noiseless phase lies in the
+    /// positive half-torus `(0, 1/2)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len()` differs from the recipe's arity.
+    pub fn eval(&self, inputs: &[bool]) -> bool {
+        assert_eq!(inputs.len(), self.arity, "one boolean per recipe input");
+        let pattern = inputs.iter().enumerate().map(|(i, &b)| usize::from(b) << i).sum();
+        self.eval_pattern(pattern)
+    }
+
+    fn eval_pattern(&self, pattern: usize) -> bool {
+        matches!(self.phase_eighths(pattern).rem_euclid(8), 1..=3)
     }
 
     /// Worst-case distance from this recipe's noiseless output phase to
@@ -93,25 +147,76 @@ impl GateRecipe {
     /// numerator of the recipe's noise margin.
     ///
     /// The sign LUT decides on half-torus boxes, so its boundaries sit
-    /// at 0 and 1/2. Unit-weight recipes (AND, OR, NAND, NOR) place
-    /// every outcome ±1/8 from a boundary; the ±2-weight recipes (XOR,
-    /// XNOR) double the noise amplitude but also place their outcomes
-    /// ±1/4 from a boundary, which is why all six gates share one noise
-    /// budget. Computed by enumerating the four input combinations
-    /// rather than hard-coded, so a new recipe is automatically scored
-    /// by what its offsets actually achieve.
-    pub fn decision_distance(self) -> f64 {
-        let mut min_distance = f64::INFINITY;
-        for (a, b) in [(-1i64, -1i64), (-1, 1), (1, -1), (1, 1)] {
-            // Noiseless phase in eighths of the torus: inputs encode at
-            // ±1/8.
-            let eighths = self.w1 * a + self.w2 * b + self.offset_eighths;
-            // Distance to the nearest multiple of 1/2 (= 4 eighths).
-            let within_box = eighths.rem_euclid(4);
-            let distance_eighths = within_box.min(4 - within_box);
-            min_distance = min_distance.min(distance_eighths as f64 / 8.0);
+    /// at 0 and 1/2. Unit-weight recipes (AND, OR, NAND, NOR, majority)
+    /// place every outcome ±1/8 from a boundary; the ±2-weight recipes
+    /// (XOR, XNOR, three-way parity) amplify the noise but also place
+    /// their outcomes ±1/4 from a boundary. Computed by enumerating
+    /// every input pattern rather than hard-coded, so a new recipe is
+    /// automatically scored by what its offsets actually achieve.
+    pub fn decision_distance(&self) -> f64 {
+        let eighths = (0..1usize << self.arity)
+            .map(|p| {
+                // Distance to the nearest multiple of 1/2 (= 4 eighths).
+                let within_box = self.phase_eighths(p).rem_euclid(4);
+                within_box.min(4 - within_box)
+            })
+            .min()
+            .unwrap_or(0);
+        eighths as f64 / 8.0
+    }
+
+    /// The best recipe computing a boolean function of `arity` inputs,
+    /// given as a truth table whose bit `p` is the output for the input
+    /// pattern `p` (bit `i` of `p` is input `i`).
+    ///
+    /// Searches integer weights `1 ≤ |wᵢ| ≤ 2` and every offset in
+    /// eighths. A candidate is accepted only if each output value's
+    /// phases lie strictly inside that value's half-torus box, so no
+    /// pattern sits on a decision boundary; a function whose true (or
+    /// false) patterns would have to spread over more than half the
+    /// torus — AND3, OR3 — has no recipe and is refused. Among the
+    /// accepted candidates the one with the largest noise margin for
+    /// equally noisy inputs (`distance² / Σ wᵢ²`) wins, ties going to
+    /// the smaller gain.
+    ///
+    /// Returns `None` if `arity` is outside `1..=MAX_RECIPE_INPUTS`,
+    /// the table has bits beyond `2^arity`, or no recipe exists.
+    pub fn for_truth_table(arity: usize, table: u8) -> Option<Self> {
+        if arity == 0 || arity > MAX_RECIPE_INPUTS || u32::from(table) >> (1u32 << arity) != 0 {
+            return None;
         }
-        min_distance
+        let span = 2 * MAX_RECIPE_WEIGHT + 1;
+        let mut best: Option<(Self, f64)> = None;
+        for code in 0..span.pow(arity as u32) {
+            let mut weights = [0i64; MAX_RECIPE_INPUTS];
+            let mut rest = code;
+            for w in weights.iter_mut().take(arity) {
+                *w = rest % span - MAX_RECIPE_WEIGHT;
+                rest /= span;
+            }
+            if weights[..arity].contains(&0) {
+                continue;
+            }
+            for offset_eighths in -4..4 {
+                let recipe = Self { weights, arity, offset_eighths };
+                let matches = (0..1usize << arity).all(|p| {
+                    recipe.phase_eighths(p).rem_euclid(4) != 0
+                        && recipe.eval_pattern(p) == ((table >> p) & 1 == 1)
+                });
+                if !matches {
+                    continue;
+                }
+                let distance = recipe.decision_distance();
+                let score = distance * distance / recipe.linear_gain() as f64;
+                let better = best.is_none_or(|(b, s)| {
+                    score > s || (score == s && recipe.linear_gain() < b.linear_gain())
+                });
+                if better {
+                    best = Some((recipe, score));
+                }
+            }
+        }
+        best.map(|(recipe, _)| recipe)
     }
 }
 
@@ -146,12 +251,12 @@ impl BinaryGate {
     /// The gate's linear pre-processing recipe.
     pub fn recipe(self) -> GateRecipe {
         match self {
-            BinaryGate::And => GateRecipe { w1: 1, w2: 1, offset_eighths: -1 },
-            BinaryGate::Or => GateRecipe { w1: 1, w2: 1, offset_eighths: 1 },
-            BinaryGate::Nand => GateRecipe { w1: -1, w2: -1, offset_eighths: 1 },
-            BinaryGate::Nor => GateRecipe { w1: -1, w2: -1, offset_eighths: -1 },
-            BinaryGate::Xor => GateRecipe { w1: 2, w2: 2, offset_eighths: 2 },
-            BinaryGate::Xnor => GateRecipe { w1: -2, w2: -2, offset_eighths: -2 },
+            BinaryGate::And => GateRecipe::pair(1, 1, -1),
+            BinaryGate::Or => GateRecipe::pair(1, 1, 1),
+            BinaryGate::Nand => GateRecipe::pair(-1, -1, 1),
+            BinaryGate::Nor => GateRecipe::pair(-1, -1, -1),
+            BinaryGate::Xor => GateRecipe::pair(2, 2, 2),
+            BinaryGate::Xnor => GateRecipe::pair(-2, -2, -2),
         }
     }
 
@@ -200,9 +305,9 @@ impl ServerKey {
         b: &BoolCiphertext,
     ) -> Result<LweCiphertext, TfheError> {
         let mut acc = a.ct.clone();
-        acc.scalar_mul_assign(recipe.w1);
-        acc.add_scaled_assign(&b.ct, recipe.w2)?;
-        acc.plaintext_add_assign(encode_fraction(recipe.offset_eighths, 3));
+        acc.scalar_mul_assign(recipe.weights[0]);
+        acc.add_scaled_assign(&b.ct, recipe.weights[1])?;
+        acc.plaintext_add_assign(recipe.offset());
         Ok(acc)
     }
 
@@ -402,6 +507,60 @@ mod tests {
         assert_eq!(and.offset(), (1u64 << 61).wrapping_neg());
         assert_eq!(BinaryGate::Or.recipe().offset(), 1u64 << 61);
         assert_eq!(BinaryGate::Xor.to_string(), "xor");
+    }
+
+    /// Truth table of a three-input function, bit `p` = `f(pattern p)`.
+    fn table3(f: impl Fn(bool, bool, bool) -> bool) -> u8 {
+        (0..8).filter(|&p| f(p & 1 == 1, p & 2 == 2, p & 4 == 4)).map(|p| 1u8 << p).sum()
+    }
+
+    #[test]
+    fn majority_and_parity_have_single_bootstrap_recipes() {
+        let maj = GateRecipe::for_truth_table(3, table3(|a, b, c| (a & b) | (c & (a ^ b))))
+            .expect("majority is a sign-LUT function");
+        assert_eq!(maj.linear_gain(), 3);
+        assert_eq!(maj.decision_distance(), 0.125);
+        let parity = GateRecipe::for_truth_table(3, table3(|a, b, c| a ^ b ^ c))
+            .expect("three-way parity is a sign-LUT function");
+        assert_eq!(parity.linear_gain(), 12);
+        assert_eq!(parity.decision_distance(), 0.25);
+        assert_eq!(parity.weights(), [-2, -2, -2]);
+    }
+
+    #[test]
+    fn and3_and_or3_are_refused() {
+        assert_eq!(GateRecipe::for_truth_table(3, table3(|a, b, c| a & b & c)), None);
+        assert_eq!(GateRecipe::for_truth_table(3, table3(|a, b, c| a | b | c)), None);
+    }
+
+    #[test]
+    fn every_emitted_recipe_reproduces_its_truth_table() {
+        for arity in 1..=MAX_RECIPE_INPUTS {
+            let patterns = 1usize << arity;
+            for table in 0..(1u16 << patterns) {
+                let Some(recipe) = GateRecipe::for_truth_table(arity, table as u8) else {
+                    continue;
+                };
+                assert_eq!(recipe.weights().len(), arity);
+                assert!(recipe.decision_distance() >= 0.125, "{recipe:?}");
+                for p in 0..patterns {
+                    let inputs: Vec<bool> = (0..arity).map(|i| (p >> i) & 1 == 1).collect();
+                    assert_eq!(recipe.eval(&inputs), (table >> p) & 1 == 1, "{recipe:?} at {p}");
+                }
+            }
+        }
+        assert_eq!(GateRecipe::for_truth_table(0, 1), None);
+        assert_eq!(GateRecipe::for_truth_table(2, 0x10), None, "table wider than 2^arity");
+    }
+
+    #[test]
+    fn binary_gate_recipes_evaluate_their_truth_tables() {
+        for gate in BinaryGate::ALL {
+            let recipe = gate.recipe();
+            for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
+                assert_eq!(recipe.eval(&[a, b]), gate.eval(a, b), "{gate}({a}, {b})");
+            }
+        }
     }
 
     #[test]

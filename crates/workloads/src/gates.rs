@@ -199,6 +199,12 @@ pub fn greater_than(
 /// the whole point of streaming circuits instead of running them
 /// synchronously.
 ///
+/// The builder emits one request per gate — 17 at depth 7 for 4 bits —
+/// but the runtime runs the program's lowered form
+/// ([`Program::lowered`]) whenever admission clears it: each full adder
+/// becomes one majority and one three-way parity bootstrap, 8 requests
+/// at depth 4 for 4 bits.
+///
 /// # Panics
 ///
 /// Panics if `bits == 0`.

@@ -11,7 +11,9 @@
 //!    the synchronous reference executor (and the grouped multi-bit
 //!    kernel runs through its key directly); over hundreds of samples
 //!    the measured output-error standard deviation must land within
-//!    [0.8, 1.25]× of the analyzer's prediction, for both kernels.
+//!    [0.8, 1.25]× of the analyzer's prediction, for both kernels. The
+//!    lowered full adder pins the k-input gate rule the same way: the
+//!    majority and three-way parity nodes' preamble and output noise.
 //!
 //! Plus the admission regression: a program the analyzer rejects must
 //! fail with [`RuntimeError::NoiseBudgetExceeded`] *before* any
@@ -28,8 +30,8 @@ use strix::runtime::{
     AdmissionPolicy, KernelPolicy, Runtime, RuntimeConfig, RuntimeError, TfheExecutor,
     DEFAULT_THRESHOLD_SIGMAS,
 };
-use strix::tfhe::boolean::BinaryGate;
-use strix::tfhe::bootstrap::{decode_bool, Lut, PbsJob};
+use strix::tfhe::boolean::{BinaryGate, GateRecipe};
+use strix::tfhe::bootstrap::{decode_bool, encode_bool, Lut, PbsJob};
 use strix::tfhe::lwe::LweCiphertext;
 use strix::tfhe::noise::{
     error_std, fresh_lwe_variance, linear_combination_variance, lut_decision_distance,
@@ -209,6 +211,73 @@ fn analyzer_matches_measured_noise_under_multi_bit_kernel() {
             })
             .collect();
         assert_within_band(error_std(&errors), predicted, &format!("multi-bit g={g} + ks"));
+    }
+}
+
+#[test]
+fn analyzer_matches_measured_noise_on_lowered_majority_and_parity_nodes() {
+    // A full adder lowers to a three-way parity (sum) and a majority
+    // (carry), each one bootstrap over the three fresh inputs. For both
+    // nodes the measured std of (a) the recipe's preamble — the
+    // analyzer's linear term, its decision variance less the
+    // modulus-switch rounding — and (b) the keyswitched output must sit
+    // in the band around the prediction.
+    let params = TfheParameters::testing_fast();
+    let (mut client, server) = generate_keys(&params, 0x5EED_C000);
+    let mut program = Program::new(3);
+    let (a, b, cin) = (Wire::Input(0), Wire::Input(1), Wire::Input(2));
+    let ab = program.gate(BinaryGate::Xor, a, b);
+    let sum = program.gate(BinaryGate::Xor, ab, cin);
+    let t1 = program.gate(BinaryGate::And, a, b);
+    let t2 = program.gate(BinaryGate::And, ab, cin);
+    let carry = program.gate(BinaryGate::Or, t1, t2);
+    program.output(sum);
+    program.output(carry);
+    let lowered = program.lowered();
+    let analysis =
+        AdmissionPolicy::new(params.clone(), KernelPolicy::uniform(PbsKernel::Classical))
+            .analyze(lowered);
+    assert_eq!(analysis.reports.len(), 2, "parity + majority");
+
+    let bits = [true, false, true];
+    let inputs: Vec<Vec<LweCiphertext>> = (0..SAMPLES)
+        .map(|_| bits.iter().map(|&v| client.encrypt_bool(v).into_lwe()).collect())
+        .collect();
+    let outputs: Vec<Vec<LweCiphertext>> =
+        inputs.iter().map(|cts| program.run_sync(&server, cts).unwrap()).collect();
+    // (output index, truth table over (a, b, cin), label)
+    for (out, table, label) in [(0usize, 0x96u8, "parity"), (1, 0xE8, "majority")] {
+        let report =
+            analysis.reports.iter().find(|r| lowered.outputs()[out] == Wire::Node(r.node)).unwrap();
+        let recipe = GateRecipe::for_truth_table(3, table).unwrap();
+        assert_eq!(report.linear_gain, recipe.linear_gain() as f64, "{label} gain");
+        assert_eq!(report.decision_distance, recipe.decision_distance(), "{label} distance");
+
+        let pattern = bits.iter().enumerate().map(|(i, &v)| usize::from(v) << i).sum::<usize>();
+        let eighths: i64 =
+            recipe.weights().iter().zip(bits).map(|(w, v)| if v { *w } else { -*w }).sum::<i64>()
+                + recipe.offset_eighths();
+        let expected_phase = strix::tfhe::torus::encode_fraction(eighths, 3);
+        let preamble_errors: Vec<f64> = inputs
+            .iter()
+            .map(|cts| {
+                let mut acc = cts[0].clone();
+                acc.scalar_mul_assign(recipe.weights()[0]);
+                for (ct, &w) in cts[1..].iter().zip(&recipe.weights()[1..]) {
+                    acc.add_scaled_assign(ct, w).unwrap();
+                }
+                acc.plaintext_add_assign(recipe.offset());
+                measure_error(&client, &acc, expected_phase)
+            })
+            .collect();
+        let linear = (report.decision_variance - modswitch_variance(&params)).sqrt();
+        assert_within_band(error_std(&preamble_errors), linear, &format!("{label} preamble"));
+
+        let expected_pt = encode_bool((table >> pattern) & 1 == 1);
+        let output_errors: Vec<f64> =
+            outputs.iter().map(|o| measure_error(&client, &o[out], expected_pt)).collect();
+        let predicted = report.output_variance.sqrt();
+        assert_within_band(error_std(&output_errors), predicted, &format!("{label} output"));
     }
 }
 

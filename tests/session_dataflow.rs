@@ -2,7 +2,9 @@
 //! circuit DAGs and Deep-NN ReLU schedules streamed through the
 //! runtime, epoch-occupancy gains from concurrent circuit clients, and
 //! streamed-vs-synchronous equivalence (including a property test over
-//! random DAGs).
+//! random DAGs), and the bootstrap-minimising lowering: plaintext
+//! equivalence, shape, and the admission policy's fallback to the
+//! program as built.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -11,7 +13,7 @@ use proptest::prelude::*;
 
 use strix::core::BatchGeometry;
 use strix::runtime::session::{Program, ProgramSession, Wire};
-use strix::runtime::{Runtime, RuntimeConfig, TfheExecutor};
+use strix::runtime::{AdmissionPolicy, KernelPolicy, Runtime, RuntimeConfig, TfheExecutor};
 use strix::tfhe::boolean::BinaryGate;
 use strix::tfhe::bootstrap::decode_bool;
 use strix::tfhe::lwe::LweCiphertext;
@@ -234,4 +236,123 @@ proptest! {
 
         prop_assert_eq!(streamed, sync, "random DAG streamed != sync");
     }
+}
+
+/// The analysis of `program` as built under the testing parameters'
+/// classical kernel: live request count, depth and worst margin.
+fn shape(program: &Program) -> (usize, usize, f64) {
+    let params = TfheParameters::testing_fast();
+    let analysis =
+        AdmissionPolicy::new(params, KernelPolicy::uniform(PbsKernel::Classical)).analyze(program);
+    (analysis.reports.len(), analysis.pbs_depth, analysis.worst_margin_sigmas())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Lowering never changes what a gate program computes, and never
+    /// costs more bootstraps or a deeper chain than the program as
+    /// built.
+    #[test]
+    fn lowered_random_dags_are_plaintext_equivalent_and_never_costlier(
+        gates in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..12),
+        not_mask in any::<u8>(),
+    ) {
+        const INPUTS: usize = 3;
+        let program = random_program(&gates, not_mask, INPUTS);
+        let lowered = program.lowered();
+        for pattern in 0..1u8 << INPUTS {
+            let bits: Vec<bool> = (0..INPUTS).map(|i| pattern & (1 << i) != 0).collect();
+            prop_assert_eq!(
+                lowered.evaluate_plain(&bits),
+                program.evaluate_plain(&bits),
+                "inputs {:?}", bits
+            );
+        }
+        let (built_requests, built_depth, _) = shape(&program);
+        let (requests, depth, _) = shape(lowered);
+        prop_assert!(requests <= built_requests, "{} > {} requests", requests, built_requests);
+        prop_assert!(depth <= built_depth, "depth {} > {}", depth, built_depth);
+        prop_assert_eq!(program.bootstraps_removed(), built_requests - requests);
+    }
+}
+
+#[test]
+fn lowered_adder_runs_eight_requests_at_depth_four_and_equality_keeps_seven() {
+    let adder = ripple_carry_adder_program(4);
+    let (requests, depth, _) = shape(&adder);
+    assert_eq!((requests, depth), (17, 7), "the builder is unchanged");
+    let (requests, depth, _) = shape(adder.lowered());
+    assert_eq!((requests, depth), (8, 4), "half adder + three MAJ/parity pairs");
+    assert_eq!(adder.bootstraps_removed(), 9);
+
+    let equality = equality_program(4);
+    assert_eq!(shape(equality.lowered()).0, 7, "no three-leaf cone is a sign-LUT function");
+    assert_eq!(equality.bootstraps_removed(), 0);
+}
+
+/// Runs `program` once streamed through a runtime admitting at
+/// `threshold` and once through `run_sync`, on the same inputs; returns
+/// both outputs and the runtime report.
+fn streamed_and_sync(
+    program: &Program,
+    threshold: f64,
+    bits: &[bool],
+) -> (Vec<LweCiphertext>, Vec<LweCiphertext>, strix::runtime::RuntimeReport) {
+    let (client_key, server_key) = keys().clone();
+    let mut key = client_key;
+    let inputs: Vec<LweCiphertext> = bits.iter().map(|&b| key.encrypt_bool(b).into_lwe()).collect();
+    let runtime = Runtime::start(
+        RuntimeConfig::new(BatchGeometry::explicit(2, 2))
+            .with_max_delay(Duration::from_millis(2))
+            .with_workers(1),
+        TfheExecutor::new(Arc::new(server_key.clone())).with_admission_threshold(threshold),
+    );
+    let mut handle = runtime.client();
+    let streamed = ProgramSession::new(program, inputs.clone()).unwrap().run(&mut handle).unwrap();
+    let report = runtime.shutdown();
+    let sync = program.run_sync(&server_key, &inputs).unwrap();
+    for (ct, want) in streamed.iter().zip(program.evaluate_plain(bits).unwrap()) {
+        assert_eq!(decode_bool(key.decrypt_phase(ct).unwrap()), want);
+    }
+    (streamed, sync, report)
+}
+
+#[test]
+fn admission_runs_the_lowered_form_and_counts_the_bootstraps_it_saves() {
+    let adder = ripple_carry_adder_program(2);
+    let bits = [true, true, false, true];
+    let (streamed, sync, report) = streamed_and_sync(&adder, 6.0, &bits);
+    assert_eq!(streamed, sync, "streamed lowered adder must be bit-identical to run_sync");
+    assert_eq!(report.requests_completed, shape(adder.lowered()).0);
+    assert_eq!(report.bootstraps_lowered_away, adder.bootstraps_removed() as u64);
+    assert!(report.summary().contains("bootstraps removed"));
+}
+
+#[test]
+fn a_threshold_between_the_margins_falls_back_to_the_program_as_built() {
+    // Three-way parity over bootstrapped wires: the lowered parity
+    // reads three bootstrap outputs at gain 12 where the as-built XORs
+    // read two at gain 8, so lowering *costs* margin here.
+    let mut program = Program::new(6);
+    let g: Vec<Wire> = (0..3)
+        .map(|i| program.gate(BinaryGate::And, Wire::Input(2 * i), Wire::Input(2 * i + 1)))
+        .collect();
+    let x = program.gate(BinaryGate::Xor, g[0], g[1]);
+    let parity = program.gate(BinaryGate::Xor, x, g[2]);
+    program.output(parity);
+    let (built_requests, _, built_margin) = shape(&program);
+    let (lowered_requests, _, lowered_margin) = shape(program.lowered());
+    assert!(lowered_requests < built_requests);
+    assert!(
+        lowered_margin < built_margin,
+        "lowered {lowered_margin:.2} vs built {built_margin:.2} sigmas"
+    );
+    let threshold = (lowered_margin + built_margin) / 2.0;
+
+    let bits = [true, true, false, true, true, true];
+    let (streamed, sync, report) = streamed_and_sync(&program, threshold, &bits);
+    assert_eq!(report.requests_completed, built_requests, "the program as built ran");
+    assert_eq!(report.bootstraps_lowered_away, 0);
+    assert_eq!(streamed, sync, "fallback run must be bit-identical to run_sync");
 }
