@@ -43,7 +43,7 @@ fn main() {
         .collect();
     println!("{}", markdown_table(&["BR iteration stage", "share of iteration"], &stage_rows));
 
-    // Machine-checkable summary for EXPERIMENTS.md.
+    // Shape checks: the run fails if the breakdown loses Fig. 1's shape.
     assert!(b.pbs_fraction > 0.5, "PBS must dominate the gate");
     assert!(b.blind_rotation_of_pbs > 0.9, "blind rotation must dominate PBS");
     println!("shape checks passed: PBS-dominant gate, blind-rotation-dominant PBS");

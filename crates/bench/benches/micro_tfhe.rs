@@ -1,9 +1,11 @@
 //! Criterion micro-benchmarks of the TFHE kernels: gadget
 //! decomposition, external product, blind rotation, keyswitching, and
-//! a full bootstrapped gate — the CPU-side cost centres of Fig. 1.
+//! a full bootstrapped gate — the CPU-side cost centres of Fig. 1 —
+//! plus the classical and multi-bit PBS kernels side by side on the
+//! same batch of inputs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use strix_tfhe::bootstrap::{encode_bool, BootstrapKey, Lut};
+use strix_tfhe::bootstrap::{encode_bool, BootstrapKey, Lut, MultiBitBootstrapKey, PbsJob};
 use strix_tfhe::decompose::DecompositionParams;
 use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::poly::TorusPolynomial;
@@ -51,5 +53,39 @@ fn bench_pbs_and_gate(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_decomposition, bench_pbs_and_gate);
+/// One key-major epoch of 8 sign-LUT bootstraps at set II: the
+/// classical kernel, then the multi-bit kernel at g = 2, 3 and 4, all
+/// on the same ciphertexts. Each key is dropped before the next is
+/// built (the g = 4 key is 4x the classical footprint).
+fn bench_pbs_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pbs_kernels");
+    group.sample_size(10);
+    let params = TfheParameters::set_ii();
+    let lut = Lut::sign(params.polynomial_size, encode_fraction(1, 3));
+    // Dense pseudorandom masks: a zero mask would modulus-switch to
+    // all-zero rotations and skip every CMUX.
+    let cts: Vec<LweCiphertext> = (0..8u64)
+        .map(|j| {
+            LweCiphertext::from_raw(
+                (0..=params.lwe_dimension as u64)
+                    .map(|i| (j << 32 | i).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+                    .collect(),
+            )
+        })
+        .collect();
+    let jobs: Vec<PbsJob<'_>> = cts.iter().map(|ct| PbsJob { ct, lut: &lut }).collect();
+
+    let bsk = BootstrapKey::generate_for_benchmark(&params);
+    group.bench_function("classical_batch8", |b| b.iter(|| bsk.bootstrap_batch(&jobs).unwrap()));
+    drop(bsk);
+    for g in 2..=4 {
+        let mbsk = MultiBitBootstrapKey::generate_for_benchmark(&params, g);
+        group.bench_function(format!("multi_bit_g{g}_batch8"), |b| {
+            b.iter(|| mbsk.bootstrap_batch(&jobs).unwrap())
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_decomposition, bench_pbs_and_gate, bench_pbs_kernels);
 criterion_main!(benches);

@@ -25,10 +25,9 @@
 //! suite so a parameter, noise-model or lowering change that erodes the
 //! shipped margins or bootstrap savings fails loudly.
 //!
-//! Unlike `bench_snapshot`/`bench_service`, this tool takes no
-//! `--backend` override: every SIMD kernel backend is bit-identical to
-//! the portable scalar path, so the noise margins cannot depend on
-//! which tier the CPU dispatch selects.
+//! The tool takes no `--backend` override: every SIMD kernel backend is
+//! bit-identical to the portable scalar path, so the noise margins
+//! cannot depend on which tier the CPU dispatch selects.
 
 use std::process::ExitCode;
 

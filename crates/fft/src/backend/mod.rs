@@ -179,8 +179,9 @@ impl std::str::FromStr for StrixFftBackend {
 }
 
 /// The SIMD-relevant CPU features detected at runtime, as stable
-/// lowercase names — recorded by `bench_snapshot` next to the backend
-/// so committed numbers say what hardware produced them.
+/// lowercase names — recorded in the `benchmark/` package's host
+/// provenance next to the backend, so its numbers say what hardware
+/// produced them.
 pub fn detected_cpu_features() -> Vec<&'static str> {
     #[cfg(target_arch = "x86_64")]
     {

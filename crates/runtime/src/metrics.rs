@@ -2,7 +2,7 @@
 //! the batch-occupancy histogram, per-class latency attribution,
 //! sampled per-stage PBS breakdowns and windowed time series — the
 //! production counterpart of the simulator's [`strix_core::PbsReport`]
-//! and the data source for `BENCH_service.json`.
+//! and the data source for the `benchmark/` package's runtime metrics.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -30,9 +30,8 @@ pub const LATENCY_RESERVOIR: usize = 1 << 16;
 pub const WINDOW_RING: usize = 64;
 
 /// Version of the [`RuntimeReport`] JSON schema. Consumers of
-/// `BENCH_service.json` (and of serialized reports generally) should
-/// check this before interpreting fields; it bumps on any
-/// breaking/renaming change, not on pure additions.
+/// serialized reports should check this before interpreting fields; it
+/// bumps on any breaking/renaming change, not on pure additions.
 pub const REPORT_SCHEMA_VERSION: u32 = 1;
 
 /// Everything the worker knows about one completed request, handed to
@@ -552,8 +551,8 @@ pub struct MetricsWindow {
 }
 
 /// A snapshot of the runtime's achieved performance, shaped to sit next
-/// to the simulator's `PbsReport` in the bench tables and to serialize
-/// into `BENCH_service.json`.
+/// to the simulator's `PbsReport` in the bench tables; the `benchmark/`
+/// package reads its runtime metrics from it.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RuntimeReport {
     /// JSON schema version ([`REPORT_SCHEMA_VERSION`]).

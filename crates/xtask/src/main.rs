@@ -1,7 +1,7 @@
 //! Repository-invariant linter: `cargo run -p xtask -- lint`.
 //!
 //! Machine-checks the invariants the codebase otherwise enforces only
-//! by reviewer memory. Five checks, each with a test fixture proving it
+//! by reviewer memory. Six checks, each with a test fixture proving it
 //! fires on a seeded violation:
 //!
 //! 1. **hot-path-alloc** — no allocation calls (`Vec::new`, `vec!`,
@@ -27,6 +27,11 @@
 //!    feature-gated intrinsics make it unavoidable), and every use
 //!    there is justified by a `// SAFETY:` comment on the same line or
 //!    in the comment block immediately above.
+//! 6. **doc-metrics** — every backticked dotted metric name in
+//!    `README.md` and `docs/ARCHITECTURE.md` (a span starting with a
+//!    benchmark layer prefix such as `fft.` or `runtime.`, file names
+//!    excluded) is declared in `BENCHMARK.json`, so the docs cannot
+//!    quote a number the benchmark does not measure.
 //!
 //! Allow-comments are per-check: `lint:allow(panic)`,
 //! `lint:allow(alloc)` and `lint:allow(unsafe)`. The reason text is
@@ -207,6 +212,7 @@ fn run_lint(root: &Path) -> Vec<Finding> {
     findings.extend(check_serde_defaults(root));
     findings.extend(check_lint_headers(root));
     findings.extend(check_unsafe_hygiene(root));
+    findings.extend(check_doc_metrics(root));
     findings
 }
 
@@ -751,6 +757,97 @@ fn check_unsafe_hygiene(root: &Path) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
+// Check 6: metric names quoted by the docs are declared by the benchmark
+// ---------------------------------------------------------------------------
+
+/// Docs whose backticked metric names must be declared in `BENCHMARK.json`.
+const DOC_METRIC_FILES: &[&str] = &["README.md", "docs/ARCHITECTURE.md"];
+
+/// Layer prefixes of the benchmark's dotted metric names.
+const METRIC_PREFIXES: &[&str] =
+    &["fft.", "tfhe.", "runtime.", "host.", "core.", "bench.", "workloads."];
+
+/// Extensions that make a dotted span a file name rather than a metric.
+const FILE_SUFFIXES: &[&str] = &[".rs", ".json", ".md", ".toml"];
+
+/// Every `"name": "…"` value in `BENCHMARK.json`, read as plain text
+/// (the linter has no dependencies). A missing file declares nothing.
+fn declared_metric_names(root: &Path) -> Vec<String> {
+    let text = fs::read_to_string(root.join("BENCHMARK.json")).unwrap_or_default();
+    text.split("\"name\"")
+        .skip(1)
+        .filter_map(|rest| {
+            let rest = rest.trim_start().strip_prefix(':')?.trim_start().strip_prefix('"')?;
+            Some(rest[..rest.find('"')?].to_string())
+        })
+        .collect()
+}
+
+/// A dotted name under a benchmark layer prefix; a bare or partial
+/// prefix (`fft.`, `tfhe.classical.`) names no metric.
+fn is_metric_name(span: &str) -> bool {
+    METRIC_PREFIXES.iter().any(|p| span.starts_with(p))
+        && !span.ends_with('.')
+        && !FILE_SUFFIXES.iter().any(|s| span.ends_with(s))
+        && span.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "_.".contains(c))
+}
+
+/// The inline code spans of a markdown text, each with the line it
+/// opens on. Fenced blocks are skipped; a span may wrap onto the next
+/// line of its paragraph (the break reads as a space).
+fn inline_code_spans(text: &str) -> Vec<(usize, String)> {
+    let mut spans = Vec::new();
+    let mut open: Option<(usize, String)> = None;
+    let mut in_fence = false;
+    for (i, line) in text.lines().enumerate() {
+        if line.trim_start().starts_with("```") {
+            in_fence = !in_fence;
+            open = None;
+            continue;
+        }
+        if in_fence || line.trim().is_empty() {
+            open = None;
+            continue;
+        }
+        if let Some((_, span)) = &mut open {
+            span.push(' ');
+        }
+        for c in line.chars() {
+            match (c, open.take()) {
+                ('`', None) => open = Some((i + 1, String::new())),
+                ('`', Some(span)) => spans.push(span),
+                (c, Some((at, mut span))) => {
+                    span.push(c);
+                    open = Some((at, span));
+                }
+                (_, None) => {}
+            }
+        }
+    }
+    spans
+}
+
+fn check_doc_metrics(root: &Path) -> Vec<Finding> {
+    let declared = declared_metric_names(root);
+    let mut findings = Vec::new();
+    for rel in DOC_METRIC_FILES {
+        let path = root.join(rel);
+        let Ok(text) = fs::read_to_string(&path) else { continue };
+        for (line, span) in inline_code_spans(&text) {
+            if is_metric_name(&span) && !declared.contains(&span) {
+                findings.push(Finding {
+                    file: path.clone(),
+                    line,
+                    check: "doc-metrics",
+                    message: format!("`{span}` is not a metric declared in BENCHMARK.json"),
+                });
+            }
+        }
+    }
+    findings
+}
+
+// ---------------------------------------------------------------------------
 // Fixture tests: each check must fire on a seeded violation and stay
 // quiet when the allow-syntax or the invariant itself is honoured.
 // ---------------------------------------------------------------------------
@@ -1132,5 +1229,36 @@ mod tests {
              fn unsafe_sounding_name(x: u8) -> u8 { x }\n",
         );
         assert!(findings_for(&fix, "unsafe-hygiene").is_empty());
+    }
+
+    #[test]
+    fn undeclared_doc_metric_is_flagged() {
+        let fix = Fixture::new("doc-metrics");
+        fix.write_clean_tree();
+        fix.write(
+            "BENCHMARK.json",
+            "{\"workloads\": [{\"name\": \"pbs_batch\"}],\n\
+             \"per_layer\": [{\"name\": \"fft.forward_us\", \"unit\": \"us\"}]}\n",
+        );
+        fix.write(
+            "README.md",
+            "Declared `fft.forward_us`; files `fft.rs`, `tfhe.toml`, `bench.json`.\n\
+             Not names: `strix_tfhe::fft`, `fft.forward_us * 2`, `foo.bar_ms`, `fft.`.\n\
+             \n\
+             Undeclared `tfhe.bogus_ms`, a span that `wraps\n\
+             lines` and then `runtime.stale_ratio`.\n\
+             ```text\nhost.fenced_off `host.fenced_off`\n```\n",
+        );
+        fix.write("docs/ARCHITECTURE.md", "See\n`bench.gone_ms`.\n");
+        let found: Vec<(String, usize)> = findings_for(&fix, "doc-metrics")
+            .into_iter()
+            .map(|f| (f.file.strip_prefix(&fix.root).unwrap().display().to_string(), f.line))
+            .collect();
+        assert_eq!(
+            found,
+            [("README.md".into(), 4), ("README.md".into(), 5), ("docs/ARCHITECTURE.md".into(), 2)]
+        );
+        fix.write("BENCHMARK.json", "");
+        assert_eq!(findings_for(&fix, "doc-metrics").len(), 4, "nothing declared");
     }
 }
