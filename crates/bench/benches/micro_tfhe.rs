@@ -2,7 +2,8 @@
 //! decomposition, external product, blind rotation, keyswitching, and
 //! a full bootstrapped gate — the CPU-side cost centres of Fig. 1 —
 //! plus the classical and multi-bit PBS kernels side by side on the
-//! same batch of inputs.
+//! same batch of inputs, and real set-II key generation and seeded-key
+//! expansion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use strix_tfhe::bootstrap::{encode_bool, BootstrapKey, Lut, MultiBitBootstrapKey, PbsJob};
@@ -87,5 +88,24 @@ fn bench_pbs_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_decomposition, bench_pbs_and_gate, bench_pbs_kernels);
+/// Real key material at set II: a classical server key, its seeded
+/// transport form, that form's expansion, and a multi-bit g = 3 server
+/// key (which also generates the classical fallback). Every GLWE row of
+/// each key goes through the exact binary key product.
+fn bench_keygen(c: &mut Criterion) {
+    let mut group = c.benchmark_group("keygen");
+    group.sample_size(10);
+    let params = TfheParameters::set_ii();
+    let mut client = ClientKey::generate(&params, 9);
+    group.bench_function("server_key", |b| b.iter(|| client.server_key()));
+    group.bench_function("seeded_server_key", |b| b.iter(|| client.seeded_server_key(3)));
+    let seeded = client.seeded_server_key(3);
+    group.bench_function("seeded_expand", |b| b.iter(|| seeded.expand()));
+    let multi_bit = params.with_kernel(PbsKernel::MultiBit { grouping_factor: 3 });
+    let mut client = ClientKey::generate(&multi_bit, 9);
+    group.bench_function("server_key_multi_bit_g3", |b| b.iter(|| client.server_key()));
+    group.finish();
+}
+
+criterion_group!(benches, bench_decomposition, bench_pbs_and_gate, bench_pbs_kernels, bench_keygen);
 criterion_main!(benches);

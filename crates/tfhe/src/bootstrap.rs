@@ -1002,8 +1002,12 @@ impl BootstrapKey {
     ) -> Self {
         assert_eq!(bodies.len(), params.lwe_dimension, "seeded bsk entry count");
         Self::from_entries(params, params.lwe_dimension, |decomp, fft| {
+            let mut coeffs = Vec::new();
             layout::PerBit(
-                bodies.iter().map(|entry| seeded_entry(entry, params, decomp, fft, crs)).collect(),
+                bodies
+                    .iter()
+                    .map(|entry| seeded_entry(entry, params, decomp, fft, crs, &mut coeffs))
+                    .collect(),
             )
         })
     }
@@ -1118,12 +1122,13 @@ impl MultiBitBootstrapKey {
             "seeded mbsk group count"
         );
         Self::grouped(params, grouping_factor, |decomp, fft| {
+            let mut coeffs = Vec::new();
             group_bodies
                 .iter()
                 .map(|entries| {
                     entries
                         .iter()
-                        .map(|entry| seeded_entry(entry, params, decomp, fft, crs))
+                        .map(|entry| seeded_entry(entry, params, decomp, fft, crs, &mut coeffs))
                         .collect()
                 })
                 .collect()
@@ -1153,6 +1158,22 @@ impl MultiBitBootstrapKey {
     #[inline]
     pub fn group_count(&self) -> usize {
         self.entries.groups.len()
+    }
+}
+
+#[cfg(test)]
+impl BootstrapKey {
+    /// Every key entry in secret-bit order (key-material digests).
+    pub(crate) fn fourier_entries(&self) -> impl Iterator<Item = &FourierGgsw> {
+        self.entries.0.iter()
+    }
+}
+
+#[cfg(test)]
+impl MultiBitBootstrapKey {
+    /// Every key entry, group-major then pattern (key-material digests).
+    pub(crate) fn fourier_entries(&self) -> impl Iterator<Item = &FourierGgsw> {
+        self.entries.groups.iter().flatten()
     }
 }
 
@@ -1188,15 +1209,17 @@ fn trivial_entry(
         .to_fourier(fft)
 }
 
-/// One key entry rebuilt from its transported bodies and the CRS stream.
+/// One key entry rebuilt from its transported bodies and the CRS stream,
+/// through `coeffs`, the coefficient buffer every entry of a key reuses.
 fn seeded_entry(
     bodies: &[TorusPolynomial],
     params: &TfheParameters,
     decomp: DecompositionParams,
     fft: &NegacyclicFft,
     crs: &mut NoiseSampler,
+    coeffs: &mut Vec<i64>,
 ) -> FourierGgsw {
-    GgswCiphertext::from_seeded_parts(bodies, decomp, params.glwe_dimension, crs).to_fourier(fft)
+    FourierGgsw::from_seeded_parts(bodies, decomp, params.glwe_dimension, crs, fft, coeffs)
 }
 
 /// Encodes a boolean as `±1/8` on the torus (gate-bootstrapping

@@ -23,7 +23,7 @@ use crate::poly::TorusPolynomial;
 use crate::profiler::{NoProbe, PbsStage, Probe, StageTimings, TimingProbe};
 use crate::rng::NoiseSampler;
 use crate::scratch::ExternalProductScratch;
-use crate::torus::{f64_to_torus, torus_to_f64_signed};
+use crate::torus::f64_to_torus;
 
 /// A GGSW ciphertext in the standard (time) domain: `(k+1)·l` GLWE rows.
 ///
@@ -106,31 +106,6 @@ impl GgswCiphertext {
         Self { rows, decomp, glwe_dimension: k }
     }
 
-    /// Expansion half of seeded transport: regenerates the CRS masks in
-    /// the draw order of [`Self::encrypt_scalar_seeded`] and attaches
-    /// the stored body polynomials.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bodies` does not hold `(k+1)·l` rows (transport
-    /// payload invariant).
-    pub(crate) fn from_seeded_parts(
-        bodies: &[TorusPolynomial],
-        decomp: DecompositionParams,
-        glwe_dimension: usize,
-        crs: &mut NoiseSampler,
-    ) -> Self {
-        assert_eq!(bodies.len(), (glwe_dimension + 1) * decomp.level, "seeded ggsw row count");
-        let rows = bodies
-            .iter()
-            .map(|body| {
-                let masks = draw_crs_masks(glwe_dimension, body.size(), crs);
-                GlweCiphertext::from_parts(masks, body.clone())
-            })
-            .collect();
-        Self { rows, decomp, glwe_dimension }
-    }
-
     /// A *trivial* (noiseless, zero-mask) GGSW encryption of `message`:
     /// rows carry only the gadget terms `m·q/B^{lvl+1}`. Useful for
     /// tests and for timing-equivalent benchmark keys — the arithmetic
@@ -208,27 +183,26 @@ impl GgswCiphertext {
     /// are bit-for-bit the transform outputs, so both the split and
     /// the interleaved CMUX paths consume the same key bits.
     ///
+    /// All `(k+1)·l·(k+1)` polynomials go through one batched
+    /// [`NegacyclicFft::forward_i64_many`] call on their signed
+    /// coefficients, whose spectra are bit-identical to one
+    /// [`NegacyclicFft::forward_f64`] of `torus_to_f64_signed` per
+    /// polynomial.
+    ///
     /// # Panics
     ///
     /// Panics if `fft.poly_size()` differs from the ciphertext's.
     pub fn to_fourier(&self, fft: &NegacyclicFft) -> FourierGgsw {
-        let k = self.glwe_dimension;
-        let half = fft.fourier_size();
-        let mut spectra = SoaSpectrum::new(self.rows.len() * (k + 1), half);
-        let mut spec = vec![Complex64::ZERO; half];
-        let mut signed = vec![0.0f64; fft.poly_size()];
-        for (r, row) in self.rows.iter().enumerate() {
-            for (col, poly) in row.polys().enumerate() {
-                for (s, &c) in signed.iter_mut().zip(poly.coeffs()) {
-                    *s = torus_to_f64_signed(c);
-                }
-                fft.forward_f64(&signed, &mut spec)
-                    // lint:allow(panic) shape invariant established at construction
-                    .expect("ggsw polynomial size must match the fft plan");
-                spectra.store(r * (k + 1) + col, &spec);
+        let n = fft.poly_size();
+        let mut coeffs = vec![0i64; self.rows.len() * (self.glwe_dimension + 1) * n];
+        let polys = self.rows.iter().flat_map(GlweCiphertext::polys);
+        for (slot, poly) in coeffs.chunks_exact_mut(n).zip(polys) {
+            assert_eq!(poly.size(), n, "ggsw polynomial size must match the fft plan");
+            for (s, &c) in slot.iter_mut().zip(poly.coeffs()) {
+                *s = c as i64;
             }
         }
-        FourierGgsw { spectra, decomp: self.decomp, glwe_dimension: k }
+        FourierGgsw::from_coefficients(&coeffs, self.decomp, self.glwe_dimension, fft)
     }
 }
 
@@ -272,6 +246,61 @@ pub struct FourierGgsw {
 }
 
 impl FourierGgsw {
+    /// Transforms the packed signed coefficients of `(k+1)·l·(k+1)`
+    /// polynomials (row-major, then column) in one batched call.
+    fn from_coefficients(
+        coeffs: &[i64],
+        decomp: DecompositionParams,
+        glwe_dimension: usize,
+        fft: &NegacyclicFft,
+    ) -> Self {
+        let mut spectra = SoaSpectrum::new(coeffs.len() / fft.poly_size(), fft.fourier_size());
+        fft.forward_i64_many(coeffs, &mut spectra)
+            // lint:allow(panic) the coefficient buffer is sized from the same plan
+            .expect("ggsw coefficients must match the fft plan");
+        Self { spectra, decomp, glwe_dimension }
+    }
+
+    /// Expansion half of seeded transport, straight to the Fourier
+    /// domain: regenerates the CRS masks in the draw order of
+    /// [`GgswCiphertext::encrypt_scalar_seeded`], writes them and the
+    /// stored bodies as signed coefficients into `coeffs` — sized to
+    /// `(k+1)·l·(k+1)·N` words on first use and reused across every
+    /// entry of a key — and transforms the entry in one batched call.
+    /// Bit-identical to rebuilding the time-domain GGSW and calling
+    /// [`GgswCiphertext::to_fourier`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bodies` does not hold `(k+1)·l` polynomials of the
+    /// plan's size (transport payload invariant).
+    pub(crate) fn from_seeded_parts(
+        bodies: &[TorusPolynomial],
+        decomp: DecompositionParams,
+        glwe_dimension: usize,
+        crs: &mut NoiseSampler,
+        fft: &NegacyclicFft,
+        coeffs: &mut Vec<i64>,
+    ) -> Self {
+        let n = fft.poly_size();
+        let row_len = (glwe_dimension + 1) * n;
+        assert_eq!(bodies.len(), (glwe_dimension + 1) * decomp.level, "seeded ggsw row count");
+        coeffs.resize(bodies.len() * row_len, 0);
+        // lint:hot-path-start — per-GGSW seeded expansion must stay allocation-free
+        for (row, body) in coeffs.chunks_exact_mut(row_len).zip(bodies) {
+            assert_eq!(body.size(), n, "seeded ggsw body size");
+            let (masks, body_slot) = row.split_at_mut(glwe_dimension * n);
+            for m in masks {
+                *m = crs.uniform_torus() as i64;
+            }
+            for (s, &c) in body_slot.iter_mut().zip(body.coeffs()) {
+                *s = c as i64;
+            }
+        }
+        // lint:hot-path-end
+        Self::from_coefficients(coeffs, decomp, glwe_dimension, fft)
+    }
+
     /// Decomposition parameters used by the gadget.
     #[inline]
     pub fn decomposition(&self) -> DecompositionParams {
@@ -550,8 +579,15 @@ mod tests {
         // Transport payload: the bodies only.
         let bodies: Vec<TorusPolynomial> = ggsw.rows().iter().map(|r| r.body().clone()).collect();
         let mut crs2 = NoiseSampler::from_seed(7);
-        let expanded = GgswCiphertext::from_seeded_parts(&bodies, fx.decomp, 2, &mut crs2);
-        assert_eq!(expanded.rows(), ggsw.rows());
+        // Stale buffer contents must not leak into the expanded entry.
+        let mut coeffs = vec![-1i64; bodies.len() * 3 * fx.n];
+        let expanded =
+            FourierGgsw::from_seeded_parts(&bodies, fx.decomp, 2, &mut crs2, &fx.fft, &mut coeffs);
+        let bits = |g: &FourierGgsw| {
+            let (re, im) = g.spectra().planes();
+            re.iter().chain(im).map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&expanded), bits(&ggsw.to_fourier(&fx.fft)));
     }
 
     #[test]

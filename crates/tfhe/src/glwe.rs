@@ -68,7 +68,6 @@ impl GlweSecretKey {
         noise_std: f64,
         rng: &mut NoiseSampler,
     ) -> GlweCiphertext {
-        assert_eq!(message.size(), self.poly_size(), "message polynomial size mismatch");
         let n = self.poly_size();
         let mut masks = Vec::with_capacity(self.dimension());
         for _ in 0..self.dimension() {
@@ -76,15 +75,7 @@ impl GlweSecretKey {
             rng.fill_uniform(m.coeffs_mut());
             masks.push(m);
         }
-        let mut body = TorusPolynomial::zero(n);
-        for (b, &m) in body.coeffs_mut().iter_mut().zip(message.coeffs()) {
-            *b = m.wrapping_add(rng.gaussian_torus(noise_std));
-        }
-        for (mask, key) in masks.iter().zip(&self.polys) {
-            let prod = poly_mul_binary(mask, key);
-            body.add_assign(&prod);
-        }
-        GlweCiphertext { masks, body }
+        self.encrypt_with_mask(masks, message, noise_std, rng)
     }
 
     /// Encrypts `message` under caller-supplied mask polynomials.
@@ -113,10 +104,10 @@ impl GlweSecretKey {
         for (b, &m) in body.coeffs_mut().iter_mut().zip(message.coeffs()) {
             *b = m.wrapping_add(rng.gaussian_torus(noise_std));
         }
+        let mut ext = vec![0u64; 2 * n];
         for (mask, key) in masks.iter().zip(&self.polys) {
             assert_eq!(mask.size(), n, "mask polynomial size mismatch");
-            let prod = poly_mul_binary(mask, key);
-            body.add_assign(&prod);
+            add_binary_product(body.coeffs_mut(), mask.coeffs(), key.coeffs(), false, &mut ext);
         }
         GlweCiphertext { masks, body }
     }
@@ -142,35 +133,72 @@ impl GlweSecretKey {
             });
         }
         let mut phase = ct.body.clone();
+        let mut ext = vec![0u64; 2 * self.poly_size()];
         for (mask, key) in ct.masks.iter().zip(&self.polys) {
-            let prod = poly_mul_binary(mask, key);
-            phase.sub_assign(&prod);
+            add_binary_product(phase.coeffs_mut(), mask.coeffs(), key.coeffs(), true, &mut ext);
         }
         Ok(phase)
     }
 }
 
-/// Exact negacyclic product of a torus polynomial with a binary
-/// polynomial (secret keys are binary, so this stays exact and avoids
-/// FFT noise inside key operations).
-fn poly_mul_binary(torus: &TorusPolynomial, binary: &TorusPolynomial) -> TorusPolynomial {
-    let n = torus.size();
-    let mut out = TorusPolynomial::zero(n);
-    for (i, &b) in binary.coeffs().iter().enumerate() {
-        if b == 0 {
-            continue;
-        }
-        for (j, &t) in torus.coeffs().iter().enumerate() {
-            let k = i + j;
-            if k < n {
-                out[k] = out[k].wrapping_add(t);
-            } else {
-                out[k - n] = out[k - n].wrapping_sub(t);
+// lint:hot-path-start — the key product runs once per GLWE row of every key
+/// Exact negacyclic product of a torus polynomial with a binary key
+/// polynomial, accumulated into `acc`: `acc ± torus · key` in
+/// `T_q[X]/(X^N+1)` (subtracted when `subtract`). Keys are binary, so
+/// the product is a sum of shifted copies of `torus` and stays exact —
+/// no FFT noise inside key operations.
+///
+/// The negacyclic extension `ext = [−t ‖ t]` (its halves swapped to
+/// subtract) turns `X^i·t` into the contiguous window
+/// `ext[N−i .. 2N−i]`, so the product is a sum of windows: four set key
+/// bits per pass over `acc`, wrapping adds only, no branch in the inner
+/// loop. Integer arithmetic mod 2^64 is exact, so the grouping of the
+/// additions cannot change a bit of the result. `ext` is caller-owned
+/// scratch of `2N` words.
+///
+/// # Panics
+///
+/// Panics if `torus`, `key` or `ext` do not match `acc`'s length `N`.
+fn add_binary_product(
+    acc: &mut [u64],
+    torus: &[u64],
+    key: &[u64],
+    subtract: bool,
+    ext: &mut [u64],
+) {
+    let n = acc.len();
+    assert_eq!(torus.len(), n, "torus polynomial size mismatch");
+    assert_eq!(key.len(), n, "key polynomial size mismatch");
+    assert_eq!(ext.len(), 2 * n, "extension buffer size mismatch");
+    let (lo, hi) = ext.split_at_mut(n);
+    let (neg, pos) = if subtract { (hi, lo) } else { (lo, hi) };
+    for ((ng, p), &t) in neg.iter_mut().zip(pos.iter_mut()).zip(torus) {
+        *ng = t.wrapping_neg();
+        *p = t;
+    }
+    let ext = &*ext;
+    let window = move |i: usize| &ext[n - i..2 * n - i];
+    let mut pending = [0usize; 4];
+    let mut count = 0;
+    for i in key.iter().enumerate().filter(|&(_, &bit)| bit != 0).map(|(i, _)| i) {
+        pending[count] = i;
+        count += 1;
+        if count == pending.len() {
+            let (w0, w1, w2, w3) =
+                (window(pending[0]), window(pending[1]), window(pending[2]), window(pending[3]));
+            for ((((a, &x0), &x1), &x2), &x3) in acc.iter_mut().zip(w0).zip(w1).zip(w2).zip(w3) {
+                *a = a.wrapping_add(x0.wrapping_add(x1).wrapping_add(x2.wrapping_add(x3)));
             }
+            count = 0;
         }
     }
-    out
+    for &i in &pending[..count] {
+        for (a, &x) in acc.iter_mut().zip(window(i)) {
+            *a = a.wrapping_add(x);
+        }
+    }
 }
+// lint:hot-path-end
 
 /// A GLWE ciphertext `[A_1(X), …, A_k(X), B(X)]`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -191,19 +219,6 @@ impl GlweCiphertext {
     /// The all-zero ciphertext (trivial encryption of zero).
     pub fn zero(glwe_dimension: usize, poly_size: usize) -> Self {
         Self::trivial(glwe_dimension, TorusPolynomial::zero(poly_size))
-    }
-
-    /// Reassembles a ciphertext from CRS-regenerated masks and a stored
-    /// body — the expansion half of seeded key transport.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a mask/body size mismatch.
-    pub(crate) fn from_parts(masks: Vec<TorusPolynomial>, body: TorusPolynomial) -> Self {
-        for mask in &masks {
-            assert_eq!(mask.size(), body.size(), "mask polynomial size mismatch");
-        }
-        Self { masks, body }
     }
 
     /// GLWE mask length `k`.
@@ -378,6 +393,97 @@ mod tests {
         TorusPolynomial::from_coeffs(coeffs)
     }
 
+    /// The schoolbook `O(N·w)` oracle: one branchy pass per set key
+    /// bit, wrapping at `N` with a sign flip.
+    fn naive_binary_product(torus: &[u64], key: &[u64]) -> Vec<u64> {
+        let n = torus.len();
+        let mut out = vec![0u64; n];
+        for (i, &b) in key.iter().enumerate() {
+            if b == 0 {
+                continue;
+            }
+            for (j, &t) in torus.iter().enumerate() {
+                let k = i + j;
+                if k < n {
+                    out[k] = out[k].wrapping_add(t);
+                } else {
+                    out[k - n] = out[k - n].wrapping_sub(t);
+                }
+            }
+        }
+        out
+    }
+
+    /// Key shapes the oracle test covers at every size.
+    #[derive(Clone, Copy, Debug)]
+    enum KeyShape {
+        Random,
+        Weight0,
+        WeightN,
+        FirstBit,
+        LastBit,
+    }
+
+    fn key_of(shape: KeyShape, n: usize, rng: &mut NoiseSampler) -> Vec<u64> {
+        let mut key = vec![0u64; n];
+        match shape {
+            KeyShape::Random => rng.fill_binary(&mut key),
+            KeyShape::Weight0 => {}
+            KeyShape::WeightN => key.fill(1),
+            KeyShape::FirstBit => key[0] = 1,
+            KeyShape::LastBit => key[n - 1] = 1,
+        }
+        key
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn binary_product_matches_naive_oracle(
+            subtract in proptest::any::<bool>(),
+            seed in proptest::any::<u64>(),
+        ) {
+            use KeyShape::*;
+            let mut rng = NoiseSampler::from_seed(seed);
+            for n in [2usize, 4, 64, 1024] {
+                for shape in [Random, Weight0, WeightN, FirstBit, LastBit] {
+                    let mut torus = vec![0u64; n];
+                    rng.fill_uniform(&mut torus);
+                    let mut acc = vec![0u64; n];
+                    rng.fill_uniform(&mut acc);
+                    let key = key_of(shape, n, &mut rng);
+                    let prod = naive_binary_product(&torus, &key);
+                    let want: Vec<u64> = acc
+                        .iter()
+                        .zip(&prod)
+                        .map(|(&a, &p)| if subtract { a.wrapping_sub(p) } else { a.wrapping_add(p) })
+                        .collect();
+                    // Stale scratch contents must not leak into the product.
+                    let mut ext = vec![0u64; 2 * n];
+                    rng.fill_uniform(&mut ext);
+                    add_binary_product(&mut acc, &torus, &key, subtract, &mut ext);
+                    proptest::prop_assert_eq!(acc, want, "n={} {:?}", n, shape);
+                }
+            }
+        }
+
+        #[test]
+        fn noiseless_decrypt_phase_inverts_encrypt_exactly(
+            log_n in proptest::prop::sample::select(vec![1u32, 2, 6, 10]),
+            k in 1usize..4,
+            seed in proptest::any::<u64>(),
+        ) {
+            let n = 1usize << log_n;
+            let mut rng = NoiseSampler::from_seed(seed);
+            let sk = GlweSecretKey::generate(k, n, &mut rng);
+            let mut msg = TorusPolynomial::zero(n);
+            rng.fill_uniform(msg.coeffs_mut());
+            let ct = sk.encrypt(&msg, 0.0, &mut rng);
+            proptest::prop_assert_eq!(sk.decrypt_phase(&ct).unwrap(), msg);
+        }
+    }
+
     #[test]
     fn encrypt_decrypt_round_trip() {
         for (k, n) in [(1, 64), (2, 32), (3, 16)] {
@@ -477,7 +583,7 @@ mod tests {
         }
         // Expansion: regenerated masks + stored body reproduce the
         // ciphertext bit for bit.
-        let rebuilt = GlweCiphertext::from_parts(masks, ct.body().clone());
+        let rebuilt = GlweCiphertext { masks, body: ct.body().clone() };
         assert_eq!(rebuilt, ct);
     }
 

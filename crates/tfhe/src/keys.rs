@@ -404,6 +404,7 @@ pub fn generate_keys(params: &TfheParameters, seed: u64) -> (ClientKey, ServerKe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ggsw::FourierGgsw;
     use crate::params::PbsKernel;
 
     #[test]
@@ -549,6 +550,92 @@ mod tests {
             assert_eq!(bench.transport_bytes(), seeded.transport_bytes());
             assert_eq!(bench.expand().key_bytes(), full);
         }
+    }
+
+    /// FNV-1a over 64-bit words: a stable fingerprint of key material.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| (h ^ w).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// The bits of every real and imaginary Fourier plane, in entry order.
+    fn planes<'a>(
+        entries: impl Iterator<Item = &'a FourierGgsw> + 'a,
+    ) -> impl Iterator<Item = u64> + 'a {
+        entries.flat_map(|e| {
+            let (re, im) = e.spectra().planes();
+            re.iter().chain(im).map(|x| x.to_bits())
+        })
+    }
+
+    fn ksk_words(ksk: &KeySwitchKey) -> impl Iterator<Item = u64> + '_ {
+        ksk.rows().iter().flat_map(|r| r.as_raw().iter().copied())
+    }
+
+    fn server_key_words(server: &ServerKey) -> impl Iterator<Item = u64> + '_ {
+        let mbsk = server.mbsk.iter().flat_map(|m| planes(m.fourier_entries()));
+        planes(server.bsk.fourier_entries()).chain(mbsk).chain(ksk_words(&server.ksk))
+    }
+
+    /// Digests of, in order: the classical bootstrapping key's Fourier
+    /// planes, the g = 3 multi-bit key's planes, the keyswitching key's
+    /// raw words (all three from `server_key`), the seeded payload's
+    /// bodies, and the key `SeededServerKey::expand` materialises.
+    fn key_digests(params: &TfheParameters, seed: u64) -> [u64; 5] {
+        let params = params.clone().with_kernel(PbsKernel::MultiBit { grouping_factor: 3 });
+        let mut client = ClientKey::generate(&params, seed);
+        let server = client.server_key();
+        let bsk = fnv(planes(server.bsk.fourier_entries()));
+        let mbsk = fnv(planes(server.mbsk.as_ref().expect("g = 3 key").fourier_entries()));
+        let ksk = fnv(ksk_words(&server.ksk));
+        drop(server);
+        let seeded = client.seeded_server_key(seed ^ 0x5eed);
+        let SeededKeyPayload::Real { bsk_bodies, mbsk_bodies, ksk_bodies } = &seeded.payload else {
+            panic!("a client key ships real bodies");
+        };
+        let mbsk_bodies = mbsk_bodies.iter().flatten().flatten().flatten();
+        let bodies = fnv(bsk_bodies
+            .iter()
+            .flatten()
+            .chain(mbsk_bodies)
+            .flat_map(|p| p.coeffs().iter().copied())
+            .chain(ksk_bodies.iter().copied()));
+        let expanded = fnv(server_key_words(&seeded.expand()));
+        [bsk, mbsk, ksk, bodies, expanded]
+    }
+
+    /// Key generation and seeded expansion must reproduce these keys bit
+    /// for bit: every pinned PBS output downstream rests on them. A
+    /// change here means the RNG draw order or the key arithmetic moved.
+    #[test]
+    fn key_material_matches_golden_digests() {
+        let hex = |d: [u64; 5]| d.map(|x| format!("{x:#018x}"));
+        assert_eq!(
+            hex(key_digests(&TfheParameters::testing_fast(), 1)),
+            [
+                "0xb790779d01601b11",
+                "0x34b931d8af592651",
+                "0x6fec157c65f6fe11",
+                "0x3e269a2d0f4e4b0d",
+                "0x4ece94943e3713dc",
+            ],
+            "testing_fast"
+        );
+        // Set II generates ~28k GLWE rows: minutes unoptimized, ~2 s in
+        // release, where CI's kernel-matrix step runs this test.
+        if cfg!(debug_assertions) {
+            return;
+        }
+        assert_eq!(
+            hex(key_digests(&TfheParameters::set_ii(), 2)),
+            [
+                "0xbc0e087a5cd347af",
+                "0xa174a04da431014b",
+                "0xf208c9111f772296",
+                "0x9f45df5e9c58f4b1",
+                "0xca0b737dde2c0084",
+            ],
+            "set-II"
+        );
     }
 
     #[test]

@@ -114,6 +114,12 @@ impl KeySwitchKey {
         self.rows.iter().map(|r| r.body()).collect()
     }
 
+    /// The key rows, `rows[j * l_k + lvl]` (key-material digests).
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> &[LweCiphertext] {
+        &self.rows
+    }
+
     /// Input dimension (`k·N`).
     #[inline]
     pub fn input_dimension(&self) -> usize {

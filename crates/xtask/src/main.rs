@@ -6,7 +6,8 @@
 //!
 //! 1. **hot-path-alloc** — no allocation calls (`Vec::new`, `vec!`,
 //!    `.to_vec()`, `.collect()`, `Box::new`) inside the designated
-//!    CMUX/blind-rotate and FFT-kernel regions, delimited in-source by
+//!    CMUX/blind-rotate, FFT-kernel, key-product and seeded-expansion
+//!    regions, delimited in-source by
 //!    `// lint:hot-path-start` / `// lint:hot-path-end` markers.
 //! 2. **panic** — no `.unwrap()` / `.expect(` / `panic!` / `todo!` /
 //!    `unimplemented!` / `unreachable!` in non-test `runtime`, `tfhe`
@@ -51,8 +52,13 @@ const PANIC_TOKENS: &[&str] =
     &[".unwrap()", ".expect(", "panic!", "todo!", "unimplemented!", "unreachable!"];
 
 /// Files that must contain marked hot-path regions.
-const HOT_PATH_FILES: &[&str] =
-    &["crates/tfhe/src/bootstrap.rs", "crates/tfhe/src/decompose.rs", "crates/fft/src/soa.rs"];
+const HOT_PATH_FILES: &[&str] = &[
+    "crates/tfhe/src/bootstrap.rs",
+    "crates/tfhe/src/decompose.rs",
+    "crates/tfhe/src/glwe.rs",
+    "crates/tfhe/src/ggsw.rs",
+    "crates/fft/src/soa.rs",
+];
 
 /// Allocation-call spellings forbidden inside hot-path regions.
 const ALLOC_TOKENS: &[&str] = &["Vec::new", "vec!", ".to_vec()", ".collect()", "Box::new"];
@@ -899,6 +905,14 @@ mod tests {
             self.write(
                 "crates/tfhe/src/decompose.rs",
                 "// lint:hot-path-start\nfn stage() {}\n// lint:hot-path-end\n",
+            );
+            self.write(
+                "crates/tfhe/src/glwe.rs",
+                "// lint:hot-path-start\nfn product() {}\n// lint:hot-path-end\n",
+            );
+            self.write(
+                "crates/tfhe/src/ggsw.rs",
+                "// lint:hot-path-start\nfn expand() {}\n// lint:hot-path-end\n",
             );
             self.write(
                 "crates/fft/src/soa.rs",
