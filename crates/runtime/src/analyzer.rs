@@ -32,7 +32,7 @@
 //!   majority, 1/4 for XOR/XNOR and a lowered three-way parity — the ±2
 //!   weights amplify the noise but the offsets also double the
 //!   distance). The output resets to the PBS output variance of the
-//!   class's kernel plus the keyswitch tail;
+//!   policy's kernel plus the keyswitch tail;
 //! * **linear LUT** — identically, with the node's own weights
 //!   (`Σ wᵢ²·var(inputᵢ)`) and the LUT's own decision distance
 //!   (`2^-(p+2)` for a `p`-bit table).
@@ -62,8 +62,7 @@ use strix_tfhe::noise;
 use strix_tfhe::{PbsKernel, ServerKey, TfheParameters};
 
 use crate::error::RuntimeError;
-use crate::executor::KernelPolicy;
-use crate::request::RequestClass;
+use crate::executor::{resolve_kernel, KernelPolicy};
 use crate::session::{NodeOp, Program, Wire};
 
 /// Default minimum decision margin, in sigmas, required at every
@@ -95,7 +94,7 @@ pub struct WireReport {
     /// Sum of squared preamble weights — the factor by which the
     /// node's linear stage amplifies its input variance.
     pub linear_gain: f64,
-    /// The PBS kernel the node's class resolves to under the policy.
+    /// The PBS kernel the node runs under the policy.
     pub kernel: PbsKernel,
     /// Variance of the wire the node hands downstream (PBS output for
     /// its kernel, plus the keyswitch tail).
@@ -140,15 +139,14 @@ impl ProgramAnalysis {
     }
 }
 
-/// A noise-budget admission policy: the parameter set and per-class
-/// kernel selection to analyze against, plus the margin threshold to
-/// enforce.
+/// A noise-budget admission policy: the parameter set and PBS kernel
+/// to analyze against, plus the margin threshold to enforce.
 ///
-/// The [`KernelPolicy`] here should be the *effective* one — each
-/// class resolved to the kernel the executor will actually dispatch
-/// (classical fallback included), which is what
+/// The [`KernelPolicy`] here is analysed as given. To predict an
+/// execution it should name the kernel that runs — the executor's
+/// resolved kernel (classical fallback included), which is what
 /// [`TfheExecutor::admission`](crate::TfheExecutor) constructs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AdmissionPolicy {
     params: TfheParameters,
     policy: KernelPolicy,
@@ -156,7 +154,7 @@ pub struct AdmissionPolicy {
 }
 
 impl AdmissionPolicy {
-    /// A policy over `params`, dispatching per `policy`, at the
+    /// A policy over `params`, running `policy`'s kernel, at the
     /// [`DEFAULT_THRESHOLD_SIGMAS`] threshold.
     pub fn new(params: TfheParameters, policy: KernelPolicy) -> Self {
         Self { params, policy, threshold_sigmas: DEFAULT_THRESHOLD_SIGMAS }
@@ -181,17 +179,11 @@ impl AdmissionPolicy {
     }
 
     /// The policy a [`TfheExecutor`](crate::TfheExecutor) on `server`
-    /// admits with by default: every class on the key's own kernel
-    /// (multi-bit when the key carries grouped material for a
-    /// multi-bit parameter set, classical otherwise), at the
+    /// admits with by default: the key's own kernel as
+    /// [`resolve_kernel`] decides it, at the
     /// [`DEFAULT_THRESHOLD_SIGMAS`] threshold.
     pub(crate) fn for_server(server: &ServerKey) -> Self {
-        let kernel = match (server.params().pbs_kernel, server.multi_bit_bootstrap_key()) {
-            (PbsKernel::MultiBit { .. }, Some(mb)) => {
-                PbsKernel::MultiBit { grouping_factor: mb.grouping_factor() }
-            }
-            _ => PbsKernel::Classical,
-        };
+        let kernel = resolve_kernel(None, server.params());
         Self::new(server.params().clone(), KernelPolicy::uniform(kernel))
     }
 
@@ -250,7 +242,7 @@ impl AdmissionPolicy {
 }
 
 /// Walks `program`'s DAG once, propagating per-wire noise variance
-/// under `params` with each request class dispatched per `policy`, and
+/// under `params` with every bootstrap on `policy`'s kernel, and
 /// reports every live bootstrap's decision margin against
 /// `threshold_sigmas`.
 ///
@@ -282,7 +274,7 @@ pub fn analyze(
         if !needed[idx] {
             continue;
         }
-        // (weights over the node's inputs, decision distance, class)
+        // (weights over the node's inputs, decision distance)
         let bootstrap = match &node.op {
             NodeOp::Not => {
                 let (var, depth) = wire_state(&variances, &depths, node.inputs[0]);
@@ -290,14 +282,12 @@ pub fn analyze(
                 depths[idx] = depth;
                 None
             }
-            NodeOp::Gate(recipe) => {
-                Some((recipe.weights().to_vec(), recipe.decision_distance(), RequestClass::Gate))
-            }
+            NodeOp::Gate(recipe) => Some((recipe.weights().to_vec(), recipe.decision_distance())),
             NodeOp::LinearLut { weights, lut, .. } => {
-                Some((weights.clone(), lut.decision_distance(), RequestClass::LinearLut))
+                Some((weights.clone(), lut.decision_distance()))
             }
         };
-        let Some((weights, distance, class)) = bootstrap else {
+        let Some((weights, distance)) = bootstrap else {
             continue;
         };
         let mut decision_variance = ms;
@@ -310,7 +300,7 @@ pub fn analyze(
             linear_gain += gain;
             depth_in = depth_in.max(depth);
         }
-        let kernel = policy.kernel_for(class);
+        let kernel = policy.kernel();
         let output_variance = noise::lut_output_variance_for(params, kernel);
         let margin = noise::margin_sigmas(distance, decision_variance);
         variances[idx] = output_variance;

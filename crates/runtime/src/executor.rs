@@ -12,53 +12,56 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use strix_tfhe::boolean::gate_sign_lut;
-use strix_tfhe::bootstrap::{Lut, MultiBitBootstrapKey, PbsJob};
+use strix_tfhe::bootstrap::{BlindRotationKey, KeyLayout, Lut, PbsJob};
 use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::profiler::{PbsStage, StageTimings};
-use strix_tfhe::{PbsKernel, ServerKey, TfheError};
+use strix_tfhe::{PbsKernel, ServerKey, TfheError, TfheParameters};
 
 use crate::analyzer::AdmissionPolicy;
 use crate::registry::KeyRegistry;
-use crate::request::{Request, RequestClass, RequestOp};
+use crate::request::{Request, RequestOp, TenantId};
 
-/// Per-request-class PBS kernel selection, mirroring the
-/// CLASSICAL-vs-MULTI_BIT dispatch of GPU TFHE back-ends: a default
-/// kernel plus optional per-[`RequestClass`] overrides, resolved per
-/// request at epoch execution time.
+/// The PBS kernel a runtime asks for, mirroring the
+/// CLASSICAL-vs-MULTI_BIT choice of GPU TFHE back-ends: one kernel for
+/// every request, installed via
+/// [`RuntimeConfig::with_kernel_policy`](crate::RuntimeConfig::with_kernel_policy)
+/// or [`TfheExecutor::with_policy`].
 ///
 /// The policy expresses *intent*; the executor resolves it against the
-/// key material actually present. A class routed to
-/// [`PbsKernel::MultiBit`] falls back to the classical kernel when the
-/// server key carries no grouped bootstrapping key (the grouping factor
-/// inside the policy's `MultiBit` variant is advisory — the server key
-/// holds exactly one grouped key, generated at the parameter set's
-/// grouping factor).
+/// parameter set (see [`TfheExecutor::kernel`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelPolicy {
-    default: PbsKernel,
-    overrides: [Option<PbsKernel>; RequestClass::ALL.len()],
+    kernel: PbsKernel,
 }
 
 impl KernelPolicy {
-    /// A policy routing every request class through `kernel`.
+    /// A policy asking for `kernel` on every request.
     pub fn uniform(kernel: PbsKernel) -> Self {
-        Self { default: kernel, overrides: [None; RequestClass::ALL.len()] }
+        Self { kernel }
     }
 
-    /// Overrides the kernel for one request class.
-    pub fn with_class(mut self, class: RequestClass, kernel: PbsKernel) -> Self {
-        self.overrides[class.index()] = Some(kernel);
-        self
+    /// The kernel this policy asks for.
+    pub fn kernel(&self) -> PbsKernel {
+        self.kernel
     }
+}
 
-    /// The kernel this policy selects for `class`.
-    pub fn kernel_for(&self, class: RequestClass) -> PbsKernel {
-        self.overrides[class.index()].unwrap_or(self.default)
-    }
-
-    /// The default kernel (used by classes without an override).
-    pub fn default_kernel(&self) -> PbsKernel {
-        self.default
+/// The PBS kernel that runs for a `requested` policy (`None` asks for
+/// the parameter set's own kernel) under `params` — the one place the
+/// kernel is decided. The single fallback rule: multi-bit runs only
+/// when `params` are multi-bit, at their grouping factor (a server key
+/// carries grouped material exactly then, so the factor inside a
+/// requested `MultiBit` is advisory); everything else runs classical.
+/// The executor, [`AdmissionPolicy`]'s server default and
+/// [`Program::run_sync`](crate::session::Program::run_sync) all call
+/// it, so admission analyses the kernel that executes.
+pub(crate) fn resolve_kernel(
+    requested: Option<KernelPolicy>,
+    params: &TfheParameters,
+) -> PbsKernel {
+    match (requested.map_or(params.pbs_kernel, |p| p.kernel), params.pbs_kernel) {
+        (PbsKernel::MultiBit { .. }, actual @ PbsKernel::MultiBit { .. }) => actual,
+        _ => PbsKernel::Classical,
     }
 }
 
@@ -112,8 +115,8 @@ pub struct EpochExecution {
     /// when the epoch was executed through the probed kernel.
     pub stage_sample: Option<(StageTimings, usize)>,
     /// How many of the epoch's PBS jobs ran through each kernel, as
-    /// `[classical, multi_bit]` — the observable of the per-class
-    /// kernel dispatch, recorded into the metrics by the worker.
+    /// `[classical, multi_bit]` — the observable of the resolved
+    /// kernel, recorded into the metrics by the worker.
     pub kernel_jobs: [usize; 2],
 }
 
@@ -179,6 +182,29 @@ pub trait BatchExecutor: Send + Sync + 'static {
     }
 }
 
+/// Where a [`TfheExecutor`]'s epochs take their server key from.
+pub(crate) enum KeySource {
+    /// One key for the executor's lifetime.
+    Pinned(Arc<ServerKey>),
+    /// The epoch tenant's key, resolved from a shared registry. Epochs
+    /// are single-tenant by construction (the dispatcher keeps one open
+    /// batch per tenant), so one [`resolve`](KeyRegistry::resolve) pins
+    /// the epoch's key — as an `Arc`, safe against concurrent eviction
+    /// — for the whole PBS+KS run: the third batching level, grouping
+    /// by *key* above the TvLP × core_batch grouping by ciphertext.
+    Registry(Arc<KeyRegistry>),
+}
+
+impl KeySource {
+    /// The parameter set every key from this source was generated for.
+    fn params(&self) -> &TfheParameters {
+        match self {
+            KeySource::Pinned(server) => server.params(),
+            KeySource::Registry(registry) => registry.params(),
+        }
+    }
+}
+
 /// The TFHE back-end: batched PBS with amortised bootstrapping-key
 /// access — optionally split across an intra-epoch thread pool
 /// ([`strix_tfhe::bootstrap::BootstrapKey::bootstrap_batch_parallel`])
@@ -189,12 +215,16 @@ pub trait BatchExecutor: Send + Sync + 'static {
 /// and keyswitch-only requests form one batch per epoch (one digit
 /// buffer, no per-request allocation), borrowed straight from the
 /// request structures.
+///
+/// The server key is either pinned for the executor's lifetime
+/// ([`Self::new`]) or resolved per epoch from a tenant
+/// [`KeyRegistry`] ([`Self::multi_tenant`]); the epoch body is the
+/// same either way.
 pub struct TfheExecutor {
-    server: Arc<ServerKey>,
+    keys: KeySource,
     threads: usize,
-    /// Per-request-class kernel selection, resolved against the server
-    /// key's material at epoch execution time.
-    policy: KernelPolicy,
+    /// The kernel every epoch runs, resolved once at construction.
+    kernel: PbsKernel,
     /// The sign LUT shared by every gate request, built once per
     /// executor instead of once per gate.
     gate_lut: Lut,
@@ -213,28 +243,43 @@ impl TfheExecutor {
     /// Wraps a server key with an intra-epoch thread budget: each
     /// epoch's PBS jobs are sharded across up to `threads` scoped
     /// threads sharing the bootstrapping key, bit-identically to the
-    /// sequential path. `threads` is clamped to at least 1.
-    ///
-    /// The kernel policy follows the server key's parameter set: a key
-    /// generated for [`PbsKernel::MultiBit`] parameters routes every
-    /// class through the grouped kernel, a classical key through the
-    /// classical one. Use [`Self::with_policy`] to override per class.
+    /// sequential path. `threads` is clamped to at least 1. The kernel
+    /// follows the server key's parameter set.
     pub fn with_threads(server: Arc<ServerKey>, threads: usize) -> Self {
-        let policy = KernelPolicy::uniform(server.params().pbs_kernel);
-        Self::with_policy(server, threads, policy)
+        Self::from_source(KeySource::Pinned(server), threads, None)
     }
 
-    /// Wraps a server key with an explicit per-class kernel policy.
-    /// Classes the policy routes to a kernel whose key material the
-    /// server key does not carry fall back to the classical kernel
-    /// (always present).
+    /// Wraps a server key with an explicit kernel policy. A multi-bit
+    /// request on a classical key runs the classical kernel (see
+    /// [`Self::kernel`]).
     pub fn with_policy(server: Arc<ServerKey>, threads: usize, policy: KernelPolicy) -> Self {
-        let gate_lut = gate_sign_lut(server.params().polynomial_size);
+        Self::from_source(KeySource::Pinned(server), threads, Some(policy))
+    }
+
+    /// Wraps a tenant key registry: each epoch runs under its tenant's
+    /// key, resolved (and expanded on first use) from `registry`. The
+    /// kernel follows the registry's shared parameter set unless
+    /// `policy` asks for another, exactly as for a pinned key.
+    pub fn multi_tenant(
+        registry: Arc<KeyRegistry>,
+        threads: usize,
+        policy: Option<KernelPolicy>,
+    ) -> Self {
+        Self::from_source(KeySource::Registry(registry), threads, policy)
+    }
+
+    /// The builder body every constructor above shares.
+    pub(crate) fn from_source(
+        keys: KeySource,
+        threads: usize,
+        policy: Option<KernelPolicy>,
+    ) -> Self {
+        let params = keys.params();
         Self {
-            server,
+            kernel: resolve_kernel(policy, params),
+            gate_lut: gate_sign_lut(params.polynomial_size),
+            keys,
             threads: threads.max(1),
-            policy,
-            gate_lut,
             admission_threshold_sigmas: crate::analyzer::DEFAULT_THRESHOLD_SIGMAS,
         }
     }
@@ -248,152 +293,98 @@ impl TfheExecutor {
         self
     }
 
-    /// The kernel policy this executor dispatches with.
-    pub fn kernel_policy(&self) -> KernelPolicy {
-        self.policy
+    /// The kernel every epoch runs: the requested policy (or the
+    /// parameter set's own kernel) resolved against the parameter set.
+    /// Multi-bit runs only when the parameters are multi-bit, at their
+    /// grouping factor; everything else runs classical.
+    pub fn kernel(&self) -> PbsKernel {
+        self.kernel
     }
 
-    /// The grouped bootstrapping key `class` routes through, when the
-    /// policy selects the multi-bit kernel **and** the server key
-    /// carries the material; `None` means the classical kernel.
-    fn multi_bit_for(&self, class: RequestClass) -> Option<&MultiBitBootstrapKey> {
-        multi_bit_on_key(&self.server, &self.policy, class)
-    }
-
-    /// The kernel `class` actually executes with, after resolving the
-    /// policy's intent against the server key's material: the grouped
-    /// key's own grouping factor when multi-bit is selected and
-    /// present, the classical kernel otherwise.
-    pub fn effective_kernel(&self, class: RequestClass) -> PbsKernel {
-        match self.multi_bit_for(class) {
-            Some(mb) => PbsKernel::MultiBit { grouping_factor: mb.grouping_factor() },
-            None => PbsKernel::Classical,
-        }
-    }
-}
-
-/// Block-aware intra-epoch thread plan shared by the TFHE executors:
-/// the blocked CMUX amortises each key row over up to `CMUX_JOB_BLOCK`
-/// accumulators, so a shard smaller than one block trades that
-/// locality for thread count. Cap the shard count at one block per
-/// thread (the keyswitch tail, which has no blocking, shards with the
-/// plain thread budget instead). Bit-identity holds for any split.
-fn plan_threads(threads: usize, batch_len: usize) -> usize {
-    let max_useful = batch_len.div_ceil(strix_tfhe::scratch::CMUX_JOB_BLOCK);
-    threads.min(max_useful).max(1)
-}
-
-/// The grouped bootstrapping key `class` routes through on `server`,
-/// when the policy selects the multi-bit kernel **and** the key
-/// carries the material; `None` means the classical kernel.
-fn multi_bit_on_key<'a>(
-    server: &'a ServerKey,
-    policy: &KernelPolicy,
-    class: RequestClass,
-) -> Option<&'a MultiBitBootstrapKey> {
-    match policy.kernel_for(class) {
-        PbsKernel::MultiBit { .. } => server.multi_bit_bootstrap_key(),
-        PbsKernel::Classical => None,
-    }
-}
-
-/// Runs one epoch of requests against a specific server key — the
-/// shared body of [`TfheExecutor`] (one fixed key for the runtime's
-/// lifetime) and [`MultiTenantExecutor`] (the epoch's tenant key,
-/// resolved from the [`KeyRegistry`] and pinned for the whole PBS+KS
-/// run by the borrow held here).
-fn execute_epoch_on_key(
-    server: &ServerKey,
-    threads: usize,
-    policy: &KernelPolicy,
-    gate_lut: &Lut,
-    batch: &[Request],
-    profiled: bool,
-) -> EpochExecution {
-    // Collect every PBS-bearing request into one key-major batch;
-    // keyswitch-only requests run directly. Shape validation
-    // happens here, per job, so one malformed request fails alone
-    // instead of poisoning (or serialising) the shared batch call.
-    let bsk = server.bootstrap_key();
-    let mut timings = StageTimings::new();
-    let mut pbs_span = None;
-    let mut ks_span = None;
-    let mut results: Vec<Option<Result<LweCiphertext, TfheError>>> =
-        batch.iter().map(|_| None).collect();
-    // Fused linear preambles are materialised first so the borrowed
-    // PBS jobs below can reference them alongside the plain request
-    // ciphertexts. A failed preamble fails its request alone.
-    let preamble_t0 = Instant::now();
-    let mut preambles: Vec<Option<LweCiphertext>> = batch.iter().map(|_| None).collect();
-    for (i, req) in batch.iter().enumerate() {
-        let combined = match &req.op {
-            RequestOp::Gate { recipe, extra } => {
-                Some(linear_preamble(&req.ct, recipe.weights(), extra, recipe.offset()))
+    /// Runs one epoch against `server`, bootstrapping every PBS job
+    /// with `bsk` (`multi_bit` says which kernel that is). With a
+    /// `tenant`, requests of any other tenant fail alone.
+    fn run_epoch<E: KeyLayout>(
+        &self,
+        server: &ServerKey,
+        bsk: &BlindRotationKey<E>,
+        multi_bit: bool,
+        tenant: Option<TenantId>,
+        batch: &[Request],
+        profiled: bool,
+    ) -> EpochExecution {
+        let mut timings = StageTimings::new();
+        let mut pbs_span = None;
+        let mut ks_span = None;
+        let mut results: Vec<Option<Result<LweCiphertext, TfheError>>> =
+            batch.iter().map(|_| None).collect();
+        // Fused linear preambles are materialised first so the borrowed
+        // PBS jobs below can reference them alongside the plain request
+        // ciphertexts. A failed preamble fails its request alone, and
+        // so does a request of a tenant other than the key's.
+        let preamble_t0 = Instant::now();
+        let mut preambles: Vec<Option<LweCiphertext>> = batch.iter().map(|_| None).collect();
+        for (i, req) in batch.iter().enumerate() {
+            if tenant.is_some_and(|t| t != req.tenant) {
+                let foreign = "request tenant differs from the epoch key's tenant";
+                results[i] = Some(Err(TfheError::InvalidParameters(foreign)));
+                continue;
             }
-            RequestOp::LinearLut { weights, extra, offset, .. } => {
-                Some(linear_preamble(&req.ct, weights, extra, *offset))
-            }
-            _ => None,
-        };
-        match combined {
-            Some(Ok(ct)) => preambles[i] = Some(ct),
-            Some(Err(e)) => results[i] = Some(Err(e)),
-            None => {}
-        }
-    }
-    if profiled {
-        timings.add(PbsStage::LinearOps, preamble_t0.elapsed());
-    }
-
-    let ksk = server.keyswitch_key();
-    let mbsk = server.multi_bit_bootstrap_key();
-    // One job list per kernel: each request's class resolves
-    // through the policy (with classical fallback when the grouped
-    // key is absent), so one epoch may mix kernels freely while
-    // each kernel still runs as a single key-major batch.
-    let mut pbs_indices = Vec::new();
-    let mut jobs: Vec<PbsJob<'_>> = Vec::new();
-    let mut mb_indices = Vec::new();
-    let mut mb_jobs: Vec<PbsJob<'_>> = Vec::new();
-    // Keyswitch-only requests are collected and run as ONE batch
-    // (one digit buffer per epoch) instead of one allocating
-    // `keyswitch` call per request. Dimensions are validated here,
-    // per request, so a malformed input fails alone instead of
-    // poisoning the shared batch call.
-    let mut ks_only_slots = Vec::new();
-    let mut ks_only_inputs: Vec<&LweCiphertext> = Vec::new();
-    for (i, req) in batch.iter().enumerate() {
-        if results[i].is_some() {
-            continue; // preamble already failed this request
-        }
-        let job = match &req.op {
-            RequestOp::Lut(lut) | RequestOp::Bootstrap(lut) => Some((&req.ct, lut.as_ref())),
-            RequestOp::Gate { .. } => preambles[i].as_ref().map(|ct| (ct, gate_lut)),
-            RequestOp::LinearLut { lut, .. } => preambles[i].as_ref().map(|ct| (ct, lut.as_ref())),
-            RequestOp::Keyswitch => {
-                if req.ct.dimension() == ksk.input_dimension() {
-                    ks_only_slots.push(i);
-                    ks_only_inputs.push(&req.ct);
-                } else {
-                    results[i] = Some(Err(TfheError::ParameterMismatch {
-                        what: "lwe dimension",
-                        left: req.ct.dimension(),
-                        right: ksk.input_dimension(),
-                    }));
+            let combined = match &req.op {
+                RequestOp::Gate { recipe, extra } => {
+                    Some(linear_preamble(&req.ct, recipe.weights(), extra, recipe.offset()))
                 }
-                None
+                RequestOp::LinearLut { weights, extra, offset, .. } => {
+                    Some(linear_preamble(&req.ct, weights, extra, *offset))
+                }
+                _ => None,
+            };
+            match combined {
+                Some(Ok(ct)) => preambles[i] = Some(ct),
+                Some(Err(e)) => results[i] = Some(Err(e)),
+                None => {}
             }
-        };
-        if let Some((ct, lut)) = job {
-            if let Some(mb) = multi_bit_on_key(server, policy, req.op.class()) {
-                match mb.check_shape(ct, lut) {
-                    Ok(()) => {
-                        mb_indices.push(i);
-                        mb_jobs.push(PbsJob { ct, lut });
+        }
+        if profiled {
+            timings.add(PbsStage::LinearOps, preamble_t0.elapsed());
+        }
+
+        // Every PBS-bearing request joins one key-major batch.
+        // Keyswitch-only requests are collected and run as ONE batch
+        // (one digit buffer per epoch) instead of one allocating
+        // `keyswitch` call per request. Shapes and dimensions are
+        // validated here, per request, so a malformed input fails alone
+        // instead of poisoning (or serialising) a shared batch call.
+        let ksk = server.keyswitch_key();
+        let mut pbs_indices = Vec::new();
+        let mut jobs: Vec<PbsJob<'_>> = Vec::new();
+        let mut ks_only_slots = Vec::new();
+        let mut ks_only_inputs: Vec<&LweCiphertext> = Vec::new();
+        for (i, req) in batch.iter().enumerate() {
+            if results[i].is_some() {
+                continue; // already failed above
+            }
+            let job = match &req.op {
+                RequestOp::Lut(lut) | RequestOp::Bootstrap(lut) => Some((&req.ct, lut.as_ref())),
+                RequestOp::Gate { .. } => preambles[i].as_ref().map(|ct| (ct, &self.gate_lut)),
+                RequestOp::LinearLut { lut, .. } => {
+                    preambles[i].as_ref().map(|ct| (ct, lut.as_ref()))
+                }
+                RequestOp::Keyswitch => {
+                    if req.ct.dimension() == ksk.input_dimension() {
+                        ks_only_slots.push(i);
+                        ks_only_inputs.push(&req.ct);
+                    } else {
+                        results[i] = Some(Err(TfheError::ParameterMismatch {
+                            what: "lwe dimension",
+                            left: req.ct.dimension(),
+                            right: ksk.input_dimension(),
+                        }));
                     }
-                    Err(e) => results[i] = Some(Err(e)),
+                    None
                 }
-            } else {
+            };
+            if let Some((ct, lut)) = job {
                 match bsk.check_shape(ct, lut) {
                     Ok(()) => {
                         pbs_indices.push(i);
@@ -403,73 +394,43 @@ fn execute_epoch_on_key(
                 }
             }
         }
-    }
 
-    // With dimensions pre-validated the batch call cannot fail;
-    // an unexpected error still fails only its own requests.
-    // Keyswitching has no job blocking, so it shards with the
-    // plain thread budget, not the block-aware PBS plan.
-    if !ks_only_inputs.is_empty() {
-        match ksk
-            .keyswitch_batch_parallel(&ks_only_inputs, threads.min(ks_only_inputs.len()).max(1))
-        {
-            Ok(switched) => {
-                for (&i, out) in ks_only_slots.iter().zip(switched) {
-                    results[i] = Some(Ok(out));
-                }
-            }
-            Err(e) => {
-                for &i in &ks_only_slots {
-                    results[i] = Some(Err(e.clone()));
-                }
-            }
+        // With dimensions pre-validated the batch call cannot fail;
+        // an unexpected error still fails only its own requests.
+        // Keyswitching has no job blocking, so it shards with the
+        // plain thread budget, not the block-aware PBS plan.
+        if !ks_only_inputs.is_empty() {
+            let threads = self.threads.min(ks_only_inputs.len());
+            let switched = ksk.keyswitch_batch_parallel(&ks_only_inputs, threads);
+            fill(&mut results, &ks_only_slots, switched);
         }
-    }
 
-    // With shapes pre-validated the batch call cannot mismatch;
-    // still, an unexpected error fails its jobs rather than
-    // panicking the worker thread.
-    //
-    // A profiled (sampled) epoch runs the probed production kernel
-    // instead — same blocked CMUX loop, single-threaded, with each
-    // stage bracketed by `TimingProbe`. Bit-identical output; the
-    // sampling cost is losing intra-epoch parallelism for this one
-    // epoch, which is why it's every Nth epoch, not all of them.
-    // Both kernels run their batch inside one PBS span: the
-    // classical jobs first, then the grouped multi-bit jobs. On
-    // sampled epochs both probed kernels accumulate into the same
-    // per-stage timings (the stages are shared vocabulary).
-    let pbs_t0 = Instant::now();
-    let classical_result = if profiled {
-        bsk.bootstrap_batch_profiled(&jobs, &mut timings)
-    } else {
-        bsk.bootstrap_batch_parallel(&jobs, plan_threads(threads, jobs.len()))
-    };
-    let multi_bit_result = match mbsk {
-        Some(mb) if !mb_jobs.is_empty() => {
-            if profiled {
-                mb.bootstrap_batch_profiled(&mb_jobs, &mut timings)
-            } else {
-                mb.bootstrap_batch_parallel(&mb_jobs, plan_threads(threads, mb_jobs.len()))
-            }
+        // With shapes pre-validated the batch call cannot mismatch;
+        // still, an unexpected error fails its jobs rather than
+        // panicking the worker thread.
+        //
+        // A profiled (sampled) epoch runs the probed production kernel
+        // instead — same blocked CMUX loop, single-threaded, with each
+        // stage bracketed by `TimingProbe`. Bit-identical output; the
+        // sampling cost is losing intra-epoch parallelism for this one
+        // epoch, which is why it's every Nth epoch, not all of them.
+        let pbs_t0 = Instant::now();
+        let booted = if profiled {
+            bsk.bootstrap_batch_profiled(&jobs, &mut timings)
+        } else {
+            bsk.bootstrap_batch_parallel(&jobs, plan_threads(self.threads, jobs.len()))
+        };
+        if !jobs.is_empty() {
+            pbs_span = Some((pbs_t0, Instant::now()));
         }
-        _ => Ok(Vec::new()),
-    };
-    let total_pbs = jobs.len() + mb_jobs.len();
-    if total_pbs > 0 {
-        pbs_span = Some((pbs_t0, Instant::now()));
-    }
-    // Keyswitch the Lut/Gate/LinearLut outputs of BOTH kernels as
-    // one batch (they all carry the extracted dimension the key
-    // expects); Bootstrap-op outputs pass through raw.
-    let mut ks_slots = Vec::new();
-    let mut ks_inputs = Vec::new();
-    for (indices, booted_result) in
-        [(&pbs_indices, classical_result), (&mb_indices, multi_bit_result)]
-    {
-        match booted_result {
+        // Keyswitch the Lut/Gate/LinearLut outputs as one batch (they
+        // all carry the extracted dimension the key expects);
+        // Bootstrap-op outputs pass through raw.
+        let mut ks_slots = Vec::new();
+        let mut ks_inputs = Vec::new();
+        match booted {
             Ok(booted) => {
-                for (&i, out) in indices.iter().zip(booted) {
+                for (&i, out) in pbs_indices.iter().zip(booted) {
                     match &batch[i].op {
                         RequestOp::Lut(_)
                         | RequestOp::Gate { .. }
@@ -482,50 +443,72 @@ fn execute_epoch_on_key(
                 }
             }
             Err(e) => {
-                for &i in indices {
+                for &i in &pbs_indices {
                     results[i] = Some(Err(e.clone()));
                 }
             }
         }
-    }
-    // The Algorithm-2 tail shares the epoch's thread
-    // budget: sharded like the blind rotation, bit-identical
-    // to the sequential batch. On sampled epochs its wall
-    // time lands in the KeySwitch stage bucket.
-    let ks_t0 = Instant::now();
-    let switched_result =
-        ksk.keyswitch_batch_parallel(&ks_inputs, threads.min(ks_inputs.len()).max(1));
-    if !ks_inputs.is_empty() {
-        let ks_t1 = Instant::now();
-        ks_span = Some((ks_t0, ks_t1));
-        if profiled {
-            timings.add(PbsStage::KeySwitch, ks_t1 - ks_t0);
+        // The Algorithm-2 tail shares the epoch's thread
+        // budget: sharded like the blind rotation, bit-identical
+        // to the sequential batch. On sampled epochs its wall
+        // time lands in the KeySwitch stage bucket.
+        let ks_t0 = Instant::now();
+        let switched_result =
+            ksk.keyswitch_batch_parallel(&ks_inputs, self.threads.min(ks_inputs.len()).max(1));
+        if !ks_inputs.is_empty() {
+            let ks_t1 = Instant::now();
+            ks_span = Some((ks_t0, ks_t1));
+            if profiled {
+                timings.add(PbsStage::KeySwitch, ks_t1 - ks_t0);
+            }
         }
+        // An error is unreachable with pre-validated shapes (PBS always
+        // emits the extracted dimension), but it must fail its
+        // requests, not the worker.
+        fill(&mut results, &ks_slots, switched_result);
+
+        let mut kernel_jobs = [0, 0];
+        kernel_jobs[usize::from(multi_bit)] = jobs.len();
+        let results = results
+            .into_iter()
+            // lint:allow(panic) every request is routed to exactly one of the fill paths above
+            .map(|r| r.expect("every request receives a result"))
+            .collect();
+        let stage_sample = (profiled && !jobs.is_empty()).then_some((timings, jobs.len()));
+        EpochExecution { results, pbs_span, ks_span, stage_sample, kernel_jobs }
     }
-    match switched_result {
-        Ok(switched) => {
-            for (&i, out) in ks_slots.iter().zip(switched) {
+}
+
+/// Stores one batch call's outputs in their requests' result slots; an
+/// error fails every request of the batch.
+fn fill(
+    results: &mut [Option<Result<LweCiphertext, TfheError>>],
+    slots: &[usize],
+    outputs: Result<Vec<LweCiphertext>, TfheError>,
+) {
+    match outputs {
+        Ok(outputs) => {
+            for (&i, out) in slots.iter().zip(outputs) {
                 results[i] = Some(Ok(out));
             }
         }
-        // Unreachable with pre-validated shapes (PBS always
-        // emits the extracted dimension), but an error must
-        // fail its requests, not the worker.
         Err(e) => {
-            for &i in &ks_slots {
+            for &i in slots {
                 results[i] = Some(Err(e.clone()));
             }
         }
     }
+}
 
-    let kernel_jobs = [jobs.len(), mb_jobs.len()];
-    let results = results
-        .into_iter()
-        // lint:allow(panic) every request is routed to exactly one of the fill paths above
-        .map(|r| r.expect("every request receives a result"))
-        .collect();
-    let stage_sample = (profiled && total_pbs > 0).then_some((timings, total_pbs));
-    EpochExecution { results, pbs_span, ks_span, stage_sample, kernel_jobs }
+/// Block-aware intra-epoch thread plan: the blocked CMUX amortises each
+/// key row over up to `CMUX_JOB_BLOCK` accumulators, so a shard smaller
+/// than one block trades that locality for thread count. Cap the shard
+/// count at one block per thread (the keyswitch tail, which has no
+/// blocking, shards with the plain thread budget instead). Bit-identity
+/// holds for any split.
+fn plan_threads(threads: usize, batch_len: usize) -> usize {
+    let max_useful = batch_len.div_ceil(strix_tfhe::scratch::CMUX_JOB_BLOCK);
+    threads.min(max_useful).max(1)
 }
 
 impl BatchExecutor for TfheExecutor {
@@ -534,144 +517,27 @@ impl BatchExecutor for TfheExecutor {
     }
 
     fn execute_epoch(&self, batch: &[Request], profiled: bool) -> EpochExecution {
-        execute_epoch_on_key(
-            &self.server,
-            self.threads,
-            &self.policy,
-            &self.gate_lut,
-            batch,
-            profiled,
-        )
-    }
-
-    fn planned_threads(&self, batch_len: usize) -> usize {
-        plan_threads(self.threads, batch_len)
-    }
-
-    fn max_threads(&self) -> usize {
-        self.threads
-    }
-
-    fn admission(&self) -> Option<AdmissionPolicy> {
-        // The policy resolves each class's *effective* kernel (the one
-        // the epoch loop above will dispatch to), so the analyzer
-        // predicts exactly what execution does — including classical
-        // fallback when the grouped key is absent.
-        let mut effective = KernelPolicy::uniform(self.effective_kernel(RequestClass::Gate));
-        for class in RequestClass::ALL {
-            effective = effective.with_class(class, self.effective_kernel(class));
-        }
-        Some(
-            AdmissionPolicy::new(self.server.params().clone(), effective)
-                .with_threshold(self.admission_threshold_sigmas),
-        )
-    }
-
-    fn fft_backend(&self) -> Option<String> {
-        Some(self.server.bootstrap_key().fft().backend().label().to_string())
-    }
-}
-
-/// The multi-tenant TFHE back-end: the same key-major epoch execution
-/// as [`TfheExecutor`], but with the server key resolved per epoch from
-/// a shared [`KeyRegistry`] instead of fixed at construction. Epochs
-/// are single-tenant by construction (the dispatcher keeps one open
-/// batch per tenant), so one [`resolve`](KeyRegistry::resolve) pins the
-/// epoch's key — as an `Arc`, safe against concurrent eviction — for
-/// the whole PBS+KS run: the third batching level, grouping by *key*
-/// above the TvLP × core_batch grouping by ciphertext.
-pub struct MultiTenantExecutor {
-    registry: Arc<KeyRegistry>,
-    threads: usize,
-    policy: KernelPolicy,
-    gate_lut: Lut,
-    admission_threshold_sigmas: f64,
-}
-
-impl MultiTenantExecutor {
-    /// Wraps a key registry; epochs execute on the calling worker
-    /// thread alone.
-    pub fn new(registry: Arc<KeyRegistry>) -> Self {
-        Self::with_threads(registry, 1)
-    }
-
-    /// Wraps a key registry with an intra-epoch thread budget (clamped
-    /// to at least 1). The kernel policy follows the registry's shared
-    /// parameter set, exactly like [`TfheExecutor::with_threads`].
-    pub fn with_threads(registry: Arc<KeyRegistry>, threads: usize) -> Self {
-        let policy = KernelPolicy::uniform(registry.params().pbs_kernel);
-        Self::with_policy(registry, threads, policy)
-    }
-
-    /// Wraps a key registry with an explicit per-class kernel policy.
-    pub fn with_policy(registry: Arc<KeyRegistry>, threads: usize, policy: KernelPolicy) -> Self {
-        let gate_lut = gate_sign_lut(registry.params().polynomial_size);
-        Self {
-            registry,
-            threads: threads.max(1),
-            policy,
-            gate_lut,
-            admission_threshold_sigmas: crate::analyzer::DEFAULT_THRESHOLD_SIGMAS,
-        }
-    }
-
-    /// Overrides the admission threshold (see
-    /// [`TfheExecutor::with_admission_threshold`]).
-    pub fn with_admission_threshold(mut self, sigmas: f64) -> Self {
-        self.admission_threshold_sigmas = sigmas;
-        self
-    }
-
-    /// The shared registry this executor resolves epoch keys from.
-    pub fn registry(&self) -> &Arc<KeyRegistry> {
-        &self.registry
-    }
-
-    /// The kernel `class` executes with under the registry's shared
-    /// parameter set: every tenant's key is generated from the same
-    /// parameters, so the effective kernel is uniform across tenants.
-    fn effective_kernel(&self, class: RequestClass) -> PbsKernel {
-        match (self.policy.kernel_for(class), self.registry.params().pbs_kernel) {
-            (PbsKernel::MultiBit { .. }, actual @ PbsKernel::MultiBit { .. }) => actual,
-            _ => PbsKernel::Classical,
-        }
-    }
-}
-
-impl BatchExecutor for MultiTenantExecutor {
-    fn execute(&self, batch: &[Request]) -> Vec<Result<LweCiphertext, TfheError>> {
-        self.execute_epoch(batch, false).results
-    }
-
-    fn execute_epoch(&self, batch: &[Request], profiled: bool) -> EpochExecution {
-        let Some(first) = batch.first() else {
-            return EpochExecution::from_results(Vec::new());
+        let (server, tenant) = match &self.keys {
+            KeySource::Pinned(server) => (Arc::clone(server), None),
+            KeySource::Registry(registry) => {
+                let Some(tenant) = batch.first().map(|r| r.tenant) else {
+                    return EpochExecution::from_results(Vec::new());
+                };
+                // The Arc pins the key for the whole epoch: a concurrent
+                // eviction drops residency, not the material under us.
+                let Some(server) = registry.resolve(tenant) else {
+                    let missing =
+                        TfheError::InvalidParameters("no key registered for the request's tenant");
+                    return EpochExecution::from_results(vec![Err(missing); batch.len()]);
+                };
+                (server, Some(tenant))
+            }
         };
-        debug_assert!(
-            batch.iter().all(|r| r.tenant == first.tenant),
-            "epochs must be single-tenant"
-        );
-        match self.registry.resolve(first.tenant) {
-            // The Arc pins the key for the whole epoch: a concurrent
-            // eviction drops residency, not the material under us.
-            Some(server) => execute_epoch_on_key(
-                &server,
-                self.threads,
-                &self.policy,
-                &self.gate_lut,
-                batch,
-                profiled,
-            ),
-            None => EpochExecution::from_results(
-                batch
-                    .iter()
-                    .map(|_| {
-                        Err(TfheError::InvalidParameters(
-                            "no key registered for the request's tenant",
-                        ))
-                    })
-                    .collect(),
-            ),
+        let grouped =
+            server.multi_bit_bootstrap_key().filter(|_| self.kernel != PbsKernel::Classical);
+        match grouped {
+            Some(mb) => self.run_epoch(&server, mb, true, tenant, batch, profiled),
+            None => self.run_epoch(&server, server.bootstrap_key(), false, tenant, batch, profiled),
         }
     }
 
@@ -684,21 +550,18 @@ impl BatchExecutor for MultiTenantExecutor {
     }
 
     fn admission(&self) -> Option<AdmissionPolicy> {
-        let mut effective = KernelPolicy::uniform(self.effective_kernel(RequestClass::Gate));
-        for class in RequestClass::ALL {
-            effective = effective.with_class(class, self.effective_kernel(class));
-        }
+        // The analyzer predicts the kernel the epochs run.
         Some(
-            AdmissionPolicy::new(self.registry.params().clone(), effective)
+            AdmissionPolicy::new(self.keys.params().clone(), KernelPolicy::uniform(self.kernel))
                 .with_threshold(self.admission_threshold_sigmas),
         )
     }
 
     fn fft_backend(&self) -> Option<String> {
         // Resolved from the parameter set's backend selection (the
-        // same dispatch every expanded key's FFT plan goes through),
-        // so the label is available before any key is resident.
-        self.registry.params().fft_backend.resolve().ok().map(|b| b.label().to_string())
+        // same dispatch every key's FFT plan goes through), so the
+        // label is available before any registry key is resident.
+        self.keys.params().fft_backend.resolve().ok().map(|b| b.label().to_string())
     }
 }
 
@@ -938,10 +801,7 @@ mod tests {
 
         // The default policy follows the parameter set: multi-bit.
         let grouped = TfheExecutor::new(Arc::clone(&server));
-        assert_eq!(
-            grouped.kernel_policy().kernel_for(RequestClass::Lut),
-            PbsKernel::MultiBit { grouping_factor: 2 }
-        );
+        assert_eq!(grouped.kernel(), PbsKernel::MultiBit { grouping_factor: 2 });
         let grouped_exec = grouped.execute_epoch(&batch, false);
         assert_eq!(grouped_exec.kernel_jobs, [0, 5]);
         // Forcing the classical kernel on the same server key must
@@ -966,51 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn per_class_policy_splits_one_epoch_across_kernels() {
-        let params =
-            TfheParameters::testing_fast().with_kernel(PbsKernel::MultiBit { grouping_factor: 2 });
-        let (mut client, server) = generate_keys(&params, 92);
-        let server = Arc::new(server);
-        let p = 2u32;
-        let lut = Arc::new(Lut::from_function(params.polynomial_size, p, |m| (3 * m) % 4).unwrap());
-        // Lut requests ride the grouped kernel, raw bootstraps stay
-        // classical: one epoch, two key-major batches.
-        let policy = KernelPolicy::uniform(PbsKernel::Classical)
-            .with_class(RequestClass::Lut, PbsKernel::MultiBit { grouping_factor: 2 });
-        assert_eq!(policy.default_kernel(), PbsKernel::Classical);
-        let exec = TfheExecutor::with_policy(Arc::clone(&server), 1, policy);
-        let batch = vec![
-            request(
-                0,
-                0,
-                client.encrypt_shortint(1, p).unwrap().as_lwe().clone(),
-                RequestOp::Lut(Arc::clone(&lut)),
-            ),
-            request(
-                1,
-                0,
-                client.encrypt_shortint(2, p).unwrap().as_lwe().clone(),
-                RequestOp::Bootstrap(Arc::clone(&lut)),
-            ),
-            request(
-                0,
-                1,
-                client.encrypt_shortint(3, p).unwrap().as_lwe().clone(),
-                RequestOp::Lut(Arc::clone(&lut)),
-            ),
-        ];
-        let epoch = exec.execute_epoch(&batch, false);
-        assert_eq!(epoch.kernel_jobs, [1, 2]);
-        let decode = |ct: &LweCiphertext| {
-            let phase = client.decrypt_phase(ct).unwrap();
-            strix_tfhe::torus::decode_message(phase, p + 1)
-        };
-        assert_eq!(decode(epoch.results[0].as_ref().unwrap()), 3);
-        assert_eq!(decode(epoch.results[1].as_ref().unwrap()), 2 * 3 % 4);
-        assert_eq!(decode(epoch.results[2].as_ref().unwrap()), 3 * 3 % 4);
-    }
-
-    #[test]
     fn multi_bit_policy_without_grouped_key_falls_back_to_classical() {
         // A classical server key carries no grouped key material: a
         // policy asking for multi-bit must degrade to the classical
@@ -1031,6 +846,42 @@ mod tests {
         assert_eq!(epoch.kernel_jobs, [1, 0], "fallback runs classically");
         let phase = client.decrypt_phase(epoch.results[0].as_ref().unwrap()).unwrap();
         assert_eq!(strix_tfhe::torus::decode_message(phase, p + 1), 2);
+    }
+
+    #[test]
+    fn registry_epoch_fails_other_tenants_requests_alone() {
+        // Epochs are single-tenant by construction, but the public
+        // `execute_epoch` accepts any batch: a request of another
+        // tenant must fail with a typed error instead of running under
+        // the first request's key, and the rest of the epoch must run.
+        let params = TfheParameters::testing_fast();
+        let registry = Arc::new(KeyRegistry::with_resident_keys(params.clone(), 2));
+        let mut client = ClientKey::generate(&params, 94);
+        registry.register_seeded(TenantId(1), client.seeded_server_key(0xA1));
+        let mut other = ClientKey::generate(&params, 95);
+        registry.register_seeded(TenantId(2), other.seeded_server_key(0xA2));
+        let exec = TfheExecutor::multi_tenant(registry, 1, None);
+        let p = 2u32;
+        let lut = Arc::new(Lut::from_function(params.polynomial_size, p, |m| (m + 1) % 4).unwrap());
+        let lut_request = |tenant: u64, seq: u64, key: &mut ClientKey, m: u64| {
+            let ct = key.encrypt_shortint(m, p).unwrap().as_lwe().clone();
+            request(tenant, seq, ct, RequestOp::Lut(Arc::clone(&lut))).with_tenant(TenantId(tenant))
+        };
+        let batch = vec![
+            lut_request(1, 0, &mut client, 1),
+            lut_request(2, 0, &mut other, 2),
+            lut_request(1, 1, &mut client, 2),
+        ];
+        let epoch = exec.execute_epoch(&batch, false);
+        assert_eq!(epoch.kernel_jobs, [2, 0], "only the key tenant's requests bootstrap");
+        assert_eq!(
+            epoch.results[1],
+            Err(TfheError::InvalidParameters("request tenant differs from the epoch key's tenant"))
+        );
+        for (i, want) in [(0, 2), (2, 3)] {
+            let phase = client.decrypt_phase(epoch.results[i].as_ref().unwrap()).unwrap();
+            assert_eq!(strix_tfhe::torus::decode_message(phase, p + 1), want, "request {i}");
+        }
     }
 
     #[test]

@@ -100,9 +100,7 @@ pub mod worker;
 
 pub use analyzer::{AdmissionPolicy, ProgramAnalysis, WireReport, DEFAULT_THRESHOLD_SIGMAS};
 pub use error::RuntimeError;
-pub use executor::{
-    BatchExecutor, EpochExecution, KernelPolicy, MultiTenantExecutor, TfheExecutor,
-};
+pub use executor::{BatchExecutor, EpochExecution, KernelPolicy, TfheExecutor};
 pub use metrics::{
     ClassLatency, MetricsSink, MetricsWindow, PbsStageBreakdown, RequestRecord, RuntimeReport,
     REPORT_SCHEMA_VERSION,

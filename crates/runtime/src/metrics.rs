@@ -227,8 +227,8 @@ impl MetricsSink {
     }
 
     /// Records how many of one executed epoch's PBS jobs ran through
-    /// each kernel — the observable of the per-request-class kernel
-    /// dispatch. Feeds [`RuntimeReport::pbs_jobs_classical`] and
+    /// each kernel — the observable of the executor's resolved kernel.
+    /// Feeds [`RuntimeReport::pbs_jobs_classical`] and
     /// [`RuntimeReport::pbs_jobs_multi_bit`].
     pub fn record_kernel_jobs(&self, classical: usize, multi_bit: usize) {
         let mut inner = lock_unpoisoned(&self.inner);

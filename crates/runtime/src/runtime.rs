@@ -14,7 +14,7 @@ use strix_tfhe::lwe::LweCiphertext;
 use crate::analyzer::AdmissionPolicy;
 use crate::dispatch::Dispatcher;
 use crate::error::RuntimeError;
-use crate::executor::{BatchExecutor, KernelPolicy};
+use crate::executor::{BatchExecutor, KernelPolicy, KeySource, TfheExecutor};
 use crate::metrics::{MetricsSink, RuntimeReport};
 use crate::policy::FlushPolicy;
 use crate::registry::KeyRegistry;
@@ -36,7 +36,8 @@ pub struct RuntimeConfig {
     /// Intra-epoch threads each worker's executor may use: an epoch's
     /// PBS jobs are sharded across up to this many scoped threads
     /// (bit-identical to sequential execution). Honoured by
-    /// [`Runtime::start_tfhe`]; custom executors receive it via
+    /// [`Runtime::start_tfhe`] and [`Runtime::start_multi_tenant`];
+    /// custom executors receive it via
     /// [`TfheExecutor::with_threads`](crate::executor::TfheExecutor::with_threads)-style
     /// constructors.
     pub threads_per_worker: usize,
@@ -51,12 +52,12 @@ pub struct RuntimeConfig {
     /// single-threaded, so with `threads_per_worker > 1` this trades a
     /// sliver of throughput for attribution.
     pub profile_every: u64,
-    /// Per-request-class PBS kernel selection for [`Runtime::start_tfhe`].
-    /// `None` (the default) follows the server key's parameter set:
-    /// multi-bit parameters route everything through the grouped
-    /// kernel, classical parameters through the classical one. Classes
-    /// routed to a kernel whose key material is absent fall back to
-    /// the classical kernel.
+    /// The PBS kernel [`Runtime::start_tfhe`] and
+    /// [`Runtime::start_multi_tenant`] run. `None` (the default) follows
+    /// the key's parameter set: multi-bit parameters run the grouped
+    /// kernel, classical parameters the classical one. A multi-bit
+    /// request on classical parameters falls back to the classical
+    /// kernel.
     pub kernel_policy: Option<KernelPolicy>,
 }
 
@@ -102,8 +103,8 @@ impl RuntimeConfig {
         Self { profile_every, ..self }
     }
 
-    /// Overrides the per-request-class PBS kernel policy used by
-    /// [`Runtime::start_tfhe`].
+    /// Overrides the PBS kernel policy used by [`Runtime::start_tfhe`]
+    /// and [`Runtime::start_multi_tenant`].
     pub fn with_kernel_policy(self, kernel_policy: KernelPolicy) -> Self {
         Self { kernel_policy: Some(kernel_policy), ..self }
     }
@@ -174,14 +175,9 @@ impl Runtime {
     /// [`TfheExecutor::with_policy`](crate::executor::TfheExecutor::with_policy)
     /// when a kernel policy is set).
     pub fn start_tfhe(config: RuntimeConfig, server: Arc<strix_tfhe::ServerKey>) -> Self {
-        let executor = match config.kernel_policy {
-            Some(policy) => crate::executor::TfheExecutor::with_policy(
-                server,
-                config.threads_per_worker,
-                policy,
-            ),
-            None => crate::executor::TfheExecutor::with_threads(server, config.threads_per_worker),
-        };
+        let keys = KeySource::Pinned(server);
+        let executor =
+            TfheExecutor::from_source(keys, config.threads_per_worker, config.kernel_policy);
         Self::start(config, executor)
     }
 
@@ -196,17 +192,11 @@ impl Runtime {
     /// [`Self::client_for`]; the registry's cache counters appear in
     /// every [`RuntimeReport`].
     pub fn start_multi_tenant(config: RuntimeConfig, registry: Arc<KeyRegistry>) -> Self {
-        let executor = match config.kernel_policy {
-            Some(policy) => crate::executor::MultiTenantExecutor::with_policy(
-                Arc::clone(&registry),
-                config.threads_per_worker,
-                policy,
-            ),
-            None => crate::executor::MultiTenantExecutor::with_threads(
-                Arc::clone(&registry),
-                config.threads_per_worker,
-            ),
-        };
+        let executor = TfheExecutor::multi_tenant(
+            Arc::clone(&registry),
+            config.threads_per_worker,
+            config.kernel_policy,
+        );
         let mut runtime = Self::start(config, executor);
         runtime.key_registry = Some(registry);
         runtime

@@ -36,22 +36,22 @@
 //!
 //! [`Program::run_sync`] is the synchronous reference execution over a
 //! [`ServerKey`]; it performs the same linear-preamble → bootstrap →
-//! keyswitch pipeline as the streamed path, so the two produce
-//! bit-identical ciphertexts (the batch bootstrap is bit-identical to
-//! the sequential one by construction).
+//! keyswitch pipeline as the streamed path, on the same PBS kernel, so
+//! the two produce bit-identical ciphertexts (the batch bootstrap is
+//! bit-identical to the sequential one by construction).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use strix_tfhe::boolean::{gate_sign_lut, BinaryGate, GateRecipe};
-use strix_tfhe::bootstrap::Lut;
+use strix_tfhe::bootstrap::{BlindRotationKey, KeyLayout, Lut};
 use strix_tfhe::lwe::LweCiphertext;
-use strix_tfhe::ServerKey;
+use strix_tfhe::{PbsKernel, ServerKey};
 
 use crate::analyzer::AdmissionPolicy;
 use crate::error::RuntimeError;
-use crate::executor::linear_preamble;
+use crate::executor::{linear_preamble, resolve_kernel};
 use crate::lowering::{self, Lowered};
 use crate::request::{RequestOp, Response};
 use crate::runtime::ClientHandle;
@@ -314,10 +314,11 @@ impl Program {
 
     /// Synchronous reference execution over a [`ServerKey`]: every
     /// node runs in submission order through the same linear-preamble
-    /// → bootstrap → keyswitch pipeline as the streamed path, so the
-    /// outputs are bit-identical to a [`ProgramSession`] run against a
-    /// [`TfheExecutor`](crate::executor::TfheExecutor) built on the
-    /// same key.
+    /// → bootstrap → keyswitch pipeline as the streamed path, on the
+    /// key's own PBS kernel (multi-bit for a multi-bit parameter set),
+    /// so the outputs are bit-identical to a [`ProgramSession`] run
+    /// against a [`TfheExecutor`](crate::executor::TfheExecutor) built
+    /// on the same key.
     ///
     /// It runs the form admission chose ([`Self::lowered`] or the
     /// program as built). Before any admission it makes that choice
@@ -342,12 +343,17 @@ impl Program {
             Some(form) => form,
             None => AdmissionPolicy::for_server(server).choose(self).map_or(self, |(form, _)| form),
         };
-        form.execute_sync(server, inputs)
+        let kernel = resolve_kernel(None, server.params());
+        match server.multi_bit_bootstrap_key().filter(|_| kernel != PbsKernel::Classical) {
+            Some(mb) => form.execute_sync(server, mb, inputs),
+            None => form.execute_sync(server, server.bootstrap_key(), inputs),
+        }
     }
 
-    fn execute_sync(
+    fn execute_sync<E: KeyLayout>(
         &self,
         server: &ServerKey,
+        bsk: &BlindRotationKey<E>,
         inputs: &[LweCiphertext],
     ) -> Result<Vec<LweCiphertext>, RuntimeError> {
         let sign = gate_sign_lut(server.params().polynomial_size);
@@ -382,7 +388,7 @@ impl Program {
                 .map(|&w| Ok(value_of(w)?.clone()))
                 .collect::<Result<_, RuntimeError>>()?;
             let sum = linear_preamble(value_of(node.inputs[0])?, weights, &extra, offset)?;
-            let boot = server.bootstrap_key().bootstrap(&sum, lut)?;
+            let boot = bsk.bootstrap(&sum, lut)?;
             values[idx] = Some(server.keyswitch_key().keyswitch(&boot)?);
         }
         self.outputs

@@ -1,4 +1,5 @@
-//! Repository-invariant linter: `cargo run -p xtask -- lint`.
+//! Repository-invariant linter, `cargo run -p xtask -- lint`, and the
+//! code-line count the ROADMAP quotes, `cargo run -p xtask -- loc`.
 //!
 //! Machine-checks the invariants the codebase otherwise enforces only
 //! by reviewer memory. Six checks, each with a test fixture proving it
@@ -37,6 +38,11 @@
 //! Allow-comments are per-check: `lint:allow(panic)`,
 //! `lint:allow(alloc)` and `lint:allow(unsafe)`. The reason text is
 //! mandatory by convention and reviewed like any other comment.
+//!
+//! `loc` prints, for each `crates/*` directory, `tests` and `examples`,
+//! the count of non-blank lines in `*.rs` files that do not start with
+//! `//` after leading whitespace, plus their total — the rule the
+//! ROADMAP's line figures use, so a deletion can be reproduced.
 
 use std::fmt;
 use std::fs;
@@ -184,6 +190,7 @@ fn main() -> ExitCode {
                 }
             },
             "lint" => cmd = Some("lint"),
+            "loc" => cmd = Some("loc"),
             other => {
                 eprintln!("unknown argument: {other}");
                 return ExitCode::FAILURE;
@@ -192,8 +199,14 @@ fn main() -> ExitCode {
     }
     match cmd {
         Some("lint") => {}
+        Some("loc") => {
+            for (dir, lines) in code_lines(&root) {
+                println!("{dir:<20} {lines:>7}");
+            }
+            return ExitCode::SUCCESS;
+        }
         _ => {
-            eprintln!("usage: cargo run -p xtask -- lint [--root PATH]");
+            eprintln!("usage: cargo run -p xtask -- lint|loc [--root PATH]");
             return ExitCode::FAILURE;
         }
     }
@@ -854,6 +867,47 @@ fn check_doc_metrics(root: &Path) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
+// loc: code lines per directory
+// ---------------------------------------------------------------------------
+
+/// Code lines of one file: non-blank lines that do not start with `//`
+/// once leading whitespace is trimmed.
+fn count_code_lines(source: &str) -> usize {
+    source
+        .lines()
+        .map(str::trim_start)
+        .filter(|line| !line.is_empty() && !line.starts_with("//"))
+        .count()
+}
+
+/// Code lines under each `crates/*` directory (sorted), `tests` and
+/// `examples`, then a `total` row.
+fn code_lines(root: &Path) -> Vec<(String, usize)> {
+    let mut dirs: Vec<String> = fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter(|entry| entry.path().is_dir())
+        .map(|entry| format!("crates/{}", entry.file_name().to_string_lossy()))
+        .collect();
+    dirs.sort();
+    dirs.extend(["tests".to_string(), "examples".to_string()]);
+    let mut rows: Vec<(String, usize)> = dirs
+        .into_iter()
+        .map(|dir| {
+            let lines = rust_files(&root.join(&dir))
+                .iter()
+                .map(|f| fs::read_to_string(f).map_or(0, |s| count_code_lines(&s)))
+                .sum();
+            (dir, lines)
+        })
+        .collect();
+    let total = rows.iter().map(|(_, n)| n).sum();
+    rows.push(("total".to_string(), total));
+    rows
+}
+
+// ---------------------------------------------------------------------------
 // Fixture tests: each check must fire on a seeded violation and stay
 // quiet when the allow-syntax or the invariant itself is honoured.
 // ---------------------------------------------------------------------------
@@ -1274,5 +1328,29 @@ mod tests {
         );
         fix.write("BENCHMARK.json", "");
         assert_eq!(findings_for(&fix, "doc-metrics").len(), 4, "nothing declared");
+    }
+
+    #[test]
+    fn loc_counts_non_blank_non_comment_rust_lines_per_directory() {
+        let fix = Fixture::new("loc");
+        // 3 code lines: comments of every flavour and indentation, and
+        // blank or whitespace-only lines, do not count; a trailing
+        // comment or a block comment does not make a line a comment.
+        fix.write(
+            "crates/b/src/lib.rs",
+            "//! Crate docs.\n\n/// Item docs.\nfn f() {\n    // inner\n  \t\n    \
+             let x = 1; // trailing\n}\n",
+        );
+        fix.write("crates/b/src/nested/deep.rs", "/* block */\n");
+        fix.write("crates/b/README.md", "not rust\n");
+        fix.write("crates/a/src/main.rs", "fn main() {}\n");
+        fix.write("tests/t.rs", "#[test]\nfn t() {}\n");
+        fix.write("vendor/v/src/lib.rs", "fn not_counted() {}\n");
+        let rows = code_lines(&fix.root);
+        let rows: Vec<(&str, usize)> = rows.iter().map(|(d, n)| (d.as_str(), *n)).collect();
+        assert_eq!(
+            rows,
+            [("crates/a", 1), ("crates/b", 4), ("tests", 2), ("examples", 0), ("total", 7)]
+        );
     }
 }

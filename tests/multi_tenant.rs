@@ -2,14 +2,17 @@
 //! per-tenant streams through the registry-backed runtime under an
 //! eviction-forcing residency budget, bit-compared against sequential
 //! single-tenant execution; clean failure for unregistered tenants;
-//! and the seeded-transport size guarantee onboarding relies on.
+//! the seeded-transport size guarantee onboarding relies on; and the
+//! pinned and registry key sources agreeing on kernel, admission and
+//! output bits.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use strix::core::BatchGeometry;
 use strix::runtime::{
-    BatchExecutor, KeyRegistry, RequestOp, Runtime, RuntimeConfig, TenantId, TfheExecutor,
+    AdmissionPolicy, BatchExecutor, KernelPolicy, KeyRegistry, RequestOp, Runtime, RuntimeConfig,
+    TenantId, TfheExecutor,
 };
 use strix::tfhe::bootstrap::Lut;
 use strix::tfhe::lwe::LweCiphertext;
@@ -182,5 +185,76 @@ fn seeded_transport_stays_under_sixty_percent_of_full_key_bytes() {
             seeded <= 0.6 * full,
             "seeded transport {seeded} vs full {full} exceeds 0.6x at {params:?}"
         );
+    }
+}
+
+#[test]
+fn pinned_and_registry_key_sources_agree_on_kernel_admission_and_bits() {
+    const BITS: u32 = 2;
+    const TENANT: TenantId = TenantId(3);
+    let multi_bit = PbsKernel::MultiBit { grouping_factor: 2 };
+    for params_kernel in [PbsKernel::Classical, multi_bit] {
+        let params = TfheParameters::testing_fast().with_kernel(params_kernel);
+        // The registry expands the seeded form of the same key the
+        // pinned source holds (seeded expansion is deterministic).
+        let mut client = ClientKey::generate(&params, 0x50C);
+        let server = Arc::new(client.seeded_server_key(0x5EED).expand());
+        let registry = Arc::new(KeyRegistry::with_resident_keys(params.clone(), 1));
+        registry
+            .register_seeded(TENANT, ClientKey::generate(&params, 0x50C).seeded_server_key(0x5EED));
+        let lut =
+            Arc::new(Lut::from_function(params.polynomial_size, BITS, |m| (m + 3) % 4).unwrap());
+        let batch: Vec<_> = (0..3u64)
+            .map(|i| {
+                let ct = client.encrypt_shortint(i, BITS).unwrap().as_lwe().clone();
+                strix::runtime::Request::new(
+                    strix::runtime::ClientId(0),
+                    i,
+                    strix::runtime::SpanId(i),
+                    ct,
+                    RequestOp::Lut(Arc::clone(&lut)),
+                )
+                .with_tenant(TENANT)
+            })
+            .collect();
+
+        for policy in [None, Some(PbsKernel::Classical), Some(multi_bit)]
+            .map(|k| k.map(KernelPolicy::uniform))
+        {
+            let case = format!("params {params_kernel}, policy {policy:?}");
+            // Multi-bit runs only when both the parameters and the
+            // request (explicit or defaulted) say multi-bit.
+            let requested = policy.map_or(params_kernel, |p| p.kernel());
+            let expected = match (requested, params_kernel) {
+                (PbsKernel::MultiBit { .. }, PbsKernel::MultiBit { .. }) => multi_bit,
+                _ => PbsKernel::Classical,
+            };
+            let pinned = match policy {
+                Some(p) => TfheExecutor::with_policy(Arc::clone(&server), 1, p),
+                None => TfheExecutor::new(Arc::clone(&server)),
+            };
+            let from_registry = TfheExecutor::multi_tenant(Arc::clone(&registry), 1, policy);
+            assert_eq!(pinned.kernel(), expected, "{case}");
+            assert_eq!(from_registry.kernel(), expected, "{case}");
+            assert_eq!(
+                pinned.admission(),
+                Some(AdmissionPolicy::new(params.clone(), KernelPolicy::uniform(expected))),
+                "{case}"
+            );
+            assert_eq!(pinned.admission(), from_registry.admission(), "{case}");
+
+            let a = pinned.execute_epoch(&batch, false);
+            let b = from_registry.execute_epoch(&batch, false);
+            let jobs = if expected == multi_bit { [0, 3] } else { [3, 0] };
+            assert_eq!(a.kernel_jobs, jobs, "{case}");
+            assert_eq!(b.kernel_jobs, jobs, "{case}");
+            for (i, (x, y)) in a.results.iter().zip(&b.results).enumerate() {
+                let x = x.as_ref().expect("pinned request succeeds");
+                assert_eq!(Ok(x), y.as_ref(), "{case}: request {i} differs across sources");
+                let phase = client.decrypt_phase(x).unwrap();
+                let want = (i as u64 + 3) % 4;
+                assert_eq!(strix::tfhe::torus::decode_message(phase, BITS + 1), want, "{case}");
+            }
+        }
     }
 }

@@ -26,6 +26,15 @@ fn keys() -> &'static (ClientKey, ServerKey) {
     KEYS.get_or_init(|| generate_keys(&TfheParameters::testing_fast(), 0xDA7AF10))
 }
 
+/// Keys for the testing parameters on the multi-bit kernel (g = 2).
+fn multi_bit_keys() -> &'static (ClientKey, ServerKey) {
+    static KEYS: OnceLock<(ClientKey, ServerKey)> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        let kernel = PbsKernel::MultiBit { grouping_factor: 2 };
+        generate_keys(&TfheParameters::testing_fast().with_kernel(kernel), 0xDA7AF11)
+    })
+}
+
 fn encrypt_bits(client: &mut ClientKey, value: u64, bits: usize) -> Vec<LweCiphertext> {
     (0..bits).map(|i| client.encrypt_bool((value >> i) & 1 == 1).into_lwe()).collect()
 }
@@ -291,15 +300,16 @@ fn lowered_adder_runs_eight_requests_at_depth_four_and_equality_keeps_seven() {
     assert_eq!(equality.bootstraps_removed(), 0);
 }
 
-/// Runs `program` once streamed through a runtime admitting at
-/// `threshold` and once through `run_sync`, on the same inputs; returns
-/// both outputs and the runtime report.
+/// Runs `program` once streamed through a runtime on `keys` admitting
+/// at `threshold` and once through `run_sync`, on the same inputs;
+/// returns both outputs and the runtime report.
 fn streamed_and_sync(
+    keys: &(ClientKey, ServerKey),
     program: &Program,
     threshold: f64,
     bits: &[bool],
 ) -> (Vec<LweCiphertext>, Vec<LweCiphertext>, strix::runtime::RuntimeReport) {
-    let (client_key, server_key) = keys().clone();
+    let (client_key, server_key) = keys.clone();
     let mut key = client_key;
     let inputs: Vec<LweCiphertext> = bits.iter().map(|&b| key.encrypt_bool(b).into_lwe()).collect();
     let runtime = Runtime::start(
@@ -322,7 +332,7 @@ fn streamed_and_sync(
 fn admission_runs_the_lowered_form_and_counts_the_bootstraps_it_saves() {
     let adder = ripple_carry_adder_program(2);
     let bits = [true, true, false, true];
-    let (streamed, sync, report) = streamed_and_sync(&adder, 6.0, &bits);
+    let (streamed, sync, report) = streamed_and_sync(keys(), &adder, 6.0, &bits);
     assert_eq!(streamed, sync, "streamed lowered adder must be bit-identical to run_sync");
     assert_eq!(report.requests_completed, shape(adder.lowered()).0);
     assert_eq!(report.bootstraps_lowered_away, adder.bootstraps_removed() as u64);
@@ -351,8 +361,21 @@ fn a_threshold_between_the_margins_falls_back_to_the_program_as_built() {
     let threshold = (lowered_margin + built_margin) / 2.0;
 
     let bits = [true, true, false, true, true, true];
-    let (streamed, sync, report) = streamed_and_sync(&program, threshold, &bits);
+    let (streamed, sync, report) = streamed_and_sync(keys(), &program, threshold, &bits);
     assert_eq!(report.requests_completed, built_requests, "the program as built ran");
     assert_eq!(report.bootstraps_lowered_away, 0);
     assert_eq!(streamed, sync, "fallback run must be bit-identical to run_sync");
+}
+
+#[test]
+fn multi_bit_streamed_lowered_adder_is_bit_identical_to_run_sync() {
+    // `run_sync` bootstraps on the kernel the executor resolves, so on
+    // a multi-bit key both paths run the grouped kernel.
+    let adder = ripple_carry_adder_program(2);
+    let bits = [true, false, true, true];
+    let (streamed, sync, report) = streamed_and_sync(multi_bit_keys(), &adder, 6.0, &bits);
+    assert_eq!(report.requests_completed, shape(adder.lowered()).0, "the lowered form ran");
+    assert_eq!(report.pbs_jobs_multi_bit, report.requests_completed);
+    assert_eq!(report.pbs_jobs_classical, 0);
+    assert_eq!(streamed, sync, "multi-bit streamed adder must be bit-identical to run_sync");
 }
