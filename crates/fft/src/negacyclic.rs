@@ -450,11 +450,12 @@ impl NegacyclicFft {
 /// `slot s ← unit[(d · m_s) mod 2N]`. No `sin`/`cos` runs per call.
 ///
 /// This is the enabling primitive of the multi-bit PBS kernel: the
-/// combined GGSW `Σ_b X^{d_b}·GGSW_b` is assembled in the Fourier
-/// domain by scaling each key row's spectrum with a monomial spectrum,
-/// so rotation by the grouped mask digits costs one gather plus one
-/// pointwise multiply–accumulate instead of any time-domain rotation
-/// or extra transform. Negacyclic wrap-around (`X^N = −1`) is encoded
+/// combined GGSW `Σ_b X^{d_b}·GGSW_b` is formed in the Fourier domain
+/// by scaling each key row's spectrum with a monomial spectrum — one
+/// slot tile at a time ([`Self::tile_into`]) — so rotation by the
+/// grouped mask digits costs one gather plus one pointwise
+/// multiply–accumulate instead of any time-domain rotation or extra
+/// transform. Negacyclic wrap-around (`X^N = −1`) is encoded
 /// in the period-2N unit table and needs no special casing.
 #[derive(Clone, Debug)]
 pub struct MonomialTable {
@@ -516,14 +517,45 @@ impl MonomialTable {
                 return Err(FftError::LengthMismatch { expected: half, actual: len });
             }
         }
-        let d = degree & self.mask;
-        for s in 0..half {
-            let t = (d * self.slot_exp[s]) & self.mask;
-            re[s] = self.unit_re[t];
-            im[s] = self.unit_im[t];
+        self.tile_into(degree, 0, re, im)
+    }
+
+    // lint:hot-path-start — the per-tile monomial writer must stay allocation-free
+    /// Writes slots `first .. first + re.len()` of the spectrum of
+    /// `X^degree` into split re/im planes: one slot tile of
+    /// [`Self::spectrum_into`], with the same values bit for bit. The
+    /// tiled multi-bit kernel builds each job's monomials one tile at a
+    /// time, right where its fused assembly consumes them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthMismatch`] if the planes differ in
+    /// length or run past slot `N/2`.
+    pub fn tile_into(
+        &self,
+        degree: usize,
+        first: usize,
+        re: &mut [f64],
+        im: &mut [f64],
+    ) -> Result<(), FftError> {
+        let Some(slot_exp) = self.slot_exp.get(first..first + re.len()) else {
+            let expected = self.fourier_size().saturating_sub(first);
+            return Err(FftError::LengthMismatch { expected, actual: re.len() });
+        };
+        if im.len() != re.len() {
+            return Err(FftError::LengthMismatch { expected: re.len(), actual: im.len() });
+        }
+        let (d, mask) = (degree & self.mask, self.mask);
+        // Slicing to `mask + 1` lets `t & mask` index without a check.
+        let (unit_re, unit_im) = (&self.unit_re[..=mask], &self.unit_im[..=mask]);
+        for ((r, i), &m) in re.iter_mut().zip(im.iter_mut()).zip(slot_exp) {
+            let t = (d * m) & mask;
+            *r = unit_re[t];
+            *i = unit_im[t];
         }
         Ok(())
     }
+    // lint:hot-path-end
 }
 
 /// Multiplies `a` and `b` pointwise, accumulating into `acc`:
@@ -710,6 +742,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn monomial_tiles_reassemble_the_whole_spectrum() {
+        let fft = NegacyclicFft::new(64).unwrap();
+        let table = MonomialTable::for_plan(&fft);
+        let mut re = vec![0.0f64; 32];
+        let mut im = vec![0.0f64; 32];
+        for degree in [0, 1, 63, 64, 100] {
+            table.spectrum_into(degree, &mut re, &mut im).unwrap();
+            for first in (0..32).step_by(8) {
+                let mut tile_re = [0.0f64; 8];
+                let mut tile_im = [0.0f64; 8];
+                table.tile_into(degree, first, &mut tile_re, &mut tile_im).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&tile_re), bits(&re[first..first + 8]), "d={degree}");
+                assert_eq!(bits(&tile_im), bits(&im[first..first + 8]), "d={degree}");
+            }
+        }
+        let (mut re, mut im) = ([0.0f64; 8], [0.0f64; 8]);
+        assert!(table.tile_into(1, 28, &mut re, &mut im).is_err());
+        assert!(table.tile_into(1, 0, &mut re, &mut im[..4]).is_err());
     }
 
     #[test]

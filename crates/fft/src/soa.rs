@@ -99,10 +99,9 @@ impl SoaSpectrum {
         &self.im
     }
 
-    /// Both whole planes at once — the borrow the grouped CMUX hoists
-    /// out of its inner loops so per-transform slicing
-    /// (`chunks_exact(transform_len)`) carries no per-iteration bounds
-    /// arithmetic.
+    /// Both whole planes at once — the borrow hot loops hoist so
+    /// per-transform slicing (`chunks_exact(transform_len)`) carries no
+    /// per-iteration bounds arithmetic.
     #[inline]
     pub fn planes(&self) -> (&[f64], &[f64]) {
         (&self.re, &self.im)
@@ -121,8 +120,8 @@ impl SoaSpectrum {
     }
 
     /// Overwrites this batch with `other`'s planes, bit-for-bit — the
-    /// split-complex bulk copy the multi-bit CMUX uses to seed its
-    /// combined-key accumulator from the pattern-0 entry.
+    /// split-complex bulk copy that stages one spectrum batch in
+    /// another's buffer.
     ///
     /// # Panics
     ///

@@ -31,10 +31,32 @@
 //!   block (one shared key row serves every job) and **adds** the
 //!   product into the accumulator.
 //! * [`MultiBitBootstrapKey`] stores `2^g` entries per group of `g`
-//!   bits. Its step finds the block's active jobs, derives their
-//!   monomial degrees, assembles each job's combined GGSW, decomposes
-//!   the accumulator directly, runs the VMA job-major and **replaces**
-//!   the accumulator with the product.
+//!   bits as one slot-tile-major buffer. Its step finds the block's
+//!   active jobs, derives their monomial degrees, decomposes the
+//!   accumulator directly, runs one fused assembly-and-VMA pass per
+//!   slot tile and **replaces** the accumulator with the product.
+//!
+//! # The multi-bit key layout and the fused VMA
+//!
+//! A group's combined GGSW `G = Σ_b X^{d_b}·K_b` differs per job, so it
+//! cannot be shared across the block the way a classical key row is.
+//! Built whole, it costs per job and group a `(k+1)·l·(k+1)`-transform
+//! write (98 KB at set II) and `2^g − 1` read-modify-write MAC passes,
+//! each streaming another 98 KB entry: ≈2.4 MB through L2 at `g = 3`
+//! for 0.39 MFLOP. So nothing is built whole. Each group is stored
+//! **slot-tile-major**, `[tile][row·col][pattern][re T | im T]` with
+//! `T = min(SLOT_TILE, N/2)`: one tile of every `(row, col)` and pattern
+//! is contiguous (48 KB at set II, `g = 3`). Per tile, the step writes
+//! each active job's monomial tiles `X^{d_b}`, then per `(row, col)`
+//! and job forms the combined value over the tile in registers —
+//! pattern 0, then `+ K_b × X^{d_b}` for `b = 1 … 2^g − 1` — and
+//! multiply-accumulates it straight into the accumulator tile. The key
+//! tile is loaded once for the whole block and every other operand is
+//! a few KB, so per job and group only ≈0.3 MB crosses L2 (the job's
+//! share of the key group, its digit and accumulator spectra and its
+//! monomial tiles).
+//! Every slot sees the same f64 operations in the same order as the
+//! two-pass assembly, so outputs are bit-identical to it.
 //!
 //! Everything else is written once: shape and scratch checks, the body
 //! modulus switch and LUT rotation, the entry-major switched-mask table,
@@ -63,7 +85,7 @@
 
 use std::ops::Range;
 
-use strix_fft::{MonomialTable, NegacyclicFft};
+use strix_fft::{MonomialTable, NegacyclicFft, SoaSpectrum};
 
 use crate::decompose::DecompositionParams;
 use crate::ggsw::{FourierGgsw, GgswCiphertext};
@@ -73,7 +95,7 @@ use crate::params::{PbsKernel, TfheParameters};
 use crate::poly::TorusPolynomial;
 use crate::profiler::{NoProbe, PbsStage, Probe, StageTimings, TimingProbe};
 use crate::rng::NoiseSampler;
-use crate::scratch::{ExternalProductScratch, PbsScratch, CMUX_JOB_BLOCK};
+use crate::scratch::{slot_tile, ExternalProductScratch, PbsScratch, CMUX_JOB_BLOCK};
 use crate::torus::{encode_fraction, f64_to_torus, modulus_switch};
 use crate::TfheError;
 
@@ -210,15 +232,16 @@ pub type BootstrapKey = BlindRotationKey<layout::PerBit>;
 ///
 /// Blind rotation then needs only **one external product per group**
 /// instead of one CMUX per bit: since
-/// `X^{Σ_j ã_j s_j} = Σ_b X^{⟨b, ã⟩} · m_b`, the server assembles the
-/// *combined* GGSW `G = Σ_b X^{d_b} · GGSW(m_b)` (monomial weighting is
-/// a pointwise spectrum multiply, [`MonomialTable`]) and replaces the
-/// accumulator with `G ⊡ acc` — a rotation of the accumulator by the
-/// whole group's phase contribution in a single decompose → FFT → VMA →
-/// IFFT pass. `⌈n/g⌉` passes replace `n`, trading a `2^g/g ×` larger
-/// key (and a `2^g ×` key-noise term, see
-/// [`crate::noise::multi_bit_external_product_variance`]) for `g ×`
-/// fewer transforms.
+/// `X^{Σ_j ã_j s_j} = Σ_b X^{⟨b, ã⟩} · m_b`, the server multiplies by
+/// the *combined* GGSW `G = Σ_b X^{d_b} · GGSW(m_b)` (monomial weighting
+/// is a pointwise spectrum multiply, [`MonomialTable`]) and replaces
+/// the accumulator with `G ⊡ acc` — a rotation of the accumulator by
+/// the whole group's phase contribution in a single decompose → FFT →
+/// VMA → IFFT pass. `G` is never materialised: it is formed tile by
+/// tile inside the VMA (see the module docs). `⌈n/g⌉` passes replace
+/// `n`, trading a `2^g/g ×` larger key (and a `2^g ×` key-noise term,
+/// see [`crate::noise::multi_bit_external_product_variance`]) for
+/// `g ×` fewer transforms.
 ///
 /// Outputs are **not bit-identical** to [`BootstrapKey`] — the
 /// arithmetic is genuinely different — but decrypt to the same message:
@@ -236,6 +259,8 @@ pub trait KeyLayout: layout::Entries {}
 
 impl KeyLayout for layout::PerBit {}
 impl KeyLayout for layout::Grouped {}
+#[cfg(test)]
+impl KeyLayout for layout::TwoPass {}
 
 /// A bootstrapping key: Fourier-domain key entries in layout `E`, plus
 /// the FFT plan they were transformed under. Use it through its two
@@ -322,13 +347,20 @@ mod layout {
     pub struct PerBit(pub(super) Vec<FourierGgsw>);
 
     /// Multi-bit layout: per group of `g` secret bits, `2^g` pattern
-    /// entries (fewer for the remainder group), plus the monomial table
-    /// the per-job assembly weights them with.
+    /// entries (fewer for the remainder group) in one slot-tile-major
+    /// buffer, plus the monomial table the fused assembly weights them
+    /// with.
     #[derive(Clone, Debug)]
     pub struct Grouped {
-        pub(super) groups: Vec<Vec<FourierGgsw>>,
+        /// Per group, `[tile][row·col][pattern][re T | im T]` with
+        /// `T = min(SLOT_TILE, N/2)` (see [`write_tiled`]).
+        pub(super) groups: Vec<Vec<f64>>,
         pub(super) mono: MonomialTable,
         pub(super) grouping_factor: usize,
+        /// Transforms per entry, `(k+1)·l · (k+1)`.
+        pub(super) transforms: usize,
+        /// Slots per spectrum, `N/2`.
+        pub(super) half: usize,
     }
 
     // lint:hot-path-start — both layouts' step hooks must stay allocation-free
@@ -393,11 +425,11 @@ mod layout {
 
         fn bits(&self, step: usize) -> Range<usize> {
             let first = step * self.grouping_factor;
-            first..first + self.groups[step].len().trailing_zeros() as usize
+            first..first + self.patterns(step).trailing_zeros() as usize
         }
 
         fn byte_size(&self) -> usize {
-            self.groups.iter().flatten().map(FourierGgsw::byte_size).sum()
+            self.groups.iter().map(|g| g.len() * std::mem::size_of::<f64>()).sum()
         }
 
         fn grouping_factor(&self) -> Option<usize> {
@@ -436,31 +468,48 @@ mod layout {
             active.contains(&true)
         }
 
-        /// First assembles each active job's combined GGSW, then runs
-        /// the VMA job-major: the combined spectrum is per job, so
-        /// row-major order would have nothing to reuse; job-major hoists
-        /// the three spectra's plane pointers once per job. Per
-        /// accumulator column the additions still run over `r` in
-        /// ascending order.
-        fn vma(&self, step: usize, active: &[bool], scratch: &mut PbsScratch, fft: &NegacyclicFft) {
-            self.assemble(&self.groups[step], active, scratch, fft);
-            let PbsScratch { digit_batch, acc_batch, comb_batch, .. } = scratch;
-            let jobs = digit_batch.iter().zip(comb_batch.iter()).zip(acc_batch.iter_mut());
-            for (((digits, comb), spec), _) in jobs.zip(active).filter(|(_, &a)| a) {
-                let (cols, half) = (spec.count(), spec.transform_len());
-                let (d_re_plane, d_im_plane) = digits.planes();
-                let (k_re_plane, k_im_plane) = comb.planes();
-                let (a_re_plane, a_im_plane) = spec.planes_mut();
-                for r in 0..digits.count() {
-                    let d_re = &d_re_plane[r * half..(r + 1) * half];
-                    let d_im = &d_im_plane[r * half..(r + 1) * half];
-                    for col in 0..cols {
-                        let s = (r * cols + col) * half;
-                        let k_re = &k_re_plane[s..s + half];
-                        let k_im = &k_im_plane[s..s + half];
-                        let a_re = &mut a_re_plane[col * half..(col + 1) * half];
-                        let a_im = &mut a_im_plane[col * half..(col + 1) * half];
-                        fft.pointwise_mul_add_soa(a_re, a_im, d_re, d_im, k_re, k_im);
+        /// The fused assembly and VMA, one slot tile at a time: build
+        /// every active job's monomial tiles, then for each `(row, col)`
+        /// apply the key tile to every active job — form the combined
+        /// value in registers and multiply-accumulate it into the job's
+        /// accumulator tile ([`fused_mac`]). Per accumulator column the
+        /// additions still run over `r` in ascending order.
+        fn vma(&self, step: usize, active: &[bool], scratch: &mut PbsScratch, _: &NegacyclicFft) {
+            let patterns = self.patterns(step);
+            let tile = slot_tile(self.half);
+            let entry_len = patterns * 2 * tile;
+            let PbsScratch { digit_batch, acc_batch, mono_tiles, degrees, .. } = scratch;
+            let cols = acc_batch[0].count();
+            let key_tiles = self.groups[step].chunks_exact(self.transforms * entry_len);
+            for (first, key_tile) in (0..self.half).step_by(tile).zip(key_tiles) {
+                let slots = first..first + tile;
+                let monos = mono_tiles.chunks_exact_mut(entry_len).zip(active).enumerate();
+                for (j, (mono, _)) in monos.filter(|(_, (_, &a))| a) {
+                    for (b, m) in mono.chunks_exact_mut(2 * tile).enumerate().skip(1) {
+                        let (re, im) = m.split_at_mut(tile);
+                        self.mono
+                            .tile_into(degrees[j * patterns + b], first, re, im)
+                            // lint:allow(panic) shape invariant established at construction
+                            .expect("monomial tiles are sized to the key tile");
+                    }
+                }
+                for (t, entry) in key_tile.chunks_exact(entry_len).enumerate() {
+                    let (r, col) = (t / cols, t % cols);
+                    let jobs = digit_batch.iter().zip(acc_batch.iter_mut()).zip(active);
+                    for (j, ((digits, spec), _)) in jobs.enumerate().filter(|(_, (_, &a))| a) {
+                        let mono = &mono_tiles[j * entry_len..(j + 1) * entry_len];
+                        let (d_re, d_im) = digits.transform(r);
+                        let (a_re, a_im) = spec.transform_mut(col);
+                        let d = (&d_re[slots.clone()], &d_im[slots.clone()]);
+                        let a = (&mut a_re[slots.clone()], &mut a_im[slots.clone()]);
+                        match tile {
+                            32 => fused_mac::<32>(entry, mono, d, a),
+                            16 => fused_mac::<16>(entry, mono, d, a),
+                            8 => fused_mac::<8>(entry, mono, d, a),
+                            4 => fused_mac::<4>(entry, mono, d, a),
+                            2 => fused_mac::<2>(entry, mono, d, a),
+                            _ => fused_mac::<1>(entry, mono, d, a),
+                        }
                     }
                 }
             }
@@ -468,46 +517,185 @@ mod layout {
     }
 
     impl Grouped {
-        /// Pattern-major across the block: seed each active job's
-        /// combined spectrum with the pattern-0 entry (degree 0: a plane
-        /// copy), then MAC `entry_b × X^{d_b}` into it for every other
-        /// pattern, so each key entry streams once per block. The
-        /// monomial spectrum is built once per `(job, pattern)` and
-        /// reused across all `(k+1)·l · (k+1)` transforms.
-        fn assemble(
-            &self,
-            entries: &[FourierGgsw],
-            active: &[bool],
-            scratch: &mut PbsScratch,
-            fft: &NegacyclicFft,
-        ) {
-            let PbsScratch { comb_batch, mono_re, mono_im, degrees, .. } = scratch;
-            let half = mono_re.len();
-            for (comb, _) in comb_batch.iter_mut().zip(active).filter(|(_, &a)| a) {
-                comb.copy_from(entries[0].spectra());
+        /// Pattern entries of group `step` (`2^g`, fewer for the
+        /// remainder group).
+        pub(super) fn patterns(&self, step: usize) -> usize {
+            self.groups[step].len() / (2 * self.transforms * self.half)
+        }
+    }
+
+    /// One `(row, col)` key tile applied to one job. `entry` is the
+    /// tile's `[pattern][re T | im T]` run, `mono` the job's monomial
+    /// tiles in the same order (pattern 0 unused: `X^0 = 1`), `d` and
+    /// `acc` the job's digit and accumulator tiles. Per slot, exactly
+    /// the two-pass assembly's operations in its order: `c = K_0`, then
+    /// `c += K_b·X^{d_b}` for `b = 1 … 2^g − 1`, then `acc += d·c` —
+    /// each complex product as `(ar·br − ai·bi, ar·bi + ai·br)`, added
+    /// after rounding, no FMA. The tile width is a constant, so `c`
+    /// lives in registers and every loop is straight-line vector code.
+    #[inline(never)]
+    fn fused_mac<const T: usize>(
+        entry: &[f64],
+        mono: &[f64],
+        (d_re, d_im): (&[f64], &[f64]),
+        (a_re, a_im): (&mut [f64], &mut [f64]),
+    ) {
+        let (d_re, d_im) = (tile::<T>(d_re), tile::<T>(d_im));
+        let (k0_re, k0_im) = halves::<T>(entry);
+        let (mut c_re, mut c_im) = (*k0_re, *k0_im);
+        let patterns = entry.chunks_exact(2 * T).zip(mono.chunks_exact(2 * T)).skip(1);
+        for (k, m) in patterns {
+            let ((k_re, k_im), (m_re, m_im)) = (halves::<T>(k), halves::<T>(m));
+            for s in 0..T {
+                let pr = k_re[s] * m_re[s] - k_im[s] * m_im[s];
+                let pi = k_re[s] * m_im[s] + k_im[s] * m_re[s];
+                c_re[s] += pr;
+                c_im[s] += pi;
             }
-            for (pattern, entry) in entries.iter().enumerate().skip(1) {
-                let (e_re_plane, e_im_plane) = entry.spectra().planes();
-                for (j, (comb, _)) in
-                    comb_batch.iter_mut().zip(active).enumerate().filter(|(_, (_, &a))| a)
-                {
-                    self.mono
-                        .spectrum_into(degrees[j * entries.len() + pattern], mono_re, mono_im)
-                        // lint:allow(panic) shape invariant established at construction
-                        .expect("monomial planes are sized to the fft plan");
-                    let (c_re_plane, c_im_plane) = comb.planes_mut();
-                    let chunks = c_re_plane
-                        .chunks_exact_mut(half)
-                        .zip(c_im_plane.chunks_exact_mut(half))
-                        .zip(e_re_plane.chunks_exact(half).zip(e_im_plane.chunks_exact(half)));
-                    for ((c_re, c_im), (e_re, e_im)) in chunks {
-                        fft.pointwise_mul_add_soa(c_re, c_im, e_re, e_im, mono_re, mono_im);
+        }
+        let (a_re, a_im) = (&mut a_re[..T], &mut a_im[..T]);
+        for s in 0..T {
+            let pr = d_re[s] * c_re[s] - d_im[s] * c_im[s];
+            let pi = d_re[s] * c_im[s] + d_im[s] * c_re[s];
+            a_re[s] += pr;
+            a_im[s] += pi;
+        }
+    }
+
+    /// The first `T` values of `v` as a fixed-size tile.
+    #[inline(always)]
+    fn tile<const T: usize>(v: &[f64]) -> &[f64; T] {
+        // lint:allow(panic) every caller slices whole tiles
+        v[..T].try_into().expect("a whole tile")
+    }
+
+    /// The `[re T | im T]` halves at the head of `v`.
+    #[inline(always)]
+    fn halves<const T: usize>(v: &[f64]) -> (&[f64; T], &[f64; T]) {
+        (tile(v), tile(&v[T..]))
+    }
+
+    /// Scatters one entry's split spectra (`spectra`, transform-major)
+    /// into pattern `pattern` of a slot-tile-major group buffer of
+    /// `patterns` entries: transform `t`'s slots `[τT, (τ+1)T)` land in
+    /// `group[((τ·transforms + t)·patterns + pattern)·2T ..]`, real half
+    /// first. Values are copied bit for bit.
+    pub(super) fn write_tiled(
+        group: &mut [f64],
+        patterns: usize,
+        pattern: usize,
+        spectra: &SoaSpectrum,
+    ) {
+        let (re, im) = spectra.planes();
+        let half = spectra.transform_len();
+        let tile = slot_tile(half);
+        let entry_len = patterns * 2 * tile;
+        let key_tiles = group.chunks_exact_mut(spectra.count() * entry_len);
+        for (first, key_tile) in (0..half).step_by(tile).zip(key_tiles) {
+            for (t, entries) in key_tile.chunks_exact_mut(entry_len).enumerate() {
+                let src = t * half + first..t * half + first + tile;
+                let dst = &mut entries[pattern * 2 * tile..(pattern + 1) * 2 * tile];
+                let (dst_re, dst_im) = dst.split_at_mut(tile);
+                dst_re.copy_from_slice(&re[src.clone()]);
+                dst_im.copy_from_slice(&im[src]);
+            }
+        }
+    }
+    // lint:hot-path-end
+
+    /// The two-pass multi-bit step the fused kernel replaced, kept as
+    /// its bit-identity oracle: assemble each active job's whole
+    /// combined GGSW (seed with pattern 0, then MAC `K_b × X^{d_b}`
+    /// through the backend VMA kernel), then run the VMA job-major.
+    #[cfg(test)]
+    #[derive(Clone, Debug)]
+    pub struct TwoPass(pub(super) Grouped);
+
+    #[cfg(test)]
+    impl Grouped {
+        /// `[re, im]` of slot `slot` of transform `t` of entry `pattern`
+        /// in group `step`.
+        pub(super) fn value(&self, step: usize, pattern: usize, t: usize, slot: usize) -> [f64; 2] {
+            let tile = slot_tile(self.half);
+            let (ti, o) = (slot / tile, slot % tile);
+            let at = ((ti * self.transforms + t) * self.patterns(step) + pattern) * 2 * tile + o;
+            [self.groups[step][at], self.groups[step][at + tile]]
+        }
+
+        /// Entry `pattern` of group `step` in logical (transform-major)
+        /// split planes.
+        fn entry(&self, step: usize, pattern: usize) -> SoaSpectrum {
+            let mut spectra = SoaSpectrum::new(self.transforms, self.half);
+            for t in 0..self.transforms {
+                let (re, im) = spectra.transform_mut(t);
+                for slot in 0..self.half {
+                    [re[slot], im[slot]] = self.value(step, pattern, t, slot);
+                }
+            }
+            spectra
+        }
+    }
+
+    #[cfg(test)]
+    impl Entries for TwoPass {
+        const CMUX: bool = false;
+
+        fn steps(&self) -> usize {
+            self.0.steps()
+        }
+
+        fn bits(&self, step: usize) -> Range<usize> {
+            self.0.bits(step)
+        }
+
+        fn byte_size(&self) -> usize {
+            self.0.byte_size()
+        }
+
+        fn grouping_factor(&self) -> Option<usize> {
+            self.0.grouping_factor()
+        }
+
+        fn activate(
+            &self,
+            amounts: StepAmounts<'_>,
+            active: &mut [bool],
+            scratch: &mut PbsScratch,
+        ) -> bool {
+            self.0.activate(amounts, active, scratch)
+        }
+
+        fn vma(&self, step: usize, active: &[bool], scratch: &mut PbsScratch, fft: &NegacyclicFft) {
+            let g = &self.0;
+            let patterns = g.patterns(step);
+            let entries: Vec<SoaSpectrum> = (0..patterns).map(|b| g.entry(step, b)).collect();
+            let (mut mono_re, mut mono_im) = (vec![0.0f64; g.half], vec![0.0f64; g.half]);
+            let PbsScratch { digit_batch, acc_batch, degrees, .. } = scratch;
+            let jobs = digit_batch.iter().zip(acc_batch.iter_mut()).zip(active).enumerate();
+            for (j, ((digits, spec), _)) in jobs.filter(|(_, (_, &a))| a) {
+                let mut comb = entries[0].clone();
+                for (b, entry) in entries.iter().enumerate().skip(1) {
+                    g.mono
+                        .spectrum_into(degrees[j * patterns + b], &mut mono_re, &mut mono_im)
+                        .unwrap();
+                    for t in 0..comb.count() {
+                        let (c_re, c_im) = comb.transform_mut(t);
+                        let (e_re, e_im) = entry.transform(t);
+                        fft.pointwise_mul_add_soa(c_re, c_im, e_re, e_im, &mono_re, &mono_im);
+                    }
+                }
+                let cols = spec.count();
+                for r in 0..digits.count() {
+                    let (d_re, d_im) = digits.transform(r);
+                    for col in 0..cols {
+                        let (k_re, k_im) = comb.transform(r * cols + col);
+                        let (a_re, a_im) = spec.transform_mut(col);
+                        fft.pointwise_mul_add_soa(a_re, a_im, d_re, d_im, k_re, k_im);
                     }
                 }
             }
         }
     }
-    // lint:hot-path-end
 }
 
 /// Plaintext of multi-bit key entry `pattern` for a group of secret
@@ -1070,10 +1258,15 @@ impl MultiBitBootstrapKey {
         rng: &mut NoiseSampler,
     ) -> Self {
         check_grouping(grouping_factor, lwe_sk.bits().len());
-        Self::grouped(params, grouping_factor, |decomp, fft| {
-            let mut encrypt = |m| encrypted_entry(m, glwe_sk, params, decomp, fft, rng);
-            let group = |bits: &[u64]| -> Vec<FourierGgsw> {
-                (0..1usize << bits.len()).map(|b| encrypt(pattern_indicator(bits, b))).collect()
+        Self::grouped(params, grouping_factor, |decomp, fft, staging| {
+            let mut coeffs = Vec::new();
+            let group = |bits: &[u64]| {
+                tiled_group(1 << bits.len(), staging, |pattern, spectra| {
+                    let m = pattern_indicator(bits, pattern);
+                    GgswCiphertext::encrypt_scalar(m, glwe_sk, decomp, params.glwe_noise_std, rng)
+                        .signed_coefficients_into(fft.poly_size(), &mut coeffs);
+                    transform_entry(fft, &coeffs, spectra);
+                })
             };
             lwe_sk.bits().chunks(grouping_factor).map(group).collect()
         })
@@ -1091,12 +1284,12 @@ impl MultiBitBootstrapKey {
     /// [`Self::generate`]).
     pub fn generate_for_benchmark(params: &TfheParameters, grouping_factor: usize) -> Self {
         check_grouping(grouping_factor, params.lwe_dimension);
-        Self::grouped(params, grouping_factor, |decomp, fft| {
-            let template = trivial_entry(params, decomp, fft);
+        Self::grouped(params, grouping_factor, |decomp, fft, staging| {
+            staging.copy_from(trivial_entry(params, decomp, fft).spectra());
             let n = params.lwe_dimension;
             let widths = (0..n.div_ceil(grouping_factor))
                 .map(|gi| grouping_factor.min(n - gi * grouping_factor));
-            widths.map(|bits| vec![template.clone(); 1 << bits]).collect()
+            widths.map(|bits| tiled_group(1 << bits, staging, |_, _| {})).collect()
         })
     }
 
@@ -1121,29 +1314,46 @@ impl MultiBitBootstrapKey {
             params.multi_bit_group_count(grouping_factor),
             "seeded mbsk group count"
         );
-        Self::grouped(params, grouping_factor, |decomp, fft| {
+        Self::grouped(params, grouping_factor, |decomp, fft, staging| {
+            let (k, n) = (params.glwe_dimension, fft.poly_size());
             let mut coeffs = Vec::new();
             group_bodies
                 .iter()
                 .map(|entries| {
-                    entries
-                        .iter()
-                        .map(|entry| seeded_entry(entry, params, decomp, fft, crs, &mut coeffs))
-                        .collect()
+                    tiled_group(entries.len(), staging, |pattern, spectra| {
+                        let bodies = &entries[pattern];
+                        FourierGgsw::seeded_coefficients_into(
+                            bodies,
+                            decomp,
+                            k,
+                            crs,
+                            n,
+                            &mut coeffs,
+                        );
+                        transform_entry(fft, &coeffs, spectra);
+                    })
                 })
                 .collect()
         })
     }
 
+    /// The grouped keygen skeleton: `groups` builds every group buffer
+    /// ([`tiled_group`]) through one staging spectrum of entry shape.
     fn grouped(
         params: &TfheParameters,
         grouping_factor: usize,
-        groups: impl FnOnce(DecompositionParams, &NegacyclicFft) -> Vec<Vec<FourierGgsw>>,
+        groups: impl FnOnce(DecompositionParams, &NegacyclicFft, &mut SoaSpectrum) -> Vec<Vec<f64>>,
     ) -> Self {
-        Self::from_entries(params, params.lwe_dimension, |decomp, fft| layout::Grouped {
-            groups: groups(decomp, fft),
-            mono: MonomialTable::for_plan(fft),
-            grouping_factor,
+        Self::from_entries(params, params.lwe_dimension, |decomp, fft| {
+            let transforms = (params.glwe_dimension + 1).pow(2) * decomp.level;
+            let mut staging = SoaSpectrum::new(transforms, fft.fourier_size());
+            layout::Grouped {
+                groups: groups(decomp, fft, &mut staging),
+                mono: MonomialTable::for_plan(fft),
+                grouping_factor,
+                transforms,
+                half: fft.fourier_size(),
+            }
         })
     }
 
@@ -1161,19 +1371,73 @@ impl MultiBitBootstrapKey {
     }
 }
 
+/// Lays out one group of `patterns` entries slot-tile-major: `entry`
+/// writes pattern `b`'s spectra into `staging`, which is scattered into
+/// the group buffer before the next pattern reuses it, so no entry's
+/// logical form outlives its scatter.
+fn tiled_group(
+    patterns: usize,
+    staging: &mut SoaSpectrum,
+    mut entry: impl FnMut(usize, &mut SoaSpectrum),
+) -> Vec<f64> {
+    let (re, im) = staging.planes();
+    let mut group = vec![0.0f64; patterns * (re.len() + im.len())];
+    for pattern in 0..patterns {
+        entry(pattern, staging);
+        layout::write_tiled(&mut group, patterns, pattern, staging);
+    }
+    group
+}
+
+/// One entry's batched forward transform into the staging spectrum:
+/// the same call [`GgswCiphertext::to_fourier`] makes, so the spectra
+/// are bit-identical to a standalone [`FourierGgsw`]'s.
+fn transform_entry(fft: &NegacyclicFft, coeffs: &[i64], spectra: &mut SoaSpectrum) {
+    fft.forward_i64_many(coeffs, spectra)
+        // lint:allow(panic) the staging spectrum is sized from the same plan
+        .expect("entry coefficients must match the fft plan");
+}
+
 #[cfg(test)]
 impl BootstrapKey {
-    /// Every key entry in secret-bit order (key-material digests).
-    pub(crate) fn fourier_entries(&self) -> impl Iterator<Item = &FourierGgsw> {
-        self.entries.0.iter()
+    /// Every key entry in secret-bit order, each as its real plane then
+    /// its imaginary plane (key-material digests).
+    pub(crate) fn fourier_entries(&self) -> impl Iterator<Item = impl Iterator<Item = f64> + '_> {
+        self.entries.0.iter().map(|e| {
+            let (re, im) = e.spectra().planes();
+            re.iter().chain(im).copied()
+        })
     }
 }
 
 #[cfg(test)]
 impl MultiBitBootstrapKey {
-    /// Every key entry, group-major then pattern (key-material digests).
-    pub(crate) fn fourier_entries(&self) -> impl Iterator<Item = &FourierGgsw> {
-        self.entries.groups.iter().flatten()
+    /// Every key entry, group-major then pattern, each as its real plane
+    /// then its imaginary plane: a logical-order view over the tiled
+    /// buffers (key-material digests).
+    pub(crate) fn fourier_entries(&self) -> impl Iterator<Item = impl Iterator<Item = f64> + '_> {
+        let e = &self.entries;
+        (0..e.groups.len())
+            .flat_map(move |step| (0..e.patterns(step)).map(move |pattern| (step, pattern)))
+            .map(move |(step, pattern)| {
+                (0..2).flat_map(move |part| {
+                    (0..e.transforms).flat_map(move |t| {
+                        (0..e.half).map(move |slot| e.value(step, pattern, t, slot)[part])
+                    })
+                })
+            })
+    }
+
+    /// The same key behind the two-pass oracle layout.
+    pub(crate) fn two_pass_oracle(&self) -> BlindRotationKey<layout::TwoPass> {
+        BlindRotationKey {
+            entries: layout::TwoPass(self.entries.clone()),
+            fft: self.fft.clone(),
+            glwe_dimension: self.glwe_dimension,
+            poly_size: self.poly_size,
+            decomp: self.decomp,
+            input_dimension: self.input_dimension,
+        }
     }
 }
 
@@ -1581,6 +1845,63 @@ mod tests {
         let wrong_lut = Lut::sign(fx.params.polynomial_size * 2, 1);
         let ct = LweCiphertext::trivial(fx.params.lwe_dimension, 0);
         assert!(mbsk.blind_rotate(&ct, &wrong_lut).is_err());
+    }
+
+    /// A ciphertext with a pseudorandom mask (splitmix64 of `seed`),
+    /// zeroed below `zero_prefix`: groups inside the prefix leave the job
+    /// inactive, the rest move it.
+    fn masked_ct(n: usize, seed: u64, zero_prefix: usize) -> LweCiphertext {
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let raw = (0..=n).map(|i| if i < zero_prefix { 0 } else { next() }).collect();
+        LweCiphertext::from_raw(raw)
+    }
+
+    #[test]
+    fn fused_multi_bit_kernel_matches_the_two_pass_oracle() {
+        use strix_fft::StrixFftBackend;
+        // (g, N, n): every grouping factor, remainder groups (n mod g ≠
+        // 0), N/2 above, at and below the 32-slot tile (N = 8: 4 slots).
+        for (g, poly, n) in [(1, 64, 5), (2, 512, 7), (3, 1024, 8), (4, 64, 14), (2, 8, 5)] {
+            let mut params = TfheParameters::testing_fast();
+            params.polynomial_size = poly;
+            params.lwe_dimension = n;
+            let key = |backend| {
+                let params = params.clone().with_fft_backend(backend);
+                let mut rng = NoiseSampler::from_seed(77 + g as u64);
+                let lwe_sk = LweSecretKey::generate(n, &mut rng);
+                let glwe_sk = GlweSecretKey::generate(params.glwe_dimension, poly, &mut rng);
+                MultiBitBootstrapKey::generate(&lwe_sk, &glwe_sk, &params, g, &mut rng)
+            };
+            let (auto, portable) = (key(StrixFftBackend::Auto), key(StrixFftBackend::Portable));
+            let luts = [Lut::from_function(poly, 2, |m| (m + 1) % 4).unwrap(), Lut::sign(poly, 1)];
+            // Block 0 holds a zero-rotation job and one whose first
+            // group never moves; block 1 is all zero rotations.
+            let cts: Vec<LweCiphertext> = (0..9)
+                .map(|i| match i {
+                    2 | 4..=7 => LweCiphertext::trivial(n, 1 << 61),
+                    3 => masked_ct(n, i, g),
+                    _ => masked_ct(n, i, 0),
+                })
+                .collect();
+            let jobs: Vec<PbsJob<'_>> =
+                cts.iter().enumerate().map(|(i, ct)| PbsJob { ct, lut: &luts[i % 2] }).collect();
+            let oracles = [auto.two_pass_oracle(), portable.two_pass_oracle()];
+            for batch in 1..=9 {
+                let jobs = &jobs[..batch];
+                let fused = auto.bootstrap_batch(jobs).unwrap();
+                let shape = format!("g={g} N={poly} n={n} batch={batch}");
+                assert_eq!(fused, oracles[0].bootstrap_batch(jobs).unwrap(), "{shape}");
+                assert_eq!(fused, oracles[1].bootstrap_batch(jobs).unwrap(), "portable {shape}");
+                assert_eq!(fused, portable.bootstrap_batch(jobs).unwrap(), "portable {shape}");
+            }
+        }
     }
 
     #[test]

@@ -193,8 +193,21 @@ impl GgswCiphertext {
     ///
     /// Panics if `fft.poly_size()` differs from the ciphertext's.
     pub fn to_fourier(&self, fft: &NegacyclicFft) -> FourierGgsw {
-        let n = fft.poly_size();
-        let mut coeffs = vec![0i64; self.rows.len() * (self.glwe_dimension + 1) * n];
+        let mut coeffs = Vec::new();
+        self.signed_coefficients_into(fft.poly_size(), &mut coeffs);
+        FourierGgsw::from_coefficients(&coeffs, self.decomp, self.glwe_dimension, fft)
+    }
+
+    /// Writes every polynomial's coefficients as signed words into
+    /// `coeffs` (row-major, then column; resized to `(k+1)·l·(k+1)·N`):
+    /// the input [`Self::to_fourier`] transforms in one batched call,
+    /// exposed so key builders can reuse one buffer across entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a polynomial is not `n` long.
+    pub(crate) fn signed_coefficients_into(&self, n: usize, coeffs: &mut Vec<i64>) {
+        coeffs.resize(self.rows.len() * (self.glwe_dimension + 1) * n, 0);
         let polys = self.rows.iter().flat_map(GlweCiphertext::polys);
         for (slot, poly) in coeffs.chunks_exact_mut(n).zip(polys) {
             assert_eq!(poly.size(), n, "ggsw polynomial size must match the fft plan");
@@ -202,7 +215,6 @@ impl GgswCiphertext {
                 *s = c as i64;
             }
         }
-        FourierGgsw::from_coefficients(&coeffs, self.decomp, self.glwe_dimension, fft)
     }
 }
 
@@ -282,7 +294,33 @@ impl FourierGgsw {
         fft: &NegacyclicFft,
         coeffs: &mut Vec<i64>,
     ) -> Self {
-        let n = fft.poly_size();
+        Self::seeded_coefficients_into(
+            bodies,
+            decomp,
+            glwe_dimension,
+            crs,
+            fft.poly_size(),
+            coeffs,
+        );
+        Self::from_coefficients(coeffs, decomp, glwe_dimension, fft)
+    }
+
+    /// The coefficient half of [`Self::from_seeded_parts`]: regenerates
+    /// the CRS masks and writes them and the stored bodies as signed
+    /// words into `coeffs`, ready for one batched transform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bodies` does not hold `(k+1)·l` polynomials of `n`
+    /// coefficients (transport payload invariant).
+    pub(crate) fn seeded_coefficients_into(
+        bodies: &[TorusPolynomial],
+        decomp: DecompositionParams,
+        glwe_dimension: usize,
+        crs: &mut NoiseSampler,
+        n: usize,
+        coeffs: &mut Vec<i64>,
+    ) {
         let row_len = (glwe_dimension + 1) * n;
         assert_eq!(bodies.len(), (glwe_dimension + 1) * decomp.level, "seeded ggsw row count");
         coeffs.resize(bodies.len() * row_len, 0);
@@ -298,7 +336,6 @@ impl FourierGgsw {
             }
         }
         // lint:hot-path-end
-        Self::from_coefficients(coeffs, decomp, glwe_dimension, fft)
     }
 
     /// Decomposition parameters used by the gadget.
@@ -326,9 +363,8 @@ impl FourierGgsw {
     }
 
     /// The full split-complex batch of this entry's spectra
-    /// (`(k+1)·l·(k+1)` transforms, row-major then column) — the unit
-    /// the multi-bit kernel streams when it MACs whole pattern entries
-    /// into a combined GGSW.
+    /// (`(k+1)·l·(k+1)` transforms, row-major then column) — what the
+    /// multi-bit key builders scatter into their slot-tile-major layout.
     #[inline]
     pub(crate) fn spectra(&self) -> &SoaSpectrum {
         &self.spectra

@@ -404,7 +404,6 @@ pub fn generate_keys(params: &TfheParameters, seed: u64) -> (ClientKey, ServerKe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ggsw::FourierGgsw;
     use crate::params::PbsKernel;
 
     #[test]
@@ -558,13 +557,10 @@ mod tests {
     }
 
     /// The bits of every real and imaginary Fourier plane, in entry order.
-    fn planes<'a>(
-        entries: impl Iterator<Item = &'a FourierGgsw> + 'a,
-    ) -> impl Iterator<Item = u64> + 'a {
-        entries.flat_map(|e| {
-            let (re, im) = e.spectra().planes();
-            re.iter().chain(im).map(|x| x.to_bits())
-        })
+    fn planes(
+        entries: impl Iterator<Item = impl Iterator<Item = f64>>,
+    ) -> impl Iterator<Item = u64> {
+        entries.flatten().map(f64::to_bits)
     }
 
     fn ksk_words(ksk: &KeySwitchKey) -> impl Iterator<Item = u64> + '_ {
@@ -634,6 +630,48 @@ mod tests {
                 "0x9f45df5e9c58f4b1",
                 "0xca0b737dde2c0084",
             ],
+            "set-II"
+        );
+    }
+
+    /// Digest of a g = 3 multi-bit batch of nine PBS outputs: two full
+    /// job blocks and a partial one, one zero-rotation (trivial) job,
+    /// two alternating LUTs, on real keys of `params`.
+    fn multi_bit_output_digest(params: &TfheParameters, seed: u64) -> u64 {
+        use crate::bootstrap::{Lut, PbsJob};
+        let params = params.clone().with_kernel(PbsKernel::MultiBit { grouping_factor: 3 });
+        let mut client = ClientKey::generate(&params, seed);
+        let server = client.server_key();
+        let n = params.polynomial_size;
+        let luts = [Lut::from_function(n, 2, |m| (3 * m + 1) % 4).unwrap(), Lut::sign(n, 1 << 61)];
+        let mut cts: Vec<LweCiphertext> =
+            (0..9u64).map(|m| client.encrypt_torus((m % 4) << 61)).collect();
+        cts[4] = LweCiphertext::trivial(params.lwe_dimension, 1 << 61);
+        let jobs: Vec<PbsJob<'_>> =
+            cts.iter().enumerate().map(|(i, ct)| PbsJob { ct, lut: &luts[i % 2] }).collect();
+        let mbsk = server.multi_bit_bootstrap_key().expect("g = 3 key");
+        let outputs = mbsk.bootstrap_batch(&jobs).unwrap();
+        fnv(outputs.iter().flat_map(|ct| ct.as_raw().iter().copied()))
+    }
+
+    /// The multi-bit kernel must reproduce these outputs bit for bit:
+    /// any reordering of its floating-point work (key layout, assembly,
+    /// VMA loop nest) that moves a single bit shows here.
+    #[test]
+    fn multi_bit_pbs_output_matches_golden_digest() {
+        let hex = |d: u64| format!("{d:#018x}");
+        assert_eq!(
+            hex(multi_bit_output_digest(&TfheParameters::testing_fast(), 5)),
+            "0xccbc398fdb9805bf",
+            "testing_fast"
+        );
+        // Set-II keygen and PBS are release-only, like the key digests.
+        if cfg!(debug_assertions) {
+            return;
+        }
+        assert_eq!(
+            hex(multi_bit_output_digest(&TfheParameters::set_ii(), 6)),
+            "0x2a87e334bc7c19bf",
             "set-II"
         );
     }

@@ -13,10 +13,11 @@
 //! * per-job split-complex digit and accumulator spectra for one block
 //!   of [`CMUX_JOB_BLOCK`] jobs (FFT + VMA units),
 //! * a batched inverse-transform buffer (IFFT unit),
-//! * for the multi-bit kernel only, the combined-GGSW assembly set: one
-//!   combined key entry per job of a block, a monomial spectrum and the
-//!   per-(job, pattern) monomial degrees. These are sized by the
-//!   grouping factor and empty for the classical kernel.
+//! * for the multi-bit kernel only, the per-(job, pattern) monomial
+//!   degrees and one slot tile of each job's monomial spectra, in the
+//!   tile order the fused assembly reads them. These are sized by the
+//!   grouping factor and empty for the classical kernel; the combined
+//!   GGSW itself never touches memory.
 //!
 //! Scratch is deliberately **not** shared between threads: a parallel
 //! epoch ([`crate::bootstrap::BlindRotationKey::bootstrap_batch_parallel`])
@@ -31,16 +32,33 @@ use crate::decompose::DecompositionParams;
 /// key entry before moving to the next block (the job-blocking factor
 /// of the batched blind rotation).
 ///
-/// Rationale: within a block, the VMA loop is **row-major** — one
-/// `(k+1)·N/2`-point key row is loaded and applied to every job in the
-/// block before the next row streams in, so the row stays in L1 across
+/// Rationale: within a block, the VMA loop reuses every key load
+/// across the block's jobs — the classical kernel row-major (one
+/// `(k+1)·N/2`-point key row applied to every job before the next
+/// streams in), the multi-bit kernel tile-major (one 32-slot key tile
+/// applied to every job) — so key data stays in L1 across
 /// `CMUX_JOB_BLOCK` uses instead of being re-fetched per job. The
-/// block size bounds the staging footprint (each job stages
-/// `(k+1)·l + (k+1)` split spectra); 4 keeps that under ~256 KiB at
-/// the paper's set-II/III shapes — resident in L2 — while already
-/// amortising the key stream 4×. Results are bit-identical for every
-/// block size, so this is purely a locality knob.
+/// block size bounds the staging footprint: each job stages
+/// `(k+1)·l + (k+1)` split spectra, 256 KiB per block at set II
+/// (`k = 1`, `l = 3`, `N = 1024`) and 512 KiB at set III — resident in
+/// a server core's L2 — while already amortising the key stream 4×. The multi-bit
+/// kernel adds only its monomial tiles (16 KiB per block at `g = 3`).
+/// Results are bit-identical for every block size, so this is purely a
+/// locality knob.
 pub const CMUX_JOB_BLOCK: usize = 4;
+
+/// Spectrum slots per tile of the multi-bit kernel's slot-tile-major
+/// key layout (capped at `N/2`): one tile of one key entry is
+/// `2·SLOT_TILE` doubles (512 bytes), so a group's tile of every
+/// `(row, col)` and pattern — what the fused assembly consumes while
+/// the tile is hot — stays a few dozen KiB at set II.
+pub(crate) const SLOT_TILE: usize = 32;
+
+/// The slot tile for spectra of `half` points: [`SLOT_TILE`], or the
+/// whole spectrum below it.
+pub(crate) fn slot_tile(half: usize) -> usize {
+    SLOT_TILE.min(half)
+}
 
 /// Scratch for one FFT-path external product (decompose → FFT → VMA →
 /// IFFT), owned by exactly one thread.
@@ -120,14 +138,11 @@ pub struct PbsScratch {
     /// Batched inverse-transform output (`(k+1) · N` reals), reused by
     /// every job of every block.
     pub(crate) time_batch: Vec<f64>,
-    /// Multi-bit only: per-job combined-GGSW spectra, `(k+1)·l · (k+1)`
-    /// transforms of `N/2` points each — one full key entry per job of
-    /// a block, assembled fresh per group.
-    pub(crate) comb_batch: Vec<SoaSpectrum>,
-    /// Multi-bit only: monomial spectrum staging (real plane, `N/2`).
-    pub(crate) mono_re: Vec<f64>,
-    /// Multi-bit only: monomial spectrum staging (imaginary plane).
-    pub(crate) mono_im: Vec<f64>,
+    /// Multi-bit only: one slot tile of every job's monomial spectra
+    /// `X^{d_b}`, tile order `[job][pattern][re T | im T]` with
+    /// `T = min(SLOT_TILE, N/2)` ([`CMUX_JOB_BLOCK`] · `2^g` · `2T`
+    /// doubles), rebuilt per tile and read by the fused assembly.
+    pub(crate) mono_tiles: Vec<f64>,
     /// Multi-bit only: per-(job, pattern) monomial degrees for one
     /// block ([`CMUX_JOB_BLOCK`] · `2^g` entries, pattern-minor).
     pub(crate) degrees: Vec<usize>,
@@ -153,20 +168,15 @@ impl PbsScratch {
         let block = |count: usize| -> Vec<SoaSpectrum> {
             (0..CMUX_JOB_BLOCK).map(|_| SoaSpectrum::new(count, half)).collect()
         };
-        let (comb_batch, mono_len, degrees) = match grouping_factor {
-            Some(g) => (block(rows * cols), half, CMUX_JOB_BLOCK << g),
-            None => (Vec::new(), 0, 0),
-        };
+        let patterns = grouping_factor.map_or(0, |g| CMUX_JOB_BLOCK << g);
         Self {
             decomp_state: vec![0u64; poly_size],
             all_digits: vec![0i64; rows * poly_size],
             digit_batch: block(rows),
             acc_batch: block(cols),
             time_batch: vec![0.0f64; cols * poly_size],
-            comb_batch,
-            mono_re: vec![0.0f64; mono_len],
-            mono_im: vec![0.0f64; mono_len],
-            degrees: vec![0usize; degrees],
+            mono_tiles: vec![0.0f64; patterns * 2 * slot_tile(half)],
+            degrees: vec![0usize; patterns],
             glwe_dimension,
             poly_size,
             level: decomp.level,
@@ -213,7 +223,7 @@ mod tests {
         assert_eq!(s.acc_batch[0].count(), 3);
         assert_eq!(s.time_batch.len(), 3 * 64);
         // No assembly buffers for the classical kernel.
-        assert!(s.comb_batch.is_empty() && s.mono_re.is_empty() && s.degrees.is_empty());
+        assert!(s.mono_tiles.is_empty() && s.degrees.is_empty());
         s.check_shape(2, 64, 3, None);
     }
 
@@ -231,14 +241,14 @@ mod tests {
         assert_eq!(s.all_digits.len(), 2 * 3 * 64);
         assert_eq!(s.digit_batch[0].count(), 2 * 3);
         assert_eq!(s.acc_batch[0].count(), 2);
-        // One combined key entry per job: (k+1)l rows × (k+1) columns.
-        assert_eq!(s.comb_batch.len(), CMUX_JOB_BLOCK);
-        assert_eq!(s.comb_batch[0].count(), 2 * 3 * 2);
-        assert_eq!(s.comb_batch[0].transform_len(), 32);
-        assert_eq!(s.mono_re.len(), 32);
-        assert_eq!(s.mono_im.len(), 32);
+        // No combined key entry: one monomial tile per (job, pattern),
+        // re and im halves of T = min(32, N/2) slots each.
+        assert_eq!(s.mono_tiles.len(), (CMUX_JOB_BLOCK << 2) * 2 * 32);
         assert_eq!(s.degrees.len(), CMUX_JOB_BLOCK << 2);
         s.check_shape(1, 64, 3, Some(2));
+        // Below N/2 = 32 slots the tile is the whole spectrum.
+        let small = PbsScratch::new(1, 16, decomp, Some(3));
+        assert_eq!(small.mono_tiles.len(), (CMUX_JOB_BLOCK << 3) * 2 * 8);
     }
 
     #[test]

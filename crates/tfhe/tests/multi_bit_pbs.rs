@@ -2,7 +2,7 @@
 //! against the classical kernel it replaces.
 //!
 //! The contract pinned here: for any epoch shape — grouping factor
-//! g ∈ {2, 3}, polynomial size N ∈ {512, 1024}, job counts that do not
+//! g ∈ {2, 3, 4}, polynomial size N ∈ {512, 1024}, job counts that do not
 //! divide the CMUX job block, LWE dimensions that leave a remainder
 //! group, zero-rotation (trivial-mask) jobs — the grouped kernel must
 //! decode to the same message the classical kernel produces, and its
@@ -20,7 +20,7 @@ use strix_tfhe::torus::decode_message;
 const MESSAGE_BITS: u32 = 2;
 
 /// One keyed configuration of the kernel matrix. Key generation is the
-/// expensive part, so the four (g, N, n) combinations are built once and
+/// expensive part, so the five (g, N, n) combinations are built once and
 /// shared by every proptest case; the client sits behind a mutex because
 /// encryption advances its noise rng.
 struct Fixture {
@@ -54,14 +54,14 @@ fn lut_fn(m: u64) -> u64 {
     (3 * m + 1) % 4
 }
 
-/// The kernel matrix: g ∈ {2, 3} × N ∈ {512, 1024}, with LWE dimensions
-/// chosen so the group split exercises an exact divide (14 = 7·2), a
-/// width-1 remainder (13 mod 2, 13 mod 3) and a width-2 remainder
-/// (14 mod 3).
+/// The kernel matrix: g ∈ {2, 3} × N ∈ {512, 1024}, plus g = 4 at
+/// N = 512, with LWE dimensions chosen so the group split exercises an
+/// exact divide (14 = 7·2), a width-1 remainder (13 mod 2, 13 mod 3)
+/// and a width-2 remainder (14 mod 3, 14 mod 4).
 fn fixtures() -> &'static Vec<Fixture> {
     static FIXTURES: OnceLock<Vec<Fixture>> = OnceLock::new();
     FIXTURES.get_or_init(|| {
-        [(2usize, 512usize, 14usize), (2, 1024, 13), (3, 512, 14), (3, 1024, 13)]
+        [(2usize, 512usize, 14usize), (2, 1024, 13), (3, 512, 14), (3, 1024, 13), (4, 512, 14)]
             .iter()
             .map(|&(g, poly, n)| {
                 let mut params = TfheParameters::testing_fast();
@@ -89,7 +89,7 @@ proptest! {
     /// is bit-identical to its sequential path.
     #[test]
     fn grouped_kernel_decodes_identically_to_classical(
-        fixture_idx in 0usize..4,
+        fixture_idx in 0usize..5,
         // (message, use a zero-rotation trivial ciphertext?) per job;
         // lengths 1..6 straddle the CMUX job block of 4.
         job_spec in prop::collection::vec((0u64..4, any::<bool>()), 1..6),
@@ -174,10 +174,10 @@ fn all_zero_blocks_take_the_early_return_bit_exactly() {
 #[test]
 fn forced_portable_backend_matches_the_detected_backend_on_grouped_pbs() {
     // Same contract as the classical-kernel test in `soa_cmux.rs`, for
-    // the grouped path: the monomial-MAC combined-GGSW assembly now
-    // runs through the backend VMA kernels, so a multi-bit key forced
-    // to the portable tier must produce byte-equal outputs to one on
-    // the auto-detected tier.
+    // the grouped path: its transforms run through the backend kernels
+    // and its fused tiled VMA is plain autovectorised Rust, so a
+    // multi-bit key forced to the portable tier must produce byte-equal
+    // outputs to one on the auto-detected tier.
     use strix_tfhe::bootstrap::MultiBitBootstrapKey;
     use strix_tfhe::StrixFftBackend;
 

@@ -1,6 +1,6 @@
 //! One table-driven identity suite for the blind-rotation engine, on
-//! real encrypted keys, over kernel ∈ {classical, multi-bit g=2, g=3}
-//! × batch ∈ {1, 3, 4, 5, 9} × threads ∈ {1, 2, 3}:
+//! real encrypted keys, over kernel ∈ {classical, multi-bit g=2, g=3,
+//! g=4} × batch ∈ {1, 3, 4, 5, 9} × threads ∈ {1, 2, 3}:
 //!
 //! * a batch equals its jobs run as concatenated batches of one
 //!   (`bootstrap`) and equals the parallel sharded path, bit for bit;
@@ -12,8 +12,9 @@
 //! * a scratch sized for another key shape panics.
 //!
 //! Batch sizes straddle the CMUX job block of 4 (partial and multiple
-//! blocks), and one job is a trivial ciphertext whose every rotation is
-//! zero (the skip path inside a block).
+//! blocks), one job is a trivial ciphertext whose every rotation is
+//! zero (the skip path inside a block), and the g = 4 key runs at
+//! n = 14, so its last group is a width-2 remainder.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
@@ -26,8 +27,9 @@ use strix_tfhe::scratch::PbsScratch;
 const BATCHES: [usize; 5] = [1, 3, 4, 5, 9];
 const THREADS: [usize; 3] = [1, 2, 3];
 
-/// Server keys for g = 2 and g = 3 (each also carries a classical key),
-/// nine inputs encrypted under each, and two LUTs the jobs alternate.
+/// Server keys for g = 2 and g = 3 at the base parameters and for g = 4
+/// at n = 14 (each also carries a classical key), nine inputs encrypted
+/// under each, and two LUTs the jobs alternate.
 struct Fixture {
     params: TfheParameters,
     keys: Vec<(ServerKey, Vec<LweCiphertext>)>,
@@ -45,16 +47,17 @@ fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let params = TfheParameters::testing_fast();
-        let keys = [2usize, 3]
+        let keys = [(2usize, params.lwe_dimension), (3, params.lwe_dimension), (4, 14)]
             .into_iter()
-            .map(|g| {
-                let kernel = PbsKernel::MultiBit { grouping_factor: g };
-                let (mut client, server) =
-                    generate_keys(&params.clone().with_kernel(kernel), 90 + g as u64);
+            .map(|(g, n)| {
+                let mut keyed =
+                    params.clone().with_kernel(PbsKernel::MultiBit { grouping_factor: g });
+                keyed.lwe_dimension = n;
+                let (mut client, server) = generate_keys(&keyed, 90 + g as u64);
                 let mut cts: Vec<LweCiphertext> = (0..9u64)
                     .map(|m| client.encrypt_shortint(m % 4, 2).unwrap().as_lwe().clone())
                     .collect();
-                cts[2] = LweCiphertext::trivial(params.lwe_dimension, 1 << 61);
+                cts[2] = LweCiphertext::trivial(n, 1 << 61);
                 (server, cts)
             })
             .collect();
@@ -80,10 +83,11 @@ fn batch_identity<E: KeyLayout>(kernel: &str, key: &BlindRotationKey<E>, jobs: &
 #[test]
 fn batch_equals_batches_of_one_equals_parallel() {
     let fx = fixture();
-    let (g2, g3) = (&fx.keys[0].0, &fx.keys[1].0);
+    let (g2, g3, g4) = (&fx.keys[0].0, &fx.keys[1].0, &fx.keys[2].0);
     batch_identity("classical", g2.bootstrap_key(), &fx.jobs(0));
     batch_identity("multi-bit g=2", g2.multi_bit_bootstrap_key().unwrap(), &fx.jobs(0));
     batch_identity("multi-bit g=3", g3.multi_bit_bootstrap_key().unwrap(), &fx.jobs(1));
+    batch_identity("multi-bit g=4", g4.multi_bit_bootstrap_key().unwrap(), &fx.jobs(2));
 }
 
 #[test]
@@ -100,8 +104,8 @@ fn classical_kernel_equals_the_reference() {
 }
 
 fn rejects_shape_mismatch<E: KeyLayout>(kernel: &str, key: &BlindRotationKey<E>, fx: &Fixture) {
-    let good = LweCiphertext::trivial(fx.params.lwe_dimension, 0);
-    let long = LweCiphertext::trivial(fx.params.lwe_dimension + 1, 0);
+    let good = LweCiphertext::trivial(key.input_dimension(), 0);
+    let long = LweCiphertext::trivial(key.input_dimension() + 1, 0);
     let wide = Lut::sign(2 * fx.params.polynomial_size, 1);
     for (ct, lut, what) in
         [(&long, &fx.luts[0], "lwe dimension"), (&good, &wide, "polynomial size")]
@@ -123,10 +127,11 @@ fn rejects_shape_mismatch<E: KeyLayout>(kernel: &str, key: &BlindRotationKey<E>,
 #[test]
 fn shape_mismatch_is_rejected_before_any_thread_spawns() {
     let fx = fixture();
-    let (g2, g3) = (&fx.keys[0].0, &fx.keys[1].0);
+    let (g2, g3, g4) = (&fx.keys[0].0, &fx.keys[1].0, &fx.keys[2].0);
     rejects_shape_mismatch("classical", g2.bootstrap_key(), fx);
     rejects_shape_mismatch("multi-bit g=2", g2.multi_bit_bootstrap_key().unwrap(), fx);
     rejects_shape_mismatch("multi-bit g=3", g3.multi_bit_bootstrap_key().unwrap(), fx);
+    rejects_shape_mismatch("multi-bit g=4", g4.multi_bit_bootstrap_key().unwrap(), fx);
 }
 
 fn assert_scratch_panics<E: KeyLayout>(

@@ -7,8 +7,8 @@
 //!
 //! 1. **hot-path-alloc** — no allocation calls (`Vec::new`, `vec!`,
 //!    `.to_vec()`, `.collect()`, `Box::new`) inside the designated
-//!    CMUX/blind-rotate, FFT-kernel, key-product and seeded-expansion
-//!    regions, delimited in-source by
+//!    CMUX/blind-rotate, FFT-kernel, monomial-tile, key-product and
+//!    seeded-expansion regions, delimited in-source by
 //!    `// lint:hot-path-start` / `// lint:hot-path-end` markers.
 //! 2. **panic** — no `.unwrap()` / `.expect(` / `panic!` / `todo!` /
 //!    `unimplemented!` / `unreachable!` in non-test `runtime`, `tfhe`
@@ -64,6 +64,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/tfhe/src/glwe.rs",
     "crates/tfhe/src/ggsw.rs",
     "crates/fft/src/soa.rs",
+    "crates/fft/src/negacyclic.rs",
 ];
 
 /// Allocation-call spellings forbidden inside hot-path regions.
@@ -971,6 +972,10 @@ mod tests {
             self.write(
                 "crates/fft/src/soa.rs",
                 "// lint:hot-path-start\nfn kernel() {}\n// lint:hot-path-end\n",
+            );
+            self.write(
+                "crates/fft/src/negacyclic.rs",
+                "// lint:hot-path-start\nfn tile() {}\n// lint:hot-path-end\n",
             );
             self.write(
                 "crates/runtime/src/metrics.rs",
