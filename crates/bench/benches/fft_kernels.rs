@@ -12,7 +12,9 @@
 //! be ≥ 1.5× faster on the new kernel than on the seed kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use strix_fft::{Complex64, FftPlan, NegacyclicFft, SoaSpectrum, StrixFftBackend};
+use strix_fft::{
+    pointwise_mul_add_soa, Complex64, FftPlan, NegacyclicFft, SoaSpectrum, StrixFftBackend,
+};
 
 /// The seed negacyclic transform: explicit twist tables around the
 /// natural-order radix-2 `FftPlan`, exactly as the seed
@@ -101,10 +103,12 @@ fn bench_transform_pair(c: &mut Criterion) {
 }
 
 /// Per-backend smoke over the batched SoA entry points — one bench per
-/// *available* backend (unavailable tiers are skipped, so the group
-/// degrades gracefully on portable-only hardware). The ISSUE 9
+/// *available* backend (an unavailable AVX2 tier is skipped, so the
+/// group degrades gracefully on portable-only hardware). The ISSUE 9
 /// acceptance bar reads off this group: `forward_many` at N=1024/2048,
-/// best backend ≥ 1.3× over portable.
+/// best backend ≥ 1.3× over portable. The split VMA has one
+/// implementation, the free `pointwise_mul_add_soa`, so `vma_soa` is
+/// timed once per size, not per backend.
 fn bench_backend_matrix(c: &mut Criterion) {
     let mut group = c.benchmark_group("fft_backends");
     // One CMUX external product's worth of transforms per call, so the
@@ -113,7 +117,7 @@ fn bench_backend_matrix(c: &mut Criterion) {
     for n in [1024usize, 2048] {
         let polys: Vec<i64> = (0..(batch * n) as i64).map(|i| (i * 31 % 1024) - 512).collect();
         group.throughput(Throughput::Elements((batch * n) as u64));
-        for backend in [StrixFftBackend::Portable, StrixFftBackend::Avx2, StrixFftBackend::Avx512] {
+        for backend in [StrixFftBackend::Portable, StrixFftBackend::Avx2] {
             if !backend.is_available() {
                 continue;
             }
@@ -141,26 +145,22 @@ fn bench_backend_matrix(c: &mut Criterion) {
                     })
                 },
             );
-            group.bench_with_input(
-                BenchmarkId::new(format!("vma_soa/{backend}"), n),
-                &n,
-                |b, _| {
-                    let mut acc = SoaSpectrum::new(batch, n / 2);
-                    let mut a = SoaSpectrum::new(batch, n / 2);
-                    fft.forward_i64_many(&polys, &mut a).unwrap();
-                    let key_re = vec![0.5f64; n / 2];
-                    let key_im = vec![-0.25f64; n / 2];
-                    b.iter(|| {
-                        for t in 0..batch {
-                            let (ar, ai) = a.transform(t);
-                            // Split borrows: accumulate into acc's planes.
-                            let (sr, si) = acc.transform_mut(t);
-                            fft.pointwise_mul_add_soa(sr, si, ar, ai, &key_re, &key_im);
-                        }
-                    })
-                },
-            );
         }
+        group.bench_with_input(BenchmarkId::new("vma_soa", n), &n, |b, _| {
+            let mut acc = SoaSpectrum::new(batch, n / 2);
+            let mut a = SoaSpectrum::new(batch, n / 2);
+            NegacyclicFft::new(n).unwrap().forward_i64_many(&polys, &mut a).unwrap();
+            let key_re = vec![0.5f64; n / 2];
+            let key_im = vec![-0.25f64; n / 2];
+            b.iter(|| {
+                for t in 0..batch {
+                    let (ar, ai) = a.transform(t);
+                    // Split borrows: accumulate into acc's planes.
+                    let (sr, si) = acc.transform_mut(t);
+                    pointwise_mul_add_soa(sr, si, ar, ai, &key_re, &key_im);
+                }
+            })
+        });
     }
     group.finish();
 }

@@ -3,8 +3,8 @@
 //! Every function here is `#[target_feature(enable = "avx2,fma")]` —
 //! safe to define, `unsafe` to call from a non-AVX2 context, which is
 //! why the dispatch layer in `mod.rs` only reaches them through a
-//! resolved [`super::StrixFftBackend::Avx2`]/`Avx512` value (a witness
-//! that `is_x86_feature_detected!` confirmed the features).
+//! resolved [`super::StrixFftBackend::Avx2`] value (a witness that
+//! `is_x86_feature_detected!` confirmed the features).
 //!
 //! # Bit-identity discipline
 //!
@@ -611,33 +611,6 @@ pub(crate) fn untwist_unfold_r4(
         out_im[j + 2 * q] = z2i;
         out_re[j + 3 * q] = z3r;
         out_im[j + 3 * q] = z3i;
-        j += 1;
-    }
-}
-
-/// Fully split VMA: `acc_k += a_k · b_k` over equal-length planes.
-#[target_feature(enable = "avx2,fma")]
-pub(crate) fn mul_add_soa(
-    acc_re: &mut [f64],
-    acc_im: &mut [f64],
-    a_re: &[f64],
-    a_im: &[f64],
-    b_re: &[f64],
-    b_im: &[f64],
-) {
-    let n = acc_re.len();
-    let mut j = 0;
-    while j + LANES <= n {
-        let (pr, pi) = cmulv(ld(a_re, j), ld(a_im, j), ld(b_re, j), ld(b_im, j));
-        st(acc_re, j, _mm256_add_pd(ld(acc_re, j), pr));
-        st(acc_im, j, _mm256_add_pd(ld(acc_im, j), pi));
-        j += LANES;
-    }
-    while j < n {
-        let pr = a_re[j] * b_re[j] - a_im[j] * b_im[j];
-        let pi = a_re[j] * b_im[j] + a_im[j] * b_re[j];
-        acc_re[j] += pr;
-        acc_im[j] += pi;
         j += 1;
     }
 }

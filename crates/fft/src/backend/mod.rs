@@ -5,15 +5,18 @@
 //! hand-scheduled lane-parallel hardware, not compiler output. This
 //! module is the software analogue: the batched butterfly stages, the
 //! fused fold/twist and untwist/unfold passes, the i64→f64 torus
-//! conversions, and the pointwise VMA kernels are each implemented
-//! three times —
+//! conversions, and the mixed-layout VMA kernel are each implemented
+//! twice —
 //!
 //! * [`portable`] — the autovectorised scalar loops (the former inline
 //!   bodies of `kernel.rs`/`negacyclic.rs`, unchanged), correct on
 //!   every architecture and the bit-identity reference;
-//! * [`avx2`] — explicit 4-lane `std::arch::x86_64` AVX2 kernels;
-//! * [`avx512`] — explicit 8-lane AVX-512 (`avx512f` + `avx512dq`)
-//!   kernels.
+//! * [`avx2`] — explicit 4-lane `std::arch::x86_64` AVX2 kernels.
+//!
+//! Only ops where the explicit kernel measurably beats the
+//! autovectorised loop get one. The fully split VMA does not: its
+//! plain loop in `negacyclic.rs` measured faster than an explicit AVX2
+//! kernel, so that loop is its only implementation, on every backend.
 //!
 //! One backend is resolved per plan at construction time
 //! ([`StrixFftBackend::resolve`]): runtime CPU detection via
@@ -30,15 +33,15 @@
 //! computing the same mul/add/sub expression as the scalar loop rounds
 //! identically. The SIMD kernels therefore use only separate
 //! multiply/add/subtract instructions — **never FMA**, whose single
-//! rounding would diverge from the scalar oracle — and every backend
-//! produces bit-identical spectra (pinned by
+//! rounding would diverge from the scalar oracle — and both backends
+//! produce bit-identical spectra (pinned by
 //! `crates/fft/tests/backend_identity.rs`).
 //!
 //! # Safety policy
 //!
-//! All `unsafe` in this crate lives inside this module tree (enforced
-//! by the `unsafe-hygiene` xtask lint): the pointer-width loads/stores
-//! in `avx2.rs`/`avx512.rs` and the feature-gated calls below, each
+//! All `unsafe` in this crate lives in this file and `avx2.rs`
+//! (enforced by the `unsafe-hygiene` xtask lint): the pointer-width
+//! loads/stores in `avx2.rs` and the feature-gated calls below, each
 //! behind a length assertion or the feature check made at plan
 //! construction, each carrying a `// SAFETY:` comment.
 #![allow(unsafe_code)]
@@ -52,17 +55,14 @@ pub(crate) mod portable;
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod avx512;
 
 /// Kernel-backend selector for [`crate::SpectralPlan`] /
 /// [`crate::NegacyclicFft`] construction.
 ///
 /// `Auto` (the default) resolves to the fastest backend the running
-/// CPU supports ([`StrixFftBackend::detect_best`], which prefers AVX2
-/// over AVX-512 — see its docs), after consulting the
-/// `STRIX_FFT_BACKEND` environment
-/// variable (`auto` | `portable` | `avx2` | `avx512`). Explicitly
+/// CPU supports ([`StrixFftBackend::detect_best`]), after consulting
+/// the `STRIX_FFT_BACKEND` environment variable (`auto` | `portable` |
+/// `avx2`, parsed by [`FromStr`](std::str::FromStr)). Explicitly
 /// requesting a backend the CPU lacks fails plan construction with
 /// [`FftError::BackendUnavailable`] rather than silently falling back.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -74,23 +74,19 @@ pub enum StrixFftBackend {
     Portable,
     /// Explicit 4-lane AVX2 kernels (`x86_64` with `avx2` + `fma`).
     Avx2,
-    /// Explicit 8-lane AVX-512 kernels (`x86_64` with `avx512f` +
-    /// `avx512dq`, which imply the AVX2 baseline).
-    Avx512,
 }
 
 /// Environment variable consulted when resolving [`StrixFftBackend::Auto`].
 pub const BACKEND_ENV_VAR: &str = "STRIX_FFT_BACKEND";
 
 impl StrixFftBackend {
-    /// Stable lowercase label (`"auto"` / `"portable"` / `"avx2"` /
-    /// `"avx512"`), matching the `STRIX_FFT_BACKEND` spellings.
+    /// Stable lowercase label (`"auto"` / `"portable"` / `"avx2"`),
+    /// matching the `STRIX_FFT_BACKEND` spellings.
     pub fn label(self) -> &'static str {
         match self {
             StrixFftBackend::Auto => "auto",
             StrixFftBackend::Portable => "portable",
             StrixFftBackend::Avx2 => "avx2",
-            StrixFftBackend::Avx512 => "avx512",
         }
     }
 
@@ -100,19 +96,10 @@ impl StrixFftBackend {
         match self {
             StrixFftBackend::Auto | StrixFftBackend::Portable => true,
             StrixFftBackend::Avx2 => cpu_has_avx2(),
-            StrixFftBackend::Avx512 => cpu_has_avx512(),
         }
     }
 
     /// The fastest backend the running CPU supports (no env consulted).
-    ///
-    /// AVX2 is deliberately preferred over AVX-512 even where both are
-    /// available: the bit-identity contract rules out FMA, and without
-    /// it 512-bit multiply/add saturates fewer execution ports than
-    /// two 256-bit streams while also triggering AVX-512 frequency
-    /// licensing — measured slower on `forward_many` (see the
-    /// `fft_backends` bench group). AVX-512 remains available by
-    /// explicit request for hardware where the trade-off flips.
     pub fn detect_best() -> Self {
         if cpu_has_avx2() {
             StrixFftBackend::Avx2
@@ -124,10 +111,11 @@ impl StrixFftBackend {
     /// Resolves `self` to a concrete (never `Auto`) backend.
     ///
     /// `Auto` consults `STRIX_FFT_BACKEND` first (a fresh read per
-    /// call, so tests and CI can steer plan construction), then falls
-    /// back to [`Self::detect_best`]. An explicit request — whether
-    /// from the caller or the environment — for a backend the CPU
-    /// lacks is an error, never a silent fallback.
+    /// call, so tests and CI can steer plan construction; unset or
+    /// empty means `auto`), then falls back to [`Self::detect_best`].
+    /// An explicit request — whether from the caller or the
+    /// environment — for a backend the CPU lacks is an error, never a
+    /// silent fallback.
     ///
     /// # Errors
     ///
@@ -137,14 +125,8 @@ impl StrixFftBackend {
     pub fn resolve(self) -> Result<Self, FftError> {
         let requested = match self {
             StrixFftBackend::Auto => match std::env::var(BACKEND_ENV_VAR) {
-                Ok(value) => match value.trim().to_ascii_lowercase().as_str() {
-                    "" | "auto" => StrixFftBackend::Auto,
-                    "portable" => StrixFftBackend::Portable,
-                    "avx2" => StrixFftBackend::Avx2,
-                    "avx512" => StrixFftBackend::Avx512,
-                    _ => return Err(FftError::InvalidBackendEnv),
-                },
-                Err(_) => StrixFftBackend::Auto,
+                Ok(value) if !value.trim().is_empty() => value.parse()?,
+                _ => StrixFftBackend::Auto,
             },
             explicit => explicit,
         };
@@ -172,7 +154,6 @@ impl std::str::FromStr for StrixFftBackend {
             "auto" => Ok(StrixFftBackend::Auto),
             "portable" => Ok(StrixFftBackend::Portable),
             "avx2" => Ok(StrixFftBackend::Avx2),
-            "avx512" => Ok(StrixFftBackend::Avx512),
             _ => Err(FftError::InvalidBackendEnv),
         }
     }
@@ -220,25 +201,12 @@ fn cpu_has_avx2() -> bool {
     }
 }
 
-fn cpu_has_avx512() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        cpu_has_avx2()
-            && std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512dq")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Dispatch
 //
 // One function per backend-covered kernel op. `backend` is a *resolved*
 // backend (never `Auto`) stored in the plan at construction, which is
-// what makes the feature-gated calls below sound: an `Avx2`/`Avx512`
+// what makes the feature-gated calls below sound: an `Avx2`
 // value can only exist after `is_x86_feature_detected!` confirmed the
 // features (or the caller explicitly requested it and `resolve()`
 // re-checked). On non-x86 targets only `Portable` is constructible.
@@ -260,10 +228,6 @@ pub(crate) fn fwd_stage_r2(
         // SAFETY: `Avx2` is only resolved after runtime detection of
         // avx2+fma (see dispatch header comment).
         StrixFftBackend::Avx2 => unsafe { avx2::fwd_stage_r2(re, im, len, wr, wi) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx512` is only resolved after runtime detection of
-        // avx512f+avx512dq (see dispatch header comment).
-        StrixFftBackend::Avx512 => unsafe { avx512::fwd_stage_r2(re, im, len, wr, wi) },
         _ => portable::fwd_stage_r2(re, im, len, wr, wi),
     }
 }
@@ -282,9 +246,6 @@ pub(crate) fn fwd_stage_r4(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2` implies runtime-detected avx2+fma.
         StrixFftBackend::Avx2 => unsafe { avx2::fwd_stage_r4(re, im, len, twr, twi) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx512` implies runtime-detected avx512f+avx512dq.
-        StrixFftBackend::Avx512 => unsafe { avx512::fwd_stage_r4(re, im, len, twr, twi) },
         _ => portable::fwd_stage_r4(re, im, len, twr, twi),
     }
 }
@@ -303,9 +264,6 @@ pub(crate) fn inv_stage_r2(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2` implies runtime-detected avx2+fma.
         StrixFftBackend::Avx2 => unsafe { avx2::inv_stage_r2(re, im, len, wr, wi) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx512` implies runtime-detected avx512f+avx512dq.
-        StrixFftBackend::Avx512 => unsafe { avx512::inv_stage_r2(re, im, len, wr, wi) },
         _ => portable::inv_stage_r2(re, im, len, wr, wi),
     }
 }
@@ -324,9 +282,6 @@ pub(crate) fn inv_stage_r4(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2` implies runtime-detected avx2+fma.
         StrixFftBackend::Avx2 => unsafe { avx2::inv_stage_r4(re, im, len, twr, twi) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx512` implies runtime-detected avx512f+avx512dq.
-        StrixFftBackend::Avx512 => unsafe { avx512::inv_stage_r4(re, im, len, twr, twi) },
         _ => portable::inv_stage_r4(re, im, len, twr, twi),
     }
 }
@@ -350,11 +305,6 @@ pub(crate) fn fold_twist_r2(
         // SAFETY: `Avx2` implies runtime-detected avx2+fma.
         StrixFftBackend::Avx2 => unsafe {
             avx2::fold_twist_r2(poly, twist_re, twist_im, out_re, out_im, wr, wi)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx512` implies runtime-detected avx512f+avx512dq.
-        StrixFftBackend::Avx512 => unsafe {
-            avx512::fold_twist_r2(poly, twist_re, twist_im, out_re, out_im, wr, wi)
         },
         _ => portable::fold_twist_r2(poly, twist_re, twist_im, out_re, out_im, wr, wi),
     }
@@ -380,11 +330,6 @@ pub(crate) fn fold_twist_r4(
         StrixFftBackend::Avx2 => unsafe {
             avx2::fold_twist_r4(poly, twist_re, twist_im, out_re, out_im, twr, twi)
         },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx512` implies runtime-detected avx512f+avx512dq.
-        StrixFftBackend::Avx512 => unsafe {
-            avx512::fold_twist_r4(poly, twist_re, twist_im, out_re, out_im, twr, twi)
-        },
         _ => portable::fold_twist_r4(poly, twist_re, twist_im, out_re, out_im, twr, twi),
     }
 }
@@ -408,11 +353,6 @@ pub(crate) fn untwist_unfold_r2(
         // SAFETY: `Avx2` implies runtime-detected avx2+fma.
         StrixFftBackend::Avx2 => unsafe {
             avx2::untwist_unfold_r2(sre, sim, u_re, u_im, out, wr, wi)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx512` implies runtime-detected avx512f+avx512dq.
-        StrixFftBackend::Avx512 => unsafe {
-            avx512::untwist_unfold_r2(sre, sim, u_re, u_im, out, wr, wi)
         },
         _ => portable::untwist_unfold_r2(sre, sim, u_re, u_im, out, wr, wi),
     }
@@ -438,39 +378,7 @@ pub(crate) fn untwist_unfold_r4(
         StrixFftBackend::Avx2 => unsafe {
             avx2::untwist_unfold_r4(sre, sim, u_re, u_im, out, twr, twi)
         },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx512` implies runtime-detected avx512f+avx512dq.
-        StrixFftBackend::Avx512 => unsafe {
-            avx512::untwist_unfold_r4(sre, sim, u_re, u_im, out, twr, twi)
-        },
         _ => portable::untwist_unfold_r4(sre, sim, u_re, u_im, out, twr, twi),
-    }
-}
-
-/// Split-operand VMA: `acc_k += a_k · b_k` with every operand in
-/// separate re/im planes.
-#[inline]
-pub(crate) fn mul_add_soa(
-    backend: StrixFftBackend,
-    acc_re: &mut [f64],
-    acc_im: &mut [f64],
-    a_re: &[f64],
-    a_im: &[f64],
-    b_re: &[f64],
-    b_im: &[f64],
-) {
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2` implies runtime-detected avx2+fma.
-        StrixFftBackend::Avx2 => unsafe {
-            avx2::mul_add_soa(acc_re, acc_im, a_re, a_im, b_re, b_im)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx512` implies runtime-detected avx512f+avx512dq.
-        StrixFftBackend::Avx512 => unsafe {
-            avx512::mul_add_soa(acc_re, acc_im, a_re, a_im, b_re, b_im)
-        },
-        _ => portable::mul_add_soa(acc_re, acc_im, a_re, a_im, b_re, b_im),
     }
 }
 
@@ -486,13 +394,8 @@ pub(crate) fn mul_add_key(
 ) {
     match backend {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2` implies runtime-detected avx2+fma. The
-        // AVX-512 backend routes here too: the deinterleave shuffles
-        // this op needs cost more at 512-bit width than the extra
-        // lanes recover, and avx512f implies avx2 at the feature level.
-        StrixFftBackend::Avx2 | StrixFftBackend::Avx512 => unsafe {
-            avx2::mul_add_key(acc, a, b_re, b_im)
-        },
+        // SAFETY: `Avx2` implies runtime-detected avx2+fma.
+        StrixFftBackend::Avx2 => unsafe { avx2::mul_add_key(acc, a, b_re, b_im) },
         _ => portable::mul_add_key(acc, a, b_re, b_im),
     }
 }
@@ -503,12 +406,7 @@ mod tests {
 
     #[test]
     fn labels_round_trip_through_fromstr() {
-        for b in [
-            StrixFftBackend::Auto,
-            StrixFftBackend::Portable,
-            StrixFftBackend::Avx2,
-            StrixFftBackend::Avx512,
-        ] {
+        for b in [StrixFftBackend::Auto, StrixFftBackend::Portable, StrixFftBackend::Avx2] {
             assert_eq!(b.label().parse::<StrixFftBackend>().unwrap(), b);
             assert_eq!(b.to_string(), b.label());
         }
@@ -517,7 +415,9 @@ mod tests {
             StrixFftBackend::Avx2,
             "parsing is case-insensitive"
         );
-        assert_eq!("neon".parse::<StrixFftBackend>(), Err(FftError::InvalidBackendEnv));
+        for unknown in ["neon", "avx512", ""] {
+            assert_eq!(unknown.parse::<StrixFftBackend>(), Err(FftError::InvalidBackendEnv));
+        }
     }
 
     #[test]
@@ -543,13 +443,12 @@ mod tests {
 
     #[test]
     fn unavailable_explicit_backend_is_an_error() {
-        // Exercise the error path on whichever SIMD tier the host
-        // lacks; on fully-capable hosts just pin the success path.
-        for b in [StrixFftBackend::Avx2, StrixFftBackend::Avx512] {
-            match b.resolve() {
-                Ok(r) => assert_eq!(r, b),
-                Err(e) => assert_eq!(e, FftError::BackendUnavailable { requested: b }),
-            }
+        // Exercise the error path when the host lacks AVX2; on capable
+        // hosts just pin the success path.
+        let b = StrixFftBackend::Avx2;
+        match b.resolve() {
+            Ok(r) => assert_eq!(r, b),
+            Err(e) => assert_eq!(e, FftError::BackendUnavailable { requested: b }),
         }
     }
 

@@ -3,10 +3,10 @@
 //! These are the original inline loop bodies of `kernel.rs` /
 //! `negacyclic.rs`, moved verbatim so every architecture keeps the
 //! exact code (and codegen) the SoA rewrite shipped with. They are also
-//! the **bit-identity reference** for the SIMD backends: each AVX2 /
-//! AVX-512 kernel computes these same IEEE expressions per element, in
-//! the same order, with separate multiply/add/subtract operations, so
-//! the identity suite can compare backends bit-for-bit.
+//! the **bit-identity reference** for the SIMD backend: each AVX2
+//! kernel computes these same IEEE expressions per element, in the
+//! same order, with separate multiply/add/subtract operations, so the
+//! identity suite can compare backends bit-for-bit.
 //!
 //! Loop shape notes (preserved from the originals): operands are
 //! pre-split to exact lengths so the compiler drops the bounds checks
@@ -289,27 +289,6 @@ pub(crate) fn untwist_unfold_r4(
         out_im[j + 2 * q] = z2i;
         out_re[j + 3 * q] = z3r;
         out_im[j + 3 * q] = z3i;
-    }
-}
-
-/// Fully split VMA: `acc_k += a_k · b_k` over equal-length planes.
-pub(crate) fn mul_add_soa(
-    acc_re: &mut [f64],
-    acc_im: &mut [f64],
-    a_re: &[f64],
-    a_im: &[f64],
-    b_re: &[f64],
-    b_im: &[f64],
-) {
-    let n = acc_re.len();
-    // Indexed loop over pre-checked equal-length slices: the bounds
-    // checks fold away and the body is four independent packed FMAs'
-    // worth of mul/add work per lane.
-    for j in 0..n {
-        let pr = a_re[j] * b_re[j] - a_im[j] * b_im[j];
-        let pi = a_re[j] * b_im[j] + a_im[j] * b_re[j];
-        acc_re[j] += pr;
-        acc_im[j] += pi;
     }
 }
 

@@ -29,7 +29,7 @@ pub enum FftError {
         requested: StrixFftBackend,
     },
     /// The `STRIX_FFT_BACKEND` environment variable holds a value that
-    /// is not one of `auto`, `portable`, `avx2`, or `avx512`.
+    /// is not one of `auto`, `portable` or `avx2`.
     InvalidBackendEnv,
 }
 
@@ -46,7 +46,7 @@ impl fmt::Display for FftError {
                 write!(f, "kernel backend {requested} is not supported by this cpu")
             }
             FftError::InvalidBackendEnv => {
-                write!(f, "{BACKEND_ENV_VAR} must be one of auto, portable, avx2, avx512",)
+                write!(f, "{BACKEND_ENV_VAR} must be one of auto, portable, avx2")
             }
         }
     }
@@ -64,10 +64,10 @@ mod tests {
         assert_eq!(e.to_string(), "transform size 3 is not a power of two >= 2");
         let e = FftError::LengthMismatch { expected: 8, actual: 4 };
         assert_eq!(e.to_string(), "buffer length 4 does not match plan size 8");
-        let e = FftError::BackendUnavailable { requested: StrixFftBackend::Avx512 };
-        assert_eq!(e.to_string(), "kernel backend avx512 is not supported by this cpu");
+        let e = FftError::BackendUnavailable { requested: StrixFftBackend::Avx2 };
+        assert_eq!(e.to_string(), "kernel backend avx2 is not supported by this cpu");
         let e = FftError::InvalidBackendEnv;
-        assert_eq!(e.to_string(), "STRIX_FFT_BACKEND must be one of auto, portable, avx2, avx512");
+        assert_eq!(e.to_string(), "STRIX_FFT_BACKEND must be one of auto, portable, avx2");
     }
 
     #[test]

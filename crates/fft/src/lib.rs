@@ -35,11 +35,11 @@
 //!   per-thread PBS scratch builds on,
 //! * [`StrixFftBackend`] — the pluggable kernel-backend layer: the
 //!   SoA butterfly stages, the fused fold/twist and untwist/unfold
-//!   passes, and the VMA kernels each exist as a portable scalar
-//!   reference plus explicit AVX2 and AVX-512 implementations,
-//!   selected by runtime CPU detection at plan construction (or forced
-//!   via [`SpectralPlan::with_backend`] / the `STRIX_FFT_BACKEND`
-//!   environment variable) — every backend bit-identical to the
+//!   passes, and the mixed-layout VMA kernel each exist as a portable
+//!   scalar reference plus an explicit AVX2 implementation, selected
+//!   by runtime CPU detection at plan construction (or forced via
+//!   [`SpectralPlan::with_backend`] / the `STRIX_FFT_BACKEND`
+//!   environment variable) — both backends bit-identical to the
 //!   scalar oracle,
 //! * [`mod@reference`] — exact schoolbook negacyclic convolution used as the
 //!   correctness oracle in tests and for small parameter sets.
@@ -66,7 +66,6 @@ mod error;
 mod kernel;
 mod negacyclic;
 mod plan;
-pub mod planner;
 pub mod reference;
 mod soa;
 

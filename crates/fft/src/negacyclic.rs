@@ -196,8 +196,7 @@ impl NegacyclicFft {
     }
 
     /// The resolved kernel backend this transform's batched entry
-    /// points (and [`Self::pointwise_mul_add_soa`] /
-    /// [`Self::pointwise_mul_add_key`]) run on — never
+    /// points (and [`Self::pointwise_mul_add_key`]) run on — never
     /// [`StrixFftBackend::Auto`].
     #[inline]
     pub fn backend(&self) -> StrixFftBackend {
@@ -307,36 +306,6 @@ impl NegacyclicFft {
         self.check_batch(out.len(), batch)?;
         self.kernel.inverse_folded_untwisted_many(batch, &self.untwist_re, &self.untwist_im, out);
         Ok(())
-    }
-
-    /// Backend-dispatched form of the free [`pointwise_mul_add_soa`]
-    /// VMA kernel: `acc_k += a_k · b_k` over fully split planes,
-    /// running on this transform's resolved kernel backend.
-    /// Bit-identical to the free function (the scalar reference) on
-    /// every backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths (programming error —
-    /// the buffers come from plans of matching size).
-    #[allow(clippy::too_many_arguments)] // mirrors the fused kernel's full operand set
-    #[inline]
-    pub fn pointwise_mul_add_soa(
-        &self,
-        acc_re: &mut [f64],
-        acc_im: &mut [f64],
-        a_re: &[f64],
-        a_im: &[f64],
-        b_re: &[f64],
-        b_im: &[f64],
-    ) {
-        let n = acc_re.len();
-        assert_eq!(acc_im.len(), n, "pointwise length mismatch");
-        assert_eq!(a_re.len(), n, "pointwise length mismatch");
-        assert_eq!(a_im.len(), n, "pointwise length mismatch");
-        assert_eq!(b_re.len(), n, "pointwise length mismatch");
-        assert_eq!(b_im.len(), n, "pointwise length mismatch");
-        backend::mul_add_soa(self.backend(), acc_re, acc_im, a_re, a_im, b_re, b_im);
     }
 
     /// Backend-dispatched form of the free [`pointwise_mul_add_key`]
@@ -613,6 +582,10 @@ pub fn pointwise_mul_add_key(acc: &mut [Complex64], a: &[Complex64], b_re: &[f64
 ///
 /// Per-element arithmetic is exactly [`pointwise_mul_add`]'s, so the
 /// accumulated spectra are bit-identical to the interleaved kernel's.
+///
+/// This loop is the split VMA's only implementation, whatever backend
+/// a plan resolved: it has no explicit SIMD kernel, because the
+/// autovectorised loop measured faster than an explicit AVX2 one.
 ///
 /// # Panics
 ///

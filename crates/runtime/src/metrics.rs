@@ -596,9 +596,9 @@ pub struct RuntimeReport {
     #[serde(default)]
     pub pbs_jobs_multi_bit: usize,
     /// Resolved SIMD kernel backend label the executor's spectral
-    /// transforms ran on (`"portable"` / `"avx2"` / `"avx512"`; never
-    /// `"auto"`). Filled by the runtime at report time; empty for
-    /// synthetic executors and reports from older schema versions.
+    /// transforms ran on (`"portable"` / `"avx2"`; never `"auto"`).
+    /// Filled by the runtime at report time; empty for synthetic
+    /// executors and reports from older schema versions.
     #[serde(default)]
     pub fft_backend: String,
     /// Mean epoch occupancy in `[0, 1]`.

@@ -85,7 +85,7 @@
 
 use std::ops::Range;
 
-use strix_fft::{MonomialTable, NegacyclicFft, SoaSpectrum};
+use strix_fft::{pointwise_mul_add_soa, MonomialTable, NegacyclicFft, SoaSpectrum};
 
 use crate::decompose::DecompositionParams;
 use crate::ggsw::{FourierGgsw, GgswCiphertext};
@@ -339,7 +339,7 @@ mod layout {
 
         /// Multiply-accumulates every active job's digit spectra into its
         /// (zeroed) accumulator spectra.
-        fn vma(&self, step: usize, active: &[bool], scratch: &mut PbsScratch, fft: &NegacyclicFft);
+        fn vma(&self, step: usize, active: &[bool], scratch: &mut PbsScratch);
     }
 
     /// Classical layout: one stored GGSW per secret bit.
@@ -398,7 +398,7 @@ mod layout {
 
         /// Row-major across the block: key row `r` is loaded once and
         /// applied to every active job while it sits in L1.
-        fn vma(&self, step: usize, active: &[bool], scratch: &mut PbsScratch, fft: &NegacyclicFft) {
+        fn vma(&self, step: usize, active: &[bool], scratch: &mut PbsScratch) {
             let ggsw = &self.0[step];
             let PbsScratch { digit_batch, acc_batch, .. } = scratch;
             for r in 0..ggsw.row_count() {
@@ -409,7 +409,7 @@ mod layout {
                     for col in 0..spec.count() {
                         let (k_re, k_im) = ggsw.row_col(r, col);
                         let (a_re, a_im) = spec.transform_mut(col);
-                        fft.pointwise_mul_add_soa(a_re, a_im, d_re, d_im, k_re, k_im);
+                        pointwise_mul_add_soa(a_re, a_im, d_re, d_im, k_re, k_im);
                     }
                 }
             }
@@ -474,7 +474,7 @@ mod layout {
         /// value in registers and multiply-accumulate it into the job's
         /// accumulator tile ([`fused_mac`]). Per accumulator column the
         /// additions still run over `r` in ascending order.
-        fn vma(&self, step: usize, active: &[bool], scratch: &mut PbsScratch, _: &NegacyclicFft) {
+        fn vma(&self, step: usize, active: &[bool], scratch: &mut PbsScratch) {
             let patterns = self.patterns(step);
             let tile = slot_tile(self.half);
             let entry_len = patterns * 2 * tile;
@@ -665,7 +665,7 @@ mod layout {
             self.0.activate(amounts, active, scratch)
         }
 
-        fn vma(&self, step: usize, active: &[bool], scratch: &mut PbsScratch, fft: &NegacyclicFft) {
+        fn vma(&self, step: usize, active: &[bool], scratch: &mut PbsScratch) {
             let g = &self.0;
             let patterns = g.patterns(step);
             let entries: Vec<SoaSpectrum> = (0..patterns).map(|b| g.entry(step, b)).collect();
@@ -681,7 +681,7 @@ mod layout {
                     for t in 0..comb.count() {
                         let (c_re, c_im) = comb.transform_mut(t);
                         let (e_re, e_im) = entry.transform(t);
-                        fft.pointwise_mul_add_soa(c_re, c_im, e_re, e_im, &mono_re, &mono_im);
+                        pointwise_mul_add_soa(c_re, c_im, e_re, e_im, &mono_re, &mono_im);
                     }
                 }
                 let cols = spec.count();
@@ -690,7 +690,7 @@ mod layout {
                     for col in 0..cols {
                         let (k_re, k_im) = comb.transform(r * cols + col);
                         let (a_re, a_im) = spec.transform_mut(col);
-                        fft.pointwise_mul_add_soa(a_re, a_im, d_re, d_im, k_re, k_im);
+                        pointwise_mul_add_soa(a_re, a_im, d_re, d_im, k_re, k_im);
                     }
                 }
             }
@@ -988,7 +988,7 @@ impl<E: KeyLayout> BlindRotationKey<E> {
             for (spec, _) in scratch.acc_batch.iter_mut().zip(&*active).filter(|(_, &a)| a) {
                 spec.fill_zero();
             }
-            self.entries.vma(step, active, scratch, &self.fft);
+            self.entries.vma(step, active, scratch);
         });
 
         let PbsScratch { acc_batch, time_batch, .. } = scratch;

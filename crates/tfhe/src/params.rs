@@ -368,7 +368,7 @@ impl TfheParameters {
         if let Err(e) = self.fft_backend.resolve() {
             return Err(TfheError::InvalidParameters(match e {
                 FftError::InvalidBackendEnv => {
-                    "STRIX_FFT_BACKEND must be one of auto, portable, avx2, avx512"
+                    "STRIX_FFT_BACKEND must be one of auto, portable, avx2"
                 }
                 _ => "requested fft backend is not supported by this cpu",
             }));
@@ -711,12 +711,7 @@ mod tests {
         // names something unusable), so keygen's `expect` can rely on a
         // validated parameter set never naming an unusable backend.
         let base = TfheParameters::testing_fast();
-        for backend in [
-            StrixFftBackend::Auto,
-            StrixFftBackend::Portable,
-            StrixFftBackend::Avx2,
-            StrixFftBackend::Avx512,
-        ] {
+        for backend in [StrixFftBackend::Auto, StrixFftBackend::Portable, StrixFftBackend::Avx2] {
             let p = base.clone().with_fft_backend(backend);
             assert_eq!(p.validate().is_ok(), backend.resolve().is_ok(), "{backend}");
         }
