@@ -6,7 +6,7 @@
 //! expansion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use strix_tfhe::bootstrap::{encode_bool, BootstrapKey, Lut, MultiBitBootstrapKey, PbsJob};
+use strix_tfhe::bootstrap::{encode_bool, BootstrapKey, Lut, PbsJob};
 use strix_tfhe::decompose::DecompositionParams;
 use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::poly::TorusPolynomial;
@@ -56,8 +56,9 @@ fn bench_pbs_and_gate(c: &mut Criterion) {
 
 /// One key-major epoch of 8 sign-LUT bootstraps at set II: the
 /// classical kernel, then the multi-bit kernel at g = 2, 3 and 4, all
-/// on the same ciphertexts. Each key is dropped before the next is
-/// built (the g = 4 key is 4x the classical footprint).
+/// on the same ciphertexts, each on its own timing-equivalent server.
+/// Each server is dropped before the next is built (the g = 4 key is 4x
+/// the classical footprint).
 fn bench_pbs_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("pbs_kernels");
     group.sample_size(10);
@@ -76,22 +77,24 @@ fn bench_pbs_kernels(c: &mut Criterion) {
         .collect();
     let jobs: Vec<PbsJob<'_>> = cts.iter().map(|ct| PbsJob { ct, lut: &lut }).collect();
 
-    let bsk = BootstrapKey::generate_for_benchmark(&params);
-    group.bench_function("classical_batch8", |b| b.iter(|| bsk.bootstrap_batch(&jobs).unwrap()));
-    drop(bsk);
-    for g in 2..=4 {
-        let mbsk = MultiBitBootstrapKey::generate_for_benchmark(&params, g);
-        group.bench_function(format!("multi_bit_g{g}_batch8"), |b| {
-            b.iter(|| mbsk.bootstrap_batch(&jobs).unwrap())
-        });
+    // One server per kernel, from one seed: each holds only its own
+    // blind-rotation key, and only one is alive at a time.
+    let kernels =
+        std::iter::once(("classical_batch8".to_string(), PbsKernel::Classical)).chain((2..=4).map(
+            |g| (format!("multi_bit_g{g}_batch8"), PbsKernel::MultiBit { grouping_factor: g }),
+        ));
+    for (name, kernel) in kernels {
+        let server = ServerKey::generate_for_benchmark(&params.clone().with_kernel(kernel), 11);
+        let bsk = server.bootstrap_key();
+        group.bench_function(name, |b| b.iter(|| bsk.bootstrap_batch(&jobs).unwrap()));
     }
     group.finish();
 }
 
 /// Real key material at set II: a classical server key, its seeded
 /// transport form, that form's expansion, and a multi-bit g = 3 server
-/// key (which also generates the classical fallback). Every GLWE row of
-/// each key goes through the exact binary key product.
+/// key (its grouped key alone). Every GLWE row of each key goes through
+/// the exact binary key product.
 fn bench_keygen(c: &mut Criterion) {
     let mut group = c.benchmark_group("keygen");
     group.sample_size(10);

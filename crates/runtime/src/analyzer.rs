@@ -62,7 +62,7 @@ use strix_tfhe::noise;
 use strix_tfhe::{PbsKernel, ServerKey, TfheParameters};
 
 use crate::error::RuntimeError;
-use crate::executor::{resolve_kernel, KernelPolicy};
+use crate::executor::KernelPolicy;
 use crate::session::{NodeOp, Program, Wire};
 
 /// Default minimum decision margin, in sigmas, required at every
@@ -143,8 +143,8 @@ impl ProgramAnalysis {
 /// to analyze against, plus the margin threshold to enforce.
 ///
 /// The [`KernelPolicy`] here is analysed as given. To predict an
-/// execution it should name the kernel that runs — the executor's
-/// resolved kernel (classical fallback included), which is what
+/// execution it should name the kernel that runs — the kernel of the
+/// key being served, which is what
 /// [`TfheExecutor::admission`](crate::TfheExecutor) constructs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AdmissionPolicy {
@@ -179,11 +179,10 @@ impl AdmissionPolicy {
     }
 
     /// The policy a [`TfheExecutor`](crate::TfheExecutor) on `server`
-    /// admits with by default: the key's own kernel as
-    /// [`resolve_kernel`] decides it, at the
+    /// admits with by default: the key's own kernel, at the
     /// [`DEFAULT_THRESHOLD_SIGMAS`] threshold.
     pub(crate) fn for_server(server: &ServerKey) -> Self {
-        let kernel = resolve_kernel(None, server.params());
+        let kernel = server.bootstrap_key().kernel();
         Self::new(server.params().clone(), KernelPolicy::uniform(kernel))
     }
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use strix_tfhe::boolean::gate_sign_lut;
-use strix_tfhe::bootstrap::{BlindRotationKey, KeyLayout, Lut, PbsJob};
+use strix_tfhe::bootstrap::{Lut, PbsJob};
 use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::profiler::{PbsStage, StageTimings};
 use strix_tfhe::{PbsKernel, ServerKey, TfheError, TfheParameters};
@@ -21,14 +21,16 @@ use crate::analyzer::AdmissionPolicy;
 use crate::registry::KeyRegistry;
 use crate::request::{Request, RequestOp, TenantId};
 
-/// The PBS kernel a runtime asks for, mirroring the
-/// CLASSICAL-vs-MULTI_BIT choice of GPU TFHE back-ends: one kernel for
-/// every request, installed via
+/// A PBS kernel request, mirroring the CLASSICAL-vs-MULTI_BIT choice of
+/// GPU TFHE back-ends, installed via
 /// [`RuntimeConfig::with_kernel_policy`](crate::RuntimeConfig::with_kernel_policy)
 /// or [`TfheExecutor::with_policy`].
 ///
-/// The policy expresses *intent*; the executor resolves it against the
-/// parameter set (see [`TfheExecutor::kernel`]).
+/// **Advisory only.** A server holds one blind-rotation key and the key
+/// decides the kernel ([`strix_tfhe::bootstrap::BootstrapKey::kernel`]):
+/// a policy naming another kernel falls back to the key's. The type
+/// remains for the callers that still name one, and as the kernel an
+/// [`AdmissionPolicy`] analyses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelPolicy {
     kernel: PbsKernel,
@@ -43,25 +45,6 @@ impl KernelPolicy {
     /// The kernel this policy asks for.
     pub fn kernel(&self) -> PbsKernel {
         self.kernel
-    }
-}
-
-/// The PBS kernel that runs for a `requested` policy (`None` asks for
-/// the parameter set's own kernel) under `params` — the one place the
-/// kernel is decided. The single fallback rule: multi-bit runs only
-/// when `params` are multi-bit, at their grouping factor (a server key
-/// carries grouped material exactly then, so the factor inside a
-/// requested `MultiBit` is advisory); everything else runs classical.
-/// The executor, [`AdmissionPolicy`]'s server default and
-/// [`Program::run_sync`](crate::session::Program::run_sync) all call
-/// it, so admission analyses the kernel that executes.
-pub(crate) fn resolve_kernel(
-    requested: Option<KernelPolicy>,
-    params: &TfheParameters,
-) -> PbsKernel {
-    match (requested.map_or(params.pbs_kernel, |p| p.kernel), params.pbs_kernel) {
-        (PbsKernel::MultiBit { .. }, actual @ PbsKernel::MultiBit { .. }) => actual,
-        _ => PbsKernel::Classical,
     }
 }
 
@@ -183,7 +166,7 @@ pub trait BatchExecutor: Send + Sync + 'static {
 }
 
 /// Where a [`TfheExecutor`]'s epochs take their server key from.
-pub(crate) enum KeySource {
+enum KeySource {
     /// One key for the executor's lifetime.
     Pinned(Arc<ServerKey>),
     /// The epoch tenant's key, resolved from a shared registry. Epochs
@@ -207,7 +190,8 @@ impl KeySource {
 
 /// The TFHE back-end: batched PBS with amortised bootstrapping-key
 /// access — optionally split across an intra-epoch thread pool
-/// ([`strix_tfhe::bootstrap::BootstrapKey::bootstrap_batch_parallel`])
+/// ([`strix_tfhe::bootstrap::BootstrapKey::bootstrap_batch_parallel`]),
+/// on the server's one blind-rotation key, whose kernel it runs
 /// — plus batched keyswitching where the operation asks for it. Both
 /// tails of Algorithm 2 run batched: the post-PBS keyswitches are
 /// sharded across the same thread budget as the blind rotation
@@ -246,38 +230,35 @@ impl TfheExecutor {
     /// sequential path. `threads` is clamped to at least 1. The kernel
     /// follows the server key's parameter set.
     pub fn with_threads(server: Arc<ServerKey>, threads: usize) -> Self {
-        Self::from_source(KeySource::Pinned(server), threads, None)
+        Self::from_source(KeySource::Pinned(server), threads)
     }
 
-    /// Wraps a server key with an explicit kernel policy. A multi-bit
-    /// request on a classical key runs the classical kernel (see
-    /// [`Self::kernel`]).
+    /// Wraps a server key with a kernel policy, which is advisory: the
+    /// key's kernel runs whatever `policy` names (see
+    /// [`KernelPolicy`]).
     pub fn with_policy(server: Arc<ServerKey>, threads: usize, policy: KernelPolicy) -> Self {
-        Self::from_source(KeySource::Pinned(server), threads, Some(policy))
+        let _ = policy;
+        Self::with_threads(server, threads)
     }
 
     /// Wraps a tenant key registry: each epoch runs under its tenant's
-    /// key, resolved (and expanded on first use) from `registry`. The
-    /// kernel follows the registry's shared parameter set unless
-    /// `policy` asks for another, exactly as for a pinned key.
-    pub fn multi_tenant(
-        registry: Arc<KeyRegistry>,
-        threads: usize,
-        policy: Option<KernelPolicy>,
-    ) -> Self {
-        Self::from_source(KeySource::Registry(registry), threads, policy)
+    /// key, resolved (and expanded on first use) from `registry`, on
+    /// the kernel of the registry's shared parameter set.
+    pub fn multi_tenant(registry: Arc<KeyRegistry>, threads: usize) -> Self {
+        Self::from_source(KeySource::Registry(registry), threads)
     }
 
-    /// The builder body every constructor above shares.
-    pub(crate) fn from_source(
-        keys: KeySource,
-        threads: usize,
-        policy: Option<KernelPolicy>,
-    ) -> Self {
-        let params = keys.params();
+    /// The builder body every constructor above shares. The kernel is a
+    /// property of the key: the pinned key's own, or the registry's
+    /// parameter set's (every registry key is generated under it).
+    fn from_source(keys: KeySource, threads: usize) -> Self {
+        let kernel = match &keys {
+            KeySource::Pinned(server) => server.bootstrap_key().kernel(),
+            KeySource::Registry(registry) => registry.params().pbs_kernel,
+        };
         Self {
-            kernel: resolve_kernel(policy, params),
-            gate_lut: gate_sign_lut(params.polynomial_size),
+            kernel,
+            gate_lut: gate_sign_lut(keys.params().polynomial_size),
             keys,
             threads: threads.max(1),
             admission_threshold_sigmas: crate::analyzer::DEFAULT_THRESHOLD_SIGMAS,
@@ -293,26 +274,22 @@ impl TfheExecutor {
         self
     }
 
-    /// The kernel every epoch runs: the requested policy (or the
-    /// parameter set's own kernel) resolved against the parameter set.
-    /// Multi-bit runs only when the parameters are multi-bit, at their
-    /// grouping factor; everything else runs classical.
+    /// The kernel every epoch runs: the key's own.
     pub fn kernel(&self) -> PbsKernel {
         self.kernel
     }
 
     /// Runs one epoch against `server`, bootstrapping every PBS job
-    /// with `bsk` (`multi_bit` says which kernel that is). With a
-    /// `tenant`, requests of any other tenant fail alone.
-    fn run_epoch<E: KeyLayout>(
+    /// on its one blind-rotation key. With a `tenant`, requests of any
+    /// other tenant fail alone.
+    fn run_epoch(
         &self,
         server: &ServerKey,
-        bsk: &BlindRotationKey<E>,
-        multi_bit: bool,
         tenant: Option<TenantId>,
         batch: &[Request],
         profiled: bool,
     ) -> EpochExecution {
+        let bsk = server.bootstrap_key();
         let mut timings = StageTimings::new();
         let mut pbs_span = None;
         let mut ks_span = None;
@@ -468,7 +445,7 @@ impl TfheExecutor {
         fill(&mut results, &ks_slots, switched_result);
 
         let mut kernel_jobs = [0, 0];
-        kernel_jobs[usize::from(multi_bit)] = jobs.len();
+        kernel_jobs[usize::from(bsk.kernel() != PbsKernel::Classical)] = jobs.len();
         let results = results
             .into_iter()
             // lint:allow(panic) every request is routed to exactly one of the fill paths above
@@ -533,12 +510,7 @@ impl BatchExecutor for TfheExecutor {
                 (server, Some(tenant))
             }
         };
-        let grouped =
-            server.multi_bit_bootstrap_key().filter(|_| self.kernel != PbsKernel::Classical);
-        match grouped {
-            Some(mb) => self.run_epoch(&server, mb, true, tenant, batch, profiled),
-            None => self.run_epoch(&server, server.bootstrap_key(), false, tenant, batch, profiled),
-        }
+        self.run_epoch(&server, tenant, batch, profiled)
     }
 
     fn planned_threads(&self, batch_len: usize) -> usize {
@@ -790,6 +762,10 @@ mod tests {
             TfheParameters::testing_fast().with_kernel(PbsKernel::MultiBit { grouping_factor: 2 });
         let (mut client, server) = generate_keys(&params, 91);
         let server = Arc::new(server);
+        // The classical server comes from the same seed, so it holds the
+        // same secret keys: one client decrypts both kernels' outputs.
+        let classical_params = params.clone().with_kernel(PbsKernel::Classical);
+        let classical_server = Arc::new(ClientKey::generate(&classical_params, 91).server_key());
         let p = 2u32;
         let lut = Arc::new(Lut::from_function(params.polynomial_size, p, |m| (m + 1) % 4).unwrap());
         let batch: Vec<Request> = (0..5u64)
@@ -799,19 +775,25 @@ mod tests {
             })
             .collect();
 
-        // The default policy follows the parameter set: multi-bit.
+        // The key decides: multi-bit.
         let grouped = TfheExecutor::new(Arc::clone(&server));
         assert_eq!(grouped.kernel(), PbsKernel::MultiBit { grouping_factor: 2 });
         let grouped_exec = grouped.execute_epoch(&batch, false);
         assert_eq!(grouped_exec.kernel_jobs, [0, 5]);
-        // Forcing the classical kernel on the same server key must
-        // yield the same decoded messages (the kernels are
-        // decrypt-identical, not bit-identical).
-        let classical = TfheExecutor::with_policy(
+        // A classical policy on the multi-bit key is advisory: the
+        // grouped key still runs, bit-identically.
+        let advised = TfheExecutor::with_policy(
             Arc::clone(&server),
             1,
             KernelPolicy::uniform(PbsKernel::Classical),
         );
+        assert_eq!(advised.kernel(), grouped.kernel());
+        let advised_exec = advised.execute_epoch(&batch, false);
+        assert_eq!(advised_exec.kernel_jobs, [0, 5]);
+        assert_eq!(advised_exec.results, grouped_exec.results);
+        // The classical server yields the same decoded messages (the
+        // kernels are decrypt-identical, not bit-identical).
+        let classical = TfheExecutor::new(classical_server);
         let classical_exec = classical.execute_epoch(&batch, false);
         assert_eq!(classical_exec.kernel_jobs, [5, 0]);
         for (i, (g, c)) in grouped_exec.results.iter().zip(&classical_exec.results).enumerate() {
@@ -828,7 +810,7 @@ mod tests {
     #[test]
     fn multi_bit_policy_without_grouped_key_falls_back_to_classical() {
         // A classical server key carries no grouped key material: a
-        // policy asking for multi-bit must degrade to the classical
+        // policy asking for multi-bit falls back to the key's classical
         // kernel instead of failing the epoch.
         let params = TfheParameters::testing_fast();
         let (mut client, server) = generate_keys(&params, 93);
@@ -843,7 +825,7 @@ mod tests {
         );
         let ct = client.encrypt_shortint(2, p).unwrap().as_lwe().clone();
         let epoch = exec.execute_epoch(&[request(0, 0, ct, RequestOp::Lut(lut))], false);
-        assert_eq!(epoch.kernel_jobs, [1, 0], "fallback runs classically");
+        assert_eq!(epoch.kernel_jobs, [1, 0], "the classical key runs classically");
         let phase = client.decrypt_phase(epoch.results[0].as_ref().unwrap()).unwrap();
         assert_eq!(strix_tfhe::torus::decode_message(phase, p + 1), 2);
     }
@@ -860,7 +842,7 @@ mod tests {
         registry.register_seeded(TenantId(1), client.seeded_server_key(0xA1));
         let mut other = ClientKey::generate(&params, 95);
         registry.register_seeded(TenantId(2), other.seeded_server_key(0xA2));
-        let exec = TfheExecutor::multi_tenant(registry, 1, None);
+        let exec = TfheExecutor::multi_tenant(registry, 1);
         let p = 2u32;
         let lut = Arc::new(Lut::from_function(params.polynomial_size, p, |m| (m + 1) % 4).unwrap());
         let lut_request = |tenant: u64, seq: u64, key: &mut ClientKey, m: u64| {

@@ -227,7 +227,7 @@ impl MetricsSink {
     }
 
     /// Records how many of one executed epoch's PBS jobs ran through
-    /// each kernel — the observable of the executor's resolved kernel.
+    /// each kernel — the observable of the epoch key's kernel.
     /// Feeds [`RuntimeReport::pbs_jobs_classical`] and
     /// [`RuntimeReport::pbs_jobs_multi_bit`].
     pub fn record_kernel_jobs(&self, classical: usize, multi_bit: usize) {

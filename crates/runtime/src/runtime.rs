@@ -14,7 +14,7 @@ use strix_tfhe::lwe::LweCiphertext;
 use crate::analyzer::AdmissionPolicy;
 use crate::dispatch::Dispatcher;
 use crate::error::RuntimeError;
-use crate::executor::{BatchExecutor, KernelPolicy, KeySource, TfheExecutor};
+use crate::executor::{BatchExecutor, KernelPolicy, TfheExecutor};
 use crate::metrics::{MetricsSink, RuntimeReport};
 use crate::policy::FlushPolicy;
 use crate::registry::KeyRegistry;
@@ -52,12 +52,11 @@ pub struct RuntimeConfig {
     /// single-threaded, so with `threads_per_worker > 1` this trades a
     /// sliver of throughput for attribution.
     pub profile_every: u64,
-    /// The PBS kernel [`Runtime::start_tfhe`] and
-    /// [`Runtime::start_multi_tenant`] run. `None` (the default) follows
-    /// the key's parameter set: multi-bit parameters run the grouped
-    /// kernel, classical parameters the classical one. A multi-bit
-    /// request on classical parameters falls back to the classical
-    /// kernel.
+    /// A PBS kernel request for [`Runtime::start_tfhe`] and
+    /// [`Runtime::start_multi_tenant`]. Advisory only: a server holds
+    /// one blind-rotation key and the key decides the kernel, so a
+    /// policy naming another kernel falls back to the key's (see
+    /// [`KernelPolicy`]). `None` is the default.
     pub kernel_policy: Option<KernelPolicy>,
 }
 
@@ -103,8 +102,8 @@ impl RuntimeConfig {
         Self { profile_every, ..self }
     }
 
-    /// Overrides the PBS kernel policy used by [`Runtime::start_tfhe`]
-    /// and [`Runtime::start_multi_tenant`].
+    /// Sets the advisory PBS kernel policy: the runtime still runs the
+    /// kernel of the key it serves (see [`KernelPolicy`]).
     pub fn with_kernel_policy(self, kernel_policy: KernelPolicy) -> Self {
         Self { kernel_policy: Some(kernel_policy), ..self }
     }
@@ -168,22 +167,17 @@ impl Runtime {
     }
 
     /// Starts a runtime over the TFHE back-end, honouring the config's
-    /// `threads_per_worker` and `kernel_policy`: shorthand for
-    /// [`Self::start`] with
-    /// [`TfheExecutor::with_threads`](crate::executor::TfheExecutor::with_threads)
-    /// (or
-    /// [`TfheExecutor::with_policy`](crate::executor::TfheExecutor::with_policy)
-    /// when a kernel policy is set).
+    /// `threads_per_worker`: shorthand for [`Self::start`] with
+    /// [`TfheExecutor::with_threads`](crate::executor::TfheExecutor::with_threads).
+    /// The key's kernel runs.
     pub fn start_tfhe(config: RuntimeConfig, server: Arc<strix_tfhe::ServerKey>) -> Self {
-        let keys = KeySource::Pinned(server);
-        let executor =
-            TfheExecutor::from_source(keys, config.threads_per_worker, config.kernel_policy);
+        let executor = TfheExecutor::with_threads(server, config.threads_per_worker);
         Self::start(config, executor)
     }
 
     /// Starts a multi-tenant runtime over a shared [`KeyRegistry`],
-    /// honouring the config's `threads_per_worker` and `kernel_policy`
-    /// exactly like [`Self::start_tfhe`]. Open batches are kept per
+    /// honouring the config's `threads_per_worker` exactly like
+    /// [`Self::start_tfhe`]. Open batches are kept per
     /// tenant — epochs never mix key domains — and each
     /// worker resolves the epoch tenant's server key from the registry
     /// (expanding the seeded transport form on first use, under the
@@ -192,11 +186,7 @@ impl Runtime {
     /// [`Self::client_for`]; the registry's cache counters appear in
     /// every [`RuntimeReport`].
     pub fn start_multi_tenant(config: RuntimeConfig, registry: Arc<KeyRegistry>) -> Self {
-        let executor = TfheExecutor::multi_tenant(
-            Arc::clone(&registry),
-            config.threads_per_worker,
-            config.kernel_policy,
-        );
+        let executor = TfheExecutor::multi_tenant(Arc::clone(&registry), config.threads_per_worker);
         let mut runtime = Self::start(config, executor);
         runtime.key_registry = Some(registry);
         runtime

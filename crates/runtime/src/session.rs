@@ -45,13 +45,13 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use strix_tfhe::boolean::{gate_sign_lut, BinaryGate, GateRecipe};
-use strix_tfhe::bootstrap::{BlindRotationKey, KeyLayout, Lut};
+use strix_tfhe::bootstrap::Lut;
 use strix_tfhe::lwe::LweCiphertext;
-use strix_tfhe::{PbsKernel, ServerKey};
+use strix_tfhe::ServerKey;
 
 use crate::analyzer::AdmissionPolicy;
 use crate::error::RuntimeError;
-use crate::executor::{linear_preamble, resolve_kernel};
+use crate::executor::linear_preamble;
 use crate::lowering::{self, Lowered};
 use crate::request::{RequestOp, Response};
 use crate::runtime::ClientHandle;
@@ -343,19 +343,15 @@ impl Program {
             Some(form) => form,
             None => AdmissionPolicy::for_server(server).choose(self).map_or(self, |(form, _)| form),
         };
-        let kernel = resolve_kernel(None, server.params());
-        match server.multi_bit_bootstrap_key().filter(|_| kernel != PbsKernel::Classical) {
-            Some(mb) => form.execute_sync(server, mb, inputs),
-            None => form.execute_sync(server, server.bootstrap_key(), inputs),
-        }
+        form.execute_sync(server, inputs)
     }
 
-    fn execute_sync<E: KeyLayout>(
+    fn execute_sync(
         &self,
         server: &ServerKey,
-        bsk: &BlindRotationKey<E>,
         inputs: &[LweCiphertext],
     ) -> Result<Vec<LweCiphertext>, RuntimeError> {
+        let bsk = server.bootstrap_key();
         let sign = gate_sign_lut(server.params().polynomial_size);
         let needed = self.needed_nodes();
         let mut values: Vec<Option<LweCiphertext>> = vec![None; self.nodes.len()];

@@ -80,7 +80,7 @@ pub(crate) fn run(
             metrics.record_stage_sample(timings, *pbs_jobs);
         }
         // Per-kernel dispatch accounting: which kernel the epoch's PBS
-        // jobs actually ran through (after any classical fallback).
+        // jobs ran through (the epoch key's own).
         let [classical_jobs, multi_bit_jobs] = execution.kernel_jobs;
         if classical_jobs + multi_bit_jobs > 0 {
             metrics.record_kernel_jobs(classical_jobs, multi_bit_jobs);

@@ -5,13 +5,17 @@
 //! one-key budget a registry miss must evict the resident key *before*
 //! expanding the new one: the peak live heap during a miss that evicts
 //! may exceed the peak of a miss into an empty cache by at most slack,
-//! never by a second key.
+//! never by a second key. A multi-bit tenant is charged, and holds, one
+//! blind-rotation key.
+//!
+//! The counters are process-wide, so the tests take turns.
 // A global allocator can only be written against the unsafe
 // `GlobalAlloc` interface; it forwards to the system allocator.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use strix_runtime::{KeyRegistry, TenantId};
 use strix_tfhe::prelude::*;
@@ -43,6 +47,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Serialises the tests: each reads the process-wide counters.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Live heap bytes above `base` at the peak of `f`.
 fn peak_above(base: usize, f: impl FnOnce()) -> usize {
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -52,6 +62,7 @@ fn peak_above(base: usize, f: impl FnOnce()) -> usize {
 
 #[test]
 fn a_miss_never_holds_more_than_one_key_on_a_one_key_budget() {
+    let _turn = exclusive();
     let params = TfheParameters::testing_fast();
     let registry = KeyRegistry::with_resident_keys(params.clone(), 1);
     for tenant in 0..2u64 {
@@ -72,5 +83,36 @@ fn a_miss_never_holds_more_than_one_key_on_a_one_key_budget() {
         "an evicting miss peaked {evicting_miss} B above the empty cache, a miss into an empty \
          cache {first_miss} B (one key is {one_key} B): the new key was expanded before the old \
          one was dropped"
+    );
+}
+
+/// Set-II g = 3 server key bytes while a multi-bit server also carried
+/// the 61,931,520-byte classical key.
+const TWO_KEY_G3_BYTES: usize = 252_928_000;
+
+#[test]
+fn a_multi_bit_tenant_is_charged_and_holds_one_blind_rotation_key() {
+    let _turn = exclusive();
+    let params = TfheParameters::set_ii().with_kernel(PbsKernel::MultiBit { grouping_factor: 3 });
+    // The budget that held four two-key g = 3 tenants.
+    let budget = 4 * TWO_KEY_G3_BYTES;
+    assert_eq!(budget, 1_011_712_000);
+    let registry = KeyRegistry::new(params.clone(), budget);
+    let charged = registry.key_bytes_per_tenant();
+    assert!(charged as f64 <= 0.76 * TWO_KEY_G3_BYTES as f64, "charged {charged} B");
+    // The registry keeps a key resident while resident + key ≤ budget.
+    assert_eq!(budget / charged, 5, "resident g = 3 keys in the old four-key budget");
+
+    registry.register_seeded(TenantId(0), SeededServerKey::for_benchmark(&params, 3));
+    let before = LIVE.load(Ordering::Relaxed);
+    let key = registry.resolve(TenantId(0)).expect("registered tenant");
+    let live = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    assert_eq!(key.key_bytes(), charged, "the charge is the expanded key's footprint");
+    assert!(key.multi_bit_bootstrap_key().is_some());
+    // The live heap of the resident key is its footprint, plus small
+    // change (FFT plan, monomial table): no second key rides along.
+    assert!(
+        (charged..=charged + charged / 100).contains(&live),
+        "a resident g = 3 key holds {live} B of heap, charged {charged} B"
     );
 }

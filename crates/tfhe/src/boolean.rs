@@ -453,7 +453,7 @@ impl ServerKey {
 mod tests {
     use super::*;
     use crate::keys::generate_keys;
-    use crate::params::TfheParameters;
+    use crate::params::{PbsKernel, TfheParameters};
 
     fn fixture() -> (ClientKey, ServerKey) {
         generate_keys(&TfheParameters::testing_fast(), 555)
@@ -617,6 +617,64 @@ mod tests {
         let f = BoolCiphertext::trivial(server.params().lwe_dimension, false);
         let out = server.and(&t, &f).unwrap();
         assert!(!client.decrypt_bool(&out));
+    }
+
+    /// A testing_fast server on the multi-bit kernel: every gate
+    /// bootstraps on its one, grouped key.
+    fn multi_bit_fixture(g: usize) -> (ClientKey, ServerKey) {
+        let kernel = PbsKernel::MultiBit { grouping_factor: g };
+        let (client, server) =
+            generate_keys(&TfheParameters::testing_fast().with_kernel(kernel), 556);
+        assert_eq!(server.bootstrap_key().kernel(), kernel);
+        (client, server)
+    }
+
+    #[test]
+    fn gates_on_the_grouped_kernel_keep_their_truth_tables() {
+        for g in [2, 3] {
+            let (mut client, server) = multi_bit_fixture(g);
+            for gate in BinaryGate::ALL {
+                for (x, y) in [(false, false), (false, true), (true, false), (true, true)] {
+                    let cx = client.encrypt_bool(x);
+                    let cy = client.encrypt_bool(y);
+                    let out = server.binary_gate(gate, &cx, &cy).unwrap();
+                    assert_eq!(
+                        client.decrypt_bool(&out),
+                        gate.eval(x, y),
+                        "g={g} {gate}({x}, {y})"
+                    );
+                }
+            }
+            for v in [false, true] {
+                let c = client.encrypt_bool(v);
+                assert_eq!(client.decrypt_bool(&server.not(&c)), !v, "g={g} not({v})");
+            }
+            // MUX sums two PBS outputs: the tightest margin of the set.
+            for pattern in 0..8u8 {
+                let (sel, a, b) = (pattern & 1 != 0, pattern & 2 != 0, pattern & 4 != 0);
+                let cs = client.encrypt_bool(sel);
+                let ca = client.encrypt_bool(a);
+                let cb = client.encrypt_bool(b);
+                let out = server.mux(&cs, &ca, &cb).unwrap();
+                let expected = if sel { a } else { b };
+                assert_eq!(client.decrypt_bool(&out), expected, "g={g} mux({sel},{a},{b})");
+            }
+        }
+    }
+
+    #[test]
+    fn profiled_nand_on_the_grouped_kernel_records_every_stage() {
+        for g in [2, 3] {
+            let (mut client, server) = multi_bit_fixture(g);
+            let a = client.encrypt_bool(true);
+            let b = client.encrypt_bool(false);
+            let mut t = StageTimings::new();
+            let out = server.nand_profiled(&a, &b, &mut t).unwrap();
+            assert!(client.decrypt_bool(&out), "g={g}");
+            for stage in PbsStage::ALL {
+                assert!(t.total_for(stage) > std::time::Duration::ZERO, "g={g}: {stage:?}");
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! Both PBS kernels are one generic [`BlindRotationKey`] over a sealed
 //! [`KeyLayout`]:
 //!
-//! * [`BootstrapKey`] stores one Fourier GGSW per secret bit. Its step
+//! * [`ClassicalBootstrapKey`] stores one Fourier GGSW per secret bit. Its step
 //!   stages the CMUX difference `X^ã·acc − acc` in one fused
 //!   rotate-subtract-decompose pass, runs the VMA row-major across the
 //!   block (one shared key row serves every job) and **adds** the
@@ -64,8 +64,13 @@
 //! drain, the `Probe` hooks, sample extraction and thread sharding.
 //! A single PBS ([`BlindRotationKey::bootstrap`]) is a batch of one
 //! through that same loop. The interleaved per-job CMUX survives only as
-//! [`BootstrapKey::blind_rotate_reference`], the bit-identity reference
-//! the tests pin the engine against.
+//! [`ClassicalBootstrapKey::blind_rotate_reference`], the bit-identity
+//! reference the tests pin the engine against.
+//!
+//! A server holds exactly one of the two, as a [`BootstrapKey`]: the
+//! kernel-erased key whose variant *is* the server's PBS kernel. It
+//! forwards every call with one `match` per call, never inside the CMUX
+//! loop.
 //!
 //! # Hot-path execution model
 //!
@@ -217,7 +222,7 @@ pub struct PbsJob<'a> {
 
 /// The classical bootstrapping key: `n` Fourier-domain GGSW encryptions
 /// of the LWE secret-key bits, one CMUX per bit.
-pub type BootstrapKey = BlindRotationKey<layout::PerBit>;
+pub type ClassicalBootstrapKey = BlindRotationKey<layout::PerBit>;
 
 /// The **multi-bit** bootstrapping key: `⌈n/g⌉` *groups* of
 /// Fourier-domain GGSW entries for grouping factor `g` — the software
@@ -243,14 +248,14 @@ pub type BootstrapKey = BlindRotationKey<layout::PerBit>;
 /// see [`crate::noise::multi_bit_external_product_variance`]) for
 /// `g ×` fewer transforms.
 ///
-/// Outputs are **not bit-identical** to [`BootstrapKey`] — the
+/// Outputs are **not bit-identical** to [`ClassicalBootstrapKey`] — the
 /// arithmetic is genuinely different — but decrypt to the same message:
 /// both kernels realise the same blind rotation
 /// `X^{b̃ + Σ ã_j s_j} · lut`.
 pub type MultiBitBootstrapKey = BlindRotationKey<layout::Grouped>;
 
 /// The key layouts a [`BlindRotationKey`] can hold: one GGSW per secret
-/// bit ([`BootstrapKey`]) or `2^g` per group of `g` bits
+/// bit ([`ClassicalBootstrapKey`]) or `2^g` per group of `g` bits
 /// ([`MultiBitBootstrapKey`]).
 ///
 /// Sealed: generic code can be written over both kernels, but only this
@@ -264,7 +269,7 @@ impl KeyLayout for layout::TwoPass {}
 
 /// A bootstrapping key: Fourier-domain key entries in layout `E`, plus
 /// the FFT plan they were transformed under. Use it through its two
-/// instances, [`BootstrapKey`] and [`MultiBitBootstrapKey`]; everything
+/// instances, [`ClassicalBootstrapKey`] and [`MultiBitBootstrapKey`]; everything
 /// that does not depend on the layout is implemented once, here.
 #[derive(Clone, Debug)]
 pub struct BlindRotationKey<E> {
@@ -1145,7 +1150,7 @@ fn only<T>(mut results: Vec<T>) -> T {
     results.pop().expect("one job in, one result out")
 }
 
-impl BootstrapKey {
+impl ClassicalBootstrapKey {
     /// Generates a bootstrapping key encrypting `lwe_sk` under `glwe_sk`.
     pub fn generate(
         lwe_sk: &LweSecretKey,
@@ -1274,7 +1279,7 @@ impl MultiBitBootstrapKey {
 
     /// Generates a *timing-equivalent* multi-bit key without real
     /// encryption: every pattern entry is a trivial GGSW of 1 (same
-    /// convention as [`BootstrapKey::generate_for_benchmark`]). The
+    /// convention as [`ClassicalBootstrapKey::generate_for_benchmark`]). The
     /// grouped rotation performs exactly the same arithmetic as with a
     /// real key; outputs are cryptographically meaningless.
     ///
@@ -1286,42 +1291,40 @@ impl MultiBitBootstrapKey {
         check_grouping(grouping_factor, params.lwe_dimension);
         Self::grouped(params, grouping_factor, |decomp, fft, staging| {
             staging.copy_from(trivial_entry(params, decomp, fft).spectra());
-            let n = params.lwe_dimension;
-            let widths = (0..n.div_ceil(grouping_factor))
-                .map(|gi| grouping_factor.min(n - gi * grouping_factor));
-            widths.map(|bits| tiled_group(1 << bits, staging, |_, _| {})).collect()
+            group_widths(params.lwe_dimension, grouping_factor)
+                .map(|bits| tiled_group(1 << bits, staging, |_, _| {}))
+                .collect()
         })
     }
 
     /// Expansion half of seeded key transport: rebuilds every pattern
-    /// entry from its stored body polynomials and the CRS mask stream
-    /// (drawn in generation order: group-major, then pattern), then
-    /// runs the usual Fourier materialisation.
+    /// entry from its stored body polynomials (`entries`, group-major
+    /// then pattern) and the CRS mask stream (drawn in the same order),
+    /// then runs the usual Fourier materialisation.
     ///
     /// # Panics
     ///
-    /// Panics if the group/entry structure does not match the
-    /// parameters (transport payload invariant).
+    /// Panics if the entry count does not match the parameters
+    /// (transport payload invariant).
     pub(crate) fn from_seeded_parts(
-        group_bodies: &[Vec<Vec<TorusPolynomial>>],
+        entries: &[Vec<TorusPolynomial>],
         params: &TfheParameters,
         grouping_factor: usize,
         crs: &mut NoiseSampler,
     ) -> Self {
         check_grouping(grouping_factor, params.lwe_dimension);
-        assert_eq!(
-            group_bodies.len(),
-            params.multi_bit_group_count(grouping_factor),
-            "seeded mbsk group count"
-        );
+        let widths = group_widths(params.lwe_dimension, grouping_factor);
+        let patterns: usize = widths.clone().map(|bits| 1usize << bits).sum();
+        assert_eq!(entries.len(), patterns, "seeded mbsk entry count");
         Self::grouped(params, grouping_factor, |decomp, fft, staging| {
             let (k, n) = (params.glwe_dimension, fft.poly_size());
             let mut coeffs = Vec::new();
-            group_bodies
-                .iter()
-                .map(|entries| {
-                    tiled_group(entries.len(), staging, |pattern, spectra| {
-                        let bodies = &entries[pattern];
+            let mut entries = entries.iter();
+            widths
+                .map(|bits| {
+                    tiled_group(1 << bits, staging, |_, spectra| {
+                        // lint:allow(panic) the entry count was checked above
+                        let bodies = entries.next().expect("one entry per pattern");
                         FourierGgsw::seeded_coefficients_into(
                             bodies,
                             decomp,
@@ -1371,6 +1374,159 @@ impl MultiBitBootstrapKey {
     }
 }
 
+/// A server's one blind-rotation key, classical or grouped: the variant
+/// is the PBS kernel every bootstrap on this key runs (the software
+/// counterpart of tfhe-rs's `PBS_TYPE` switch over one key buffer).
+///
+/// Every method forwards to the held key with one `match` per call; the
+/// CMUX loop itself is monomorphised per layout.
+#[derive(Clone, Debug)]
+pub enum BootstrapKey {
+    /// One GGSW per secret bit ([`PbsKernel::Classical`]).
+    Classical(ClassicalBootstrapKey),
+    /// `2^g` GGSWs per group of `g` bits ([`PbsKernel::MultiBit`]).
+    MultiBit(MultiBitBootstrapKey),
+}
+
+/// Defines each listed method on [`BootstrapKey`] as one `match` that
+/// calls the same-named [`BlindRotationKey`] method on the held key.
+macro_rules! forward {
+    ($($(#[$doc:meta])* fn $name:ident(&self $(, $arg:ident: $ty:ty)*) -> $ret:ty;)*) => {
+        impl BootstrapKey {
+            $(
+                $(#[$doc])*
+                #[inline]
+                pub fn $name(&self $(, $arg: $ty)*) -> $ret {
+                    match self {
+                        Self::Classical(k) => k.$name($($arg),*),
+                        Self::MultiBit(k) => k.$name($($arg),*),
+                    }
+                }
+            )*
+        }
+    };
+}
+
+forward! {
+    /// Input LWE dimension `n`.
+    fn input_dimension(&self) -> usize;
+    /// Output LWE dimension `k·N` after sample extraction.
+    fn output_dimension(&self) -> usize;
+    /// Polynomial size `N`.
+    fn poly_size(&self) -> usize;
+    /// The decomposition used by the external products.
+    fn decomposition(&self) -> DecompositionParams;
+    /// The FFT plan shared by all external products.
+    fn fft(&self) -> &NegacyclicFft;
+    /// See [`BlindRotationKey::scratch`].
+    fn scratch(&self) -> PbsScratch;
+    /// See [`BlindRotationKey::byte_size`].
+    fn byte_size(&self) -> usize;
+    /// See [`BlindRotationKey::check_shape`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TfheError::ParameterMismatch`] naming the mismatch.
+    fn check_shape(&self, ct: &LweCiphertext, lut: &Lut) -> Result<(), TfheError>;
+    /// See [`BlindRotationKey::blind_rotate`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
+    fn blind_rotate(&self, ct: &LweCiphertext, lut: &Lut) -> Result<GlweCiphertext, TfheError>;
+    /// See [`BlindRotationKey::blind_rotate_with`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scratch` was sized for a different key shape.
+    fn blind_rotate_with(
+        &self,
+        ct: &LweCiphertext,
+        lut: &Lut,
+        scratch: &mut PbsScratch
+    ) -> Result<GlweCiphertext, TfheError>;
+    /// See [`BlindRotationKey::bootstrap`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
+    fn bootstrap(&self, ct: &LweCiphertext, lut: &Lut) -> Result<LweCiphertext, TfheError>;
+    /// See [`BlindRotationKey::bootstrap_profiled`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
+    fn bootstrap_profiled(
+        &self,
+        ct: &LweCiphertext,
+        lut: &Lut,
+        timings: &mut StageTimings
+    ) -> Result<LweCiphertext, TfheError>;
+    /// See [`BlindRotationKey::bootstrap_batch`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TfheError::ParameterMismatch`] on any shape mismatch.
+    fn bootstrap_batch(&self, jobs: &[PbsJob<'_>]) -> Result<Vec<LweCiphertext>, TfheError>;
+    /// See [`BlindRotationKey::bootstrap_batch_profiled`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TfheError::ParameterMismatch`] on any shape mismatch.
+    fn bootstrap_batch_profiled(
+        &self,
+        jobs: &[PbsJob<'_>],
+        timings: &mut StageTimings
+    ) -> Result<Vec<LweCiphertext>, TfheError>;
+    /// See [`BlindRotationKey::bootstrap_batch_parallel`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TfheError::ParameterMismatch`] on any shape mismatch.
+    fn bootstrap_batch_parallel(
+        &self,
+        jobs: &[PbsJob<'_>],
+        threads: usize
+    ) -> Result<Vec<LweCiphertext>, TfheError>;
+}
+
+impl BootstrapKey {
+    /// Generates a classical bootstrapping key encrypting `lwe_sk` under
+    /// `glwe_sk` ([`ClassicalBootstrapKey::generate`]).
+    pub fn generate(
+        lwe_sk: &LweSecretKey,
+        glwe_sk: &GlweSecretKey,
+        params: &TfheParameters,
+        rng: &mut NoiseSampler,
+    ) -> Self {
+        Self::Classical(ClassicalBootstrapKey::generate(lwe_sk, glwe_sk, params, rng))
+    }
+
+    /// A timing-equivalent classical key
+    /// ([`ClassicalBootstrapKey::generate_for_benchmark`]).
+    pub fn generate_for_benchmark(params: &TfheParameters) -> Self {
+        Self::Classical(ClassicalBootstrapKey::generate_for_benchmark(params))
+    }
+
+    /// The PBS kernel this key runs.
+    pub fn kernel(&self) -> PbsKernel {
+        match self {
+            Self::Classical(_) => PbsKernel::Classical,
+            Self::MultiBit(k) => PbsKernel::MultiBit { grouping_factor: k.grouping_factor() },
+        }
+    }
+}
+
+/// The secret bits each group of an `n`-bit key covers at grouping
+/// factor `g`: `g` per full group, then the `n mod g` remainder.
+fn group_widths(n: usize, g: usize) -> impl Iterator<Item = usize> + Clone {
+    (0..n.div_ceil(g)).map(move |gi| g.min(n - gi * g))
+}
+
 /// Lays out one group of `patterns` entries slot-tile-major: `entry`
 /// writes pattern `b`'s spectra into `staging`, which is scattered into
 /// the group buffer before the next pattern reuses it, so no entry's
@@ -1399,7 +1555,7 @@ fn transform_entry(fft: &NegacyclicFft, coeffs: &[i64], spectra: &mut SoaSpectru
 }
 
 #[cfg(test)]
-impl BootstrapKey {
+impl ClassicalBootstrapKey {
     /// Every key entry in secret-bit order, each as its real plane then
     /// its imaginary plane (key-material digests).
     pub(crate) fn fourier_entries(&self) -> impl Iterator<Item = impl Iterator<Item = f64> + '_> {
@@ -1529,7 +1685,7 @@ mod tests {
         lwe_sk: LweSecretKey,
         glwe_sk: GlweSecretKey,
         extracted: LweSecretKey,
-        bsk: BootstrapKey,
+        bsk: ClassicalBootstrapKey,
         rng: NoiseSampler,
     }
 
@@ -1539,7 +1695,7 @@ mod tests {
         let glwe_sk =
             GlweSecretKey::generate(params.glwe_dimension, params.polynomial_size, &mut rng);
         let extracted = glwe_sk.to_extracted_lwe_key();
-        let bsk = BootstrapKey::generate(&lwe_sk, &glwe_sk, &params, &mut rng);
+        let bsk = ClassicalBootstrapKey::generate(&lwe_sk, &glwe_sk, &params, &mut rng);
         Fixture { params, lwe_sk, glwe_sk, extracted, bsk, rng }
     }
 

@@ -502,25 +502,28 @@ impl TfheParameters {
     }
 
     /// Total seeded-transport footprint of a server key at this
-    /// parameter set: seeded bsk (+ seeded mbsk under a multi-bit
-    /// kernel) + seeded ksk + the 8-byte CRS seed.
+    /// parameter set: the seeded blind-rotation key of the kernel
+    /// (classical bsk or multi-bit mbsk) + seeded ksk + the 8-byte CRS
+    /// seed.
     pub fn seeded_server_key_bytes(&self) -> usize {
-        let mbsk = self
-            .pbs_kernel
-            .grouping_factor()
-            .map_or(0, |g| self.seeded_multi_bit_bootstrap_key_bytes(g));
-        self.seeded_bootstrap_key_bytes() + mbsk + self.seeded_keyswitch_key_bytes() + 8
+        let bsk = match self.pbs_kernel.grouping_factor() {
+            None => self.seeded_bootstrap_key_bytes(),
+            Some(g) => self.seeded_multi_bit_bootstrap_key_bytes(g),
+        };
+        bsk + self.seeded_keyswitch_key_bytes() + 8
     }
 
     /// Total full-form (expanded, Fourier-resident) footprint of a
-    /// server key at this parameter set: bsk (+ mbsk under a multi-bit
-    /// kernel) + ksk — the denominator of the seeded-transport
-    /// compression ratio and the unit of the key registry's residency
-    /// accounting.
+    /// server key at this parameter set: the blind-rotation key of the
+    /// kernel (classical bsk or multi-bit mbsk) + ksk — the denominator
+    /// of the seeded-transport compression ratio and the unit of the key
+    /// registry's residency accounting.
     pub fn server_key_bytes(&self) -> usize {
-        let mbsk =
-            self.pbs_kernel.grouping_factor().map_or(0, |g| self.multi_bit_bootstrap_key_bytes(g));
-        self.bootstrap_key_bytes() + mbsk + self.keyswitch_key_bytes()
+        let bsk = match self.pbs_kernel.grouping_factor() {
+            None => self.bootstrap_key_bytes(),
+            Some(g) => self.multi_bit_bootstrap_key_bytes(g),
+        };
+        bsk + self.keyswitch_key_bytes()
     }
 
     /// Size in bytes of one LWE ciphertext (`n + 1` torus elements).
@@ -621,7 +624,7 @@ mod tests {
         );
         assert_eq!(
             p.server_key_bytes(),
-            p.bootstrap_key_bytes() + p.multi_bit_bootstrap_key_bytes(3) + p.keyswitch_key_bytes()
+            p.multi_bit_bootstrap_key_bytes(3) + p.keyswitch_key_bytes()
         );
         let ratio = p.seeded_server_key_bytes() as f64 / p.server_key_bytes() as f64;
         assert!(ratio <= 0.6, "multi-bit ratio {ratio}");
@@ -629,6 +632,23 @@ mod tests {
         let p = TfheParameters::testing_k2();
         let ratio = p.seeded_server_key_bytes() as f64 / p.server_key_bytes() as f64;
         assert!(ratio <= 0.4, "k=2 ratio {ratio}");
+    }
+
+    /// Set-II server-key footprints, full and seeded: one
+    /// blind-rotation key per kernel plus the keyswitching key. The
+    /// g = 3 key is 0.76× of one that also carried the classical key,
+    /// and its transport drops the classical bodies (30,965,760 B).
+    #[test]
+    fn set_ii_server_key_footprints_are_pinned() {
+        let classical = TfheParameters::set_ii();
+        assert_eq!(classical.server_key_bytes(), 87_777_280);
+        assert_eq!(classical.seeded_server_key_bytes(), 31_006_728);
+        let g3 = classical.clone().with_kernel(PbsKernel::MultiBit { grouping_factor: 3 });
+        assert_eq!(g3.server_key_bytes(), 190_996_480);
+        assert_eq!(g3.seeded_server_key_bytes(), 82_616_328);
+        let both_keys = g3.server_key_bytes() + classical.bootstrap_key_bytes();
+        assert_eq!(both_keys, 252_928_000);
+        assert_eq!(classical.seeded_bootstrap_key_bytes(), 30_965_760);
     }
 
     #[test]

@@ -329,6 +329,21 @@ mod tests {
     }
 
     #[test]
+    fn lut_round_trip_on_the_grouped_kernel() {
+        // A multi-bit server holds only its grouped key, so LUTs run on
+        // the grouped kernel.
+        let kernel = crate::params::PbsKernel::MultiBit { grouping_factor: 3 };
+        let (mut client, server) =
+            generate_keys(&TfheParameters::testing_fast().with_kernel(kernel), 910);
+        assert_eq!(server.bootstrap_key().kernel(), kernel);
+        for m in 0..8u64 {
+            let ct = client.encrypt_shortint(m, P).unwrap();
+            let out = server.apply_lut(&ct, |x| (5 * x + 3) % 8).unwrap();
+            assert_eq!(client.decrypt_shortint(&out), (5 * m + 3) % 8, "m = {m}");
+        }
+    }
+
+    #[test]
     fn encrypt_decrypt_all_messages() {
         let (mut client, _) = fixture();
         for m in 0..8u64 {

@@ -7,6 +7,10 @@
 //! group, zero-rotation (trivial-mask) jobs — the grouped kernel must
 //! decode to the same message the classical kernel produces, and its
 //! parallel path must be *bit*-identical to its sequential path.
+//!
+//! A server holds one blind-rotation key, so each entry carries two
+//! servers built from one seed — one per kernel — over the same secret
+//! keys: a ciphertext of the entry's client decrypts under both.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -26,7 +30,10 @@ const MESSAGE_BITS: u32 = 2;
 struct Fixture {
     params: TfheParameters,
     client: Mutex<ClientKey>,
+    /// The multi-bit server.
     server: ServerKey,
+    /// The classical server over the same secret keys.
+    classical: ServerKey,
     lut: Lut,
 }
 
@@ -73,8 +80,10 @@ fn fixtures() -> &'static Vec<Fixture> {
                 let seed = 0xC0FFEE ^ (g as u64) << 16 ^ poly as u64;
                 let (client, server) = generate_keys(&params, seed);
                 assert!(server.multi_bit_bootstrap_key().is_some());
+                let classical = params.clone().with_kernel(PbsKernel::Classical);
+                let classical = ClientKey::generate(&classical, seed).server_key();
                 let lut = Lut::from_function(poly, MESSAGE_BITS, lut_fn).unwrap();
-                Fixture { params, client: Mutex::new(client), server, lut }
+                Fixture { params, client: Mutex::new(client), server, classical, lut }
             })
             .collect()
     })
@@ -103,7 +112,7 @@ proptest! {
         let jobs: Vec<PbsJob<'_>> =
             cts.iter().map(|ct| PbsJob { ct, lut: &fx.lut }).collect();
 
-        let classical = fx.server.bootstrap_key().bootstrap_batch(&jobs).unwrap();
+        let classical = fx.classical.bootstrap_key().bootstrap_batch(&jobs).unwrap();
         let mbsk = fx.server.multi_bit_bootstrap_key().unwrap();
         let grouped = mbsk.bootstrap_batch(&jobs).unwrap();
         let grouped_parallel = mbsk.bootstrap_batch_parallel(&jobs, threads).unwrap();
@@ -162,8 +171,8 @@ fn all_zero_blocks_take_the_early_return_bit_exactly() {
     for fx in fixtures() {
         let cts: Vec<LweCiphertext> = (0..5).map(|m| fx.trivial(m % 4)).collect();
         let jobs: Vec<PbsJob<'_>> = cts.iter().map(|ct| PbsJob { ct, lut: &fx.lut }).collect();
-        let classical = fx.server.bootstrap_key().bootstrap_batch(&jobs).unwrap();
-        let grouped = fx.server.multi_bit_bootstrap_key().unwrap().bootstrap_batch(&jobs).unwrap();
+        let classical = fx.classical.bootstrap_key().bootstrap_batch(&jobs).unwrap();
+        let grouped = fx.server.bootstrap_key().bootstrap_batch(&jobs).unwrap();
         assert_eq!(grouped, classical, "{}", fx.params.name);
         for (i, (out, &m)) in grouped.iter().zip([0u64, 1, 2, 3, 0].iter()).enumerate() {
             assert_eq!(fx.decode(out), lut_fn(m), "job {i} ({})", fx.params.name);

@@ -15,11 +15,16 @@
 //! blocks), one job is a trivial ciphertext whose every rotation is
 //! zero (the skip path inside a block), and the g = 4 key runs at
 //! n = 14, so its last group is a width-2 remainder.
+//!
+//! A server holds one blind-rotation key, so the classical key comes
+//! from its own server, built from the g = 2 server's seed: the two
+//! share their secret keys, and the classical kernel runs on the g = 2
+//! server's ciphertexts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
-use strix_tfhe::bootstrap::{BlindRotationKey, BootstrapKey, KeyLayout, Lut, PbsJob};
+use strix_tfhe::bootstrap::{BootstrapKey, Lut, PbsJob};
 use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::prelude::*;
 use strix_tfhe::scratch::PbsScratch;
@@ -28,11 +33,12 @@ const BATCHES: [usize; 5] = [1, 3, 4, 5, 9];
 const THREADS: [usize; 3] = [1, 2, 3];
 
 /// Server keys for g = 2 and g = 3 at the base parameters and for g = 4
-/// at n = 14 (each also carries a classical key), nine inputs encrypted
-/// under each, and two LUTs the jobs alternate.
+/// at n = 14, nine inputs encrypted under each, a classical server over
+/// the g = 2 server's secret keys, and two LUTs the jobs alternate.
 struct Fixture {
     params: TfheParameters,
     keys: Vec<(ServerKey, Vec<LweCiphertext>)>,
+    classical: ServerKey,
     luts: [Lut; 2],
 }
 
@@ -53,7 +59,7 @@ fn fixture() -> &'static Fixture {
                 let mut keyed =
                     params.clone().with_kernel(PbsKernel::MultiBit { grouping_factor: g });
                 keyed.lwe_dimension = n;
-                let (mut client, server) = generate_keys(&keyed, 90 + g as u64);
+                let (mut client, server) = generate_keys(&keyed, seed(g));
                 let mut cts: Vec<LweCiphertext> = (0..9u64)
                     .map(|m| client.encrypt_shortint(m % 4, 2).unwrap().as_lwe().clone())
                     .collect();
@@ -61,13 +67,19 @@ fn fixture() -> &'static Fixture {
                 (server, cts)
             })
             .collect();
+        let classical = ClientKey::generate(&params, seed(2)).server_key();
         let n = params.polynomial_size;
         let luts = [Lut::from_function(n, 2, |m| (3 * m + 1) % 4).unwrap(), Lut::sign(n, 1 << 61)];
-        Fixture { params, keys, luts }
+        Fixture { params, keys, classical, luts }
     })
 }
 
-fn batch_identity<E: KeyLayout>(kernel: &str, key: &BlindRotationKey<E>, jobs: &[PbsJob<'_>]) {
+/// The key seed of the g-grouped server.
+fn seed(g: usize) -> u64 {
+    90 + g as u64
+}
+
+fn batch_identity(kernel: &str, key: &BootstrapKey, jobs: &[PbsJob<'_>]) {
     let singles: Vec<LweCiphertext> =
         jobs.iter().map(|job| key.bootstrap(job.ct, job.lut).unwrap()).collect();
     for batch in BATCHES {
@@ -84,16 +96,18 @@ fn batch_identity<E: KeyLayout>(kernel: &str, key: &BlindRotationKey<E>, jobs: &
 fn batch_equals_batches_of_one_equals_parallel() {
     let fx = fixture();
     let (g2, g3, g4) = (&fx.keys[0].0, &fx.keys[1].0, &fx.keys[2].0);
-    batch_identity("classical", g2.bootstrap_key(), &fx.jobs(0));
-    batch_identity("multi-bit g=2", g2.multi_bit_bootstrap_key().unwrap(), &fx.jobs(0));
-    batch_identity("multi-bit g=3", g3.multi_bit_bootstrap_key().unwrap(), &fx.jobs(1));
-    batch_identity("multi-bit g=4", g4.multi_bit_bootstrap_key().unwrap(), &fx.jobs(2));
+    batch_identity("classical", fx.classical.bootstrap_key(), &fx.jobs(0));
+    batch_identity("multi-bit g=2", g2.bootstrap_key(), &fx.jobs(0));
+    batch_identity("multi-bit g=3", g3.bootstrap_key(), &fx.jobs(1));
+    batch_identity("multi-bit g=4", g4.bootstrap_key(), &fx.jobs(2));
 }
 
 #[test]
 fn classical_kernel_equals_the_reference() {
     let fx = fixture();
-    let bsk = fx.keys[0].0.bootstrap_key();
+    let BootstrapKey::Classical(bsk) = fx.classical.bootstrap_key() else {
+        panic!("a classical server holds the classical key");
+    };
     let jobs = fx.jobs(0);
     let batched = bsk.bootstrap_batch(&jobs).unwrap();
     for (i, job) in jobs.iter().enumerate() {
@@ -103,7 +117,7 @@ fn classical_kernel_equals_the_reference() {
     }
 }
 
-fn rejects_shape_mismatch<E: KeyLayout>(kernel: &str, key: &BlindRotationKey<E>, fx: &Fixture) {
+fn rejects_shape_mismatch(kernel: &str, key: &BootstrapKey, fx: &Fixture) {
     let good = LweCiphertext::trivial(key.input_dimension(), 0);
     let long = LweCiphertext::trivial(key.input_dimension() + 1, 0);
     let wide = Lut::sign(2 * fx.params.polynomial_size, 1);
@@ -128,17 +142,13 @@ fn rejects_shape_mismatch<E: KeyLayout>(kernel: &str, key: &BlindRotationKey<E>,
 fn shape_mismatch_is_rejected_before_any_thread_spawns() {
     let fx = fixture();
     let (g2, g3, g4) = (&fx.keys[0].0, &fx.keys[1].0, &fx.keys[2].0);
-    rejects_shape_mismatch("classical", g2.bootstrap_key(), fx);
-    rejects_shape_mismatch("multi-bit g=2", g2.multi_bit_bootstrap_key().unwrap(), fx);
-    rejects_shape_mismatch("multi-bit g=3", g3.multi_bit_bootstrap_key().unwrap(), fx);
-    rejects_shape_mismatch("multi-bit g=4", g4.multi_bit_bootstrap_key().unwrap(), fx);
+    rejects_shape_mismatch("classical", fx.classical.bootstrap_key(), fx);
+    rejects_shape_mismatch("multi-bit g=2", g2.bootstrap_key(), fx);
+    rejects_shape_mismatch("multi-bit g=3", g3.bootstrap_key(), fx);
+    rejects_shape_mismatch("multi-bit g=4", g4.bootstrap_key(), fx);
 }
 
-fn assert_scratch_panics<E: KeyLayout>(
-    key: &BlindRotationKey<E>,
-    mut scratch: PbsScratch,
-    what: &str,
-) {
+fn assert_scratch_panics(key: &BootstrapKey, mut scratch: PbsScratch, what: &str) {
     let fx = fixture();
     let job = fx.jobs(0)[0];
     let result =
@@ -151,12 +161,8 @@ fn assert_scratch_panics<E: KeyLayout>(
 #[test]
 fn wrong_shape_scratch_panics() {
     let fx = fixture();
-    let (g2, g3) = (&fx.keys[0].0, &fx.keys[1].0);
-    let (classical, mb2, mb3) = (
-        g2.bootstrap_key(),
-        g2.multi_bit_bootstrap_key().unwrap(),
-        g3.multi_bit_bootstrap_key().unwrap(),
-    );
+    let (classical, mb2, mb3) =
+        (fx.classical.bootstrap_key(), fx.keys[0].0.bootstrap_key(), fx.keys[1].0.bootstrap_key());
     let mut wide = fx.params.clone();
     wide.polynomial_size *= 2;
     let wide_scratch = BootstrapKey::generate_for_benchmark(&wide).scratch();

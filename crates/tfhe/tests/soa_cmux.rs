@@ -28,7 +28,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use strix_tfhe::bootstrap::{BootstrapKey, Lut, PbsJob};
+use strix_tfhe::bootstrap::{ClassicalBootstrapKey, Lut, PbsJob};
 use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::scratch::CMUX_JOB_BLOCK;
 use strix_tfhe::torus::encode_fraction;
@@ -65,7 +65,7 @@ fn random_ct(seed: u64, dim: usize) -> LweCiphertext {
 }
 
 /// The classical per-job reference, one job at a time.
-fn oracle_outputs(bsk: &BootstrapKey, jobs: &[PbsJob<'_>]) -> Vec<LweCiphertext> {
+fn oracle_outputs(bsk: &ClassicalBootstrapKey, jobs: &[PbsJob<'_>]) -> Vec<LweCiphertext> {
     jobs.iter()
         .map(|job| bsk.blind_rotate_reference(job.ct, job.lut).unwrap().sample_extract())
         .collect()
@@ -77,7 +77,7 @@ fn blocked_cmux_is_bit_identical_to_per_job_oracle_across_shapes() {
         for n in [512usize, 1024, 2048] {
             for level in [2usize, 3] {
                 let params = shaped_params(k, n, level);
-                let bsk = BootstrapKey::generate_for_benchmark(&params);
+                let bsk = ClassicalBootstrapKey::generate_for_benchmark(&params);
                 let lut = Lut::sign(n, encode_fraction(1, 3));
                 // CMUX_JOB_BLOCK + 1 jobs: one full block plus a
                 // partial block of one.
@@ -99,7 +99,7 @@ fn blocked_cmux_handles_zero_rotations_inside_a_block() {
     // into a block with active jobs must leave both its own output and
     // its neighbours' outputs bit-identical to the oracle.
     let params = shaped_params(1, 512, 2);
-    let bsk = BootstrapKey::generate_for_benchmark(&params);
+    let bsk = ClassicalBootstrapKey::generate_for_benchmark(&params);
     let lut = Lut::sign(512, encode_fraction(1, 3));
     let mut cts: Vec<LweCiphertext> =
         (0..6u64).map(|j| random_ct(0xBEEF + j, TEST_LWE_DIM)).collect();
@@ -119,10 +119,10 @@ fn forced_portable_backend_is_bit_identical_to_the_detected_backend() {
     // which is fine: it then costs one extra keygen, not coverage.
     for n in [1024usize, 2048] {
         let params = shaped_params(1, n, 2);
-        let portable_key = BootstrapKey::generate_for_benchmark(
+        let portable_key = ClassicalBootstrapKey::generate_for_benchmark(
             &params.clone().with_fft_backend(StrixFftBackend::Portable),
         );
-        let auto_key = BootstrapKey::generate_for_benchmark(&params);
+        let auto_key = ClassicalBootstrapKey::generate_for_benchmark(&params);
         let lut = Lut::sign(n, encode_fraction(1, 3));
         let cts: Vec<LweCiphertext> =
             (0..4u64).map(|j| random_ct(0xF0CA + j + n as u64, TEST_LWE_DIM)).collect();
@@ -137,11 +137,11 @@ fn forced_portable_backend_is_bit_identical_to_the_detected_backend() {
 }
 
 /// Shared fixture for the proptest cases (keygen once, not per case).
-fn fixture() -> &'static (TfheParameters, BootstrapKey, Lut, Lut) {
-    static FIXTURE: OnceLock<(TfheParameters, BootstrapKey, Lut, Lut)> = OnceLock::new();
+fn fixture() -> &'static (TfheParameters, ClassicalBootstrapKey, Lut, Lut) {
+    static FIXTURE: OnceLock<(TfheParameters, ClassicalBootstrapKey, Lut, Lut)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let params = shaped_params(1, 512, 3);
-        let bsk = BootstrapKey::generate_for_benchmark(&params);
+        let bsk = ClassicalBootstrapKey::generate_for_benchmark(&params);
         let lut_sign = Lut::sign(512, encode_fraction(1, 3));
         let lut_id = Lut::from_function(512, 2, |m| m).unwrap();
         (params, bsk, lut_sign, lut_id)

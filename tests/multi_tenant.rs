@@ -222,18 +222,16 @@ fn pinned_and_registry_key_sources_agree_on_kernel_admission_and_bits() {
             .map(|k| k.map(KernelPolicy::uniform))
         {
             let case = format!("params {params_kernel}, policy {policy:?}");
-            // Multi-bit runs only when both the parameters and the
-            // request (explicit or defaulted) say multi-bit.
-            let requested = policy.map_or(params_kernel, |p| p.kernel());
-            let expected = match (requested, params_kernel) {
-                (PbsKernel::MultiBit { .. }, PbsKernel::MultiBit { .. }) => multi_bit,
-                _ => PbsKernel::Classical,
-            };
+            // The key decides: a server holds one blind-rotation key,
+            // and a policy naming another kernel falls back to it. Both
+            // parameter sets share one seed, so the classical and the
+            // multi-bit servers hold the same secret keys.
+            let expected = params_kernel;
             let pinned = match policy {
                 Some(p) => TfheExecutor::with_policy(Arc::clone(&server), 1, p),
                 None => TfheExecutor::new(Arc::clone(&server)),
             };
-            let from_registry = TfheExecutor::multi_tenant(Arc::clone(&registry), 1, policy);
+            let from_registry = TfheExecutor::multi_tenant(Arc::clone(&registry), 1);
             assert_eq!(pinned.kernel(), expected, "{case}");
             assert_eq!(from_registry.kernel(), expected, "{case}");
             assert_eq!(
