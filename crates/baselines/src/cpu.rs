@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use strix_tfhe::bootstrap::{encode_bool, BootstrapKey, Lut};
+use strix_tfhe::bootstrap::{encode_bool, ClassicalBootstrapKey, Lut};
 use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::prelude::*;
 use strix_tfhe::torus::encode_fraction;
@@ -78,10 +78,10 @@ pub fn measure_gate(params: &TfheParameters, iterations: usize, seed: u64) -> Cp
 }
 
 /// Measures PBS latency with a timing-equivalent benchmark key
-/// ([`BootstrapKey::generate_for_benchmark`]); works at any `N`,
+/// ([`ClassicalBootstrapKey::generate_for_benchmark`]); works at any `N`,
 /// including set IV's 16384.
 pub fn measure_pbs_benchmark_key(params: &TfheParameters, iterations: usize) -> CpuMeasurement {
-    let bsk = BootstrapKey::generate_for_benchmark(params);
+    let bsk = ClassicalBootstrapKey::generate_for_benchmark(params);
     let lut = Lut::sign(params.polynomial_size, encode_fraction(1, 3));
     // The mask must be non-zero: blind rotation skips iterations whose
     // modulus-switched mask element is 0, so a trivial (zero-mask)
@@ -125,7 +125,7 @@ pub fn measure_pbs_benchmark_key(params: &TfheParameters, iterations: usize) -> 
 /// implicitly uses — its NN times imply PBS-parallel execution across
 /// the Xeon's cores, not the single-thread latency of Table V.
 pub fn measure_parallel_pbs(params: &TfheParameters, threads: usize, per_thread: usize) -> f64 {
-    let bsk = BootstrapKey::generate_for_benchmark(params);
+    let bsk = ClassicalBootstrapKey::generate_for_benchmark(params);
     let lut = Lut::sign(params.polynomial_size, encode_fraction(1, 3));
     let mut raw: Vec<u64> = (0..params.lwe_dimension as u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)

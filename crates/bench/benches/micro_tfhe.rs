@@ -6,7 +6,7 @@
 //! expansion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use strix_tfhe::bootstrap::{encode_bool, BootstrapKey, Lut, PbsJob};
+use strix_tfhe::bootstrap::{encode_bool, ClassicalBootstrapKey, Lut, PbsJob};
 use strix_tfhe::decompose::DecompositionParams;
 use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::poly::TorusPolynomial;
@@ -29,7 +29,7 @@ fn bench_pbs_and_gate(c: &mut Criterion) {
 
     // Full PBS at the paper's set I (the Table V CPU measurement).
     let params = TfheParameters::set_i();
-    let bsk = BootstrapKey::generate_for_benchmark(&params);
+    let bsk = ClassicalBootstrapKey::generate_for_benchmark(&params);
     let lut = Lut::sign(params.polynomial_size, encode_fraction(1, 3));
     let mut raw: Vec<u64> = (0..params.lwe_dimension as u64)
         .map(|i| i.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1)

@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use strix_bench::{banner, markdown_table};
-use strix_tfhe::bootstrap::{BootstrapKey, Lut, PbsJob};
+use strix_tfhe::bootstrap::{ClassicalBootstrapKey, Lut, PbsJob};
 use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::prelude::*;
 use strix_tfhe::rng::NoiseSampler;
@@ -27,7 +27,7 @@ const EPOCH: usize = 32;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 struct EpochFixture {
-    bsk: BootstrapKey,
+    bsk: ClassicalBootstrapKey,
     cts: Vec<LweCiphertext>,
     lut: Lut,
 }
@@ -37,7 +37,7 @@ impl EpochFixture {
     /// shape as a real one) and uniformly random ciphertexts, so every
     /// CMUX iteration does full rotate/decompose/FFT/VMA work.
     fn new(params: &TfheParameters) -> Self {
-        let bsk = BootstrapKey::generate_for_benchmark(params);
+        let bsk = ClassicalBootstrapKey::generate_for_benchmark(params);
         let mut rng = NoiseSampler::from_seed(0x5712);
         let cts = (0..EPOCH)
             .map(|_| {

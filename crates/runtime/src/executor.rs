@@ -21,16 +21,16 @@ use crate::analyzer::AdmissionPolicy;
 use crate::registry::KeyRegistry;
 use crate::request::{Request, RequestOp, TenantId};
 
-/// A PBS kernel request, mirroring the CLASSICAL-vs-MULTI_BIT choice of
-/// GPU TFHE back-ends, installed via
-/// [`RuntimeConfig::with_kernel_policy`](crate::RuntimeConfig::with_kernel_policy)
-/// or [`TfheExecutor::with_policy`].
+/// A PBS kernel, named the way GPU TFHE back-ends name their
+/// CLASSICAL-vs-MULTI_BIT choice: the kernel an [`AdmissionPolicy`]
+/// analyses.
 ///
-/// **Advisory only.** A server holds one blind-rotation key and the key
-/// decides the kernel ([`strix_tfhe::bootstrap::BootstrapKey::kernel`]):
-/// a policy naming another kernel falls back to the key's. The type
-/// remains for the callers that still name one, and as the kernel an
-/// [`AdmissionPolicy`] analyses.
+/// **Advisory only** for execution. A server holds one blind-rotation
+/// key and the key decides the kernel
+/// ([`strix_tfhe::bootstrap::BootstrapKey::kernel`]); no executor takes
+/// a policy, and
+/// [`RuntimeConfig::with_kernel_policy`](crate::RuntimeConfig::with_kernel_policy)
+/// ignores the one it is given.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelPolicy {
     kernel: PbsKernel,
@@ -231,14 +231,6 @@ impl TfheExecutor {
     /// follows the server key's parameter set.
     pub fn with_threads(server: Arc<ServerKey>, threads: usize) -> Self {
         Self::from_source(KeySource::Pinned(server), threads)
-    }
-
-    /// Wraps a server key with a kernel policy, which is advisory: the
-    /// key's kernel runs whatever `policy` names (see
-    /// [`KernelPolicy`]).
-    pub fn with_policy(server: Arc<ServerKey>, threads: usize, policy: KernelPolicy) -> Self {
-        let _ = policy;
-        Self::with_threads(server, threads)
     }
 
     /// Wraps a tenant key registry: each epoch runs under its tenant's
@@ -780,17 +772,6 @@ mod tests {
         assert_eq!(grouped.kernel(), PbsKernel::MultiBit { grouping_factor: 2 });
         let grouped_exec = grouped.execute_epoch(&batch, false);
         assert_eq!(grouped_exec.kernel_jobs, [0, 5]);
-        // A classical policy on the multi-bit key is advisory: the
-        // grouped key still runs, bit-identically.
-        let advised = TfheExecutor::with_policy(
-            Arc::clone(&server),
-            1,
-            KernelPolicy::uniform(PbsKernel::Classical),
-        );
-        assert_eq!(advised.kernel(), grouped.kernel());
-        let advised_exec = advised.execute_epoch(&batch, false);
-        assert_eq!(advised_exec.kernel_jobs, [0, 5]);
-        assert_eq!(advised_exec.results, grouped_exec.results);
         // The classical server yields the same decoded messages (the
         // kernels are decrypt-identical, not bit-identical).
         let classical = TfheExecutor::new(classical_server);
@@ -809,20 +790,16 @@ mod tests {
 
     #[test]
     fn multi_bit_policy_without_grouped_key_falls_back_to_classical() {
-        // A classical server key carries no grouped key material: a
-        // policy asking for multi-bit falls back to the key's classical
-        // kernel instead of failing the epoch.
+        // A classical server key carries no grouped key material, and
+        // no executor takes a kernel policy: its epochs run classically.
         let params = TfheParameters::testing_fast();
         let (mut client, server) = generate_keys(&params, 93);
         let server = Arc::new(server);
         assert!(server.multi_bit_bootstrap_key().is_none());
         let p = 2u32;
         let lut = Arc::new(Lut::from_function(params.polynomial_size, p, |m| m).unwrap());
-        let exec = TfheExecutor::with_policy(
-            Arc::clone(&server),
-            1,
-            KernelPolicy::uniform(PbsKernel::MultiBit { grouping_factor: 2 }),
-        );
+        let exec = TfheExecutor::new(Arc::clone(&server));
+        assert_eq!(exec.kernel(), PbsKernel::Classical);
         let ct = client.encrypt_shortint(2, p).unwrap().as_lwe().clone();
         let epoch = exec.execute_epoch(&[request(0, 0, ct, RequestOp::Lut(lut))], false);
         assert_eq!(epoch.kernel_jobs, [1, 0], "the classical key runs classically");

@@ -52,12 +52,6 @@ pub struct RuntimeConfig {
     /// single-threaded, so with `threads_per_worker > 1` this trades a
     /// sliver of throughput for attribution.
     pub profile_every: u64,
-    /// A PBS kernel request for [`Runtime::start_tfhe`] and
-    /// [`Runtime::start_multi_tenant`]. Advisory only: a server holds
-    /// one blind-rotation key and the key decides the kernel, so a
-    /// policy naming another kernel falls back to the key's (see
-    /// [`KernelPolicy`]). `None` is the default.
-    pub kernel_policy: Option<KernelPolicy>,
 }
 
 impl RuntimeConfig {
@@ -73,7 +67,6 @@ impl RuntimeConfig {
             ingress_depth: geometry.epoch_size() * 4,
             trace: TraceConfig::default(),
             profile_every: 16,
-            kernel_policy: None,
         }
     }
 
@@ -102,10 +95,12 @@ impl RuntimeConfig {
         Self { profile_every, ..self }
     }
 
-    /// Sets the advisory PBS kernel policy: the runtime still runs the
-    /// kernel of the key it serves (see [`KernelPolicy`]).
-    pub fn with_kernel_policy(self, kernel_policy: KernelPolicy) -> Self {
-        Self { kernel_policy: Some(kernel_policy), ..self }
+    /// Returns the config unchanged: a no-op kept for callers that
+    /// still name a kernel. A server holds one blind-rotation key and
+    /// the key decides the kernel (see [`KernelPolicy`]), so there is
+    /// no kernel left for the runtime to choose.
+    pub fn with_kernel_policy(self, _kernel_policy: KernelPolicy) -> Self {
+        self
     }
 }
 

@@ -1495,23 +1495,6 @@ forward! {
 }
 
 impl BootstrapKey {
-    /// Generates a classical bootstrapping key encrypting `lwe_sk` under
-    /// `glwe_sk` ([`ClassicalBootstrapKey::generate`]).
-    pub fn generate(
-        lwe_sk: &LweSecretKey,
-        glwe_sk: &GlweSecretKey,
-        params: &TfheParameters,
-        rng: &mut NoiseSampler,
-    ) -> Self {
-        Self::Classical(ClassicalBootstrapKey::generate(lwe_sk, glwe_sk, params, rng))
-    }
-
-    /// A timing-equivalent classical key
-    /// ([`ClassicalBootstrapKey::generate_for_benchmark`]).
-    pub fn generate_for_benchmark(params: &TfheParameters) -> Self {
-        Self::Classical(ClassicalBootstrapKey::generate_for_benchmark(params))
-    }
-
     /// The PBS kernel this key runs.
     pub fn kernel(&self) -> PbsKernel {
         match self {

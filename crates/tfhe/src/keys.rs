@@ -23,11 +23,18 @@ use strix_fft::StrixFftBackend;
 
 /// CRS stream labels: each seeded-key component regenerates its public
 /// masks from an independent sub-stream of the one transported seed, so
-/// expansion order never couples the components.
+/// expansion order never couples the components. The multi-bit key's
+/// label is offset by its grouping factor.
 const CRS_BSK_STREAM: u64 = 1;
-const CRS_MBSK_STREAM: u64 = 2;
 const CRS_KSK_STREAM: u64 = 3;
 const CRS_BENCHMARK_STREAM: u64 = 4;
+const CRS_MBSK_STREAM: u64 = 0x20;
+
+/// Client stream label of a multi-bit client, offset by its grouping
+/// factor: after the secrets, such a client draws from this sub-stream
+/// of its seed (see [`ClientKey::generate`]). Distinct from every CRS
+/// label, so no client draw can equal a public mask draw.
+const MULTI_BIT_CLIENT_STREAM: u64 = 0x10;
 
 /// Secret key material plus encryption/decryption helpers.
 #[derive(Clone, Debug)]
@@ -41,6 +48,19 @@ pub struct ClientKey {
 
 impl ClientKey {
     /// Generates a fresh client key.
+    ///
+    /// The secret keys are the seed's first draws under every kernel, so
+    /// one seed gives one pair of secrets whatever
+    /// [`TfheParameters::pbs_kernel`] says. What follows — server keys
+    /// and encryptions — continues the seed's stream on a classical
+    /// client, and on a multi-bit client switches to a sub-stream of
+    /// the seed, one per grouping factor. Clients of one seed under
+    /// different kernels therefore share their secrets and no later
+    /// draw: their server keys encrypt different plaintexts, and had
+    /// two of them drawn one mask and noise for one entry, the
+    /// difference of the bodies would reveal the secret bit. Two
+    /// clients of one seed *and* kernel replay each other's draws, so
+    /// reusing a seed is for tests only.
     pub fn generate(params: &TfheParameters, seed: u64) -> Self {
         // lint:allow(panic) documented constructor contract
         params.validate().expect("parameter set must be valid");
@@ -49,6 +69,9 @@ impl ClientKey {
         let glwe_sk =
             GlweSecretKey::generate(params.glwe_dimension, params.polynomial_size, &mut rng);
         let extracted_sk = glwe_sk.to_extracted_lwe_key();
+        if let Some(g) = params.pbs_kernel.grouping_factor() {
+            rng = NoiseSampler::from_derived_seed(seed, MULTI_BIT_CLIENT_STREAM + g as u64);
+        }
         Self { params: params.clone(), lwe_sk, glwe_sk, extracted_sk, rng }
     }
 
@@ -106,7 +129,12 @@ impl ClientKey {
     pub fn server_key(&mut self) -> ServerKey {
         let (lwe_sk, glwe_sk, params) = (&self.lwe_sk, &self.glwe_sk, &self.params);
         let bsk = match params.pbs_kernel {
-            PbsKernel::Classical => BootstrapKey::generate(lwe_sk, glwe_sk, params, &mut self.rng),
+            PbsKernel::Classical => BootstrapKey::Classical(ClassicalBootstrapKey::generate(
+                lwe_sk,
+                glwe_sk,
+                params,
+                &mut self.rng,
+            )),
             PbsKernel::MultiBit { grouping_factor } => {
                 BootstrapKey::MultiBit(MultiBitBootstrapKey::generate(
                     lwe_sk,
@@ -174,12 +202,12 @@ impl ClientKey {
 }
 
 /// The CRS sub-stream the blind-rotation key's masks come from: one per
-/// kernel, so a classical and a multi-bit key from one seed share no
-/// masks.
+/// kernel and grouping factor, so two keys of one CRS seed that encrypt
+/// different plaintexts share no masks.
 fn bsk_crs_stream(params: &TfheParameters) -> u64 {
     match params.pbs_kernel {
         PbsKernel::Classical => CRS_BSK_STREAM,
-        PbsKernel::MultiBit { .. } => CRS_MBSK_STREAM,
+        PbsKernel::MultiBit { grouping_factor } => CRS_MBSK_STREAM + grouping_factor as u64,
     }
 }
 
@@ -242,7 +270,7 @@ impl ServerKey {
     /// Generates a *timing-equivalent* server key without the full
     /// (hours-long at production parameters) bootstrapping keygen: the
     /// blind-rotation key of the parameter set's kernel comes from
-    /// [`BootstrapKey::generate_for_benchmark`] or
+    /// [`ClassicalBootstrapKey::generate_for_benchmark`] or
     /// [`MultiBitBootstrapKey::generate_for_benchmark`] (same
     /// arithmetic, cryptographically meaningless), while the ksk is a
     /// real keyswitching key over freshly drawn secret keys — ksk
@@ -255,7 +283,9 @@ impl ServerKey {
         params.validate().expect("parameter set must be valid");
         let mut rng = NoiseSampler::from_seed(seed);
         let bsk = match params.pbs_kernel {
-            PbsKernel::Classical => BootstrapKey::generate_for_benchmark(params),
+            PbsKernel::Classical => {
+                BootstrapKey::Classical(ClassicalBootstrapKey::generate_for_benchmark(params))
+            }
             PbsKernel::MultiBit { grouping_factor } => BootstrapKey::MultiBit(
                 MultiBitBootstrapKey::generate_for_benchmark(params, grouping_factor),
             ),
@@ -469,6 +499,44 @@ mod tests {
     }
 
     #[test]
+    fn kernels_of_one_seed_share_no_draw_after_the_secrets() {
+        // Same-seed servers of different kernels encrypt different
+        // plaintexts; one shared mask and noise would reveal the secret
+        // in the difference of two bodies.
+        let base = TfheParameters::testing_fast();
+        let kernels: Vec<PbsKernel> = std::iter::once(PbsKernel::Classical)
+            .chain(
+                (1..=PbsKernel::MAX_GROUPING_FACTOR)
+                    .map(|g| PbsKernel::MultiBit { grouping_factor: g }),
+            )
+            .collect();
+        let first_draws: std::collections::HashSet<Vec<u64>> = kernels
+            .iter()
+            .map(|&k| {
+                let mut client = ClientKey::generate(&base.clone().with_kernel(k), 32);
+                client.encrypt_torus(0).as_raw().to_vec()
+            })
+            .collect();
+        assert_eq!(first_draws.len(), kernels.len(), "one client stream per kernel");
+        // Every stream label, client or CRS, is distinct.
+        let mut labels: Vec<u64> = kernels
+            .iter()
+            .map(|&k| bsk_crs_stream(&base.clone().with_kernel(k)))
+            .chain([CRS_KSK_STREAM, CRS_BENCHMARK_STREAM])
+            .chain(
+                kernels
+                    .iter()
+                    .filter_map(|k| k.grouping_factor())
+                    .map(|g| MULTI_BIT_CLIENT_STREAM + g as u64),
+            )
+            .collect();
+        let count = labels.len();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), count, "stream labels collide");
+    }
+
+    #[test]
     fn benchmark_key_honours_multi_bit_kernel() {
         let params =
             TfheParameters::testing_fast().with_kernel(PbsKernel::MultiBit { grouping_factor: 3 });
@@ -635,8 +703,8 @@ mod tests {
     /// change here means the RNG draw order or the key arithmetic moved.
     /// The classical digest comes from a classical server; the other
     /// four from a g = 3 server of the same seed, which draws its
-    /// grouped key straight after the secrets (it holds no classical
-    /// key).
+    /// grouped key first on the g = 3 client sub-stream (it holds no
+    /// classical key).
     #[test]
     fn key_material_matches_golden_digests() {
         let hex = |d: [u64; 5]| d.map(|x| format!("{x:#018x}"));
@@ -644,10 +712,10 @@ mod tests {
             hex(key_digests(&TfheParameters::testing_fast(), 1)),
             [
                 "0xb790779d01601b11",
-                "0xe94d208e4a003357",
-                "0x072c991d4ab5648e",
-                "0x51313685eda3ad03",
-                "0xcecdb2d758dad879",
+                "0x7b06811f6ba7a018",
+                "0x00e9a852f60246e2",
+                "0x5e620177e1818530",
+                "0x93fa468b804f62b1",
             ],
             "testing_fast"
         );
@@ -660,10 +728,10 @@ mod tests {
             hex(key_digests(&TfheParameters::set_ii(), 2)),
             [
                 "0xbc0e087a5cd347af",
-                "0xe3c3e5716377a3f9",
-                "0x626c241374991f34",
-                "0xbbab65bb8bd105bc",
-                "0x2b73c83b06aa8836",
+                "0xc4acf765fc75fb9b",
+                "0x774a80c90adb8862",
+                "0x83ac37dfc94b6c2b",
+                "0xbe7f99640f80c99e",
             ],
             "set-II"
         );
@@ -692,15 +760,16 @@ mod tests {
     /// The multi-bit kernel must reproduce these outputs bit for bit:
     /// any reordering of its floating-point work (key layout, assembly,
     /// VMA loop nest) that moves a single bit shows here. The values
-    /// follow the one-key draw order (secrets, grouped key, ksk,
-    /// encryptions); the kernel from before the re-base reproduces them
+    /// follow the one-key draw order (secrets on the seed's stream;
+    /// grouped key, ksk and encryptions on the g = 3 client
+    /// sub-stream); the kernel from before the re-base reproduces them
     /// from those public draws.
     #[test]
     fn multi_bit_pbs_output_matches_golden_digest() {
         let hex = |d: u64| format!("{d:#018x}");
         assert_eq!(
             hex(multi_bit_output_digest(&TfheParameters::testing_fast(), 5)),
-            "0x7c2c05eec44a05bf",
+            "0xb659e9d79d2e05bf",
             "testing_fast"
         );
         // Set-II keygen and PBS are release-only, like the key digests.
@@ -709,7 +778,7 @@ mod tests {
         }
         assert_eq!(
             hex(multi_bit_output_digest(&TfheParameters::set_ii(), 6)),
-            "0x25edda78a926d9bf",
+            "0x74d9ffa59cf999bf",
             "set-II"
         );
     }

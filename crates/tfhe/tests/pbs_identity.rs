@@ -24,7 +24,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
-use strix_tfhe::bootstrap::{BootstrapKey, Lut, PbsJob};
+use strix_tfhe::bootstrap::{BootstrapKey, ClassicalBootstrapKey, Lut, PbsJob};
 use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::prelude::*;
 use strix_tfhe::scratch::PbsScratch;
@@ -165,7 +165,7 @@ fn wrong_shape_scratch_panics() {
         (fx.classical.bootstrap_key(), fx.keys[0].0.bootstrap_key(), fx.keys[1].0.bootstrap_key());
     let mut wide = fx.params.clone();
     wide.polynomial_size *= 2;
-    let wide_scratch = BootstrapKey::generate_for_benchmark(&wide).scratch();
+    let wide_scratch = ClassicalBootstrapKey::generate_for_benchmark(&wide).scratch();
     assert_scratch_panics(classical, wide_scratch, "scratch polynomial size mismatch");
     assert_scratch_panics(classical, mb2.scratch(), "scratch grouping factor mismatch");
     assert_scratch_panics(mb2, mb3.scratch(), "scratch grouping factor mismatch");

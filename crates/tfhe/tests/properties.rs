@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use strix_tfhe::bootstrap::{BootstrapKey, Lut, PbsJob};
+use strix_tfhe::bootstrap::{ClassicalBootstrapKey, Lut, PbsJob};
 use strix_tfhe::decompose::DecompositionParams;
 use strix_tfhe::glwe::GlweSecretKey;
 use strix_tfhe::lwe::{LweCiphertext, LweSecretKey};
@@ -143,15 +143,15 @@ proptest! {
 /// A real bootstrapping key plus a pair of distinct LUTs, generated
 /// once for the whole parallel-equivalence property (key generation is
 /// the expensive part; the ciphertexts vary per case).
-fn pbs_fixture() -> &'static (TfheParameters, BootstrapKey, Vec<Lut>) {
-    static FIXTURE: OnceLock<(TfheParameters, BootstrapKey, Vec<Lut>)> = OnceLock::new();
+fn pbs_fixture() -> &'static (TfheParameters, ClassicalBootstrapKey, Vec<Lut>) {
+    static FIXTURE: OnceLock<(TfheParameters, ClassicalBootstrapKey, Vec<Lut>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let params = TfheParameters::testing_fast();
         let mut rng = NoiseSampler::from_seed(0xE90C);
         let lwe_sk = LweSecretKey::generate(params.lwe_dimension, &mut rng);
         let glwe_sk =
             GlweSecretKey::generate(params.glwe_dimension, params.polynomial_size, &mut rng);
-        let bsk = BootstrapKey::generate(&lwe_sk, &glwe_sk, &params, &mut rng);
+        let bsk = ClassicalBootstrapKey::generate(&lwe_sk, &glwe_sk, &params, &mut rng);
         let luts = vec![
             Lut::sign(params.polynomial_size, torus::encode_fraction(1, 3)),
             Lut::from_function(params.polynomial_size, 2, |m| (3 * m + 1) % 4).unwrap(),

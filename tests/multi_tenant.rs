@@ -218,41 +218,32 @@ fn pinned_and_registry_key_sources_agree_on_kernel_admission_and_bits() {
             })
             .collect();
 
-        for policy in [None, Some(PbsKernel::Classical), Some(multi_bit)]
-            .map(|k| k.map(KernelPolicy::uniform))
-        {
-            let case = format!("params {params_kernel}, policy {policy:?}");
-            // The key decides: a server holds one blind-rotation key,
-            // and a policy naming another kernel falls back to it. Both
-            // parameter sets share one seed, so the classical and the
-            // multi-bit servers hold the same secret keys.
-            let expected = params_kernel;
-            let pinned = match policy {
-                Some(p) => TfheExecutor::with_policy(Arc::clone(&server), 1, p),
-                None => TfheExecutor::new(Arc::clone(&server)),
-            };
-            let from_registry = TfheExecutor::multi_tenant(Arc::clone(&registry), 1);
-            assert_eq!(pinned.kernel(), expected, "{case}");
-            assert_eq!(from_registry.kernel(), expected, "{case}");
-            assert_eq!(
-                pinned.admission(),
-                Some(AdmissionPolicy::new(params.clone(), KernelPolicy::uniform(expected))),
-                "{case}"
-            );
-            assert_eq!(pinned.admission(), from_registry.admission(), "{case}");
+        let case = format!("params {params_kernel}");
+        // The key decides: a server holds one blind-rotation key, and
+        // the pinned and registry sources serve the parameters' kernel.
+        let expected = params_kernel;
+        let pinned = TfheExecutor::new(Arc::clone(&server));
+        let from_registry = TfheExecutor::multi_tenant(Arc::clone(&registry), 1);
+        assert_eq!(pinned.kernel(), expected, "{case}");
+        assert_eq!(from_registry.kernel(), expected, "{case}");
+        assert_eq!(
+            pinned.admission(),
+            Some(AdmissionPolicy::new(params.clone(), KernelPolicy::uniform(expected))),
+            "{case}"
+        );
+        assert_eq!(pinned.admission(), from_registry.admission(), "{case}");
 
-            let a = pinned.execute_epoch(&batch, false);
-            let b = from_registry.execute_epoch(&batch, false);
-            let jobs = if expected == multi_bit { [0, 3] } else { [3, 0] };
-            assert_eq!(a.kernel_jobs, jobs, "{case}");
-            assert_eq!(b.kernel_jobs, jobs, "{case}");
-            for (i, (x, y)) in a.results.iter().zip(&b.results).enumerate() {
-                let x = x.as_ref().expect("pinned request succeeds");
-                assert_eq!(Ok(x), y.as_ref(), "{case}: request {i} differs across sources");
-                let phase = client.decrypt_phase(x).unwrap();
-                let want = (i as u64 + 3) % 4;
-                assert_eq!(strix::tfhe::torus::decode_message(phase, BITS + 1), want, "{case}");
-            }
+        let a = pinned.execute_epoch(&batch, false);
+        let b = from_registry.execute_epoch(&batch, false);
+        let jobs = if expected == multi_bit { [0, 3] } else { [3, 0] };
+        assert_eq!(a.kernel_jobs, jobs, "{case}");
+        assert_eq!(b.kernel_jobs, jobs, "{case}");
+        for (i, (x, y)) in a.results.iter().zip(&b.results).enumerate() {
+            let x = x.as_ref().expect("pinned request succeeds");
+            assert_eq!(Ok(x), y.as_ref(), "{case}: request {i} differs across sources");
+            let phase = client.decrypt_phase(x).unwrap();
+            let want = (i as u64 + 3) % 4;
+            assert_eq!(strix::tfhe::torus::decode_message(phase, BITS + 1), want, "{case}");
         }
     }
 }
