@@ -7,9 +7,13 @@
 //! both PBS kernels the dispatcher can select, and prints each
 //! program's budget table: request count and bootstrap depth as built
 //! and after the runtime's bootstrap-minimising lowering, the
-//! worst-case linear gain and the minimum decision margin in sigmas of
-//! both forms. Admission runs the lowered form when it clears the
-//! threshold and the program as built otherwise; the table marks which.
+//! worst-case linear gain, the minimum decision margin in sigmas of
+//! both forms, and the Strix-simulated time of the form admission runs
+//! (the paper-default accelerator over the graph derived from that form,
+//! [`Program::workload`]; the accelerator models the classical PBS, so
+//! that column does not vary with the kernel). Admission runs the
+//! lowered form when it clears the threshold and the program as built
+//! otherwise; the table marks which.
 //!
 //! ```text
 //! cargo run -p strix-bench --bin analyze_program
@@ -31,6 +35,7 @@
 
 use std::process::ExitCode;
 
+use strix_core::{StrixConfig, StrixSimulator};
 use strix_runtime::session::Program;
 use strix_runtime::{AdmissionPolicy, KernelPolicy, ProgramAnalysis};
 use strix_tfhe::{PbsKernel, TfheParameters};
@@ -58,6 +63,10 @@ struct Row {
     built: ProgramAnalysis,
     /// Its lowered form.
     lowered: ProgramAnalysis,
+    /// Strix-simulated ms of the program as built and of its lowered
+    /// form.
+    built_ms: f64,
+    lowered_ms: f64,
 }
 
 impl Row {
@@ -66,35 +75,39 @@ impl Row {
         program: &Program,
         params: &TfheParameters,
         kernel: PbsKernel,
-    ) -> Self {
+    ) -> Result<Self, String> {
         let policy = AdmissionPolicy::new(params.clone(), KernelPolicy::uniform(kernel));
-        Row {
+        let sim = StrixSimulator::new(StrixConfig::paper_default(), params.clone())
+            .map_err(|e| e.to_string())?;
+        let sim_ms = |form: &Program| sim.run_graph(&form.workload()).total_time_s * 1e3;
+        Ok(Row {
             workload,
             params: params.name.clone(),
             kernel,
             built: policy.analyze(program),
             lowered: policy.analyze(program.lowered()),
-        }
+            built_ms: sim_ms(program),
+            lowered_ms: sim_ms(program.lowered()),
+        })
     }
 
-    /// The form admission at `threshold` runs: the lowered one when it
-    /// clears the threshold, else the program as built.
-    fn runs(&self, threshold: f64) -> &ProgramAnalysis {
+    /// The form admission at `threshold` runs, and its simulated ms:
+    /// the lowered one when it clears the threshold, else the program
+    /// as built.
+    fn runs(&self, threshold: f64) -> (&ProgramAnalysis, f64) {
         if self.lowered.worst_margin_sigmas() >= threshold {
-            &self.lowered
+            (&self.lowered, self.lowered_ms)
         } else {
-            &self.built
+            (&self.built, self.built_ms)
         }
     }
 
     /// Why `--check` fails this row, if it does.
     fn failure(&self, threshold: f64) -> Option<String> {
         let (built, lowered) = (&self.built, &self.lowered);
-        if self.runs(threshold).worst_margin_sigmas() < threshold {
-            Some(format!(
-                "worst margin {:.1} < {threshold:.1} sigmas",
-                self.runs(threshold).worst_margin_sigmas()
-            ))
+        let runs = self.runs(threshold).0;
+        if runs.worst_margin_sigmas() < threshold {
+            Some(format!("worst margin {:.1} < {threshold:.1} sigmas", runs.worst_margin_sigmas()))
         } else if lowered.reports.len() > built.reports.len() || lowered.pbs_depth > built.pbs_depth
         {
             Some(format!(
@@ -132,8 +145,8 @@ fn rows() -> Result<Vec<Row>, String> {
     let adder = ripple_carry_adder_program(GATE_BITS);
     let equality = equality_program(GATE_BITS);
     for kernel in kernels {
-        rows.push(Row::new("adder-8bit", &adder, &gate_params, kernel));
-        rows.push(Row::new("equality-8bit", &equality, &gate_params, kernel));
+        rows.push(Row::new("adder-8bit", &adder, &gate_params, kernel)?);
+        rows.push(Row::new("equality-8bit", &equality, &gate_params, kernel)?);
     }
 
     // The Deep-NN ReLU schedule, at every polynomial size the paper
@@ -143,7 +156,7 @@ fn rows() -> Result<Vec<Row>, String> {
         let schedule = ReluSchedule::new(NN_DEPTH, NN_WIDTH, NN_SEED);
         let program = schedule.program(poly).map_err(|e| e.to_string())?;
         for kernel in kernels {
-            rows.push(Row::new("deep-nn-relu", &program, &params, kernel));
+            rows.push(Row::new("deep-nn-relu", &program, &params, kernel)?);
         }
     }
     Ok(rows)
@@ -154,14 +167,14 @@ fn print_table(rows: &[Row], threshold: f64) {
     println!();
     println!(
         "| workload | params | kernel | requests (built → run) | pbs depth (built → run) \
-         | max gain | worst margin σ (built → run) | verdict |"
+         | max gain | worst margin σ (built → run) | Strix ms (run) | verdict |"
     );
-    println!("|---|---|---|---:|---:|---:|---:|---|");
+    println!("|---|---|---|---:|---:|---:|---:|---:|---|");
     for row in rows {
-        let (built, runs) = (&row.built, row.runs(threshold));
+        let (built, (runs, runs_ms)) = (&row.built, row.runs(threshold));
         let verdict = if row.failure(threshold).is_none() { "pass" } else { "FAIL" };
         println!(
-            "| {} | {} | {} | {} → {} | {} → {} | {:.0} | {:.1} → {:.1} | {} |",
+            "| {} | {} | {} | {} → {} | {} → {} | {:.0} | {:.1} → {:.1} | {:.3} | {} |",
             row.workload,
             row.params,
             kernel_label(row.kernel),
@@ -172,6 +185,7 @@ fn print_table(rows: &[Row], threshold: f64) {
             runs.max_linear_gain,
             built.worst_margin_sigmas(),
             runs.worst_margin_sigmas(),
+            runs_ms,
             verdict,
         );
     }
@@ -218,12 +232,12 @@ fn main() -> ExitCode {
     print_table(&rows, threshold);
 
     let worst = rows.iter().min_by(|a, b| {
-        let margin = |r: &Row| r.runs(threshold).worst_margin_sigmas();
+        let margin = |r: &Row| r.runs(threshold).0.worst_margin_sigmas();
         margin(a).total_cmp(&margin(b))
     });
     if let Some(row) = worst {
         println!();
-        match row.runs(threshold).worst_report() {
+        match row.runs(threshold).0.worst_report() {
             Some(r) => println!(
                 "Tightest node overall: {} / {} node {} at {:.1} sigmas \
                  (variance {:.3e}, distance {:.3e}).",

@@ -254,19 +254,18 @@ pub fn analyze(
     threshold_sigmas: f64,
 ) -> ProgramAnalysis {
     let needed = program.needed_nodes();
+    let depths = program.pbs_depths();
     let input_variance = noise::fresh_lwe_variance(params);
     let ms = noise::modswitch_variance(params);
-    // Per-node wire state: variance handed downstream, and bootstrap
-    // depth up to and including the node.
+    // Per-node variance handed downstream.
     let mut variances = vec![0.0f64; program.nodes.len()];
-    let mut depths = vec![0usize; program.nodes.len()];
     let mut reports = Vec::new();
     let mut max_linear_gain: f64 = 0.0;
     let mut pbs_depth = 0usize;
 
-    let wire_state = |variances: &[f64], depths: &[usize], w: Wire| match w {
-        Wire::Input(_) => (input_variance, 0usize),
-        Wire::Node(n) => (variances[n], depths[n]),
+    let variance = |variances: &[f64], w: Wire| match w {
+        Wire::Input(_) => input_variance,
+        Wire::Node(n) => variances[n],
     };
 
     for (idx, node) in program.nodes.iter().enumerate() {
@@ -276,9 +275,7 @@ pub fn analyze(
         // (weights over the node's inputs, decision distance)
         let bootstrap = match &node.op {
             NodeOp::Not => {
-                let (var, depth) = wire_state(&variances, &depths, node.inputs[0]);
-                variances[idx] = var;
-                depths[idx] = depth;
+                variances[idx] = variance(&variances, node.inputs[0]);
                 None
             }
             NodeOp::Gate(recipe) => Some((recipe.weights().to_vec(), recipe.decision_distance())),
@@ -291,19 +288,15 @@ pub fn analyze(
         };
         let mut decision_variance = ms;
         let mut linear_gain = 0.0;
-        let mut depth_in = 0usize;
         for (&w, &input) in weights.iter().zip(&node.inputs) {
-            let (var, depth) = wire_state(&variances, &depths, input);
             let gain = (w as f64) * (w as f64);
-            decision_variance += gain * var;
+            decision_variance += gain * variance(&variances, input);
             linear_gain += gain;
-            depth_in = depth_in.max(depth);
         }
         let kernel = policy.kernel();
         let output_variance = noise::lut_output_variance_for(params, kernel);
         let margin = noise::margin_sigmas(distance, decision_variance);
         variances[idx] = output_variance;
-        depths[idx] = depth_in + 1;
         pbs_depth = pbs_depth.max(depths[idx]);
         max_linear_gain = max_linear_gain.max(linear_gain);
         reports.push(WireReport {

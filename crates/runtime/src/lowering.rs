@@ -128,7 +128,7 @@ impl<'a> Lowering<'a> {
                 continue;
             }
             let bases: Vec<Wire> = node.inputs.iter().map(|&w| lowering.base(w)).collect();
-            let base_deps: Vec<usize> = bases.iter().filter_map(|&w| lowering.node_of(w)).collect();
+            let base_deps: Vec<usize> = bases.iter().filter_map(|w| w.node()).collect();
             match node.op {
                 NodeOp::Not => {}
                 NodeOp::LinearLut { .. } => lowering.deps[i].push(base_deps),
@@ -152,7 +152,7 @@ impl<'a> Lowering<'a> {
             }
         }
         lowering.roots =
-            program.outputs().iter().filter_map(|&w| lowering.node_of(lowering.base(w))).collect();
+            program.outputs().iter().filter_map(|&w| lowering.base(w).node()).collect();
         lowering
     }
 
@@ -187,13 +187,6 @@ impl<'a> Lowering<'a> {
         w
     }
 
-    fn node_of(&self, w: Wire) -> Option<usize> {
-        match w {
-            Wire::Node(n) => Some(n),
-            Wire::Input(_) => None,
-        }
-    }
-
     /// Every way to cover a gate reading `bases` with at most
     /// [`MAX_RECIPE_INPUTS`] leaves: each input is either a leaf itself
     /// or, if it is a gate, replaced by one of its own cuts.
@@ -201,7 +194,7 @@ impl<'a> Lowering<'a> {
         let mut merged: Vec<Vec<usize>> = vec![Vec::new()];
         for &w in bases {
             let mut choices = vec![vec![self.id(w)]];
-            if let Some(n) = self.node_of(w) {
+            if let Some(n) = w.node() {
                 if matches!(self.program.nodes[n].op, NodeOp::Gate(_)) {
                     choices.extend(cuts[n].iter().cloned());
                 }
@@ -271,7 +264,7 @@ impl<'a> Lowering<'a> {
         if let Some(&v) = memo.get(&id) {
             return Some(v);
         }
-        let node = &self.program.nodes[self.node_of(w)?];
+        let node = &self.program.nodes[w.node()?];
         let v = match &node.op {
             NodeOp::Not => !self.value(node.inputs[0], cut, pattern, memo)?,
             NodeOp::Gate(recipe) => {

@@ -44,6 +44,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use strix_core::Workload;
 use strix_tfhe::boolean::{gate_sign_lut, BinaryGate, GateRecipe};
 use strix_tfhe::bootstrap::Lut;
 use strix_tfhe::lwe::LweCiphertext;
@@ -64,6 +65,16 @@ pub enum Wire {
     Input(usize),
     /// The output of node `n`.
     Node(usize),
+}
+
+impl Wire {
+    /// The node this wire reads, `None` for a program input.
+    pub(crate) fn node(self) -> Option<usize> {
+        match self {
+            Wire::Node(n) => Some(n),
+            Wire::Input(_) => None,
+        }
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -291,25 +302,60 @@ impl Program {
     /// neither cost a bootstrap nor fail a run on either path.
     pub(crate) fn needed_nodes(&self) -> Vec<bool> {
         let mut needed = vec![false; self.nodes.len()];
-        let mut stack: Vec<usize> = self
-            .outputs
-            .iter()
-            .filter_map(|&w| match w {
-                Wire::Node(i) => Some(i),
-                Wire::Input(_) => None,
-            })
-            .collect();
+        let mut stack: Vec<usize> = self.outputs.iter().filter_map(|w| w.node()).collect();
         while let Some(i) = stack.pop() {
             if std::mem::replace(&mut needed[i], true) {
                 continue;
             }
-            for &w in &self.nodes[i].inputs {
-                if let Wire::Node(j) = w {
-                    stack.push(j);
-                }
-            }
+            stack.extend(self.nodes[i].inputs.iter().filter_map(|w| w.node()));
         }
         needed
+    }
+
+    /// Per node, the bootstrap depth up to and including it: one more
+    /// than its deepest input for a request node, its input's depth for
+    /// a NOT, with program inputs at depth 0. The one levelisation both
+    /// the analyzer's `pbs_depth` and [`Self::workload`] read.
+    pub(crate) fn pbs_depths(&self) -> Vec<usize> {
+        let mut depths = vec![0usize; self.nodes.len()];
+        for (idx, node) in self.nodes.iter().enumerate() {
+            let deepest = node.inputs.iter().filter_map(|w| w.node()).map(|n| depths[n]).max();
+            depths[idx] = deepest.unwrap_or(0) + usize::from(!matches!(node.op, NodeOp::Not));
+        }
+        depths
+    }
+
+    /// The simulator's computational graph (§VI-B) of the program as
+    /// built: its live request nodes levelised by bootstrap depth into
+    /// one `Pbs` node per level. A level holding linear-LUT nodes gets a
+    /// `Linear` node first (their count, their widest fan-in); NOTs are
+    /// free. `p.lowered().workload()` is the graph of the
+    /// bootstrap-minimised form.
+    pub fn workload(&self) -> Workload {
+        let needed = self.needed_nodes();
+        let depths = self.pbs_depths();
+        // Per level: (requests, linear-LUT nodes, widest linear fan-in).
+        let mut levels: Vec<(usize, usize, usize)> = Vec::new();
+        for (idx, node) in self.nodes.iter().enumerate() {
+            if !needed[idx] || matches!(node.op, NodeOp::Not) {
+                continue;
+            }
+            levels.resize(levels.len().max(depths[idx]), (0, 0, 0));
+            let (requests, linear, fan_in) = &mut levels[depths[idx] - 1];
+            *requests += 1;
+            if let NodeOp::LinearLut { weights, .. } = &node.op {
+                *linear += 1;
+                *fan_in = (*fan_in).max(weights.len());
+            }
+        }
+        let mut w = Workload::new("program");
+        for (i, &(requests, linear, fan_in)) in levels.iter().enumerate() {
+            if linear > 0 {
+                w = w.linear(linear, fan_in, format!("level-{} linear", i + 1));
+            }
+            w = w.pbs(requests, format!("level-{} PBS", i + 1));
+        }
+        w
     }
 
     /// Synchronous reference execution over a [`ServerKey`]: every
@@ -536,11 +582,9 @@ impl<'p> ProgramSession<'p> {
                 continue;
             }
             self.outstanding_nodes += 1;
-            for &w in &node.inputs {
-                if let Wire::Node(j) = w {
-                    self.unresolved[i] += 1;
-                    self.dependents[j].push(i);
-                }
+            for j in node.inputs.iter().filter_map(|w| w.node()) {
+                self.unresolved[i] += 1;
+                self.dependents[j].push(i);
             }
             if self.unresolved[i] == 0 {
                 self.ready.push(i);

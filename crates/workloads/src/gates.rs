@@ -1,209 +1,33 @@
-//! Boolean-circuit workloads: abstract graphs for the simulator and
-//! real homomorphic circuits executed with `strix-tfhe`.
+//! Boolean circuits as dataflow [`Program`]s for the streaming runtime,
+//! executed with `strix-tfhe` gate bootstrapping.
 //!
-//! TFHE's gate bootstrapping makes every two-input gate cost one PBS
-//! (+ keyswitch); a circuit's simulator workload is therefore a PBS
-//! batch per topological level. The executable counterparts below are
-//! used by integration tests and examples to demonstrate end-to-end
-//! correctness of the same circuits the graphs describe.
+//! Each circuit is written once. The runtime streams the program, the
+//! analyzer vets its noise budget, [`Program::run_sync`] is its
+//! synchronous reference, and the simulator's computational graph is
+//! derived from it ([`Program::workload`]), so the PBS count the
+//! simulator prices is the count the runtime runs. As built, every
+//! two-input gate costs one PBS (+ keyswitch); the runtime runs the
+//! lowered form ([`Program::lowered`]) whenever admission clears it.
 
-use strix_core::Workload;
 use strix_runtime::session::{Program, Wire};
-use strix_tfhe::boolean::{BinaryGate, BoolCiphertext};
-use strix_tfhe::{ServerKey, TfheError};
-
-/// Simulator workload of a `bits`-bit ripple-carry adder: each bit
-/// position costs 5 gates (2 XOR, 2 AND, 1 OR), dependent level by
-/// level.
-pub fn adder_workload(bits: usize) -> Workload {
-    let mut w = Workload::new(format!("ripple-carry-{bits}"));
-    for b in 0..bits {
-        w = w.pbs(5, format!("bit-{b} full adder"));
-    }
-    w
-}
-
-/// Simulator workload of a `bits × bits` array multiplier:
-/// `bits²` partial-product ANDs plus `bits − 1` ripple additions of
-/// 5 gates per bit position.
-pub fn multiplier_workload(bits: usize) -> Workload {
-    let mut w = Workload::new(format!("array-multiplier-{bits}"));
-    w = w.pbs(bits * bits, "partial products (AND)");
-    for row in 1..bits {
-        w = w.pbs(5 * bits, format!("row-{row} adder"));
-    }
-    w
-}
-
-/// Simulator workload of one AES S-box over gate bootstrapping, using
-/// the Boyar–Peralta circuit size (32 AND, 83 XOR/XNOR) — every gate
-/// one PBS in TFHE.
-pub fn aes_sbox_workload() -> Workload {
-    Workload::new("aes-sbox").pbs(83, "linear layers (XOR/XNOR)").pbs(32, "nonlinear core (AND)")
-}
-
-/// Simulator workload of one fetch–decode–execute cycle of an
-/// encrypted `word_bits`-bit processor, the "emulating the CPU, which
-/// can run encrypted programs" application of §II-C (VSP, the paper's
-/// \[42\]). Gate counts are first-order estimates: an ALU (adder +
-/// logic unit), a 16-register file read via MUX trees, and the
-/// program-counter increment.
-pub fn processor_cycle_workload(word_bits: usize) -> Workload {
-    let regfile_muxes = 2 * (16 - 1) * word_bits; // two read ports
-    Workload::new(format!("encrypted-cpu-{word_bits}bit"))
-        .pbs(regfile_muxes, "register-file read (MUX tree)")
-        .pbs(5 * word_bits, "ALU adder")
-        .pbs(3 * word_bits, "ALU logic unit")
-        .pbs(word_bits, "writeback select")
-        .pbs(5 * word_bits, "PC increment")
-}
-
-/// Simulator workload of a `bits`-bit equality comparator: one XNOR
-/// per bit, then an AND-reduction tree.
-pub fn comparator_workload(bits: usize) -> Workload {
-    let mut w = Workload::new(format!("comparator-{bits}"));
-    w = w.pbs(bits, "bitwise XNOR");
-    let mut width = bits;
-    let mut level = 0;
-    while width > 1 {
-        let pairs = width / 2;
-        w = w.pbs(pairs, format!("AND reduce level {level}"));
-        width = pairs + (width % 2);
-        level += 1;
-    }
-    w
-}
-
-/// Homomorphic full adder: returns `(sum, carry_out)`.
-///
-/// # Errors
-///
-/// Propagates [`TfheError`] from the underlying gates.
-pub fn full_adder(
-    server: &ServerKey,
-    a: &BoolCiphertext,
-    b: &BoolCiphertext,
-    carry_in: &BoolCiphertext,
-) -> Result<(BoolCiphertext, BoolCiphertext), TfheError> {
-    let ab = server.xor(a, b)?;
-    let sum = server.xor(&ab, carry_in)?;
-    let t1 = server.and(a, b)?;
-    let t2 = server.and(&ab, carry_in)?;
-    let carry = server.or(&t1, &t2)?;
-    Ok((sum, carry))
-}
-
-/// Homomorphic ripple-carry addition of two little-endian bit vectors;
-/// returns `bits + 1` output bits (the last is the carry out).
-///
-/// # Errors
-///
-/// Returns [`TfheError::ParameterMismatch`] if the operand lengths
-/// differ, and propagates gate errors.
-pub fn ripple_carry_add(
-    server: &ServerKey,
-    a: &[BoolCiphertext],
-    b: &[BoolCiphertext],
-) -> Result<Vec<BoolCiphertext>, TfheError> {
-    if a.len() != b.len() {
-        return Err(TfheError::ParameterMismatch {
-            what: "operand bit width",
-            left: a.len(),
-            right: b.len(),
-        });
-    }
-    let n = server.params().lwe_dimension;
-    let mut carry = BoolCiphertext::trivial(n, false);
-    let mut out = Vec::with_capacity(a.len() + 1);
-    for (x, y) in a.iter().zip(b) {
-        let (sum, c) = full_adder(server, x, y, &carry)?;
-        out.push(sum);
-        carry = c;
-    }
-    out.push(carry);
-    Ok(out)
-}
-
-/// Homomorphic equality test of two little-endian bit vectors.
-///
-/// # Errors
-///
-/// Returns [`TfheError::ParameterMismatch`] on width mismatch and
-/// propagates gate errors.
-pub fn equals(
-    server: &ServerKey,
-    a: &[BoolCiphertext],
-    b: &[BoolCiphertext],
-) -> Result<BoolCiphertext, TfheError> {
-    if a.len() != b.len() {
-        return Err(TfheError::ParameterMismatch {
-            what: "operand bit width",
-            left: a.len(),
-            right: b.len(),
-        });
-    }
-    let mut acc: Option<BoolCiphertext> = None;
-    for (x, y) in a.iter().zip(b) {
-        let eq = server.xnor(x, y)?;
-        acc = Some(match acc {
-            None => eq,
-            Some(prev) => server.and(&prev, &eq)?,
-        });
-    }
-    Ok(acc.unwrap_or_else(|| BoolCiphertext::trivial(server.params().lwe_dimension, true)))
-}
-
-/// Homomorphic unsigned greater-than of two little-endian bit vectors:
-/// `a > b`.
-///
-/// Iterates from the least significant bit with the classic recurrence
-/// `gt = (a_i AND NOT b_i) OR (gt AND NOT (a_i XOR b_i))`.
-///
-/// # Errors
-///
-/// Returns [`TfheError::ParameterMismatch`] on width mismatch and
-/// propagates gate errors.
-pub fn greater_than(
-    server: &ServerKey,
-    a: &[BoolCiphertext],
-    b: &[BoolCiphertext],
-) -> Result<BoolCiphertext, TfheError> {
-    if a.len() != b.len() {
-        return Err(TfheError::ParameterMismatch {
-            what: "operand bit width",
-            left: a.len(),
-            right: b.len(),
-        });
-    }
-    let n = server.params().lwe_dimension;
-    let mut gt = BoolCiphertext::trivial(n, false);
-    for (x, y) in a.iter().zip(b) {
-        let not_y = server.not(y);
-        let x_gt_y = server.and(x, &not_y)?;
-        let eq = server.xnor(x, y)?;
-        let keep = server.and(&gt, &eq)?;
-        gt = server.or(&x_gt_y, &keep)?;
-    }
-    Ok(gt)
-}
+use strix_tfhe::boolean::BinaryGate;
 
 /// Compiles a `bits`-bit ripple-carry adder into a dataflow
 /// [`Program`] for the streaming runtime: inputs are `a[0..bits]` then
 /// `b[0..bits]` (little-endian boolean ciphertexts), outputs are the
 /// `bits + 1` sum bits. The first bit position is a half adder; later
-/// positions are the 5-gate full adder of [`full_adder`], so the
-/// decrypted outputs match [`ripple_carry_add`].
+/// positions are the 5-gate full adder (2 XOR, 2 AND, 1 OR).
 ///
 /// Each bit level exposes 2–3 independent gates, and independent
 /// levels from *concurrent* sessions interleave into shared epochs —
 /// the whole point of streaming circuits instead of running them
 /// synchronously.
 ///
-/// The builder emits one request per gate — 17 at depth 7 for 4 bits —
-/// but the runtime runs the program's lowered form
-/// ([`Program::lowered`]) whenever admission clears it: each full adder
-/// becomes one majority and one three-way parity bootstrap, 8 requests
-/// at depth 4 for 4 bits.
+/// The builder emits one request per gate — 17 at depth 7 for 4 bits,
+/// 37 at depth 15 for 8 — but the runtime runs the program's lowered
+/// form ([`Program::lowered`]) whenever admission clears it: each full
+/// adder becomes one majority and one three-way parity bootstrap, 8
+/// requests at depth 4 for 4 bits, 16 at depth 8 for 8.
 ///
 /// # Panics
 ///
@@ -237,8 +61,9 @@ pub fn ripple_carry_adder_program(bits: usize) -> Program {
 /// Compiles a `bits`-bit equality comparator into a dataflow
 /// [`Program`]: inputs are `a[0..bits]` then `b[0..bits]`, the single
 /// output is `a == b`. One XNOR per bit (all independent — a full
-/// level of parallel epoch slots), then a balanced AND-reduction tree
-/// mirroring [`comparator_workload`]'s level structure.
+/// level of parallel epoch slots), then a balanced AND-reduction tree:
+/// `2·bits − 1` requests, 15 for 8 bits as levels of 8, 4, 2 and 1.
+/// No cone of the tree collapses, so lowering leaves it as built.
 ///
 /// # Panics
 ///
@@ -269,107 +94,128 @@ pub fn equality_program(bits: usize) -> Program {
     p
 }
 
+/// Compiles a `bits`-bit unsigned greater-than comparator into a
+/// dataflow [`Program`]: inputs are `a[0..bits]` then `b[0..bits]`, the
+/// single output is `a > b`. From the least significant bit it runs the
+/// recurrence `gt = (a_i AND NOT b_i) OR (gt AND (a_i XNOR b_i))`, with
+/// `gt = a_0 AND NOT b_0` at bit 0: `4·bits − 3` requests at depth
+/// `2·bits − 1` as built. Each step is the majority of `a_i`, `NOT b_i`
+/// and the previous `gt`, which lowering finds: `bits` requests at depth
+/// `bits`.
+///
+/// # Panics
+///
+/// Panics if `bits == 0`.
+pub fn greater_than_program(bits: usize) -> Program {
+    let mut p = Program::new(2 * bits);
+    let mut gt: Option<Wire> = None;
+    for i in 0..bits {
+        let (a, b) = (Wire::Input(i), Wire::Input(bits + i));
+        let not_b = p.not(b);
+        let a_above_b = p.gate(BinaryGate::And, a, not_b);
+        gt = Some(match gt {
+            None => a_above_b,
+            Some(below) => {
+                let eq = p.gate(BinaryGate::Xnor, a, b);
+                let keep = p.gate(BinaryGate::And, below, eq);
+                p.gate(BinaryGate::Or, a_above_b, keep)
+            }
+        });
+    }
+    p.output(gt.expect("comparator needs at least one bit"));
+    p
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strix_core::Workload;
+    use strix_tfhe::bootstrap::decode_bool;
     use strix_tfhe::prelude::*;
 
-    fn keys() -> (ClientKey, ServerKey) {
-        generate_keys(&TfheParameters::testing_fast(), 1234)
+    /// `a`'s then `b`'s little-endian bits: the input order of every
+    /// program here.
+    fn operand_bits(a: u64, b: u64, bits: usize) -> Vec<bool> {
+        [a, b].iter().flat_map(|v| (0..bits).map(move |i| (v >> i) & 1 == 1)).collect()
     }
 
-    fn encrypt_bits(client: &mut ClientKey, value: u64, bits: usize) -> Vec<BoolCiphertext> {
-        (0..bits).map(|i| client.encrypt_bool((value >> i) & 1 == 1)).collect()
+    /// The four little-endian bits of the sum of two 3-bit operands.
+    fn sum_bits(a: u64, b: u64) -> Vec<bool> {
+        (0..4).map(|i| ((a + b) >> i) & 1 == 1).collect()
     }
 
-    fn decrypt_bits(client: &ClientKey, cts: &[BoolCiphertext]) -> u64 {
-        cts.iter().enumerate().map(|(i, c)| (client.decrypt_bool(c) as u64) << i).sum()
+    fn pbs_per_level(w: &Workload) -> Vec<usize> {
+        w.nodes().iter().map(|n| n.pbs_count()).collect()
+    }
+
+    /// Checks `program` and its lowered form against `expected` on
+    /// every pair of 3-bit operands, in plaintext.
+    fn exhaustive_3bit(program: &Program, expected: impl Fn(u64, u64) -> Vec<bool>) {
+        for (a, b) in (0..8u64).flat_map(|a| (0..8u64).map(move |b| (a, b))) {
+            for form in [program, program.lowered()] {
+                let out = form.evaluate_plain(&operand_bits(a, b, 3)).unwrap();
+                assert_eq!(out, expected(a, b), "({a}, {b})");
+            }
+        }
+    }
+
+    /// Runs `program` with `run_sync` on encrypted operands: the
+    /// decryptions match its plaintext gate evaluation and `expected`.
+    fn check_encrypted(
+        program: &Program,
+        bits: usize,
+        cases: &[(u64, u64)],
+        expected: impl Fn(u64, u64) -> Vec<bool>,
+    ) {
+        let (mut client, server) = generate_keys(&TfheParameters::testing_fast(), 1234);
+        for &(a, b) in cases {
+            let plain = operand_bits(a, b, bits);
+            let inputs: Vec<LweCiphertext> =
+                plain.iter().map(|&bit| client.encrypt_bool(bit).into_lwe()).collect();
+            let outs = program.run_sync(&server, &inputs).unwrap();
+            let decrypted: Vec<bool> =
+                outs.iter().map(|ct| decode_bool(client.decrypt_phase(ct).unwrap())).collect();
+            assert_eq!(decrypted, program.evaluate_plain(&plain).unwrap(), "({a}, {b})");
+            assert_eq!(decrypted, expected(a, b), "({a}, {b})");
+        }
     }
 
     #[test]
     fn adder_workload_counts() {
-        let w = adder_workload(8);
-        assert_eq!(w.total_pbs(), 40);
-        assert_eq!(w.len(), 8);
+        // As built the carry chain adds two levels per bit: 37 PBS over
+        // 15 levels. Lowered: a majority and a parity per full adder.
+        let adder = ripple_carry_adder_program(8);
+        let built = adder.workload();
+        assert_eq!((built.total_pbs(), built.len()), (37, 15));
+        assert_eq!(pbs_per_level(&adder.lowered().workload()), [2; 8]);
     }
 
     #[test]
     fn comparator_workload_counts() {
-        // 8 XNOR + 4 + 2 + 1 AND = 15 gates.
-        let w = comparator_workload(8);
-        assert_eq!(w.total_pbs(), 15);
-    }
-
-    #[test]
-    fn multiplier_workload_counts() {
-        // 8² partial products + 7 rows × 40 adder gates.
-        let w = multiplier_workload(8);
-        assert_eq!(w.total_pbs(), 64 + 7 * 40);
-    }
-
-    #[test]
-    fn aes_sbox_is_boyar_peralta_sized() {
-        assert_eq!(aes_sbox_workload().total_pbs(), 115);
-    }
-
-    #[test]
-    fn processor_cycle_scales_with_word_size() {
-        let w16 = processor_cycle_workload(16);
-        let w32 = processor_cycle_workload(32);
-        assert_eq!(w16.total_pbs() * 2, w32.total_pbs());
-        // A 16-bit encrypted CPU cycle costs several hundred PBS — the
-        // scale that motivates throughput-oriented accelerators.
-        assert!(w16.total_pbs() > 500, "{}", w16.total_pbs());
+        // 8 XNOR, then 4 + 2 + 1 AND; lowering keeps every gate.
+        let equality = equality_program(8);
+        assert_eq!(pbs_per_level(&equality.workload()), [8, 4, 2, 1]);
+        assert_eq!(equality.lowered().workload(), equality.workload());
     }
 
     #[test]
     fn ripple_carry_adds_correctly() {
-        let (mut client, server) = keys();
-        for (a, b) in [(3u64, 5u64), (7, 1), (0, 0), (6, 7)] {
-            let ca = encrypt_bits(&mut client, a, 3);
-            let cb = encrypt_bits(&mut client, b, 3);
-            let sum = ripple_carry_add(&server, &ca, &cb).unwrap();
-            assert_eq!(sum.len(), 4);
-            assert_eq!(decrypt_bits(&client, &sum), a + b, "{a}+{b}");
-        }
+        exhaustive_3bit(&ripple_carry_adder_program(3), sum_bits);
     }
 
     #[test]
     fn equality_test() {
-        let (mut client, server) = keys();
-        let a = encrypt_bits(&mut client, 0b101, 3);
-        let b = encrypt_bits(&mut client, 0b101, 3);
-        let c = encrypt_bits(&mut client, 0b100, 3);
-        assert!(client.decrypt_bool(&equals(&server, &a, &b).unwrap()));
-        assert!(!client.decrypt_bool(&equals(&server, &a, &c).unwrap()));
+        exhaustive_3bit(&equality_program(3), |a, b| vec![a == b]);
     }
 
     #[test]
     fn greater_than_test() {
-        let (mut client, server) = keys();
-        for (a, b) in [(5u64, 3u64), (3, 5), (4, 4), (7, 0)] {
-            let ca = encrypt_bits(&mut client, a, 3);
-            let cb = encrypt_bits(&mut client, b, 3);
-            let gt = greater_than(&server, &ca, &cb).unwrap();
-            assert_eq!(client.decrypt_bool(&gt), a > b, "{a}>{b}");
-        }
-    }
-
-    #[test]
-    fn width_mismatch_is_rejected() {
-        let (mut client, server) = keys();
-        let a = encrypt_bits(&mut client, 1, 2);
-        let b = encrypt_bits(&mut client, 1, 3);
-        assert!(ripple_carry_add(&server, &a, &b).is_err());
-        assert!(equals(&server, &a, &b).is_err());
-        assert!(greater_than(&server, &a, &b).is_err());
-    }
-
-    #[test]
-    fn empty_equality_is_trivially_true() {
-        let (client, server) = keys();
-        let e = equals(&server, &[], &[]).unwrap();
-        assert!(client.decrypt_bool(&e));
+        let gt = greater_than_program(3);
+        exhaustive_3bit(&gt, |a, b| vec![a > b]);
+        let built = gt.workload();
+        assert_eq!((built.total_pbs(), built.len()), (9, 5));
+        assert_eq!(pbs_per_level(&gt.lowered().workload()), [1, 1, 1], "one majority per bit");
+        check_encrypted(&gt, 3, &[(5, 3), (3, 5), (4, 4), (7, 0)], |a, b| vec![a > b]);
     }
 
     #[test]
@@ -387,47 +233,25 @@ mod tests {
             let p = equality_program(bits);
             assert_eq!(p.input_count(), 2 * bits, "{bits} bits");
             assert_eq!(p.outputs().len(), 1);
-            assert_eq!(p.request_count(), comparator_workload(bits).total_pbs(), "{bits} bits");
+            let w = p.workload();
+            assert_eq!((p.request_count(), w.total_pbs()), (2 * bits - 1, 2 * bits - 1));
+            let tree_levels = bits.next_power_of_two().trailing_zeros() as usize;
+            assert_eq!(w.len(), 1 + tree_levels, "{bits} bits");
         }
     }
 
     #[test]
     fn adder_program_run_sync_matches_gate_execution() {
-        let (mut client, server) = keys();
-        const BITS: usize = 3;
-        for (a, b) in [(5u64, 3u64), (7, 7)] {
-            let ca = encrypt_bits(&mut client, a, BITS);
-            let cb = encrypt_bits(&mut client, b, BITS);
-            let inputs: Vec<_> = ca.iter().chain(&cb).map(|c| c.as_lwe().clone()).collect();
-            let program = ripple_carry_adder_program(BITS);
-            let outs = program.run_sync(&server, &inputs).unwrap();
-            let decoded: u64 = outs
-                .iter()
-                .enumerate()
-                .map(|(i, ct)| {
-                    let phase = client.decrypt_phase(ct).unwrap();
-                    (strix_tfhe::bootstrap::decode_bool(phase) as u64) << i
-                })
-                .sum();
-            assert_eq!(decoded, a + b, "{a}+{b}");
-            // ...and agrees with the synchronous ServerKey circuit.
-            let reference = ripple_carry_add(&server, &ca, &cb).unwrap();
-            let ref_decoded = decrypt_bits(&client, &reference);
-            assert_eq!(decoded, ref_decoded);
-        }
+        check_encrypted(
+            &ripple_carry_adder_program(3),
+            3,
+            &[(5, 3), (7, 7), (6, 7), (0, 0)],
+            sum_bits,
+        );
     }
 
     #[test]
     fn equality_program_run_sync_matches_equals() {
-        let (mut client, server) = keys();
-        const BITS: usize = 4;
-        for (a, b) in [(9u64, 9u64), (9, 10)] {
-            let ca = encrypt_bits(&mut client, a, BITS);
-            let cb = encrypt_bits(&mut client, b, BITS);
-            let inputs: Vec<_> = ca.iter().chain(&cb).map(|c| c.as_lwe().clone()).collect();
-            let outs = equality_program(BITS).run_sync(&server, &inputs).unwrap();
-            let phase = client.decrypt_phase(&outs[0]).unwrap();
-            assert_eq!(strix_tfhe::bootstrap::decode_bool(phase), a == b, "{a}=={b}");
-        }
+        check_encrypted(&equality_program(4), 4, &[(9, 9), (9, 10)], |a, b| vec![a == b]);
     }
 }

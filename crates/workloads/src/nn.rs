@@ -9,8 +9,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use strix_core::Workload;
 use strix_runtime::session::{Program, Wire};
 use strix_tfhe::bootstrap::Lut;
@@ -40,7 +38,7 @@ pub const ZAMA_POLY_SIZES: [usize; 3] = [1024, 2048, 4096];
 
 /// A Zama Deep-NN instance: `depth` layers (one convolution plus
 /// `depth − 1` dense layers), every activation bootstrapped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeepNn {
     /// Total layer count (NN-20, NN-50, NN-100).
     pub depth: usize,
@@ -98,6 +96,12 @@ impl DeepNn {
 
     /// Builds the computational graph: alternating linear layers and
     /// ReLU PBS batches, in inference order.
+    ///
+    /// The one graph built by hand rather than derived with
+    /// [`Program::workload`]: an 840-input dense layer overruns the
+    /// 3-bit message space of the runnable [`ReluSchedule`] (at most
+    /// [`RELU_MAX_WIDTH`] inputs per neuron), so no `Program` of a
+    /// paper-scale network exists.
     pub fn workload(&self) -> Workload {
         let mut w = Workload::new(format!("NN-{}-N{}", self.depth, self.poly_size));
         // Convolution: each of the 840 outputs sums a KERNEL_H×KERNEL_W
@@ -202,23 +206,6 @@ impl ReluSchedule {
         Self { depth, width, weights, biases }
     }
 
-    /// Layer count.
-    #[inline]
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Neurons per layer (also the input activation count).
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Programmable bootstraps per inference: one per neuron.
-    pub fn total_pbs(&self) -> usize {
-        self.depth * self.width
-    }
-
     /// The quantised ReLU over the two's-complement 3-bit space:
     /// negative messages (`[4, 8)`) clamp to zero, positive ones to at
     /// most [`RELU_ACTIVATION_MAX`].
@@ -321,6 +308,8 @@ impl std::fmt::Display for ReluSchedule {
 
 #[cfg(test)]
 mod tests {
+    use strix_core::WorkloadNode;
+
     use super::*;
 
     #[test]
@@ -381,7 +370,6 @@ mod tests {
         let b = ReluSchedule::new(6, 3, 42);
         assert_eq!(a, b, "same seed, same schedule");
         assert_ne!(a, ReluSchedule::new(6, 3, 43), "different seed differs");
-        assert_eq!(a.total_pbs(), 18);
         assert_eq!(a.to_string(), "relu-nn-6x3");
         // Every reachable pre-activation stays inside the positive
         // half of the 3-bit space: width·act_max + bias ≤ 7.
@@ -407,8 +395,19 @@ mod tests {
         let nn = ReluSchedule::new(5, 2, 7);
         let program = nn.program(256).unwrap();
         assert_eq!(program.input_count(), 2);
-        assert_eq!(program.request_count(), nn.total_pbs());
         assert_eq!(program.outputs().len(), 2);
+        // Its derived graph: per layer, the neurons' weighted sums, then
+        // their ReLU bootstraps.
+        let workload = program.workload();
+        assert_eq!((workload.len(), workload.total_pbs()), (2 * 5, 5 * 2));
+        for layer in workload.nodes().chunks(2) {
+            let [WorkloadNode::Linear { outputs: 2, inputs_per_output: 1..=2, .. }, WorkloadNode::Pbs { lwes: 2, .. }] =
+                layer
+            else {
+                panic!("not a linear + PBS layer of width 2: {layer:?}");
+            };
+        }
+        assert_eq!(program.request_count(), workload.total_pbs());
     }
 
     #[test]

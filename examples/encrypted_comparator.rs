@@ -8,15 +8,11 @@
 //! ```
 
 use strix::core::{StrixConfig, StrixSimulator};
-use strix::tfhe::boolean::BoolCiphertext;
+use strix::tfhe::bootstrap::decode_bool;
 use strix::tfhe::prelude::*;
-use strix::workloads::gates;
+use strix::workloads::gates::{equality_program, greater_than_program};
 
 const BITS: usize = 8;
-
-fn encrypt_bits(client: &mut ClientKey, value: u64) -> Vec<BoolCiphertext> {
-    (0..BITS).map(|i| client.encrypt_bool((value >> i) & 1 == 1)).collect()
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = TfheParameters::testing_fast();
@@ -27,29 +23,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Alice's fortune (secret): {alice}");
     println!("Bob's fortune   (secret): {bob}");
 
-    let ca = encrypt_bits(&mut client, alice);
-    let cb = encrypt_bits(&mut client, bob);
+    // Both comparators take Alice's bits, then Bob's, little-endian.
+    let inputs: Vec<LweCiphertext> = [alice, bob]
+        .iter()
+        .flat_map(|v| (0..BITS).map(move |i| (v >> i) & 1 == 1))
+        .map(|bit| client.encrypt_bool(bit).into_lwe())
+        .collect();
 
-    let t0 = std::time::Instant::now();
-    let alice_richer = gates::greater_than(&server, &ca, &cb)?;
-    let equal = gates::equals(&server, &ca, &cb)?;
-    let elapsed = t0.elapsed();
-
-    println!("alice > bob  (homomorphic): {}", client.decrypt_bool(&alice_richer));
-    println!("alice == bob (homomorphic): {}", client.decrypt_bool(&equal));
-    assert_eq!(client.decrypt_bool(&alice_richer), alice > bob);
-    assert_eq!(client.decrypt_bool(&equal), alice == bob);
-
-    // The comparator as a workload graph on the accelerator.
-    let workload = gates::comparator_workload(BITS);
     let sim = StrixSimulator::new(StrixConfig::paper_default(), TfheParameters::set_i())?;
-    let report = sim.run_graph(&workload);
-    println!(
-        "\ncomparison circuits took {:.1} ms on this CPU; Strix would run the \
-         {}-PBS comparator graph in {:.3} ms",
-        elapsed.as_secs_f64() * 1e3,
-        report.total_pbs,
-        report.total_time_s * 1e3,
-    );
+    for (relation, program, expected) in [
+        ("alice > bob ", greater_than_program(BITS), alice > bob),
+        ("alice == bob", equality_program(BITS), alice == bob),
+    ] {
+        let t0 = std::time::Instant::now();
+        let outs = program.run_sync(&server, &inputs)?;
+        let elapsed = t0.elapsed();
+        let answer = decode_bool(client.decrypt_phase(&outs[0])?);
+        assert_eq!(answer, expected, "{relation}");
+
+        // The circuit as a workload graph on the accelerator, derived
+        // from the program that just ran.
+        let report = sim.run_graph(&program.lowered().workload());
+        println!(
+            "{relation} (homomorphic): {answer}  — {:.1} ms on this CPU; Strix would run its \
+             {}-PBS graph in {:.3} ms",
+            elapsed.as_secs_f64() * 1e3,
+            report.total_pbs,
+            report.total_time_s * 1e3,
+        );
+    }
     Ok(())
 }

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use strix::core::BatchGeometry;
+use strix::core::{BatchGeometry, Workload, WorkloadNode};
 use strix::runtime::session::{Program, ProgramSession, Wire};
 use strix::runtime::{AdmissionPolicy, KernelPolicy, Runtime, RuntimeConfig, TfheExecutor};
 use strix::tfhe::boolean::BinaryGate;
@@ -144,7 +144,7 @@ fn streamed_deep_nn_matches_synchronous_and_plaintext() {
     let session = ProgramSession::new(&program, inputs).unwrap();
     let streamed = session.run(&mut handle).unwrap();
     let report = runtime.shutdown();
-    assert_eq!(report.requests_completed, nn.total_pbs());
+    assert_eq!(report.requests_completed, program.workload().total_pbs());
     assert_eq!(report.requests_failed, 0);
 
     assert_eq!(streamed, sync, "streamed Deep-NN must be bit-identical to the sync path");
@@ -256,6 +256,13 @@ fn shape(program: &Program) -> (usize, usize, f64) {
     (analysis.reports.len(), analysis.pbs_depth, analysis.worst_margin_sigmas())
 }
 
+/// PBS per `Pbs` node of a derived workload: one entry per bootstrap
+/// level.
+fn pbs_levels(workload: &Workload) -> Vec<usize> {
+    let pbs = workload.nodes().iter().filter(|n| matches!(n, WorkloadNode::Pbs { .. }));
+    pbs.map(WorkloadNode::pbs_count).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -283,6 +290,11 @@ proptest! {
         prop_assert!(requests <= built_requests, "{} > {} requests", requests, built_requests);
         prop_assert!(depth <= built_depth, "depth {} > {}", depth, built_depth);
         prop_assert_eq!(program.bootstraps_removed(), built_requests - requests);
+        // The simulator's graph, derived from either form, prices
+        // exactly the requests the analyzer counts, one level per depth.
+        let graph = |p: &Program| (pbs_levels(&p.workload()).len(), p.workload().total_pbs());
+        prop_assert_eq!(graph(&program), (built_depth, built_requests));
+        prop_assert_eq!(graph(lowered), (depth, requests));
     }
 }
 
@@ -295,9 +307,15 @@ fn lowered_adder_runs_eight_requests_at_depth_four_and_equality_keeps_seven() {
     assert_eq!((requests, depth), (8, 4), "half adder + three MAJ/parity pairs");
     assert_eq!(adder.bootstraps_removed(), 9);
 
+    let workload = adder.lowered().workload();
+    assert_eq!(pbs_levels(&workload), [2, 2, 2, 2], "8 PBS over the 4 levels of the analyzer");
+
     let equality = equality_program(4);
     assert_eq!(shape(equality.lowered()).0, 7, "no three-leaf cone is a sign-LUT function");
     assert_eq!(equality.bootstraps_removed(), 0);
+    let workload = equality.lowered().workload();
+    assert_eq!(pbs_levels(&workload), [4, 2, 1]);
+    assert_eq!(pbs_levels(&workload).len(), shape(&equality).1);
 }
 
 /// Runs `program` once streamed through a runtime on `keys` admitting
@@ -335,6 +353,8 @@ fn admission_runs_the_lowered_form_and_counts_the_bootstraps_it_saves() {
     let (streamed, sync, report) = streamed_and_sync(keys(), &adder, 6.0, &bits);
     assert_eq!(streamed, sync, "streamed lowered adder must be bit-identical to run_sync");
     assert_eq!(report.requests_completed, shape(adder.lowered()).0);
+    // The simulator's graph of the admitted form prices what streamed.
+    assert_eq!(report.requests_completed, adder.lowered().workload().total_pbs());
     assert_eq!(report.bootstraps_lowered_away, adder.bootstraps_removed() as u64);
     assert!(report.summary().contains("bootstraps removed"));
 }

@@ -61,9 +61,14 @@ fn pbs_dominates_linear_time_in_nn_graphs() {
 
 #[test]
 fn gate_workloads_count_pbs_correctly() {
-    assert_eq!(gates::adder_workload(16).total_pbs(), 80);
-    assert_eq!(gates::comparator_workload(4).total_pbs(), 4 + 2 + 1);
-    assert_eq!(gates::comparator_workload(1).total_pbs(), 1);
+    // Derived from the programs the runtime serves: a half adder plus a
+    // majority and a parity per full adder once lowered.
+    let adder = gates::ripple_carry_adder_program(16);
+    assert_eq!(adder.workload().total_pbs(), 2 + 15 * 5);
+    assert_eq!(adder.lowered().workload().total_pbs(), 2 + 15 * 2);
+    let pbs_per_level = |w: &Workload| w.nodes().iter().map(|n| n.pbs_count()).collect::<Vec<_>>();
+    assert_eq!(pbs_per_level(&gates::equality_program(4).workload()), [4, 2, 1]);
+    assert_eq!(pbs_per_level(&gates::equality_program(8).workload()), [8, 4, 2, 1]);
 }
 
 #[test]
