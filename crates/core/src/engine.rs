@@ -178,6 +178,11 @@ impl StrixSimulator {
     }
 
     /// Simulates a batch of `num_lwes` independent bootstraps.
+    ///
+    /// A batch smaller than one epoch runs as one partial epoch whose
+    /// cores each stream only `⌈num_lwes / TvLP⌉` LWEs, so a lone PBS
+    /// completes in [`Self::pbs_latency_s`] less its I/O. Every other
+    /// field describes the steady state at the full core batch.
     pub fn pbs_report(&self, num_lwes: usize) -> PbsReport {
         let geometry = self.batch_geometry();
         let cb = geometry.core_batch;
@@ -192,7 +197,12 @@ impl StrixSimulator {
 
         // Two-stage pipeline across epochs: BR then (hidden) KS.
         let steady = br_epoch.max(ks_epoch);
-        let total_cycles = br_epoch + steady * (epochs as u64 - 1) + ks_epoch;
+        let total_cycles = if num_lwes < epoch_size {
+            let partial = num_lwes.max(1).div_ceil(geometry.tvlp);
+            n * self.iteration_cycles(partial) + self.ks.batch_cycles(partial)
+        } else {
+            br_epoch + steady * (epochs as u64 - 1) + ks_epoch
+        };
         let total_time_s = self.config.cycles_to_seconds(total_cycles as f64);
         let throughput = epoch_size as f64 / self.config.cycles_to_seconds(steady as f64);
 
@@ -408,6 +418,23 @@ mod tests {
         let added = r10.total_time_s - r1.total_time_s;
         let steady = r10.epoch_size as f64 / r10.throughput_pbs_per_s;
         assert!((added / (9.0 * steady) - 1.0).abs() < 1e-9, "added {added}");
+    }
+
+    #[test]
+    fn lone_partial_epoch_runs_at_its_own_core_batch() {
+        // One PBS streams one LWE through one core: the single-LWE
+        // latency less its ciphertext I/O, not a full core batch.
+        let s = sim(TfheParameters::set_i());
+        let r = s.pbs_report(1);
+        let io_s =
+            (s.mem.lwe_in_bytes + s.mem.lwe_out_bytes) as f64 / s.config.hbm.io_bytes_per_s();
+        let want = s.pbs_latency_s() - io_s;
+        assert!((r.total_time_s / want - 1.0).abs() < 1e-12, "{} vs {want}", r.total_time_s);
+        // A partial epoch costs no more than a full one and grows with
+        // its per-core share.
+        let full = s.pbs_report(r.epoch_size).total_time_s;
+        let half = s.pbs_report(r.epoch_size / 2).total_time_s;
+        assert!(r.total_time_s < half && half < full, "{} {half} {full}", r.total_time_s);
     }
 
     #[test]

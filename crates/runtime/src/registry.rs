@@ -60,9 +60,10 @@ pub struct KeyRegistryStats {
 }
 
 enum KeySource {
-    /// Compact transport form; the resident key can be re-expanded at
-    /// any time, so it is evictable.
-    Seeded(Box<SeededServerKey>),
+    /// Compact transport form, shared with every other holder of the
+    /// key; the resident key can be re-expanded at any time, so it is
+    /// evictable.
+    Seeded(SeededServerKey),
     /// Registered pre-expanded: the resident `Arc` is the only copy,
     /// so the slot is pinned (never evicted).
     Pinned,
@@ -129,6 +130,11 @@ impl KeyRegistry {
     /// it. Re-registering a tenant replaces its key material and drops
     /// any resident expansion.
     ///
+    /// The registry shares the key and never copies it: a
+    /// [`SeededServerKey`] is one immutable payload behind a reference
+    /// count, so registering `key.clone()` while the caller keeps `key`
+    /// costs no payload bytes.
+    ///
     /// # Panics
     ///
     /// Panics if the seeded key was generated for a different
@@ -140,7 +146,7 @@ impl KeyRegistry {
             "seeded key parameter set differs from the registry's"
         );
         let mut inner = lock_unpoisoned(&self.inner);
-        let slot = Slot { source: KeySource::Seeded(Box::new(key)), resident: None, last_use: 0 };
+        let slot = Slot { source: KeySource::Seeded(key), resident: None, last_use: 0 };
         if let Some(old) = inner.slots.insert(tenant, slot) {
             if old.resident.is_some() {
                 inner.resident_bytes = inner.resident_bytes.saturating_sub(self.key_bytes);
@@ -283,6 +289,21 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &revived), "re-expansion allocates fresh material");
         assert_eq!(first.key_bytes(), revived.key_bytes(), "same geometry either way");
         assert_eq!(registry.stats().misses, 3);
+    }
+
+    #[test]
+    fn registering_a_clone_leaves_the_callers_key_whole() {
+        let registry = KeyRegistry::with_resident_keys(params(), 1);
+        let key = seeded(41);
+        let bytes = key.transport_bytes();
+        registry.register_seeded(TenantId(1), key.clone());
+        let resident = registry.resolve(TenantId(1)).expect("registered");
+        // The caller's key still expands, to the key the registry holds.
+        let own = key.expand();
+        assert_eq!(key.transport_bytes(), bytes);
+        let mut client = ClientKey::generate(&params(), 41);
+        let (a, b) = (client.encrypt_bool(true), client.encrypt_bool(false));
+        assert_eq!(own.nand(&a, &b).unwrap(), resident.nand(&a, &b).unwrap());
     }
 
     #[test]

@@ -1184,21 +1184,25 @@ impl ClassicalBootstrapKey {
     /// its stored body polynomials and the CRS mask stream (drawn in
     /// generation order), then runs the usual Fourier materialisation.
     ///
+    /// `bodies` is entry-major: per secret bit, `(k+1)·l` rows of `N`
+    /// coefficients.
+    ///
     /// # Panics
     ///
-    /// Panics if `bodies` does not hold one entry per secret bit with
-    /// `(k+1)·l` rows each (transport payload invariant).
+    /// Panics if `bodies` does not hold one such entry per secret bit
+    /// (transport payload invariant).
     pub(crate) fn from_seeded_parts(
-        bodies: &[Vec<TorusPolynomial>],
+        bodies: &[u64],
         params: &TfheParameters,
         crs: &mut NoiseSampler,
     ) -> Self {
-        assert_eq!(bodies.len(), params.lwe_dimension, "seeded bsk entry count");
+        let entry_len = params.ggsw_row_count() * params.polynomial_size;
+        assert_eq!(bodies.len(), params.lwe_dimension * entry_len, "seeded bsk body words");
         Self::from_entries(params, params.lwe_dimension, |decomp, fft| {
             let mut coeffs = Vec::new();
             layout::PerBit(
                 bodies
-                    .iter()
+                    .chunks_exact(entry_len)
                     .map(|entry| seeded_entry(entry, params, decomp, fft, crs, &mut coeffs))
                     .collect(),
             )
@@ -1298,16 +1302,17 @@ impl MultiBitBootstrapKey {
     }
 
     /// Expansion half of seeded key transport: rebuilds every pattern
-    /// entry from its stored body polynomials (`entries`, group-major
-    /// then pattern) and the CRS mask stream (drawn in the same order),
-    /// then runs the usual Fourier materialisation.
+    /// entry from its stored body polynomials (`bodies`, group-major
+    /// then pattern, each entry `(k+1)·l` rows of `N` coefficients) and
+    /// the CRS mask stream (drawn in the same order), then runs the
+    /// usual Fourier materialisation.
     ///
     /// # Panics
     ///
-    /// Panics if the entry count does not match the parameters
+    /// Panics if the body length does not match the parameters
     /// (transport payload invariant).
     pub(crate) fn from_seeded_parts(
-        entries: &[Vec<TorusPolynomial>],
+        bodies: &[u64],
         params: &TfheParameters,
         grouping_factor: usize,
         crs: &mut NoiseSampler,
@@ -1315,11 +1320,12 @@ impl MultiBitBootstrapKey {
         check_grouping(grouping_factor, params.lwe_dimension);
         let widths = group_widths(params.lwe_dimension, grouping_factor);
         let patterns: usize = widths.clone().map(|bits| 1usize << bits).sum();
-        assert_eq!(entries.len(), patterns, "seeded mbsk entry count");
+        let entry_len = params.ggsw_row_count() * params.polynomial_size;
+        assert_eq!(bodies.len(), patterns * entry_len, "seeded mbsk body words");
         Self::grouped(params, grouping_factor, |decomp, fft, staging| {
             let (k, n) = (params.glwe_dimension, fft.poly_size());
             let mut coeffs = Vec::new();
-            let mut entries = entries.iter();
+            let mut entries = bodies.chunks_exact(entry_len);
             widths
                 .map(|bits| {
                     tiled_group(1 << bits, staging, |_, spectra| {
@@ -1615,7 +1621,7 @@ fn trivial_entry(
 /// One key entry rebuilt from its transported bodies and the CRS stream,
 /// through `coeffs`, the coefficient buffer every entry of a key reuses.
 fn seeded_entry(
-    bodies: &[TorusPolynomial],
+    bodies: &[u64],
     params: &TfheParameters,
     decomp: DecompositionParams,
     fft: &NegacyclicFft,

@@ -282,12 +282,15 @@ impl FourierGgsw {
     /// Bit-identical to rebuilding the time-domain GGSW and calling
     /// [`GgswCiphertext::to_fourier`].
     ///
+    /// `bodies` holds the entry's `(k+1)·l` body polynomials back to
+    /// back, row-major, `N` coefficients each.
+    ///
     /// # Panics
     ///
-    /// Panics if `bodies` does not hold `(k+1)·l` polynomials of the
-    /// plan's size (transport payload invariant).
+    /// Panics if `bodies` does not hold `(k+1)·l·N` words at the plan's
+    /// `N` (transport payload invariant).
     pub(crate) fn from_seeded_parts(
-        bodies: &[TorusPolynomial],
+        bodies: &[u64],
         decomp: DecompositionParams,
         glwe_dimension: usize,
         crs: &mut NoiseSampler,
@@ -311,27 +314,27 @@ impl FourierGgsw {
     ///
     /// # Panics
     ///
-    /// Panics if `bodies` does not hold `(k+1)·l` polynomials of `n`
+    /// Panics if `bodies` does not hold `(k+1)·l` rows of `n`
     /// coefficients (transport payload invariant).
     pub(crate) fn seeded_coefficients_into(
-        bodies: &[TorusPolynomial],
+        bodies: &[u64],
         decomp: DecompositionParams,
         glwe_dimension: usize,
         crs: &mut NoiseSampler,
         n: usize,
         coeffs: &mut Vec<i64>,
     ) {
+        let rows = (glwe_dimension + 1) * decomp.level;
         let row_len = (glwe_dimension + 1) * n;
-        assert_eq!(bodies.len(), (glwe_dimension + 1) * decomp.level, "seeded ggsw row count");
-        coeffs.resize(bodies.len() * row_len, 0);
+        assert_eq!(bodies.len(), rows * n, "seeded ggsw body words");
+        coeffs.resize(rows * row_len, 0);
         // lint:hot-path-start — per-GGSW seeded expansion must stay allocation-free
-        for (row, body) in coeffs.chunks_exact_mut(row_len).zip(bodies) {
-            assert_eq!(body.size(), n, "seeded ggsw body size");
+        for (row, body) in coeffs.chunks_exact_mut(row_len).zip(bodies.chunks_exact(n)) {
             let (masks, body_slot) = row.split_at_mut(glwe_dimension * n);
             for m in masks {
                 *m = crs.uniform_torus() as i64;
             }
-            for (s, &c) in body_slot.iter_mut().zip(body.coeffs()) {
+            for (s, &c) in body_slot.iter_mut().zip(body) {
                 *s = c as i64;
             }
         }
@@ -612,11 +615,12 @@ mod tests {
             &mut fx.rng,
             &mut crs,
         );
-        // Transport payload: the bodies only.
-        let bodies: Vec<TorusPolynomial> = ggsw.rows().iter().map(|r| r.body().clone()).collect();
+        // Transport payload: the bodies only, row after row.
+        let bodies: Vec<u64> =
+            ggsw.rows().iter().flat_map(|r| r.body().coeffs().iter().copied()).collect();
         let mut crs2 = NoiseSampler::from_seed(7);
         // Stale buffer contents must not leak into the expanded entry.
-        let mut coeffs = vec![-1i64; bodies.len() * 3 * fx.n];
+        let mut coeffs = vec![-1i64; bodies.len() * 3];
         let expanded =
             FourierGgsw::from_seeded_parts(&bodies, fx.decomp, 2, &mut crs2, &fx.fft, &mut coeffs);
         let bits = |g: &FourierGgsw| {

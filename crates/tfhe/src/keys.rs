@@ -16,9 +16,9 @@ use crate::glwe::GlweSecretKey;
 use crate::keyswitch::KeySwitchKey;
 use crate::lwe::{LweCiphertext, LweSecretKey};
 use crate::params::{PbsKernel, TfheParameters};
-use crate::poly::TorusPolynomial;
 use crate::rng::{derive_seed, NoiseSampler};
 use crate::TfheError;
+use std::sync::Arc;
 use strix_fft::StrixFftBackend;
 
 /// CRS stream labels: each seeded-key component regenerates its public
@@ -170,34 +170,32 @@ impl ClientKey {
                 .collect(),
         };
         let mut crs = NoiseSampler::from_derived_seed(crs_seed, bsk_crs_stream(&self.params));
-        let bsk_bodies = plaintexts
-            .into_iter()
-            .map(|m| {
-                let ggsw = GgswCiphertext::encrypt_scalar_seeded(
-                    m,
-                    &self.glwe_sk,
-                    decomp,
-                    noise_std,
-                    &mut self.rng,
-                    &mut crs,
-                );
-                ggsw.rows().iter().map(|r| r.body().clone()).collect()
-            })
-            .collect();
+        let entry_words = self.params.ggsw_row_count() * self.params.polynomial_size;
+        let mut bsk_bodies = Vec::with_capacity(plaintexts.len() * entry_words);
+        for m in plaintexts {
+            let ggsw = GgswCiphertext::encrypt_scalar_seeded(
+                m,
+                &self.glwe_sk,
+                decomp,
+                noise_std,
+                &mut self.rng,
+                &mut crs,
+            );
+            bsk_bodies.extend(ggsw.rows().iter().flat_map(|r| r.body().coeffs().iter().copied()));
+        }
         let mut crs = NoiseSampler::from_derived_seed(crs_seed, CRS_KSK_STREAM);
-        let ksk_bodies = KeySwitchKey::generate_seeded(
+        let ksk_bodies = KeySwitchKey::seeded_bodies(
             &self.extracted_sk,
             &self.lwe_sk,
             &self.params,
             &mut self.rng,
             &mut crs,
-        )
-        .bodies();
-        SeededServerKey {
-            params: self.params.clone(),
+        );
+        SeededServerKey::new(
+            self.params.clone(),
             crs_seed,
-            payload: SeededKeyPayload::Real { bsk_bodies, ksk_bodies },
-        }
+            SeededKeyPayload::Real { bsk_bodies, ksk_bodies },
+        )
     }
 }
 
@@ -310,22 +308,33 @@ impl ServerKey {
 /// [`NoiseSampler::from_derived_seed`] and materialises the Fourier-form
 /// [`ServerKey`] — the lazy, CPU-heavy half the runtime's key registry
 /// defers until a tenant's key first becomes resident.
+///
+/// The key is immutable and lives behind one [`Arc`]: a clone shares
+/// the payload (a reference-count bump, no bytes copied), so every
+/// holder of a tenant's key — the client that made it, the registry
+/// that expands it — accounts one payload between them.
 #[derive(Clone, Debug)]
 pub struct SeededServerKey {
+    shared: Arc<SeededKeyData>,
+}
+
+/// The shared, immutable contents of a [`SeededServerKey`].
+#[derive(Debug)]
+struct SeededKeyData {
     params: TfheParameters,
     crs_seed: u64,
     payload: SeededKeyPayload,
 }
 
 /// What the transport actually carries.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum SeededKeyPayload {
     /// Real bodies for both keys, in generation order.
     Real {
-        /// The blind-rotation key's entries, each `(k+1)·l` bodies: one
-        /// per LWE secret bit (classical), or group-major then pattern
-        /// (multi-bit).
-        bsk_bodies: Vec<Vec<TorusPolynomial>>,
+        /// The blind-rotation key's bodies, entry-major: per entry
+        /// `(k+1)·l` rows of `N` coefficients. One entry per LWE secret
+        /// bit (classical), or group-major then pattern (multi-bit).
+        bsk_bodies: Vec<u64>,
         /// One body element per keyswitching-key row.
         ksk_bodies: Vec<u64>,
     },
@@ -344,19 +353,23 @@ impl SeededServerKey {
     pub fn for_benchmark(params: &TfheParameters, crs_seed: u64) -> Self {
         // lint:allow(panic) documented constructor contract
         params.validate().expect("parameter set must be valid");
-        Self { params: params.clone(), crs_seed, payload: SeededKeyPayload::Benchmark }
+        Self::new(params.clone(), crs_seed, SeededKeyPayload::Benchmark)
+    }
+
+    fn new(params: TfheParameters, crs_seed: u64, payload: SeededKeyPayload) -> Self {
+        Self { shared: Arc::new(SeededKeyData { params, crs_seed, payload }) }
     }
 
     /// The parameter set this key was generated for.
     #[inline]
     pub fn params(&self) -> &TfheParameters {
-        &self.params
+        &self.shared.params
     }
 
     /// The transported CRS seed.
     #[inline]
     pub fn crs_seed(&self) -> u64 {
-        self.crs_seed
+        self.shared.crs_seed
     }
 
     /// Expands the transport form into a full evaluation key:
@@ -365,40 +378,36 @@ impl SeededServerKey {
     /// Fourier-domain keys. Deterministic — expanding twice yields
     /// bit-identical key material.
     pub fn expand(&self) -> ServerKey {
-        match &self.payload {
+        let SeededKeyData { params, crs_seed, payload } = &*self.shared;
+        match payload {
             SeededKeyPayload::Real { bsk_bodies, ksk_bodies } => {
-                let mut crs =
-                    NoiseSampler::from_derived_seed(self.crs_seed, bsk_crs_stream(&self.params));
-                let bsk = match self.params.pbs_kernel {
-                    PbsKernel::Classical => {
-                        BootstrapKey::Classical(ClassicalBootstrapKey::from_seeded_parts(
-                            bsk_bodies,
-                            &self.params,
-                            &mut crs,
-                        ))
-                    }
+                let mut crs = NoiseSampler::from_derived_seed(*crs_seed, bsk_crs_stream(params));
+                let bsk = match params.pbs_kernel {
+                    PbsKernel::Classical => BootstrapKey::Classical(
+                        ClassicalBootstrapKey::from_seeded_parts(bsk_bodies, params, &mut crs),
+                    ),
                     PbsKernel::MultiBit { grouping_factor } => {
                         BootstrapKey::MultiBit(MultiBitBootstrapKey::from_seeded_parts(
                             bsk_bodies,
-                            &self.params,
+                            params,
                             grouping_factor,
                             &mut crs,
                         ))
                     }
                 };
-                let mut crs = NoiseSampler::from_derived_seed(self.crs_seed, CRS_KSK_STREAM);
+                let mut crs = NoiseSampler::from_derived_seed(*crs_seed, CRS_KSK_STREAM);
                 let ksk = KeySwitchKey::from_seeded_parts(
                     ksk_bodies,
-                    &self.params,
-                    self.params.extracted_lwe_dimension(),
-                    self.params.lwe_dimension,
+                    params,
+                    params.extracted_lwe_dimension(),
+                    params.lwe_dimension,
                     &mut crs,
                 );
-                ServerKey { params: self.params.clone(), bsk, ksk }
+                ServerKey { params: params.clone(), bsk, ksk }
             }
             SeededKeyPayload::Benchmark => ServerKey::generate_for_benchmark(
-                &self.params,
-                derive_seed(self.crs_seed, CRS_BENCHMARK_STREAM),
+                params,
+                derive_seed(*crs_seed, CRS_BENCHMARK_STREAM),
             ),
         }
     }
@@ -410,13 +419,11 @@ impl SeededServerKey {
     /// ([`TfheParameters::seeded_server_key_bytes`]), so capacity
     /// benchmarks account transport at production ratios.
     pub fn transport_bytes(&self) -> usize {
-        match &self.payload {
+        match &self.shared.payload {
             SeededKeyPayload::Real { bsk_bodies, ksk_bodies } => {
-                let poly_bytes = self.params.polynomial_size * 8;
-                let bsk: usize = bsk_bodies.iter().map(|entry| entry.len() * poly_bytes).sum();
-                bsk + ksk_bodies.len() * 8 + 8
+                (bsk_bodies.len() + ksk_bodies.len() + 1) * 8
             }
-            SeededKeyPayload::Benchmark => self.params.seeded_server_key_bytes(),
+            SeededKeyPayload::Benchmark => self.shared.params.seeded_server_key_bytes(),
         }
     }
 }
@@ -643,6 +650,18 @@ mod tests {
         }
     }
 
+    #[test]
+    fn seeded_key_clones_share_one_payload() {
+        // Every holder of a tenant's key (client, registry) shares one
+        // payload; a clone must copy no bodies and expand identically.
+        let params = TfheParameters::testing_fast();
+        let seeded = ClientKey::generate(&params, 25).seeded_server_key(3);
+        let copy = seeded.clone();
+        assert!(Arc::ptr_eq(&seeded.shared, &copy.shared), "clone shares the payload");
+        assert_eq!(copy.transport_bytes(), seeded.transport_bytes());
+        assert_eq!(fnv(server_key_words(&copy.expand())), fnv(server_key_words(&seeded.expand())));
+    }
+
     /// FNV-1a over 64-bit words: a stable fingerprint of key material.
     fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
         words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| (h ^ w).wrapping_mul(0x100_0000_01b3))
@@ -686,16 +705,27 @@ mod tests {
         let ksk = fnv(ksk_words(&server.ksk));
         drop(server);
         let seeded = client.seeded_server_key(seed ^ 0x5eed);
-        let SeededKeyPayload::Real { bsk_bodies, ksk_bodies } = &seeded.payload else {
-            panic!("a client key ships real bodies");
-        };
-        let bodies = fnv(bsk_bodies
-            .iter()
-            .flatten()
-            .flat_map(|p| p.coeffs().iter().copied())
-            .chain(ksk_bodies.iter().copied()));
+        let bodies = fnv(payload_words(&seeded));
         let expanded = fnv(server_key_words(&seeded.expand()));
         [bsk, mbsk, ksk, bodies, expanded]
+    }
+
+    /// The words a real seeded payload ships, in generation order: every
+    /// blind-rotation body coefficient (entry, then row, then
+    /// coefficient), then the keyswitching-key bodies.
+    fn payload_words(seeded: &SeededServerKey) -> Vec<u64> {
+        let SeededKeyPayload::Real { bsk_bodies, ksk_bodies } = &seeded.shared.payload else {
+            panic!("a client key ships real bodies");
+        };
+        bsk_bodies.iter().chain(ksk_bodies).copied().collect()
+    }
+
+    /// Digests of a classical seeded key: its payload's bodies, then
+    /// the key `SeededServerKey::expand` materialises.
+    fn classical_seeded_digests(params: &TfheParameters, seed: u64) -> [u64; 2] {
+        let params = params.clone().with_kernel(PbsKernel::Classical);
+        let seeded = ClientKey::generate(&params, seed).seeded_server_key(seed ^ 0x5eed);
+        [fnv(payload_words(&seeded)), fnv(server_key_words(&seeded.expand()))]
     }
 
     /// Key generation and seeded expansion must reproduce these keys bit
@@ -733,6 +763,27 @@ mod tests {
                 "0x83ac37dfc94b6c2b",
                 "0xbe7f99640f80c99e",
             ],
+            "set-II"
+        );
+    }
+
+    /// The classical seeded path (the multi-tenant registry's transport
+    /// form) must reproduce these payloads and expansions bit for bit.
+    #[test]
+    fn classical_seeded_key_matches_golden_digests() {
+        let hex = |d: [u64; 2]| d.map(|x| format!("{x:#018x}"));
+        assert_eq!(
+            hex(classical_seeded_digests(&TfheParameters::testing_fast(), 3)),
+            ["0x47cae2fc0338b60f", "0x7bf971035f1f5502"],
+            "testing_fast"
+        );
+        // Set-II keygen is release-only, like the key digests.
+        if cfg!(debug_assertions) {
+            return;
+        }
+        assert_eq!(
+            hex(classical_seeded_digests(&TfheParameters::set_ii(), 4)),
+            ["0xb14f82f9b28ffc3a", "0x5bdca04a0eee162f"],
             "set-II"
         );
     }

@@ -51,37 +51,33 @@ impl KeySwitchKey {
         }
     }
 
-    /// Seeded generation: masks come from the shared CRS stream `crs`,
-    /// so transport only ships one body element per row — an `(n+1)×`
-    /// compression of the keyswitching key.
-    pub fn generate_seeded(
+    /// Seeded generation, bodies only: each row's mask is drawn from the
+    /// shared CRS stream `crs` into one reused buffer and only the row's
+    /// body element is kept — the transport payload, an `(n+1)×`
+    /// compression of the keyswitching key. Rows run `j * l_k + lvl`,
+    /// the order [`Self::from_seeded_parts`] regenerates the masks in.
+    pub(crate) fn seeded_bodies(
         from_key: &LweSecretKey,
         to_key: &LweSecretKey,
         params: &TfheParameters,
         noise_rng: &mut NoiseSampler,
         crs: &mut NoiseSampler,
-    ) -> Self {
+    ) -> Vec<u64> {
         let decomp = DecompositionParams::new(params.ks_base_log, params.ks_level);
-        let n = to_key.dimension();
-        let mut rows = Vec::with_capacity(from_key.dimension() * decomp.level);
+        let mut mask = vec![0u64; to_key.dimension()];
+        let mut bodies = Vec::with_capacity(from_key.dimension() * decomp.level);
         for &bit in from_key.bits() {
             for lvl in 1..=decomp.level {
                 let pt = bit.wrapping_mul(decomp.gadget_scale(lvl));
-                let mut mask = vec![0u64; n];
                 crs.fill_uniform(&mut mask);
-                rows.push(to_key.encrypt_with_mask(mask, pt, params.lwe_noise_std, noise_rng));
+                bodies.push(to_key.body_for_mask(&mask, pt, params.lwe_noise_std, noise_rng));
             }
         }
-        Self {
-            rows,
-            decomp,
-            input_dimension: from_key.dimension(),
-            output_dimension: to_key.dimension(),
-        }
+        bodies
     }
 
     /// Expansion half of seeded transport: regenerates the CRS masks in
-    /// the draw order of [`Self::generate_seeded`] and attaches the
+    /// the draw order of [`Self::seeded_bodies`] and attaches the
     /// stored body elements.
     ///
     /// # Panics
@@ -107,11 +103,6 @@ impl KeySwitchKey {
             })
             .collect();
         Self { rows, decomp, input_dimension, output_dimension }
-    }
-
-    /// The transport payload of a seeded key: one body element per row.
-    pub(crate) fn bodies(&self) -> Vec<u64> {
-        self.rows.iter().map(|r| r.body()).collect()
     }
 
     /// The key rows, `rows[j * l_k + lvl]` (key-material digests).

@@ -52,39 +52,32 @@ impl LweSecretKey {
         let n = self.dimension();
         let mut data = vec![0u64; n + 1];
         rng.fill_uniform(&mut data[..n]);
-        let mut body = plaintext.wrapping_add(rng.gaussian_torus(noise_std));
-        for (a, s) in data[..n].iter().zip(&self.bits) {
-            body = body.wrapping_add(a.wrapping_mul(*s));
-        }
-        data[n] = body;
+        data[n] = self.body_for_mask(&data[..n], plaintext, noise_std, rng);
         LweCiphertext { data }
     }
 
-    /// Encrypts a plaintext under a caller-supplied mask (seeded key
-    /// transport: the mask comes from a shared CRS stream, so only the
-    /// body element has to ship). Noise still comes from the private
-    /// `rng`.
+    /// The body element `m + e + Σ a_i s_i` of an encryption under a
+    /// caller-supplied mask — all that seeded key transport ships of a
+    /// row whose mask comes from a shared CRS stream. Noise comes from
+    /// the private `rng`.
     ///
     /// # Panics
     ///
     /// Panics if the mask length differs from the key dimension
     /// (internal key-generation invariant, not a runtime path).
-    pub(crate) fn encrypt_with_mask(
+    pub(crate) fn body_for_mask(
         &self,
-        mask: Vec<u64>,
+        mask: &[u64],
         plaintext: u64,
         noise_std: f64,
         rng: &mut NoiseSampler,
-    ) -> LweCiphertext {
-        let n = self.dimension();
-        assert_eq!(mask.len(), n, "mask length mismatch");
+    ) -> u64 {
+        assert_eq!(mask.len(), self.dimension(), "mask length mismatch");
         let mut body = plaintext.wrapping_add(rng.gaussian_torus(noise_std));
         for (a, s) in mask.iter().zip(&self.bits) {
             body = body.wrapping_add(a.wrapping_mul(*s));
         }
-        let mut data = mask;
-        data.push(body);
-        LweCiphertext { data }
+        body
     }
 
     /// Computes the phase `b − Σ a_i s_i = m + e`.
