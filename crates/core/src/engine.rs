@@ -179,10 +179,11 @@ impl StrixSimulator {
 
     /// Simulates a batch of `num_lwes` independent bootstraps.
     ///
-    /// A batch smaller than one epoch runs as one partial epoch whose
-    /// cores each stream only `⌈num_lwes / TvLP⌉` LWEs, so a lone PBS
-    /// completes in [`Self::pbs_latency_s`] less its I/O. Every other
-    /// field describes the steady state at the full core batch.
+    /// Every epoch but the last is full; the last carries the `r`
+    /// leftover LWEs, and its cores each stream only `⌈r / TvLP⌉` of
+    /// them, so a lone PBS completes in [`Self::pbs_latency_s`] less
+    /// its I/O. Every other field describes the steady state at the
+    /// full core batch.
     pub fn pbs_report(&self, num_lwes: usize) -> PbsReport {
         let geometry = self.batch_geometry();
         let cb = geometry.core_batch;
@@ -195,13 +196,16 @@ impl StrixSimulator {
         let br_epoch = n * eff_iter;
         let ks_epoch = self.ks.batch_cycles(cb);
 
-        // Two-stage pipeline across epochs: BR then (hidden) KS.
+        // Two-stage pipeline across epochs: each epoch's KS hides under
+        // the next epoch's BR.
         let steady = br_epoch.max(ks_epoch);
-        let total_cycles = if num_lwes < epoch_size {
-            let partial = num_lwes.max(1).div_ceil(geometry.tvlp);
-            n * self.iteration_cycles(partial) + self.ks.batch_cycles(partial)
-        } else {
-            br_epoch + steady * (epochs as u64 - 1) + ks_epoch
+        let full = epochs - 1;
+        let last_cb = (num_lwes - full * epoch_size).max(1).div_ceil(geometry.tvlp);
+        let (br_last, ks_last) =
+            (n * self.iteration_cycles(last_cb), self.ks.batch_cycles(last_cb));
+        let total_cycles = match full as u64 {
+            0 => br_last + ks_last,
+            f => br_epoch + steady * (f - 1) + br_last.max(ks_epoch) + ks_last,
         };
         let total_time_s = self.config.cycles_to_seconds(total_cycles as f64);
         let throughput = epoch_size as f64 / self.config.cycles_to_seconds(steady as f64);
@@ -421,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn lone_partial_epoch_runs_at_its_own_core_batch() {
+    fn partial_epoch_runs_at_its_own_core_batch() {
         // One PBS streams one LWE through one core: the single-LWE
         // latency less its ciphertext I/O, not a full core batch.
         let s = sim(TfheParameters::set_i());
@@ -435,6 +439,11 @@ mod tests {
         let full = s.pbs_report(r.epoch_size).total_time_s;
         let half = s.pbs_report(r.epoch_size / 2).total_time_s;
         assert!(r.total_time_s < half && half < full, "{} {half} {full}", r.total_time_s);
+        // A trailing partial epoch is priced the same way: one LWE past
+        // a full epoch costs less than a second full epoch.
+        let one_more = s.pbs_report(r.epoch_size + 1).total_time_s;
+        let two = s.pbs_report(2 * r.epoch_size).total_time_s;
+        assert!(full < one_more && one_more < two, "{full} {one_more} {two}");
     }
 
     #[test]

@@ -292,11 +292,14 @@ mod tests {
     }
 
     #[test]
-    fn registering_a_clone_leaves_the_callers_key_whole() {
+    fn registering_a_clone_shares_the_callers_key() {
         let registry = KeyRegistry::with_resident_keys(params(), 1);
         let key = seeded(41);
         let bytes = key.transport_bytes();
         registry.register_seeded(TenantId(1), key.clone());
+        // The registry holds a second handle on the caller's payload,
+        // not a copy of it.
+        assert_eq!(key.holders(), 2);
         let resident = registry.resolve(TenantId(1)).expect("registered");
         // The caller's key still expands, to the key the registry holds.
         let own = key.expand();
@@ -304,6 +307,9 @@ mod tests {
         let mut client = ClientKey::generate(&params(), 41);
         let (a, b) = (client.encrypt_bool(true), client.encrypt_bool(false));
         assert_eq!(own.nand(&a, &b).unwrap(), resident.nand(&a, &b).unwrap());
+        // Replacing the tenant's key drops the registry's handle.
+        registry.register_seeded(TenantId(1), seeded(42));
+        assert_eq!(key.holders(), 1);
     }
 
     #[test]

@@ -412,6 +412,12 @@ impl SeededServerKey {
         }
     }
 
+    /// How many handles share this key's one payload: the caller's and
+    /// every clone alive, such as the one a key registry holds.
+    pub fn holders(&self) -> usize {
+        Arc::strong_count(&self.shared)
+    }
+
     /// Bytes this key ships over the wire (bodies + the 8-byte seed).
     ///
     /// For the benchmark variant this reports the size a *real* payload
