@@ -313,6 +313,40 @@ mod tests {
     }
 
     #[test]
+    fn resolved_seeded_key_keyswitches_like_its_expansion() {
+        // The keyswitching key stays seeded through expansion: the key
+        // the registry resolves, the caller's own `expand()` and a
+        // revival after eviction regenerate one mask stream and switch
+        // bit for bit alike, while holding only bodies and a seed.
+        let p = params();
+        let registry = KeyRegistry::with_resident_keys(p.clone(), 1);
+        let key = seeded(51);
+        registry.register_seeded(TenantId(1), key.clone());
+        registry.register_seeded(TenantId(2), seeded(52));
+        let own = key.expand();
+        let mut client = ClientKey::generate(&p, 51);
+        let lut = strix_tfhe::bootstrap::Lut::sign(p.polynomial_size, 1 << 61);
+        let extracted: Vec<LweCiphertext> = [true, false, true]
+            .iter()
+            .map(|&bit| {
+                let ct = client.encrypt_bool(bit).into_lwe();
+                own.bootstrap_key().bootstrap(&ct, &lut).unwrap()
+            })
+            .collect();
+        let want = own.keyswitch_key().keyswitch_batch(&extracted).unwrap();
+        let resident = registry.resolve(TenantId(1)).expect("registered");
+        assert_eq!(resident.keyswitch_key().keyswitch_batch(&extracted).unwrap(), want);
+        let _evicts_tenant_1 = registry.resolve(TenantId(2)).expect("registered");
+        let revived = registry.resolve(TenantId(1)).expect("registered");
+        assert!(!Arc::ptr_eq(&resident, &revived), "tenant 1 was re-expanded");
+        for (ct, w) in extracted.iter().zip(&want) {
+            assert_eq!(&revived.keyswitch_key().keyswitch(ct).unwrap(), w);
+        }
+        let rows = p.extracted_lwe_dimension() * p.ks_level;
+        assert_eq!(resident.keyswitch_key().byte_size(), (rows + 1) * 8);
+    }
+
+    #[test]
     fn pinned_keys_count_but_never_evict() {
         let p = params();
         let registry = KeyRegistry::with_resident_keys(p.clone(), 1);

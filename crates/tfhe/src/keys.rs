@@ -123,7 +123,9 @@ impl ClientKey {
 
     /// Derives the matching server key: one blind-rotation key, of the
     /// parameter set's kernel ([`TfheParameters::pbs_kernel`]), then the
-    /// keyswitching key. A multi-bit server carries no classical key:
+    /// keyswitching key, whose masks come from their own public stream
+    /// seeded by one draw from this client's stream (its noise follows
+    /// that draw). A multi-bit server carries no classical key:
     /// every bootstrap on it, gates and LUTs included, runs the grouped
     /// kernel.
     pub fn server_key(&mut self) -> ServerKey {
@@ -183,14 +185,14 @@ impl ClientKey {
             );
             bsk_bodies.extend(ggsw.rows().iter().flat_map(|r| r.body().coeffs().iter().copied()));
         }
-        let mut crs = NoiseSampler::from_derived_seed(crs_seed, CRS_KSK_STREAM);
-        let ksk_bodies = KeySwitchKey::seeded_bodies(
+        let ksk_bodies = KeySwitchKey::with_mask_seed(
             &self.extracted_sk,
             &self.lwe_sk,
             &self.params,
+            derive_seed(crs_seed, CRS_KSK_STREAM),
             &mut self.rng,
-            &mut crs,
-        );
+        )
+        .into_bodies();
         SeededServerKey::new(
             self.params.clone(),
             crs_seed,
@@ -259,8 +261,8 @@ impl ServerKey {
     }
 
     /// Total evaluation-key footprint in bytes (blind-rotation key +
-    /// ksk) — the quantity Table I contrasts against CKKS's
-    /// gigabyte-scale keys.
+    /// ksk bodies and mask seed) — the quantity Table I contrasts against
+    /// CKKS's gigabyte-scale keys.
     pub fn key_bytes(&self) -> usize {
         self.bsk.byte_size() + self.ksk.byte_size()
     }
@@ -273,7 +275,7 @@ impl ServerKey {
     /// arithmetic, cryptographically meaningless), while the ksk is a
     /// real keyswitching key over freshly drawn secret keys — ksk
     /// generation is cheap, and a real ksk keeps the keyswitch path's
-    /// memory traffic honest. Suitable only for performance
+    /// work honest. Suitable only for performance
     /// measurements (the closed-loop SLO harness); outputs do not
     /// decrypt meaningfully.
     pub fn generate_for_benchmark(params: &TfheParameters, seed: u64) -> Self {
@@ -304,10 +306,12 @@ impl ServerKey {
 /// ships the 64-bit CRS seed plus only the *body* part of every key row
 /// (phantom-zone's seed-expansion idiom): `1/(k+1)` of the GGSW bytes
 /// and `1/(n+1)` of the keyswitching-key bytes. [`Self::expand`]
-/// regenerates the masks deterministically through
+/// regenerates the GGSW masks deterministically through
 /// [`NoiseSampler::from_derived_seed`] and materialises the Fourier-form
 /// [`ServerKey`] — the lazy, CPU-heavy half the runtime's key registry
-/// defers until a tenant's key first becomes resident.
+/// defers until a tenant's key first becomes resident. The
+/// keyswitching key stays seeded on the server too, so expansion only
+/// copies its bodies.
 ///
 /// The key is immutable and lives behind one [`Arc`]: a clone shares
 /// the payload (a reference-count bump, no bytes copied), so every
@@ -373,10 +377,11 @@ impl SeededServerKey {
     }
 
     /// Expands the transport form into a full evaluation key:
-    /// regenerates every mask from the CRS sub-streams in generation
-    /// order, attaches the stored bodies, and materialises the
-    /// Fourier-domain keys. Deterministic — expanding twice yields
-    /// bit-identical key material.
+    /// regenerates every blind-rotation-key mask from its CRS sub-stream
+    /// in generation order, attaches the stored bodies, and materialises
+    /// the Fourier-domain keys; the keyswitching key takes a copy of its
+    /// bodies and the seed of its CRS sub-stream. Deterministic —
+    /// expanding twice yields bit-identical key material.
     pub fn expand(&self) -> ServerKey {
         let SeededKeyData { params, crs_seed, payload } = &*self.shared;
         match payload {
@@ -395,13 +400,10 @@ impl SeededServerKey {
                         ))
                     }
                 };
-                let mut crs = NoiseSampler::from_derived_seed(*crs_seed, CRS_KSK_STREAM);
-                let ksk = KeySwitchKey::from_seeded_parts(
-                    ksk_bodies,
+                let ksk = KeySwitchKey::from_bodies(
+                    ksk_bodies.clone(),
+                    derive_seed(*crs_seed, CRS_KSK_STREAM),
                     params,
-                    params.extracted_lwe_dimension(),
-                    params.lwe_dimension,
-                    &mut crs,
                 );
                 ServerKey { params: params.clone(), bsk, ksk }
             }
@@ -474,7 +476,10 @@ mod tests {
         let params = TfheParameters::testing_fast();
         let (_, server) = generate_keys(&params, 7);
         assert!(server.multi_bit_bootstrap_key().is_none());
-        assert_eq!(server.key_bytes(), params.bootstrap_key_bytes() + params.keyswitch_key_bytes());
+        assert_eq!(
+            server.key_bytes(),
+            params.bootstrap_key_bytes() + params.seeded_keyswitch_key_bytes() + 8
+        );
     }
 
     #[test]
@@ -492,7 +497,7 @@ mod tests {
         assert_eq!(server.bootstrap_key().byte_size(), params.multi_bit_bootstrap_key_bytes(g));
         assert_eq!(
             server.key_bytes(),
-            params.multi_bit_bootstrap_key_bytes(g) + params.keyswitch_key_bytes()
+            params.multi_bit_bootstrap_key_bytes(g) + params.seeded_keyswitch_key_bytes() + 8
         );
         assert_eq!(server.key_bytes(), params.server_key_bytes());
     }
@@ -578,7 +583,10 @@ mod tests {
         assert_eq!(server.bootstrap_key().input_dimension(), params.lwe_dimension);
         assert_eq!(server.keyswitch_key().input_dimension(), params.extracted_lwe_dimension());
         assert_eq!(server.keyswitch_key().output_dimension(), params.lwe_dimension);
-        assert_eq!(server.key_bytes(), params.bootstrap_key_bytes() + params.keyswitch_key_bytes());
+        assert_eq!(
+            server.key_bytes(),
+            params.bootstrap_key_bytes() + params.seeded_keyswitch_key_bytes() + 8
+        );
         // The PBS+KS pipeline runs end to end with the benchmark key.
         let lut = crate::bootstrap::Lut::sign(params.polynomial_size, 1);
         let ct = LweCiphertext::trivial(params.lwe_dimension, 0);
@@ -680,8 +688,9 @@ mod tests {
         entries.flatten().map(f64::to_bits)
     }
 
-    fn ksk_words(ksk: &KeySwitchKey) -> impl Iterator<Item = u64> + '_ {
-        ksk.rows().iter().flat_map(|r| r.as_raw().iter().copied())
+    /// The keyswitching key's rows, masks regenerated from its stream.
+    fn ksk_words(ksk: &KeySwitchKey) -> impl Iterator<Item = u64> {
+        ksk.rows().into_iter().flat_map(|r| r.as_raw().to_vec())
     }
 
     fn bsk_words(bsk: &BootstrapKey) -> Box<dyn Iterator<Item = u64> + '_> {
@@ -698,8 +707,8 @@ mod tests {
     /// Digests of, in order: the classical bootstrapping key's Fourier
     /// planes (from a classical server), then from a g = 3 server of
     /// the same seed: its multi-bit key's planes, its keyswitching key's
-    /// raw words, its seeded payload's bodies, and the key
-    /// `SeededServerKey::expand` materialises.
+    /// rows (masks regenerated from its stream), its seeded payload's
+    /// bodies, and the key `SeededServerKey::expand` materialises.
     fn key_digests(params: &TfheParameters, seed: u64) -> [u64; 5] {
         let classical = params.clone().with_kernel(PbsKernel::Classical);
         let bsk = fnv(bsk_words(&ClientKey::generate(&classical, seed).server_key().bsk));
@@ -749,9 +758,9 @@ mod tests {
             [
                 "0xb790779d01601b11",
                 "0x7b06811f6ba7a018",
-                "0x00e9a852f60246e2",
-                "0x5e620177e1818530",
-                "0x93fa468b804f62b1",
+                "0x13aa55079bd6f86e",
+                "0x9d907e0d5d4d8914",
+                "0x248aeae6776e35f1",
             ],
             "testing_fast"
         );
@@ -765,9 +774,9 @@ mod tests {
             [
                 "0xbc0e087a5cd347af",
                 "0xc4acf765fc75fb9b",
-                "0x774a80c90adb8862",
-                "0x83ac37dfc94b6c2b",
-                "0xbe7f99640f80c99e",
+                "0x356e9af86501bfcf",
+                "0x693abc00187cfc52",
+                "0xdd58dcdf61f87259",
             ],
             "set-II"
         );
@@ -780,7 +789,7 @@ mod tests {
         let hex = |d: [u64; 2]| d.map(|x| format!("{x:#018x}"));
         assert_eq!(
             hex(classical_seeded_digests(&TfheParameters::testing_fast(), 3)),
-            ["0x47cae2fc0338b60f", "0x7bf971035f1f5502"],
+            ["0x099a346fa4532f79", "0x58613a8b6052affd"],
             "testing_fast"
         );
         // Set-II keygen is release-only, like the key digests.
@@ -789,7 +798,7 @@ mod tests {
         }
         assert_eq!(
             hex(classical_seeded_digests(&TfheParameters::set_ii(), 4)),
-            ["0xb14f82f9b28ffc3a", "0x5bdca04a0eee162f"],
+            ["0x663ebbe7e586ed6b", "0x2c3c823683e72c5d"],
             "set-II"
         );
     }
@@ -818,15 +827,15 @@ mod tests {
     /// any reordering of its floating-point work (key layout, assembly,
     /// VMA loop nest) that moves a single bit shows here. The values
     /// follow the one-key draw order (secrets on the seed's stream;
-    /// grouped key, ksk and encryptions on the g = 3 client
-    /// sub-stream); the kernel from before the re-base reproduces them
-    /// from those public draws.
+    /// grouped key, the ksk's mask seed and row noise, and encryptions
+    /// on the g = 3 client sub-stream); the kernel from before the
+    /// re-base reproduces them from those public draws.
     #[test]
     fn multi_bit_pbs_output_matches_golden_digest() {
         let hex = |d: u64| format!("{d:#018x}");
         assert_eq!(
             hex(multi_bit_output_digest(&TfheParameters::testing_fast(), 5)),
-            "0xb659e9d79d2e05bf",
+            "0xbcec7705467e05bf",
             "testing_fast"
         );
         // Set-II keygen and PBS are release-only, like the key digests.
@@ -835,7 +844,7 @@ mod tests {
         }
         assert_eq!(
             hex(multi_bit_output_digest(&TfheParameters::set_ii(), 6)),
-            "0x74d9ffa59cf999bf",
+            "0x9e0a136d82ad99bf",
             "set-II"
         );
     }

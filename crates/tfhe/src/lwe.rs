@@ -152,13 +152,6 @@ impl LweCiphertext {
         &self.data
     }
 
-    /// Crate-internal mutable element access for hot loops (keyswitch
-    /// fused multiply-subtract). Length is preserved by construction.
-    #[inline]
-    pub(crate) fn raw_mut(&mut self) -> &mut [u64] {
-        &mut self.data
-    }
-
     /// Mutable body access (used by gate offsets).
     #[inline]
     pub fn body_mut(&mut self) -> &mut u64 {

@@ -7,8 +7,8 @@
 //!
 //! 1. **hot-path-alloc** — no allocation calls (`Vec::new`, `vec!`,
 //!    `.to_vec()`, `.collect()`, `Box::new`) inside the designated
-//!    CMUX/blind-rotate, FFT-kernel, monomial-tile, key-product and
-//!    seeded-expansion regions, delimited in-source by
+//!    CMUX/blind-rotate, FFT-kernel, monomial-tile, key-product,
+//!    seeded-expansion and keyswitch row-walk regions, delimited in-source by
 //!    `// lint:hot-path-start` / `// lint:hot-path-end` markers.
 //! 2. **panic** — no `.unwrap()` / `.expect(` / `panic!` / `todo!` /
 //!    `unimplemented!` / `unreachable!` in non-test `runtime`, `tfhe`
@@ -64,6 +64,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/tfhe/src/decompose.rs",
     "crates/tfhe/src/glwe.rs",
     "crates/tfhe/src/ggsw.rs",
+    "crates/tfhe/src/keyswitch.rs",
     "crates/fft/src/soa.rs",
     "crates/fft/src/negacyclic.rs",
 ];
@@ -971,6 +972,10 @@ mod tests {
             self.write(
                 "crates/tfhe/src/ggsw.rs",
                 "// lint:hot-path-start\nfn expand() {}\n// lint:hot-path-end\n",
+            );
+            self.write(
+                "crates/tfhe/src/keyswitch.rs",
+                "// lint:hot-path-start\nfn walk() {}\n// lint:hot-path-end\n",
             );
             self.write(
                 "crates/fft/src/soa.rs",

@@ -15,8 +15,11 @@ use strix::workloads::gates::{equality_program, greater_than_program};
 const BITS: usize = 8;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let params = TfheParameters::testing_fast();
+    // One parameter set for the CPU run and the simulated accelerator,
+    // so the two timings compare like with like.
+    let params = TfheParameters::set_i();
     let (mut client, server) = generate_keys(&params, 0xA11CE);
+    println!("Parameter set: {} (CPU run and Strix simulation)", params.name);
 
     let alice = 173u64;
     let bob = 152u64;
@@ -30,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|bit| client.encrypt_bool(bit).into_lwe())
         .collect();
 
-    let sim = StrixSimulator::new(StrixConfig::paper_default(), TfheParameters::set_i())?;
+    let sim = StrixSimulator::new(StrixConfig::paper_default(), params.clone())?;
     for (relation, program, expected) in [
         ("alice > bob ", greater_than_program(BITS), alice > bob),
         ("alice == bob", equality_program(BITS), alice == bob),
