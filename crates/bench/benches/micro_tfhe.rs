@@ -2,12 +2,14 @@
 //! decomposition, external product, blind rotation, keyswitching, and
 //! a full bootstrapped gate — the CPU-side cost centres of Fig. 1 —
 //! plus the classical and multi-bit PBS kernels side by side on the
-//! same batch of inputs, and real set-II key generation and seeded-key
-//! expansion.
+//! same batch of inputs, and real set-II key generation (per GLWE row
+//! and per key) and seeded-key expansion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use strix_fft::NegacyclicFft;
 use strix_tfhe::bootstrap::{encode_bool, ClassicalBootstrapKey, Lut, PbsJob};
 use strix_tfhe::decompose::DecompositionParams;
+use strix_tfhe::glwe::GlweKeyProduct;
 use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::poly::TorusPolynomial;
 use strix_tfhe::prelude::*;
@@ -91,15 +93,27 @@ fn bench_pbs_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Real key material at set II: a classical server key, its seeded
-/// transport form, that form's expansion, and a multi-bit g = 3 server
-/// key (its grouped key alone). Every GLWE row of each key goes through
-/// the exact binary key product.
+/// Real key material at set II: one GLWE row's exact key product, a
+/// classical server key, its seeded transport form, that form's
+/// expansion, and a multi-bit g = 3 server key (its grouped key alone).
+/// Every GLWE row of each key goes through the key product.
 fn bench_keygen(c: &mut Criterion) {
     let mut group = c.benchmark_group("keygen");
     group.sample_size(10);
     let params = TfheParameters::set_ii();
     let mut client = ClientKey::generate(&params, 9);
+
+    // One row (k = 1, N = 1024) under the plan and key spectra a key
+    // generation call builds once: the per-row cost of every key below.
+    let fft = NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend).unwrap();
+    let mut product = GlweKeyProduct::new(client.glwe_secret_key(), &fft);
+    let mask: Vec<u64> =
+        (0..params.polynomial_size as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+    let mut body = vec![0u64; params.polynomial_size];
+    group.bench_function("key_product", |b| {
+        b.iter(|| product.add_product([mask.as_slice()], &mut body, false))
+    });
+
     group.bench_function("server_key", |b| b.iter(|| client.server_key()));
     group.bench_function("seeded_server_key", |b| b.iter(|| client.seeded_server_key(3)));
     let seeded = client.seeded_server_key(3);

@@ -345,9 +345,17 @@ impl NegacyclicFft {
         Ok(())
     }
 
-    /// Exact negacyclic product of two small-integer polynomials, rounded
-    /// to the nearest integer. Intended for tests and small values; exact
-    /// as long as intermediate magnitudes stay below 2^52.
+    /// Negacyclic product of two integer polynomials, each coefficient
+    /// rounded to the nearest integer.
+    ///
+    /// The result is exact whenever `‖a‖₂·‖b‖₂ ≤ 2⁴²` and `N ≤ 2¹⁶`.
+    /// Percival's bound for FFT convolution (unit roundoff `2⁻⁵³`,
+    /// directly evaluated twiddles, `log₂N` levels) keeps every output
+    /// coefficient within `2⁻⁴⁵·‖a‖₂·‖b‖₂ ≤ ⅛` of its true value, so
+    /// rounding cannot pick the wrong integer. The bound is on the
+    /// operands' norms, not on the size of the result: constant operands
+    /// `2²⁵−1` and `2¹⁶−1` at `N = 1024` (`‖a‖₂·‖b‖₂ ≈ 2⁵¹`) give
+    /// coefficients below `2⁵²` that come back off by one.
     ///
     /// # Errors
     ///
@@ -762,6 +770,28 @@ mod tests {
             let mut out = vec![0i64; n];
             fft.negacyclic_mul_i64(&a, &b, &mut out).unwrap();
             assert_eq!(out, expected, "n={n}");
+        }
+    }
+
+    /// Constant maximal operands at the documented bound
+    /// `‖a‖₂·‖b‖₂ = 2⁴²`, where every product coefficient is largest:
+    /// `a = ±2²¹`, `b = 2⁴²/(N·2²¹)`. The negacyclic product of two
+    /// constants `a`, `b` has coefficient `c` equal to `a·b·(2c + 2 − N)`.
+    #[test]
+    fn multiplication_is_exact_at_the_operand_norm_bound() {
+        for n in [1024usize, 1 << 14] {
+            let fft = NegacyclicFft::new(n).unwrap();
+            let b_value = (1i64 << 21) / n as i64;
+            for a_value in [1i64 << 21, -(1 << 21)] {
+                let a = vec![a_value; n];
+                let b = vec![b_value; n];
+                let mut out = vec![0i64; n];
+                fft.negacyclic_mul_i64(&a, &b, &mut out).unwrap();
+                for (c, &o) in out.iter().enumerate() {
+                    let want = a_value * b_value * (2 * c as i64 + 2 - n as i64);
+                    assert_eq!(o, want, "n={n} a={a_value} coefficient {c}");
+                }
+            }
         }
     }
 

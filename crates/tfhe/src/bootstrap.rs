@@ -93,7 +93,7 @@ use std::ops::Range;
 use strix_fft::{pointwise_mul_add_soa, MonomialTable, NegacyclicFft, SoaSpectrum};
 
 use crate::decompose::DecompositionParams;
-use crate::ggsw::{FourierGgsw, GgswCiphertext};
+use crate::ggsw::{FourierGgsw, GgswCiphertext, GgswKeygen};
 use crate::glwe::{GlweCiphertext, GlweSecretKey};
 use crate::lwe::{LweCiphertext, LweSecretKey};
 use crate::params::{PbsKernel, TfheParameters};
@@ -1159,7 +1159,12 @@ impl ClassicalBootstrapKey {
         rng: &mut NoiseSampler,
     ) -> Self {
         Self::from_entries(params, lwe_sk.bits().len(), |decomp, fft| {
-            let mut encrypt = |m| encrypted_entry(m, glwe_sk, params, decomp, fft, rng);
+            let mut keygen = GgswKeygen::new(glwe_sk, fft);
+            let mut coeffs = Vec::new();
+            let mut encrypt = |m| {
+                keygen.encrypt_scalar_into(m, decomp, params.glwe_noise_std, rng, &mut coeffs);
+                FourierGgsw::from_coefficients(&coeffs, decomp, params.glwe_dimension, fft)
+            };
             layout::PerBit(lwe_sk.bits().iter().map(|&s| encrypt(s)).collect())
         })
     }
@@ -1268,12 +1273,12 @@ impl MultiBitBootstrapKey {
     ) -> Self {
         check_grouping(grouping_factor, lwe_sk.bits().len());
         Self::grouped(params, grouping_factor, |decomp, fft, staging| {
+            let mut keygen = GgswKeygen::new(glwe_sk, fft);
             let mut coeffs = Vec::new();
             let group = |bits: &[u64]| {
                 tiled_group(1 << bits.len(), staging, |pattern, spectra| {
                     let m = pattern_indicator(bits, pattern);
-                    GgswCiphertext::encrypt_scalar(m, glwe_sk, decomp, params.glwe_noise_std, rng)
-                        .signed_coefficients_into(fft.poly_size(), &mut coeffs);
+                    keygen.encrypt_scalar_into(m, decomp, params.glwe_noise_std, rng, &mut coeffs);
                     transform_entry(fft, &coeffs, spectra);
                 })
             };
@@ -1593,18 +1598,6 @@ fn check_grouping(grouping_factor: usize, lwe_dimension: usize) {
         "grouping factor exceeds the supported maximum"
     );
     assert!(grouping_factor <= lwe_dimension, "grouping factor exceeds the lwe dimension");
-}
-
-/// One real key entry: a Fourier GGSW encryption of `m` under `glwe_sk`.
-fn encrypted_entry(
-    m: u64,
-    glwe_sk: &GlweSecretKey,
-    params: &TfheParameters,
-    decomp: DecompositionParams,
-    fft: &NegacyclicFft,
-    rng: &mut NoiseSampler,
-) -> FourierGgsw {
-    GgswCiphertext::encrypt_scalar(m, glwe_sk, decomp, params.glwe_noise_std, rng).to_fourier(fft)
 }
 
 /// A trivial GGSW of message 1: its gadget terms give the spectra

@@ -18,7 +18,7 @@
 use strix_fft::{Complex64, NegacyclicFft, SoaSpectrum};
 
 use crate::decompose::DecompositionParams;
-use crate::glwe::{GlweCiphertext, GlweSecretKey};
+use crate::glwe::{add_noise, GlweCiphertext, GlweKeyProduct, GlweSecretKey};
 use crate::poly::TorusPolynomial;
 use crate::profiler::{NoProbe, PbsStage, Probe, StageTimings, TimingProbe};
 use crate::rng::NoiseSampler;
@@ -38,6 +38,11 @@ pub struct GgswCiphertext {
 
 impl GgswCiphertext {
     /// Encrypts a small scalar (in blind rotation: a secret-key bit).
+    ///
+    /// Row `(j, lvl)` is a GLWE encryption of zero — `k` mask
+    /// polynomials, then `N` noise draws — with `m·q/B^{lvl+1}` added to
+    /// coefficient 0 of polynomial `j`. A one-off call builds its own
+    /// key product; key generation reuses one per key.
     pub fn encrypt_scalar(
         message: u64,
         glwe_sk: &GlweSecretKey,
@@ -45,27 +50,17 @@ impl GgswCiphertext {
         noise_std: f64,
         rng: &mut NoiseSampler,
     ) -> Self {
-        let k = glwe_sk.dimension();
-        let n = glwe_sk.poly_size();
-        let zero = TorusPolynomial::zero(n);
-        let mut rows = Vec::with_capacity((k + 1) * decomp.level);
-        for j in 0..=k {
-            for lvl in 1..=decomp.level {
-                let mut row = glwe_sk.encrypt(&zero, noise_std, rng);
-                let scale = decomp.gadget_scale(lvl);
-                // lint:allow(panic) shape invariant established at construction
-                let target = row.poly_mut(j).expect("row index within GLWE dimension");
-                target[0] = target[0].wrapping_add(message.wrapping_mul(scale));
-                rows.push(row);
-            }
-        }
-        Self { rows, decomp, glwe_dimension: k }
+        Self::row_by_row(message, glwe_sk, decomp, |keygen, j, gadget| {
+            keygen.classical_row(j, gadget, noise_std, rng);
+        })
     }
 
     /// Seeded encryption of a small scalar: every mask polynomial is
     /// drawn from the shared CRS stream `crs`, so only the body
     /// polynomials (one per row) have to ship — a `(k+1)×` transport
-    /// compression of the bootstrapping key.
+    /// compression of the bootstrapping key. Generation writes the
+    /// bodies alone ([`GgswKeygen::seeded_bodies_into`]); this form
+    /// keeps the masks too, for the tests that decrypt and expand it.
     ///
     /// The gadget term cannot be folded into a CRS mask (the receiver
     /// must regenerate masks from the seed alone), so each row instead
@@ -76,6 +71,7 @@ impl GgswCiphertext {
     /// classical row (`encrypt_scalar` adds the gadget to polynomial
     /// `j`, which shifts the phase by the same amount), so the external
     /// product is oblivious to which generation path produced the key.
+    #[cfg(test)]
     pub(crate) fn encrypt_scalar_seeded(
         message: u64,
         glwe_sk: &GlweSecretKey,
@@ -84,26 +80,30 @@ impl GgswCiphertext {
         noise_rng: &mut NoiseSampler,
         crs: &mut NoiseSampler,
     ) -> Self {
-        let k = glwe_sk.dimension();
-        let n = glwe_sk.poly_size();
-        let mut rows = Vec::with_capacity((k + 1) * decomp.level);
-        for j in 0..=k {
-            for lvl in 1..=decomp.level {
-                let gadget = message.wrapping_mul(decomp.gadget_scale(lvl));
-                let mut msg = TorusPolynomial::zero(n);
-                if j < k {
-                    let key = glwe_sk.polys()[j].coeffs();
-                    for (m, &s) in msg.coeffs_mut().iter_mut().zip(key) {
-                        *m = gadget.wrapping_mul(s).wrapping_neg();
-                    }
-                } else {
-                    msg[0] = gadget;
-                }
-                let masks = draw_crs_masks(k, n, crs);
-                rows.push(glwe_sk.encrypt_with_mask(masks, &msg, noise_std, noise_rng));
-            }
-        }
-        Self { rows, decomp, glwe_dimension: k }
+        Self::row_by_row(message, glwe_sk, decomp, |keygen, j, gadget| {
+            keygen.seeded_row(j, gadget, noise_std, noise_rng, crs);
+        })
+    }
+
+    /// A one-off GGSW of `message`: `row(keygen, j, gadget)` fills the
+    /// keygen's row `(j, lvl)`, whose gadget term is `gadget`, under a
+    /// plan and key product built for this call.
+    fn row_by_row(
+        message: u64,
+        glwe_sk: &GlweSecretKey,
+        decomp: DecompositionParams,
+        mut row: impl FnMut(&mut GgswKeygen<'_>, usize, u64),
+    ) -> Self {
+        let fft = glwe_sk.one_off_plan();
+        let mut keygen = GgswKeygen::new(glwe_sk, &fft);
+        let rows = (0..(glwe_sk.dimension() + 1) * decomp.level)
+            .map(|r| {
+                let gadget = message.wrapping_mul(decomp.gadget_scale(r % decomp.level + 1));
+                row(&mut keygen, r / decomp.level, gadget);
+                keygen.row_ciphertext()
+            })
+            .collect();
+        Self { rows, decomp, glwe_dimension: glwe_sk.dimension() }
     }
 
     /// A *trivial* (noiseless, zero-mask) GGSW encryption of `message`:
@@ -193,41 +193,151 @@ impl GgswCiphertext {
     ///
     /// Panics if `fft.poly_size()` differs from the ciphertext's.
     pub fn to_fourier(&self, fft: &NegacyclicFft) -> FourierGgsw {
-        let mut coeffs = Vec::new();
-        self.signed_coefficients_into(fft.poly_size(), &mut coeffs);
+        let n = fft.poly_size();
+        let polys = self.rows.iter().flat_map(GlweCiphertext::polys);
+        let coeffs: Vec<i64> = polys
+            .flat_map(|poly| {
+                assert_eq!(poly.size(), n, "ggsw polynomial size must match the fft plan");
+                poly.coeffs().iter().map(|&c| c as i64)
+            })
+            .collect();
         FourierGgsw::from_coefficients(&coeffs, self.decomp, self.glwe_dimension, fft)
     }
+}
 
-    /// Writes every polynomial's coefficients as signed words into
-    /// `coeffs` (row-major, then column; resized to `(k+1)·l·(k+1)·N`):
-    /// the input [`Self::to_fourier`] transforms in one batched call,
-    /// exposed so key builders can reuse one buffer across entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a polynomial is not `n` long.
-    pub(crate) fn signed_coefficients_into(&self, n: usize, coeffs: &mut Vec<i64>) {
-        coeffs.resize(self.rows.len() * (self.glwe_dimension + 1) * n, 0);
-        let polys = self.rows.iter().flat_map(GlweCiphertext::polys);
-        for (slot, poly) in coeffs.chunks_exact_mut(n).zip(polys) {
-            assert_eq!(poly.size(), n, "ggsw polynomial size must match the fft plan");
-            for (s, &c) in slot.iter_mut().zip(poly.coeffs()) {
+/// Per-key state of GGSW key generation: the Fourier-domain key product
+/// and one GLWE row (`k` masks, then the body), reused across every row
+/// of every entry of one key, so the row loop allocates nothing.
+///
+/// Each row draws exactly what the time-domain encryption draws, in
+/// the same order — its `k·N` mask words, then `N` noise words — and
+/// the product is exact, so every key is the one the window-sum
+/// product made, bit for bit.
+pub(crate) struct GgswKeygen<'a> {
+    glwe_sk: &'a GlweSecretKey,
+    product: GlweKeyProduct<'a>,
+    /// The current row: `k` mask polynomials, then the body.
+    row: Vec<u64>,
+}
+
+impl<'a> GgswKeygen<'a> {
+    /// Transforms `glwe_sk` under `fft` (a plan of the key's `N`, built
+    /// with the parameter set's backend) and sizes the row scratch.
+    pub(crate) fn new(glwe_sk: &'a GlweSecretKey, fft: &'a NegacyclicFft) -> Self {
+        let row = vec![0; (glwe_sk.dimension() + 1) * glwe_sk.poly_size()];
+        Self { glwe_sk, product: GlweKeyProduct::new(glwe_sk, fft), row }
+    }
+
+    // lint:hot-path-start — the key-generation row loop runs once per GLWE row of every key
+    /// Writes GGSW(`message`)'s signed coefficients — the
+    /// [`GgswCiphertext::encrypt_scalar`] rows, row-major then column —
+    /// into `coeffs`, resized to `(k+1)·l·(k+1)·N` words: the input of
+    /// one batched transform, bit-identical to what
+    /// [`GgswCiphertext::to_fourier`] transforms for that ciphertext.
+    pub(crate) fn encrypt_scalar_into(
+        &mut self,
+        message: u64,
+        decomp: DecompositionParams,
+        noise_std: f64,
+        rng: &mut NoiseSampler,
+        coeffs: &mut Vec<i64>,
+    ) {
+        let row_len = self.row.len();
+        coeffs.resize((self.glwe_sk.dimension() + 1) * decomp.level * row_len, 0);
+        for (r, slot) in coeffs.chunks_exact_mut(row_len).enumerate() {
+            let gadget = message.wrapping_mul(decomp.gadget_scale(r % decomp.level + 1));
+            self.classical_row(r / decomp.level, gadget, noise_std, rng);
+            for (s, &c) in slot.iter_mut().zip(&self.row) {
                 *s = c as i64;
             }
         }
     }
-}
 
-/// Draws `k` uniform mask polynomials from a CRS stream — the shared
-/// mask schedule of seeded generation and expansion.
-fn draw_crs_masks(k: usize, n: usize, crs: &mut NoiseSampler) -> Vec<TorusPolynomial> {
-    (0..k)
-        .map(|_| {
-            let mut m = TorusPolynomial::zero(n);
-            crs.fill_uniform(m.coeffs_mut());
-            m
-        })
-        .collect()
+    /// Writes the body polynomials of seeded GGSW(`message`) — the
+    /// bodies of the rows `GgswCiphertext::encrypt_scalar_seeded`
+    /// builds, row after row — into `bodies`; the masks are drawn from
+    /// `crs` and dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bodies` holds `(k+1)·l·N` words.
+    pub(crate) fn seeded_bodies_into(
+        &mut self,
+        message: u64,
+        decomp: DecompositionParams,
+        noise_std: f64,
+        noise_rng: &mut NoiseSampler,
+        crs: &mut NoiseSampler,
+        bodies: &mut [u64],
+    ) {
+        let (k, n) = (self.glwe_sk.dimension(), self.glwe_sk.poly_size());
+        assert_eq!(bodies.len(), (k + 1) * decomp.level * n, "seeded ggsw body words");
+        for (r, out) in bodies.chunks_exact_mut(n).enumerate() {
+            let gadget = message.wrapping_mul(decomp.gadget_scale(r % decomp.level + 1));
+            self.seeded_row(r / decomp.level, gadget, noise_std, noise_rng, crs);
+            out.copy_from_slice(&self.row[k * n..]);
+        }
+    }
+
+    /// Row `(j, ·)` of a classical GGSW whose gadget term is `gadget`:
+    /// masks and noise from `rng`, then the gadget added to
+    /// coefficient 0 of polynomial `j`.
+    fn classical_row(&mut self, j: usize, gadget: u64, noise_std: f64, rng: &mut NoiseSampler) {
+        let kn = self.glwe_sk.dimension() * self.glwe_sk.poly_size();
+        let (masks, body) = self.row.split_at_mut(kn);
+        rng.fill_uniform(masks);
+        body.fill(0);
+        self.encrypt_body(noise_std, rng);
+        let target = j * self.glwe_sk.poly_size();
+        self.row[target] = self.row[target].wrapping_add(gadget);
+    }
+
+    /// Row `(j, ·)` of a seeded GGSW whose gadget term is `gadget`:
+    /// masks from `crs`, the body encrypting the gadget's phase
+    /// contribution (`−gadget·S_j`, or the constant `gadget` at `j = k`)
+    /// with noise from `noise_rng`.
+    fn seeded_row(
+        &mut self,
+        j: usize,
+        gadget: u64,
+        noise_std: f64,
+        noise_rng: &mut NoiseSampler,
+        crs: &mut NoiseSampler,
+    ) {
+        let kn = self.glwe_sk.dimension() * self.glwe_sk.poly_size();
+        let (masks, body) = self.row.split_at_mut(kn);
+        crs.fill_uniform(masks);
+        match self.glwe_sk.polys().get(j) {
+            Some(key) => {
+                for (b, &s) in body.iter_mut().zip(key.coeffs()) {
+                    *b = gadget.wrapping_mul(s).wrapping_neg();
+                }
+            }
+            None => {
+                body.fill(0);
+                body[0] = gadget;
+            }
+        }
+        self.encrypt_body(noise_std, noise_rng);
+    }
+
+    /// Adds noise from `rng` and the key product of the row's masks to
+    /// the row's body (which holds the message).
+    fn encrypt_body(&mut self, noise_std: f64, rng: &mut NoiseSampler) {
+        let n = self.glwe_sk.poly_size();
+        let (masks, body) = self.row.split_at_mut(self.glwe_sk.dimension() * n);
+        add_noise(body, noise_std, rng);
+        self.product.add_product(masks.chunks_exact(n), body, false);
+    }
+    // lint:hot-path-end
+
+    /// The current row as a ciphertext (one-off encryptions only).
+    fn row_ciphertext(&self) -> GlweCiphertext {
+        let n = self.glwe_sk.poly_size();
+        let (masks, body) = self.row.split_at(self.glwe_sk.dimension() * n);
+        let masks = masks.chunks_exact(n).map(|m| TorusPolynomial::from_coeffs(m.to_vec()));
+        GlweCiphertext::from_parts(masks.collect(), TorusPolynomial::from_coeffs(body.to_vec()))
+    }
 }
 
 /// A GGSW ciphertext with every polynomial stored in the Fourier domain
@@ -260,7 +370,7 @@ pub struct FourierGgsw {
 impl FourierGgsw {
     /// Transforms the packed signed coefficients of `(k+1)·l·(k+1)`
     /// polynomials (row-major, then column) in one batched call.
-    fn from_coefficients(
+    pub(crate) fn from_coefficients(
         coeffs: &[i64],
         decomp: DecompositionParams,
         glwe_dimension: usize,

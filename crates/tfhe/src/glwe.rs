@@ -8,10 +8,12 @@
 //! ciphertext that the blind rotation rotates one secret bit at a time.
 
 use serde::{Deserialize, Serialize};
+use strix_fft::{pointwise_mul_add_soa, NegacyclicFft, SoaSpectrum};
 
 use crate::lwe::{LweCiphertext, LweSecretKey};
 use crate::poly::TorusPolynomial;
 use crate::rng::NoiseSampler;
+use crate::torus::f64_to_torus;
 use crate::TfheError;
 
 /// A binary GLWE secret key: `k` polynomials of `N` binary coefficients.
@@ -80,11 +82,10 @@ impl GlweSecretKey {
 
     /// Encrypts `message` under caller-supplied mask polynomials.
     ///
-    /// Seeded key transport draws the masks from a shared CRS stream so
-    /// only the body has to be stored; generation and expansion both
-    /// call this with identical masks, which keeps the two sides of the
-    /// transport bit-identical by construction. Noise still comes from
-    /// the private `rng`.
+    /// Noise comes from `rng`, one draw per body coefficient in order,
+    /// after whatever drew the masks; the key product draws nothing. A
+    /// one-off call builds its own plan and key spectra — key
+    /// generation builds one [`GlweKeyProduct`] per key instead.
     ///
     /// # Panics
     ///
@@ -97,18 +98,15 @@ impl GlweSecretKey {
         noise_std: f64,
         rng: &mut NoiseSampler,
     ) -> GlweCiphertext {
-        assert_eq!(masks.len(), self.dimension(), "mask vector length mismatch");
         assert_eq!(message.size(), self.poly_size(), "message polynomial size mismatch");
-        let n = self.poly_size();
-        let mut body = TorusPolynomial::zero(n);
-        for (b, &m) in body.coeffs_mut().iter_mut().zip(message.coeffs()) {
-            *b = m.wrapping_add(rng.gaussian_torus(noise_std));
-        }
-        let mut ext = vec![0u64; 2 * n];
-        for (mask, key) in masks.iter().zip(&self.polys) {
-            assert_eq!(mask.size(), n, "mask polynomial size mismatch");
-            add_binary_product(body.coeffs_mut(), mask.coeffs(), key.coeffs(), false, &mut ext);
-        }
+        let mut body = message.clone();
+        add_noise(body.coeffs_mut(), noise_std, rng);
+        let fft = self.one_off_plan();
+        GlweKeyProduct::new(self, &fft).add_product(
+            masks.iter().map(TorusPolynomial::coeffs),
+            body.coeffs_mut(),
+            false,
+        );
         GlweCiphertext { masks, body }
     }
 
@@ -133,32 +131,211 @@ impl GlweSecretKey {
             });
         }
         let mut phase = ct.body.clone();
-        let mut ext = vec![0u64; 2 * self.poly_size()];
-        for (mask, key) in ct.masks.iter().zip(&self.polys) {
-            add_binary_product(phase.coeffs_mut(), mask.coeffs(), key.coeffs(), true, &mut ext);
-        }
+        let fft = self.one_off_plan();
+        GlweKeyProduct::new(self, &fft).add_product(
+            ct.masks.iter().map(TorusPolynomial::coeffs),
+            phase.coeffs_mut(),
+            true,
+        );
         Ok(phase)
+    }
+
+    /// A transform plan for one-off key products. The product is exact
+    /// on every backend, so the runtime-detected one is as good as any.
+    pub(crate) fn one_off_plan(&self) -> NegacyclicFft {
+        NegacyclicFft::new(self.poly_size())
+            // lint:allow(panic) key polynomials come from power-of-two parameter sets
+            .expect("glwe key polynomial size must be a power of two")
     }
 }
 
-// lint:hot-path-start — the key product runs once per GLWE row of every key
+/// Adds one fresh Gaussian draw to each coefficient of `body`, in
+/// order: the noise half of a GLWE encryption.
+pub(crate) fn add_noise(body: &mut [u64], noise_std: f64, rng: &mut NoiseSampler) {
+    for b in body {
+        *b = b.wrapping_add(rng.gaussian_torus(noise_std));
+    }
+}
+
+/// Bits of each of the two low limbs of a split torus word.
+const LIMB_BITS: u32 = 22;
+
+/// Limbs per torus word: `t = l₀ + l₁·2²² + l₂·2⁴⁴ (mod 2⁶⁴)`.
+const LIMBS: usize = 3;
+
+/// Splits a torus word into three signed limbs with
+/// `t ≡ l₀ + l₁·2²² + l₂·2⁴⁴ (mod 2⁶⁴)`: `l₀, l₁ ∈ [−2²¹, 2²¹)` are the
+/// balanced low 22-bit digits and `l₂ ∈ [−2¹⁹, 2¹⁹)` the balanced top
+/// 20 bits (a carry out of bit 63 vanishes mod 2⁶⁴).
+#[inline]
+fn split_limbs(t: u64) -> [i64; LIMBS] {
+    const SHIFT: u32 = 64 - LIMB_BITS;
+    let l0 = ((t << SHIFT) as i64) >> SHIFT;
+    let rest = t.wrapping_sub(l0 as u64) >> LIMB_BITS;
+    let l1 = ((rest << SHIFT) as i64) >> SHIFT;
+    let top = rest.wrapping_sub(l1 as u64) >> LIMB_BITS;
+    let l2 = ((top << (2 * LIMB_BITS)) as i64) >> (2 * LIMB_BITS);
+    [l0, l1, l2]
+}
+
+/// The exact product of torus polynomials with a binary GLWE secret,
+/// through the negacyclic FFT: the key's `k` spectra plus the scratch
+/// of one GLWE row, built once per key-generation call and reused for
+/// every row.
+///
+/// [`Self::add_product`] splits each mask word into three signed limbs,
+/// `t ≡ l₀ + l₁·2²² + l₂·2⁴⁴ (mod 2⁶⁴)` with `l₀, l₁ ∈ [−2²¹, 2²¹)` and
+/// `l₂ ∈ [−2¹⁹, 2¹⁹)`, transforms the `3k` limb polynomials in one
+/// batched [`NegacyclicFft::forward_i64_many`], multiplies each by its
+/// key spectrum and sums over the `k` masks in the Fourier domain, runs
+/// one batched [`NegacyclicFft::backward_f64_many`] of 3 transforms,
+/// rounds each coefficient to an integer and recombines the limbs with
+/// wrapping shifts.
+///
+/// # Why the rounding is exact
+///
+/// A limb is at most `2²¹` in magnitude and a key coefficient is 0 or
+/// 1, so the operands of every limb product `l·S_j` have
+/// `‖l‖₂·‖S_j‖₂ ≤ √N·2²¹·√N = N·2²¹`. Percival's bound for FFT
+/// convolution puts the error of every output coefficient below
+/// `‖a‖₂·‖b‖₂·((1+ε)^{3m}(1+ε√5)^{3m+1}(1+β)^{3m} − 1)` for
+/// `m = log₂N` transform levels, unit roundoff
+/// `ε = 2⁻⁵³` and twiddle error `β ≤ ε` (the twiddles are direct
+/// `sin`/`cos` evaluations): below `2⁻⁴⁵·‖a‖₂·‖b‖₂` for every `N ≤ 2¹⁶`.
+/// At `N = 2¹⁴` (set IV) a limb product is within `2³⁵·2⁻⁴⁵ = 2⁻¹⁰` of
+/// its integer value, and the `k` products of a row at most `k·2⁻¹⁰`,
+/// far below the `½` at which rounding could pick the wrong integer.
+/// Each rounded limb product is then the true integer, and so is the
+/// recombination mod `2⁶⁴`: the result is the window-sum product bit
+/// for bit, on every FFT backend. Debug builds assert that every
+/// rounding residual is below `¼`.
+#[derive(Debug)]
+pub struct GlweKeyProduct<'a> {
+    fft: &'a NegacyclicFft,
+    /// Spectra of the `k` key polynomials.
+    key: SoaSpectrum,
+    /// Limb polynomials, limb-major: polynomial `i·k + j` is limb `i`
+    /// of mask `j`.
+    limbs: Vec<i64>,
+    /// Spectra of `limbs`, in the same order.
+    limb_spectra: SoaSpectrum,
+    /// Per limb, `Σ_j spectrum(limb i of mask j) · spectrum(S_j)`.
+    sums: SoaSpectrum,
+    /// The three limb products in the time domain, back to back.
+    time: Vec<f64>,
+}
+
+impl<'a> GlweKeyProduct<'a> {
+    /// Transforms `sk`'s polynomials under `fft` and sizes the row
+    /// scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fft` is not a plan of the key's polynomial size, or if
+    /// a key coefficient is not 0 or 1 (the exactness bound needs a
+    /// binary key).
+    pub fn new(sk: &GlweSecretKey, fft: &'a NegacyclicFft) -> Self {
+        let (k, n, half) = (sk.dimension(), sk.poly_size(), fft.fourier_size());
+        assert_eq!(fft.poly_size(), n, "key product plan size mismatch");
+        let bits: Vec<i64> =
+            sk.polys.iter().flat_map(|p| p.coeffs().iter().map(|&b| b as i64)).collect();
+        assert!(bits.iter().all(|&b| b == 0 || b == 1), "glwe secret key must be binary");
+        let mut key = SoaSpectrum::new(k, half);
+        fft.forward_i64_many(&bits, &mut key)
+            // lint:allow(panic) the key buffer is sized from the same plan
+            .expect("key polynomials match the plan");
+        Self {
+            fft,
+            key,
+            limbs: vec![0; LIMBS * k * n],
+            limb_spectra: SoaSpectrum::new(LIMBS * k, half),
+            sums: SoaSpectrum::new(LIMBS, half),
+            time: vec![0.0; LIMBS * n],
+        }
+    }
+
+    // lint:hot-path-start — the key product runs once per GLWE row of every key
+    /// Accumulates `acc ± Σ_j masks_j · S_j` in `T_q[X]/(X^N+1)`
+    /// (subtracted when `subtract`), exactly (see the type docs).
+    /// `masks` yields the `k` mask polynomials in key order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `masks` yields exactly `k` polynomials and every
+    /// polynomial, `acc` included, has the key's `N` coefficients.
+    pub fn add_product<'m>(
+        &mut self,
+        masks: impl IntoIterator<Item = &'m [u64]>,
+        acc: &mut [u64],
+        subtract: bool,
+    ) {
+        let (k, n) = (self.key.count(), self.fft.poly_size());
+        assert_eq!(acc.len(), n, "accumulator polynomial size mismatch");
+        let (l0, rest) = self.limbs.split_at_mut(k * n);
+        let (l1, l2) = rest.split_at_mut(k * n);
+        let limb_rows =
+            l0.chunks_exact_mut(n).zip(l1.chunks_exact_mut(n)).zip(l2.chunks_exact_mut(n));
+        // The limb rows lead the zip, so a surplus mask is left in
+        // `masks` for the length check below.
+        let mut masks = masks.into_iter();
+        let mut count = 0;
+        for (((d0, d1), d2), mask) in limb_rows.zip(masks.by_ref()) {
+            assert_eq!(mask.len(), n, "mask polynomial size mismatch");
+            for (((&t, x0), x1), x2) in mask.iter().zip(d0).zip(d1).zip(d2) {
+                [*x0, *x1, *x2] = split_limbs(t);
+            }
+            count += 1;
+        }
+        assert!(count == k && masks.next().is_none(), "mask vector length mismatch");
+        self.fft
+            .forward_i64_many(&self.limbs, &mut self.limb_spectra)
+            // lint:allow(panic) scratch is sized from the same plan
+            .expect("limb polynomials match the plan");
+        self.sums.fill_zero();
+        for i in 0..LIMBS {
+            let (sum_re, sum_im) = self.sums.transform_mut(i);
+            for j in 0..k {
+                let (a_re, a_im) = self.limb_spectra.transform(i * k + j);
+                let (b_re, b_im) = self.key.transform(j);
+                pointwise_mul_add_soa(sum_re, sum_im, a_re, a_im, b_re, b_im);
+            }
+        }
+        self.fft
+            .backward_f64_many(&mut self.sums, &mut self.time)
+            // lint:allow(panic) scratch is sized from the same plan
+            .expect("limb products match the plan");
+        debug_assert!(
+            self.time.iter().all(|v| (v - v.round()).abs() < 0.25),
+            "key product rounding residual reached 1/4: the exactness bound is broken"
+        );
+        let (p0, rest) = self.time.split_at(n);
+        let (p1, p2) = rest.split_at(n);
+        for (((a, &v0), &v1), &v2) in acc.iter_mut().zip(p0).zip(p1).zip(p2) {
+            let prod = f64_to_torus(v0)
+                .wrapping_add(f64_to_torus(v1) << LIMB_BITS)
+                .wrapping_add(f64_to_torus(v2) << (2 * LIMB_BITS));
+            *a = if subtract { a.wrapping_sub(prod) } else { a.wrapping_add(prod) };
+        }
+    }
+    // lint:hot-path-end
+}
+
 /// Exact negacyclic product of a torus polynomial with a binary key
 /// polynomial, accumulated into `acc`: `acc ± torus · key` in
-/// `T_q[X]/(X^N+1)` (subtracted when `subtract`). Keys are binary, so
-/// the product is a sum of shifted copies of `torus` and stays exact —
-/// no FFT noise inside key operations.
+/// `T_q[X]/(X^N+1)` (subtracted when `subtract`) — the integer oracle
+/// [`GlweKeyProduct`] is pinned against.
 ///
 /// The negacyclic extension `ext = [−t ‖ t]` (its halves swapped to
 /// subtract) turns `X^i·t` into the contiguous window
 /// `ext[N−i .. 2N−i]`, so the product is a sum of windows: four set key
-/// bits per pass over `acc`, wrapping adds only, no branch in the inner
-/// loop. Integer arithmetic mod 2^64 is exact, so the grouping of the
-/// additions cannot change a bit of the result. `ext` is caller-owned
-/// scratch of `2N` words.
+/// bits per pass over `acc`, wrapping adds only. Integer arithmetic mod
+/// 2^64 is exact, so the grouping of the additions cannot change a bit
+/// of the result. `ext` is caller-owned scratch of `2N` words.
 ///
 /// # Panics
 ///
 /// Panics if `torus`, `key` or `ext` do not match `acc`'s length `N`.
+#[cfg(test)]
 fn add_binary_product(
     acc: &mut [u64],
     torus: &[u64],
@@ -198,7 +375,6 @@ fn add_binary_product(
         }
     }
 }
-// lint:hot-path-end
 
 /// A GLWE ciphertext `[A_1(X), …, A_k(X), B(X)]`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -214,6 +390,11 @@ impl GlweCiphertext {
     pub fn trivial(glwe_dimension: usize, message: TorusPolynomial) -> Self {
         let n = message.size();
         Self { masks: vec![TorusPolynomial::zero(n); glwe_dimension], body: message }
+    }
+
+    /// The ciphertext with mask polynomials `masks` and body `body`.
+    pub(crate) fn from_parts(masks: Vec<TorusPolynomial>, body: TorusPolynomial) -> Self {
+        Self { masks, body }
     }
 
     /// The all-zero ciphertext (trivial encryption of zero).
@@ -414,15 +595,24 @@ mod tests {
         out
     }
 
-    /// Key shapes the oracle test covers at every size.
+    /// Key shapes the oracle tests cover at every size.
     #[derive(Clone, Copy, Debug)]
     enum KeyShape {
         Random,
         Weight0,
+        /// Every bit set: the magnitude worst case of the FFT product.
         WeightN,
         FirstBit,
         LastBit,
     }
+
+    const SHAPES: [KeyShape; 5] = [
+        KeyShape::Random,
+        KeyShape::Weight0,
+        KeyShape::WeightN,
+        KeyShape::FirstBit,
+        KeyShape::LastBit,
+    ];
 
     fn key_of(shape: KeyShape, n: usize, rng: &mut NoiseSampler) -> Vec<u64> {
         let mut key = vec![0u64; n];
@@ -436,41 +626,240 @@ mod tests {
         key
     }
 
+    /// A GLWE key of the given binary polynomials.
+    fn key_from_bits(polys: &[Vec<u64>]) -> GlweSecretKey {
+        GlweSecretKey {
+            polys: polys.iter().map(|p| TorusPolynomial::from_coeffs(p.clone())).collect(),
+        }
+    }
+
+    /// Torus words on the limb edges: each side of the 2²¹ limb sign
+    /// boundary, the 2²² and 2⁴⁴ limb boundaries, both low limbs at
+    /// −2²¹ at once, the top bit, all ones and alternating bits.
+    const EDGE_WORDS: [u64; 13] = [
+        0,
+        1,
+        (1 << 21) - 1,
+        1 << 21,
+        (1 << 22) - 1,
+        1 << 43,
+        (1 << 21) | (1 << 43),
+        (1 << 44) - 1,
+        1 << 44,
+        1 << 63,
+        u64::MAX,
+        0xaaaa_aaaa_aaaa_aaaa,
+        0x5555_5555_5555_5555,
+    ];
+
+    /// `acc ± Σ_j torus_j · key_j` by the naive oracle.
+    fn oracle_sum(acc: &[u64], masks: &[Vec<u64>], keys: &[Vec<u64>], subtract: bool) -> Vec<u64> {
+        let mut want = acc.to_vec();
+        for (mask, key) in masks.iter().zip(keys) {
+            for (w, p) in want.iter_mut().zip(naive_binary_product(mask, key)) {
+                *w = if subtract { w.wrapping_sub(p) } else { w.wrapping_add(p) };
+            }
+        }
+        want
+    }
+
+    /// The Fourier product of `masks` with a key of `keys`, into a copy
+    /// of `acc`.
+    fn fourier_sum(
+        product: &mut GlweKeyProduct<'_>,
+        acc: &[u64],
+        masks: &[Vec<u64>],
+        subtract: bool,
+    ) -> Vec<u64> {
+        let mut got = acc.to_vec();
+        product.add_product(masks.iter().map(Vec::as_slice), &mut got, subtract);
+        got
+    }
+
+    #[test]
+    fn limb_split_recombines_within_its_ranges() {
+        let mut rng = NoiseSampler::from_seed(5);
+        let random: Vec<u64> = (0..1000).map(|_| rng.uniform_torus()).collect();
+        for &t in EDGE_WORDS.iter().chain(&random) {
+            let [l0, l1, l2] = split_limbs(t);
+            assert!((-(1 << 21)..1 << 21).contains(&l0), "{t:#x}: l0 = {l0}");
+            assert!((-(1 << 21)..1 << 21).contains(&l1), "{t:#x}: l1 = {l1}");
+            assert!((-(1 << 19)..1 << 19).contains(&l2), "{t:#x}: l2 = {l2}");
+            let back = (l0 as u64)
+                .wrapping_add((l1 as u64) << LIMB_BITS)
+                .wrapping_add((l2 as u64) << (2 * LIMB_BITS));
+            assert_eq!(back, t);
+        }
+    }
+
+    #[test]
+    fn key_product_is_exact_on_limb_edge_words() {
+        let mut rng = NoiseSampler::from_seed(11);
+        for n in [2usize, 64, 1024, 2048] {
+            let fft = NegacyclicFft::new(n).unwrap();
+            let mixed: Vec<u64> = (0..n).map(|c| EDGE_WORDS[c % EDGE_WORDS.len()]).collect();
+            let torus_polys = EDGE_WORDS.iter().map(|&w| vec![w; n]).chain([mixed]);
+            let torus_polys: Vec<Vec<u64>> = torus_polys.collect();
+            for shape in SHAPES {
+                let key = vec![key_of(shape, n, &mut rng)];
+                let mut product = GlweKeyProduct::new(&key_from_bits(&key), &fft);
+                let mut acc = vec![0u64; n];
+                rng.fill_uniform(&mut acc);
+                for torus in &torus_polys {
+                    let masks = std::slice::from_ref(torus);
+                    let prod = naive_binary_product(torus, &key[0]);
+                    for subtract in [false, true] {
+                        let want: Vec<u64> = acc
+                            .iter()
+                            .zip(&prod)
+                            .map(
+                                |(&a, &p)| {
+                                    if subtract {
+                                        a.wrapping_sub(p)
+                                    } else {
+                                        a.wrapping_add(p)
+                                    }
+                                },
+                            )
+                            .collect();
+                        assert_eq!(
+                            fourier_sum(&mut product, &acc, masks, subtract),
+                            want,
+                            "n={n} {shape:?} word {:#x} subtract={subtract}",
+                            torus[0]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mask vector length mismatch")]
+    fn key_product_rejects_a_surplus_mask() {
+        let fft = NegacyclicFft::new(4).unwrap();
+        let mut product = GlweKeyProduct::new(&key_from_bits(&[vec![1, 0, 0, 1]]), &fft);
+        product.add_product([[1u64; 4].as_slice(), &[2; 4]], &mut [0; 4], false);
+    }
+
+    #[test]
+    #[should_panic(expected = "glwe secret key must be binary")]
+    fn key_product_rejects_a_non_binary_key() {
+        let fft = NegacyclicFft::new(4).unwrap();
+        GlweKeyProduct::new(&key_from_bits(&[vec![1, 2, 0, 1]]), &fft);
+    }
+
+    /// Set IV's N = 2¹⁴, where the bound of the type docs is tightest:
+    /// the all-ones key against masks whose low limbs are all −2²¹ puts
+    /// every limb product at its largest. The window sum stands in for
+    /// the naive oracle it is pinned against. Release-only: at this size
+    /// the oracle runs 2²⁸ additions per product.
+    #[test]
+    fn key_product_is_exact_at_the_largest_parameter_size() {
+        if cfg!(debug_assertions) {
+            return;
+        }
+        let n = 1 << 14;
+        let fft = NegacyclicFft::new(n).unwrap();
+        let mut rng = NoiseSampler::from_seed(14);
+        let mut random = vec![0u64; n];
+        rng.fill_uniform(&mut random);
+        for shape in [KeyShape::WeightN, KeyShape::Random] {
+            let key = key_of(shape, n, &mut rng);
+            let mut product = GlweKeyProduct::new(&key_from_bits(std::slice::from_ref(&key)), &fft);
+            for torus in [vec![(1 << 21) | (1 << 43); n], vec![u64::MAX; n], random.clone()] {
+                for subtract in [false, true] {
+                    let mut want = vec![0u64; n];
+                    add_binary_product(&mut want, &torus, &key, subtract, &mut vec![0; 2 * n]);
+                    let got = fourier_sum(
+                        &mut product,
+                        &[0; 1 << 14],
+                        std::slice::from_ref(&torus),
+                        subtract,
+                    );
+                    assert!(got == want, "{shape:?} word {:#x} subtract={subtract}", torus[0]);
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
+        /// The FFT product equals the schoolbook oracle on every size and
+        /// key shape, and so does the window sum up to N = 1024, both
+        /// over stale scratch.
         #[test]
         fn binary_product_matches_naive_oracle(
             subtract in proptest::any::<bool>(),
             seed in proptest::any::<u64>(),
         ) {
-            use KeyShape::*;
             let mut rng = NoiseSampler::from_seed(seed);
-            for n in [2usize, 4, 64, 1024] {
-                for shape in [Random, Weight0, WeightN, FirstBit, LastBit] {
-                    let mut torus = vec![0u64; n];
-                    rng.fill_uniform(&mut torus);
+            for n in [2usize, 4, 64, 256, 1024, 2048] {
+                let fft = NegacyclicFft::new(n).unwrap();
+                for shape in SHAPES {
+                    let key = vec![key_of(shape, n, &mut rng)];
+                    let mut product = GlweKeyProduct::new(&key_from_bits(&key), &fft);
                     let mut acc = vec![0u64; n];
                     rng.fill_uniform(&mut acc);
-                    let key = key_of(shape, n, &mut rng);
-                    let prod = naive_binary_product(&torus, &key);
-                    let want: Vec<u64> = acc
-                        .iter()
-                        .zip(&prod)
-                        .map(|(&a, &p)| if subtract { a.wrapping_sub(p) } else { a.wrapping_add(p) })
-                        .collect();
-                    // Stale scratch contents must not leak into the product.
+                    let mut torus = vec![0u64; n];
+                    // Stale scratch contents must not leak into either product.
+                    rng.fill_uniform(&mut torus);
+                    fourier_sum(&mut product, &acc, &[torus.clone()], subtract);
+                    rng.fill_uniform(&mut torus);
+                    let masks = [torus];
+                    let want = oracle_sum(&acc, &masks, &key, subtract);
+                    let got = fourier_sum(&mut product, &acc, &masks, subtract);
+                    proptest::prop_assert_eq!(&got, &want, "fft n={} {:?}", n, shape);
+                    if n > 1024 {
+                        // The window sum's sizes; the largest one checks
+                        // it against the FFT product instead.
+                        continue;
+                    }
                     let mut ext = vec![0u64; 2 * n];
                     rng.fill_uniform(&mut ext);
-                    add_binary_product(&mut acc, &torus, &key, subtract, &mut ext);
-                    proptest::prop_assert_eq!(acc, want, "n={} {:?}", n, shape);
+                    add_binary_product(&mut acc, &masks[0], &key[0], subtract, &mut ext);
+                    proptest::prop_assert_eq!(acc, want, "window n={} {:?}", n, shape);
                 }
             }
         }
 
+        /// With `k > 1` the products of the `k` masks are summed in the
+        /// Fourier domain before one inverse transform per limb.
+        #[test]
+        fn fourier_sum_over_masks_matches_oracle(
+            k in 2usize..4,
+            log_n in proptest::prop::sample::select(vec![1u32, 6, 10]),
+            subtract in proptest::any::<bool>(),
+            seed in proptest::any::<u64>(),
+        ) {
+            let n = 1usize << log_n;
+            let mut rng = NoiseSampler::from_seed(seed);
+            let fft = NegacyclicFft::new(n).unwrap();
+            let keys: Vec<Vec<u64>> = SHAPES[..k].iter().map(|&s| key_of(s, n, &mut rng)).collect();
+            let mut product = GlweKeyProduct::new(&key_from_bits(&keys), &fft);
+            let masks: Vec<Vec<u64>> = (0..k)
+                .map(|j| {
+                    let mut m = vec![0u64; n];
+                    rng.fill_uniform(&mut m);
+                    m[j % n] = EDGE_WORDS[j + 5];
+                    m
+                })
+                .collect();
+            let mut acc = vec![0u64; n];
+            rng.fill_uniform(&mut acc);
+            proptest::prop_assert_eq!(
+                fourier_sum(&mut product, &acc, &masks, subtract),
+                oracle_sum(&acc, &masks, &keys, subtract)
+            );
+        }
+
+        /// A noiseless encryption's body is `M + Σ_j A_j·S_j` by the
+        /// naive oracle (for `k ≥ 2` through the Fourier-domain sum),
+        /// and its phase is `M` again.
         #[test]
         fn noiseless_decrypt_phase_inverts_encrypt_exactly(
-            log_n in proptest::prop::sample::select(vec![1u32, 2, 6, 10]),
+            log_n in proptest::prop::sample::select(vec![1u32, 2, 6, 10, 11]),
             k in 1usize..4,
             seed in proptest::any::<u64>(),
         ) {
@@ -480,6 +869,10 @@ mod tests {
             let mut msg = TorusPolynomial::zero(n);
             rng.fill_uniform(msg.coeffs_mut());
             let ct = sk.encrypt(&msg, 0.0, &mut rng);
+            let masks: Vec<Vec<u64>> = ct.masks().iter().map(|m| m.coeffs().to_vec()).collect();
+            let keys: Vec<Vec<u64>> = sk.polys().iter().map(|p| p.coeffs().to_vec()).collect();
+            let body = oracle_sum(msg.coeffs(), &masks, &keys, false);
+            proptest::prop_assert_eq!(ct.body().coeffs(), body.as_slice());
             proptest::prop_assert_eq!(sk.decrypt_phase(&ct).unwrap(), msg);
         }
     }

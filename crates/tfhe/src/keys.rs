@@ -11,7 +11,7 @@ use crate::bootstrap::{
     pattern_indicator, BootstrapKey, ClassicalBootstrapKey, MultiBitBootstrapKey,
 };
 use crate::decompose::DecompositionParams;
-use crate::ggsw::GgswCiphertext;
+use crate::ggsw::GgswKeygen;
 use crate::glwe::GlweSecretKey;
 use crate::keyswitch::KeySwitchKey;
 use crate::lwe::{LweCiphertext, LweSecretKey};
@@ -19,7 +19,7 @@ use crate::params::{PbsKernel, TfheParameters};
 use crate::rng::{derive_seed, NoiseSampler};
 use crate::TfheError;
 use std::sync::Arc;
-use strix_fft::StrixFftBackend;
+use strix_fft::{NegacyclicFft, StrixFftBackend};
 
 /// CRS stream labels: each seeded-key component regenerates its public
 /// masks from an independent sub-stream of the one transported seed, so
@@ -172,18 +172,14 @@ impl ClientKey {
                 .collect(),
         };
         let mut crs = NoiseSampler::from_derived_seed(crs_seed, bsk_crs_stream(&self.params));
+        let fft = NegacyclicFft::with_backend(self.params.polynomial_size, self.params.fft_backend)
+            // lint:allow(panic) parameters were validated at construction
+            .expect("validated parameters have power-of-two N and an available backend");
+        let mut keygen = GgswKeygen::new(&self.glwe_sk, &fft);
         let entry_words = self.params.ggsw_row_count() * self.params.polynomial_size;
-        let mut bsk_bodies = Vec::with_capacity(plaintexts.len() * entry_words);
-        for m in plaintexts {
-            let ggsw = GgswCiphertext::encrypt_scalar_seeded(
-                m,
-                &self.glwe_sk,
-                decomp,
-                noise_std,
-                &mut self.rng,
-                &mut crs,
-            );
-            bsk_bodies.extend(ggsw.rows().iter().flat_map(|r| r.body().coeffs().iter().copied()));
+        let mut bsk_bodies = vec![0; plaintexts.len() * entry_words];
+        for (m, bodies) in plaintexts.into_iter().zip(bsk_bodies.chunks_exact_mut(entry_words)) {
+            keygen.seeded_bodies_into(m, decomp, noise_std, &mut self.rng, &mut crs, bodies);
         }
         let ksk_bodies = KeySwitchKey::with_mask_seed(
             &self.extracted_sk,
