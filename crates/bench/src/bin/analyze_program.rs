@@ -37,7 +37,7 @@ use std::process::ExitCode;
 
 use strix_core::{StrixConfig, StrixSimulator};
 use strix_runtime::session::Program;
-use strix_runtime::{AdmissionPolicy, KernelPolicy, ProgramAnalysis};
+use strix_runtime::{AdmissionPolicy, ProgramAnalysis};
 use strix_tfhe::{PbsKernel, TfheParameters};
 use strix_workloads::gates::{equality_program, ripple_carry_adder_program};
 use strix_workloads::ReluSchedule;
@@ -76,7 +76,7 @@ impl Row {
         params: &TfheParameters,
         kernel: PbsKernel,
     ) -> Result<Self, String> {
-        let policy = AdmissionPolicy::new(params.clone(), KernelPolicy::uniform(kernel));
+        let policy = AdmissionPolicy::new(params.clone(), kernel);
         let sim = StrixSimulator::new(StrixConfig::paper_default(), params.clone())
             .map_err(|e| e.to_string())?;
         let sim_ms = |form: &Program| sim.run_graph(&form.workload()).total_time_s * 1e3;

@@ -5,8 +5,8 @@
 //! hand-scheduled lane-parallel hardware, not compiler output. This
 //! module is the software analogue: the batched butterfly stages, the
 //! fused fold/twist and untwist/unfold passes, the i64→f64 torus
-//! conversions, and the mixed-layout VMA kernel are each implemented
-//! twice —
+//! conversions, and the mixed-layout VMA kernel (which no PBS path
+//! runs; a per-layer VMA probe times it) are each implemented twice —
 //!
 //! * [`portable`] — the autovectorised scalar loops (the former inline
 //!   bodies of `kernel.rs`/`negacyclic.rs`, unchanged), correct on

@@ -16,8 +16,8 @@
 use crate::complex::Complex64;
 
 /// Scalar complex multiply on split operands — exactly
-/// [`Complex64::mul`]'s expression, so SoA and AoS paths round
-/// identically.
+/// [`Complex64::mul`]'s expression, so split-plane arithmetic rounds
+/// like scalar complex code.
 #[inline(always)]
 pub(crate) fn cmul(ar: f64, ai: f64, br: f64, bi: f64) -> (f64, f64) {
     (ar * br - ai * bi, ar * bi + ai * br)

@@ -31,10 +31,13 @@
 //!   `log2(n)` is odd — half the stage count (and half the twiddle
 //!   multiplies) of the radix-2 seed kernel.
 //!
-//! The natural-order [`crate::FftPlan`] is kept alongside as the
-//! correctness oracle; [`SpectralPlan::permutation`] gives the exact
-//! bin→slot map connecting the two conventions.
+//! Every transform runs on split-complex [`SoaSpectrum`] planes, the
+//! layout the Strix FFT unit streams into the VMA. The natural-order
+//! [`crate::reference::FftPlan`] is the correctness oracle;
+//! [`SpectralPlan::permutation`] gives the exact bin→slot map
+//! connecting the two conventions.
 
+use crate::backend::portable::cmul;
 use crate::backend::{self, StrixFftBackend};
 use crate::complex::Complex64;
 use crate::error::FftError;
@@ -50,24 +53,18 @@ enum Radix {
 
 /// One butterfly stage: all blocks of length `len` across the array.
 ///
-/// Twiddle layout is stage-major and kept in **both** storage
-/// conventions, built from the same values so the two are bit-equal:
-///
-/// * interleaved ([`Complex64`]) for the AoS path — radix-2 stages
-///   store `len/2` factors `w^j`; radix-4 stages store `len/4`
-///   *triples* `(w^j, w^{2j}, w^{3j})` interleaved, so the inner loop
-///   walks one contiguous table;
-/// * split (`tw_re`/`tw_im` planes, power-major: all `w^j`, then all
-///   `w^{2j}`, then all `w^{3j}`) for the SoA path, so its inner loops
-///   touch no interleaved data at all.
+/// Twiddle layout is stage-major, one split (`tw_re`/`tw_im`) copy:
+/// radix-2 stages store the `len/2` factors `w^j`; radix-4 stages store
+/// the `len/4` factors of each power in turn (all `w^j`, then all
+/// `w^{2j}`, then all `w^{3j}`), so every inner loop walks contiguous
+/// planes.
 #[derive(Clone, Debug)]
 struct Stage {
     radix: Radix,
     len: usize,
-    twiddles: Vec<Complex64>,
-    /// Split real plane (power-major; see type docs).
+    /// Real plane (power-major; see type docs).
     tw_re: Vec<f64>,
-    /// Split imaginary plane (power-major).
+    /// Imaginary plane (power-major).
     tw_im: Vec<f64>,
 }
 
@@ -76,42 +73,21 @@ impl Stage {
     /// (`sign = -1.0` forward, `+1.0` inverse).
     fn new(radix: Radix, len: usize, sign: f64) -> Self {
         let base = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let twiddles: Vec<Complex64> = match radix {
-            Radix::Two => (0..len / 2).map(|j| Complex64::cis(base * j as f64)).collect(),
-            Radix::Four => {
-                let mut t = Vec::with_capacity(3 * (len / 4));
-                for j in 0..len / 4 {
-                    let theta = base * j as f64;
-                    t.push(Complex64::cis(theta));
-                    t.push(Complex64::cis(2.0 * theta));
-                    t.push(Complex64::cis(3.0 * theta));
-                }
-                t
-            }
+        let (powers, per_power) = match radix {
+            Radix::Two => (1, len / 2),
+            Radix::Four => (3, len / 4),
         };
-        // Split planes hold the same values in power-major order, so
-        // the SoA butterflies consume bit-identical factors.
         let (mut tw_re, mut tw_im) =
-            (Vec::with_capacity(twiddles.len()), Vec::with_capacity(twiddles.len()));
-        match radix {
-            Radix::Two => {
-                for w in &twiddles {
-                    tw_re.push(w.re);
-                    tw_im.push(w.im);
-                }
-            }
-            Radix::Four => {
-                let q = len / 4;
-                for power in 0..3 {
-                    for j in 0..q {
-                        let w = twiddles[3 * j + power];
-                        tw_re.push(w.re);
-                        tw_im.push(w.im);
-                    }
-                }
+            (Vec::with_capacity(powers * per_power), Vec::with_capacity(powers * per_power));
+        for power in 1..=powers {
+            for j in 0..per_power {
+                // `1.0 * θ` is exactly `θ`, so every power is `cis(p·θ_j)`.
+                let w = Complex64::cis(power as f64 * (base * j as f64));
+                tw_re.push(w.re);
+                tw_im.push(w.im);
             }
         }
-        Self { radix, len, twiddles, tw_re, tw_im }
+        Self { radix, len, tw_re, tw_im }
     }
 
     /// Radix as a plain factor (2 or 4).
@@ -123,190 +99,9 @@ impl Stage {
     }
 }
 
-/// Scalar complex multiply on split operands — exactly
-/// [`Complex64::mul`]'s expression, so SoA and AoS paths round
-/// identically.
-#[inline(always)]
-fn cmul(ar: f64, ai: f64, br: f64, bi: f64) -> (f64, f64) {
-    (ar * br - ai * bi, ar * bi + ai * br)
-}
-
-/// Forward radix-2 DIF butterflies over one block split into halves.
-#[inline]
-fn fwd_radix2(lo: &mut [Complex64], hi: &mut [Complex64], tw: &[Complex64]) {
-    for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
-        let (x, y) = (*a, *b);
-        *a = x + y;
-        *b = (x - y) * *w;
-    }
-}
-
-/// Inverse radix-2 DIT butterflies (exact stage inverse, unnormalised:
-/// yields 2× the original block values).
-#[inline]
-fn inv_radix2(lo: &mut [Complex64], hi: &mut [Complex64], tw: &[Complex64]) {
-    for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
-        let x = *a;
-        let y = *b * *w;
-        *a = x + y;
-        *b = x - y;
-    }
-}
-
-/// Forward radix-4 butterfly without the twiddle multiplies — the
-/// whole final (`len == 4`) stage has `w = 1`, so the three multiplies
-/// per butterfly would be by unity. Specialising the stage removes
-/// `3·(n/4)` complex multiplies per transform.
-#[inline]
-fn fwd_radix4_unit(
-    a0: Complex64,
-    a1: Complex64,
-    a2: Complex64,
-    a3: Complex64,
-) -> (Complex64, Complex64, Complex64, Complex64) {
-    let p02 = a0 + a2;
-    let m02 = a0 - a2;
-    let p13 = a1 + a3;
-    let m13i = (a1 - a3).mul_i();
-    (p02 + p13, m02 - m13i, p02 - p13, m02 + m13i)
-}
-
-/// Inverse radix-4 butterfly without twiddle multiplies (first inverse
-/// stage, `len == 4`).
-#[inline]
-fn inv_radix4_unit(
-    y0: Complex64,
-    y1: Complex64,
-    y2: Complex64,
-    y3: Complex64,
-) -> (Complex64, Complex64, Complex64, Complex64) {
-    let p02 = y0 + y2;
-    let m02 = y0 - y2;
-    let p13 = y1 + y3;
-    let m13i = (y1 - y3).mul_i();
-    (p02 + p13, m02 + m13i, p02 - p13, m02 - m13i)
-}
-
-/// Forward radix-4 DIF butterfly on four already-loaded lanes; returns
-/// the four outputs in sub-block order `(y0, y1·w, y2·w², y3·w³)`.
-#[inline]
-fn fwd_radix4_core(
-    a0: Complex64,
-    a1: Complex64,
-    a2: Complex64,
-    a3: Complex64,
-    w1: Complex64,
-    w2: Complex64,
-    w3: Complex64,
-) -> (Complex64, Complex64, Complex64, Complex64) {
-    let p02 = a0 + a2;
-    let m02 = a0 - a2;
-    let p13 = a1 + a3;
-    let m13i = (a1 - a3).mul_i();
-    (p02 + p13, (m02 - m13i) * w1, (p02 - p13) * w2, (m02 + m13i) * w3)
-}
-
-/// Inverse radix-4 DIT butterfly (exact stage inverse, unnormalised:
-/// yields 4× the original lane values).
-#[inline]
-fn inv_radix4_core(
-    y0: Complex64,
-    y1: Complex64,
-    y2: Complex64,
-    y3: Complex64,
-    w1: Complex64,
-    w2: Complex64,
-    w3: Complex64,
-) -> (Complex64, Complex64, Complex64, Complex64) {
-    let u1 = y1 * w1;
-    let u2 = y2 * w2;
-    let u3 = y3 * w3;
-    let p02 = y0 + u2;
-    let m02 = y0 - u2;
-    let p13 = u1 + u3;
-    let m13i = (u1 - u3).mul_i();
-    (p02 + p13, m02 + m13i, p02 - p13, m02 - m13i)
-}
-
-/// Applies one forward stage in place across the whole array.
-fn apply_fwd_stage(stage: &Stage, data: &mut [Complex64]) {
-    if stage.len == 4 && stage.radix == Radix::Four {
-        for block in data.chunks_exact_mut(4) {
-            let (y0, y1, y2, y3) = fwd_radix4_unit(block[0], block[1], block[2], block[3]);
-            block[0] = y0;
-            block[1] = y1;
-            block[2] = y2;
-            block[3] = y3;
-        }
-        return;
-    }
-    for block in data.chunks_exact_mut(stage.len) {
-        match stage.radix {
-            Radix::Two => {
-                let (lo, hi) = block.split_at_mut(stage.len / 2);
-                fwd_radix2(lo, hi, &stage.twiddles);
-            }
-            Radix::Four => {
-                let q = stage.len / 4;
-                let (q0, rest) = block.split_at_mut(q);
-                let (q1, rest) = rest.split_at_mut(q);
-                let (q2, q3) = rest.split_at_mut(q);
-                for ((((a, b), c), d), w) in
-                    q0.iter_mut().zip(q1).zip(q2).zip(q3).zip(stage.twiddles.chunks_exact(3))
-                {
-                    let (y0, y1, y2, y3) = fwd_radix4_core(*a, *b, *c, *d, w[0], w[1], w[2]);
-                    *a = y0;
-                    *b = y1;
-                    *c = y2;
-                    *d = y3;
-                }
-            }
-        }
-    }
-}
-
-/// Applies one inverse stage in place across the whole array.
-fn apply_inv_stage(stage: &Stage, data: &mut [Complex64]) {
-    if stage.len == 4 && stage.radix == Radix::Four {
-        for block in data.chunks_exact_mut(4) {
-            let (x0, x1, x2, x3) = inv_radix4_unit(block[0], block[1], block[2], block[3]);
-            block[0] = x0;
-            block[1] = x1;
-            block[2] = x2;
-            block[3] = x3;
-        }
-        return;
-    }
-    for block in data.chunks_exact_mut(stage.len) {
-        match stage.radix {
-            Radix::Two => {
-                let (lo, hi) = block.split_at_mut(stage.len / 2);
-                inv_radix2(lo, hi, &stage.twiddles);
-            }
-            Radix::Four => {
-                let q = stage.len / 4;
-                let (q0, rest) = block.split_at_mut(q);
-                let (q1, rest) = rest.split_at_mut(q);
-                let (q2, q3) = rest.split_at_mut(q);
-                for ((((a, b), c), d), w) in
-                    q0.iter_mut().zip(q1).zip(q2).zip(q3).zip(stage.twiddles.chunks_exact(3))
-                {
-                    let (x0, x1, x2, x3) = inv_radix4_core(*a, *b, *c, *d, w[0], w[1], w[2]);
-                    *a = x0;
-                    *b = x1;
-                    *c = x2;
-                    *d = x3;
-                }
-            }
-        }
-    }
-}
-
-/// One forward SoA stage over one transform's split planes. Mirrors
-/// [`apply_fwd_stage`] operation for operation: every butterfly
-/// computes the same IEEE expressions in the same order, so the two
-/// layouts produce bit-identical spectra — on every backend, since the
-/// SIMD kernels pin the identical per-element expressions (see
+/// One forward stage over one transform's split planes, dispatched to
+/// the plan's backend — bit-identical on every backend, since the SIMD
+/// kernels pin the portable per-element expressions (see
 /// [`crate::backend`]). The twiddle-less unit stage (`len == 4`
 /// radix-4) stays scalar here: its add/sub network autovectorises
 /// fully and has no contiguous-lane structure worth dispatching.
@@ -336,9 +131,9 @@ fn apply_fwd_stage_soa(kb: StrixFftBackend, stage: &Stage, re: &mut [f64], im: &
     }
 }
 
-/// One inverse SoA stage over one transform's split planes — the exact
-/// mirror of [`apply_inv_stage`] (same expressions, same order,
-/// bit-identical results on every backend).
+/// One inverse stage over one transform's split planes: each DIT
+/// stage exactly undoes the matching DIF stage (unnormalised), with
+/// bit-identical results on every backend.
 fn apply_inv_stage_soa(kb: StrixFftBackend, stage: &Stage, re: &mut [f64], im: &mut [f64]) {
     let len = stage.len;
     if len == 4 && stage.radix == Radix::Four {
@@ -369,24 +164,28 @@ fn apply_inv_stage_soa(kb: StrixFftBackend, stage: &Stage, re: &mut [f64], im: &
 /// transform emits the spectrum digit-reversed, the inverse consumes
 /// exactly that ordering, and no permutation pass ever runs.
 ///
-/// Use this kernel when spectra are consumed pointwise (convolution
-/// via [`crate::pointwise_mul_add`]); use [`crate::FftPlan`] when a
-/// natural-order spectrum is required.
+/// Every entry point transforms a whole [`SoaSpectrum`] batch. Use
+/// this kernel when spectra are consumed pointwise (convolution via
+/// [`crate::pointwise_mul_add_soa`]); the natural-order
+/// [`crate::reference::FftPlan`] is the oracle it is checked against.
 ///
 /// # Example
 ///
 /// Round trip without any permutation:
 ///
 /// ```
-/// use strix_fft::{Complex64, SpectralPlan};
+/// use strix_fft::{Complex64, SoaSpectrum, SpectralPlan};
 ///
 /// # fn main() -> Result<(), strix_fft::FftError> {
 /// let plan = SpectralPlan::new(8)?;
 /// let input: Vec<Complex64> =
 ///     (0..8).map(|i| Complex64::new(i as f64, -(i as f64))).collect();
-/// let mut data = input.clone();
-/// plan.forward(&mut data)?; // digit-reversed spectrum
-/// plan.inverse(&mut data)?; // natural order again
+/// let mut batch = SoaSpectrum::new(1, 8);
+/// batch.store(0, &input);
+/// plan.forward_many(&mut batch)?; // digit-reversed spectrum
+/// plan.inverse_many(&mut batch)?; // natural order again
+/// let mut data = vec![Complex64::ZERO; 8];
+/// batch.load(0, &mut data);
 /// for (a, b) in data.iter().zip(&input) {
 ///     assert!((*a - *b).abs() < 1e-12);
 /// }
@@ -491,61 +290,16 @@ impl SpectralPlan {
         self.fwd_stages.len()
     }
 
-    /// In-place forward DIF FFT: natural order in, digit-reversed
-    /// spectrum out. Bin `k` of the natural spectrum lands at slot
-    /// [`Self::permutation`]`[k]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] if `data.len()` differs
-    /// from the plan size.
-    pub fn forward(&self, data: &mut [Complex64]) -> Result<(), FftError> {
-        self.check_len(data.len())?;
-        for stage in &self.fwd_stages {
-            apply_fwd_stage(stage, data);
-        }
-        Ok(())
-    }
-
-    /// In-place unnormalised inverse DIT FFT: digit-reversed spectrum
-    /// in, natural order out, scaled by `n` (dividing is left to the
-    /// caller so the constant can be fused elsewhere, as
-    /// [`crate::NegacyclicFft`] fuses it into its untwist table).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] on size mismatch.
-    pub fn inverse_unnormalized(&self, data: &mut [Complex64]) -> Result<(), FftError> {
-        self.check_len(data.len())?;
-        for stage in &self.inv_stages {
-            apply_inv_stage(stage, data);
-        }
-        Ok(())
-    }
-
-    /// In-place normalised inverse FFT (divides by `n`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] on size mismatch.
-    pub fn inverse(&self, data: &mut [Complex64]) -> Result<(), FftError> {
-        self.inverse_unnormalized(data)?;
-        let scale = 1.0 / self.size as f64;
-        for z in data.iter_mut() {
-            *z = z.scale(scale);
-        }
-        Ok(())
-    }
-
     /// Batched in-place forward DIF FFT over a whole [`SoaSpectrum`]:
     /// every transform goes natural order in → digit-reversed spectrum
-    /// out, exactly like [`Self::forward`], but each butterfly stage
-    /// runs across **all** transforms before the next stage starts, so
-    /// one walk of the stage's twiddle table is amortised over the
-    /// batch and the tables stay cache-hot. Per-transform arithmetic is
-    /// untouched (the stage/transform loops merely interchange), so
-    /// results are **bit-identical** to looping [`Self::forward`] over
-    /// interleaved copies of the same data.
+    /// out (bin `k` of the natural spectrum lands at slot
+    /// [`Self::permutation`]`[k]`). Each butterfly stage runs across
+    /// **all** transforms before the next stage starts, so one walk of
+    /// the stage's twiddle table is amortised over the batch and the
+    /// tables stay cache-hot. Per-transform arithmetic does not depend
+    /// on the batch (the stage/transform loops merely interchange), so
+    /// every transform gets the same bits alone as at any position of
+    /// any batch.
     ///
     /// # Errors
     ///
@@ -563,9 +317,11 @@ impl SpectralPlan {
     }
 
     /// Batched unnormalised inverse DIT FFT over a whole
-    /// [`SoaSpectrum`]: the stage-across-batch counterpart of
-    /// [`Self::inverse_unnormalized`], bit-identical to looping it per
-    /// transform.
+    /// [`SoaSpectrum`]: digit-reversed spectrum in, natural order out,
+    /// scaled by `n` (dividing is left to the caller so the constant
+    /// can be fused elsewhere, as [`crate::NegacyclicFft`] fuses it
+    /// into its untwist table). Stages run across the batch, as in
+    /// [`Self::forward_many`].
     ///
     /// # Errors
     ///
@@ -582,8 +338,8 @@ impl SpectralPlan {
         Ok(())
     }
 
-    /// Batched normalised inverse FFT (divides every transform by `n`),
-    /// bit-identical to looping [`Self::inverse`] per transform.
+    /// Batched normalised inverse FFT: [`Self::inverse_many_unnormalized`]
+    /// followed by a division of every transform by `n`.
     ///
     /// # Errors
     ///
@@ -629,168 +385,19 @@ impl SpectralPlan {
         out
     }
 
-    /// Fold + twist + first forward stage in one out-of-place pass,
-    /// then the remaining stages in place on `out`. `poly` holds the
-    /// `2n` real coefficients (`z_j = poly[j] + i·poly[j+n]` after
-    /// folding), `twist` the `n` per-element twist factors. All
-    /// operands are pre-sliced to exact lengths so the inner loops
-    /// carry no bounds checks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `poly.len() != 2n`, `twist.len() != n` or
-    /// `out.len() != n` (callers validate first).
-    pub(crate) fn forward_folded_twisted<T: Copy>(
-        &self,
-        poly: &[T],
-        twist: &[Complex64],
-        out: &mut [Complex64],
-        to_f64: impl Fn(T) -> f64,
-    ) {
-        let n = self.size;
-        assert_eq!(poly.len(), 2 * n, "folded input length mismatch");
-        assert_eq!(twist.len(), n, "twist table length mismatch");
-        assert_eq!(out.len(), n, "output length mismatch");
-        let (re, im) = poly.split_at(n);
-        let Some((first, rest)) = self.fwd_stages.split_first() else {
-            out[0] = Complex64::new(to_f64(re[0]), to_f64(im[0])) * twist[0];
-            return;
-        };
-        match first.radix {
-            Radix::Two => {
-                let q = n / 2;
-                let (re0, re1) = re.split_at(q);
-                let (im0, im1) = im.split_at(q);
-                let (tw0, tw1) = twist.split_at(q);
-                let (o0, o1) = out.split_at_mut(q);
-                let w = &first.twiddles[..q];
-                for j in 0..q {
-                    let x = Complex64::new(to_f64(re0[j]), to_f64(im0[j])) * tw0[j];
-                    let y = Complex64::new(to_f64(re1[j]), to_f64(im1[j])) * tw1[j];
-                    o0[j] = x + y;
-                    o1[j] = (x - y) * w[j];
-                }
-            }
-            Radix::Four => {
-                let q = n / 4;
-                let (o0, r) = out.split_at_mut(q);
-                let (o1, r) = r.split_at_mut(q);
-                let (o2, o3) = r.split_at_mut(q);
-                let w = &first.twiddles[..3 * q];
-                for j in 0..q {
-                    let a0 = Complex64::new(to_f64(re[j]), to_f64(im[j])) * twist[j];
-                    let a1 = Complex64::new(to_f64(re[j + q]), to_f64(im[j + q])) * twist[j + q];
-                    let a2 = Complex64::new(to_f64(re[j + 2 * q]), to_f64(im[j + 2 * q]))
-                        * twist[j + 2 * q];
-                    let a3 = Complex64::new(to_f64(re[j + 3 * q]), to_f64(im[j + 3 * q]))
-                        * twist[j + 3 * q];
-                    let (y0, y1, y2, y3) =
-                        fwd_radix4_core(a0, a1, a2, a3, w[3 * j], w[3 * j + 1], w[3 * j + 2]);
-                    o0[j] = y0;
-                    o1[j] = y1;
-                    o2[j] = y2;
-                    o3[j] = y3;
-                }
-            }
-        }
-        for stage in rest {
-            apply_fwd_stage(stage, out);
-        }
-    }
-
-    /// All inverse stages but the last in place on `spectrum`, then
-    /// the last (whole-array) stage fused with the merged
-    /// untwist+normalise multiply and the unfold into the `2n` real
-    /// output coefficients — the separate untwist and normalisation
-    /// passes never run. Operands are pre-sliced to exact lengths so
-    /// the final loop carries no bounds checks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spectrum.len() != n`, `untwist.len() != n` or
-    /// `out.len() != 2n` (callers validate first).
-    pub(crate) fn inverse_folded_untwisted(
-        &self,
-        spectrum: &mut [Complex64],
-        untwist: &[Complex64],
-        out: &mut [f64],
-    ) {
-        let n = self.size;
-        assert_eq!(spectrum.len(), n, "spectrum length mismatch");
-        assert_eq!(untwist.len(), n, "untwist table length mismatch");
-        assert_eq!(out.len(), 2 * n, "output length mismatch");
-        let (out_re, out_im) = out.split_at_mut(n);
-        let Some((last, rest)) = self.inv_stages.split_last() else {
-            let z = spectrum[0] * untwist[0];
-            out_re[0] = z.re;
-            out_im[0] = z.im;
-            return;
-        };
-        for stage in rest {
-            apply_inv_stage(stage, spectrum);
-        }
-        match last.radix {
-            Radix::Two => {
-                let q = n / 2;
-                let (s0, s1) = spectrum.split_at(q);
-                let (u0, u1) = untwist.split_at(q);
-                let (r0, r1) = out_re.split_at_mut(q);
-                let (i0, i1) = out_im.split_at_mut(q);
-                let w = &last.twiddles[..q];
-                for j in 0..q {
-                    let x = s0[j];
-                    let y = s1[j] * w[j];
-                    let z0 = (x + y) * u0[j];
-                    let z1 = (x - y) * u1[j];
-                    r0[j] = z0.re;
-                    i0[j] = z0.im;
-                    r1[j] = z1.re;
-                    i1[j] = z1.im;
-                }
-            }
-            Radix::Four => {
-                let q = n / 4;
-                let w = &last.twiddles[..3 * q];
-                for j in 0..q {
-                    let (x0, x1, x2, x3) = inv_radix4_core(
-                        spectrum[j],
-                        spectrum[j + q],
-                        spectrum[j + 2 * q],
-                        spectrum[j + 3 * q],
-                        w[3 * j],
-                        w[3 * j + 1],
-                        w[3 * j + 2],
-                    );
-                    let z0 = x0 * untwist[j];
-                    let z1 = x1 * untwist[j + q];
-                    let z2 = x2 * untwist[j + 2 * q];
-                    let z3 = x3 * untwist[j + 3 * q];
-                    out_re[j] = z0.re;
-                    out_im[j] = z0.im;
-                    out_re[j + q] = z1.re;
-                    out_im[j + q] = z1.im;
-                    out_re[j + 2 * q] = z2.re;
-                    out_im[j + 2 * q] = z2.im;
-                    out_re[j + 3 * q] = z3.re;
-                    out_im[j + 3 * q] = z3.im;
-                }
-            }
-        }
-    }
-
-    /// Batched split-complex counterpart of
-    /// [`Self::forward_folded_twisted`]: transforms `count` packed
-    /// real `i64` polynomials (each `2n` coefficients, laid out back
-    /// to back in `polys`) into the matching transforms of `batch`.
-    /// The fused fold+twist+first-stage pass runs per transform
-    /// straight from the coefficient array — dispatched to the plan's
-    /// kernel backend, which also performs the exact i64→f64 torus
-    /// conversion in-register; every remaining butterfly stage then
-    /// runs **across the whole batch** before the next stage starts,
-    /// amortising one twiddle-table walk over all `count` transforms.
-    /// Per-transform arithmetic mirrors the interleaved fused path
-    /// expression for expression, so the spectra are bit-identical to
-    /// it on every backend.
+    /// Fold + twist + first forward stage in one out-of-place pass per
+    /// transform, then the remaining stages in place: transforms
+    /// `count` packed real `i64` polynomials (each `2n` coefficients,
+    /// laid out back to back in `polys`; `z_j = poly[j] + i·poly[j+n]`
+    /// after folding) into the matching transforms of `batch`. The
+    /// fused pass runs straight from the coefficient array —
+    /// dispatched to the plan's kernel backend, which also performs
+    /// the exact i64→f64 torus conversion in-register; every remaining
+    /// butterfly stage then runs **across the whole batch** before the
+    /// next stage starts, amortising one twiddle-table walk over all
+    /// `count` transforms. With a unit twist the spectra are bit for
+    /// bit those of folding into a batch and running
+    /// [`Self::forward_many`].
     ///
     /// # Panics
     ///
@@ -852,12 +459,13 @@ impl SpectralPlan {
         }
     }
 
-    /// Batched split-complex counterpart of
-    /// [`Self::inverse_folded_untwisted`]: every inverse stage but the
-    /// last runs **across the whole batch**, then the fused last
-    /// stage + merged untwist/normalise multiply + unfold writes each
-    /// transform straight into its `2n`-coefficient slot of `out`.
-    /// Bit-identical to the interleaved fused path per transform.
+    /// Every inverse stage but the last runs **across the whole
+    /// batch**, then the fused last stage + merged untwist/normalise
+    /// multiply + unfold writes each transform straight into its
+    /// `2n`-coefficient slot of `out` (real parts first, then
+    /// imaginary parts) — the separate untwist and normalisation
+    /// passes never run. With a unit untwist the output is bit for bit
+    /// [`Self::inverse_many_unnormalized`], unfolded.
     ///
     /// # Panics
     ///
@@ -930,12 +538,32 @@ impl SpectralPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FftPlan;
+    use crate::reference::FftPlan;
 
     fn sample(n: usize) -> Vec<Complex64> {
         (0..n)
             .map(|i| Complex64::new((i as f64 * 0.37).sin() * 8.0, (i as f64 * 0.61).cos() * 5.0))
             .collect()
+    }
+
+    /// A batch of one transform holding `data`.
+    fn batch_of(data: &[Complex64]) -> SoaSpectrum {
+        let mut batch = SoaSpectrum::new(1, data.len());
+        batch.store(0, data);
+        batch
+    }
+
+    /// The single transform of a batch of one, interleaved.
+    fn only(batch: &SoaSpectrum) -> Vec<Complex64> {
+        let mut out = vec![Complex64::ZERO; batch.transform_len()];
+        batch.load(0, &mut out);
+        out
+    }
+
+    fn forward(plan: &SpectralPlan, data: &[Complex64]) -> Vec<Complex64> {
+        let mut batch = batch_of(data);
+        plan.forward_many(&mut batch).unwrap();
+        only(&batch)
     }
 
     #[test]
@@ -948,12 +576,12 @@ mod tests {
     #[test]
     fn rejects_wrong_buffer_length() {
         let plan = SpectralPlan::new(8).unwrap();
-        let mut short = vec![Complex64::ZERO; 4];
+        let mut short = SoaSpectrum::new(1, 4);
         assert_eq!(
-            plan.forward(&mut short).unwrap_err(),
+            plan.forward_many(&mut short).unwrap_err(),
             FftError::LengthMismatch { expected: 8, actual: 4 }
         );
-        assert!(plan.inverse(&mut short).is_err());
+        assert!(plan.inverse_many(&mut short).is_err());
     }
 
     #[test]
@@ -972,15 +600,10 @@ mod tests {
             let n = 1usize << log_n;
             let input = sample(n);
             let plan = SpectralPlan::new(n).unwrap();
-            let oracle = FftPlan::new(n).unwrap();
-
-            let mut reversed = input.clone();
-            plan.forward(&mut reversed).unwrap();
-            let mut natural = input.clone();
-            oracle.forward(&mut natural).unwrap();
-
-            let perm = plan.permutation();
-            for (k, &slot) in perm.iter().enumerate() {
+            let reversed = forward(&plan, &input);
+            let mut natural = input;
+            FftPlan::new(n).unwrap().forward(&mut natural).unwrap();
+            for (k, &slot) in plan.permutation().iter().enumerate() {
                 let d = (reversed[slot] - natural[k]).abs();
                 assert!(d < 1e-9 * n as f64, "n={n} bin={k}: {d}");
             }
@@ -993,10 +616,10 @@ mod tests {
             let n = 1usize << log_n;
             let input = sample(n);
             let plan = SpectralPlan::new(n).unwrap();
-            let mut data = input.clone();
-            plan.forward(&mut data).unwrap();
-            plan.inverse(&mut data).unwrap();
-            for (a, b) in data.iter().zip(&input) {
+            let mut batch = batch_of(&input);
+            plan.forward_many(&mut batch).unwrap();
+            plan.inverse_many(&mut batch).unwrap();
+            for (a, b) in only(&batch).iter().zip(&input) {
                 assert!((*a - *b).abs() < 1e-9, "n={n}: {a} vs {b}");
             }
         }
@@ -1007,10 +630,10 @@ mod tests {
         let n = 64;
         let input = sample(n);
         let plan = SpectralPlan::new(n).unwrap();
-        let mut data = input.clone();
-        plan.forward(&mut data).unwrap();
-        plan.inverse_unnormalized(&mut data).unwrap();
-        for (a, b) in data.iter().zip(&input) {
+        let mut batch = batch_of(&input);
+        plan.forward_many(&mut batch).unwrap();
+        plan.inverse_many_unnormalized(&mut batch).unwrap();
+        for (a, b) in only(&batch).iter().zip(&input) {
             assert!((*a - b.scale(n as f64)).abs() < 1e-8);
         }
     }
@@ -1028,26 +651,22 @@ mod tests {
         // n = 2: single radix-2 stage, permutation is identity on 2
         // elements (bit reversal of 1 bit).
         assert_eq!(SpectralPlan::new(2).unwrap().permutation(), vec![0, 1]);
-        // n = 4: single radix-4 stage = 2-bit digit reversal =
-        // identity? No: radix-4 splits by k mod 4 into quarter s, so
-        // bin k sits at slot (k%4)·1 + k/4 — for n=4 that is identity.
+        // n = 4: a single radix-4 stage puts bin k at slot
+        // (k%4)·1 + k/4, which for n = 4 is the identity.
         assert_eq!(SpectralPlan::new(4).unwrap().permutation(), vec![0, 1, 2, 3]);
-        // n = 8: radix-2 then radix-4 — mixed-digit reversal.
-        let perm8 = SpectralPlan::new(8).unwrap().permutation();
+        // n = 8: radix-2 then radix-4 — mixed-digit reversal. Spot-check
+        // against the oracle: slot order must list bins so that the DIT
+        // inverse reading slots 0.. reconstructs naturally.
+        let n = 8;
+        let plan = SpectralPlan::new(n).unwrap();
         let mut inverse = [0usize; 8];
-        for (k, &p) in perm8.iter().enumerate() {
+        for (k, &p) in plan.permutation().iter().enumerate() {
             inverse[p] = k;
         }
-        // Spot-check against the oracle: slot order must list bins so
-        // that the DIT inverse reading slots 0.. reconstructs naturally.
-        let n = 8;
         let input = sample(n);
-        let plan = SpectralPlan::new(n).unwrap();
-        let oracle = FftPlan::new(n).unwrap();
-        let mut reversed = input.clone();
-        plan.forward(&mut reversed).unwrap();
+        let reversed = forward(&plan, &input);
         let mut natural = input;
-        oracle.forward(&mut natural).unwrap();
+        FftPlan::new(n).unwrap().forward(&mut natural).unwrap();
         for (slot, &bin) in inverse.iter().enumerate() {
             assert!((reversed[slot] - natural[bin]).abs() < 1e-9);
         }
@@ -1056,19 +675,18 @@ mod tests {
     #[test]
     fn fused_forward_matches_plain_forward() {
         // With a unit twist table, the fused fold+twist+first-stage
-        // path must reproduce the plain in-place forward bit for bit.
+        // pass must reproduce folding into a batch and running every
+        // stage in place, bit for bit.
         for n in [1usize, 2, 8, 16, 128, 512] {
-            let input = sample(n);
+            let poly: Vec<i64> = (0..2 * n as i64).map(|i| (i * 37 % 101) - 50).collect();
             let plan = SpectralPlan::new(n).unwrap();
-            let mut plain = input.clone();
-            plan.forward(&mut plain).unwrap();
-            // Fold layout: first n reals, then n imaginaries.
-            let folded: Vec<f64> =
-                input.iter().map(|z| z.re).chain(input.iter().map(|z| z.im)).collect();
-            let ones = vec![Complex64::ONE; n];
-            let mut fused = vec![Complex64::ZERO; n];
-            plan.forward_folded_twisted(&folded, &ones, &mut fused, |v| v);
-            assert_eq!(plain, fused, "n={n}");
+            let folded: Vec<Complex64> =
+                (0..n).map(|j| Complex64::new(poly[j] as f64, poly[j + n] as f64)).collect();
+            let plain = forward(&plan, &folded);
+            let (ones, zeros) = (vec![1.0f64; n], vec![0.0f64; n]);
+            let mut fused = SoaSpectrum::new(1, n);
+            plan.forward_folded_twisted_many(&poly, &ones, &zeros, &mut fused);
+            assert_eq!(plain, only(&fused), "n={n}");
         }
     }
 
@@ -1077,18 +695,17 @@ mod tests {
         // With a unit untwist table, the fused last stage must agree
         // with the plain unnormalised inverse bit for bit.
         for n in [1usize, 2, 8, 16, 128, 512] {
-            let input = sample(n);
             let plan = SpectralPlan::new(n).unwrap();
-            let mut spec = input.clone();
-            plan.forward(&mut spec).unwrap();
+            let mut spec = batch_of(&sample(n));
+            plan.forward_many(&mut spec).unwrap();
 
             let mut plain = spec.clone();
-            plan.inverse_unnormalized(&mut plain).unwrap();
+            plan.inverse_many_unnormalized(&mut plain).unwrap();
+            let plain = only(&plain);
 
-            let ones = vec![Complex64::ONE; n];
+            let (ones, zeros) = (vec![1.0f64; n], vec![0.0f64; n]);
             let mut unfolded = vec![0.0f64; 2 * n];
-            let mut scratch = spec;
-            plan.inverse_folded_untwisted(&mut scratch, &ones, &mut unfolded);
+            plan.inverse_folded_untwisted_many(&mut spec, &ones, &zeros, &mut unfolded);
             for j in 0..n {
                 assert_eq!(plain[j].re, unfolded[j], "re n={n} j={j}");
                 assert_eq!(plain[j].im, unfolded[j + n], "im n={n} j={j}");

@@ -2,47 +2,52 @@
 //!
 //! This crate provides the transform layer that both the software TFHE
 //! implementation (`strix-tfhe`) and the Strix accelerator model
-//! (`strix-core`) are built on:
+//! (`strix-core`) are built on: **one kernel** on one data layout, with
+//! two backends, checked against **two oracles**.
 //!
-//! * [`Complex64`] — a minimal complex number type (kept dependency-free),
+//! The kernel:
+//!
+//! * [`SoaSpectrum`] — split-complex (structure-of-arrays) batches of
+//!   spectra: one contiguous plane of real parts, one of imaginary
+//!   parts. It is the only layout the transforms run on, the way the
+//!   Strix FFT unit (§V-A) streams one layout into the VMA;
 //! * [`SpectralPlan`] — the branch-free **bit-reversed-spectrum**
 //!   kernel: a radix-4/radix-2 decimation-in-frequency forward
 //!   transform (natural in → digit-reversed spectrum out) paired with
 //!   the exact decimation-in-time inverse (digit-reversed in → natural
-//!   out), with stage-major precomputed twiddle tables per direction —
+//!   out), with stage-major precomputed twiddle planes per direction —
 //!   no permutation pass, no direction branch, no `conj()` in any
-//!   inner loop,
+//!   inner loop. Its entry points ([`SpectralPlan::forward_many`],
+//!   [`SpectralPlan::inverse_many`]) run each butterfly stage across a
+//!   whole batch;
 //! * [`NegacyclicFft`] — the *folding scheme* of the Strix paper (§V-A)
 //!   on that kernel: an `N`-coefficient negacyclic transform computed
 //!   on an `N/2`-point complex FFT by packing `a_j + i·a_{j+N/2}` and
 //!   twisting by the odd 2N-th roots of unity, with the twist fused
 //!   into the first forward stage and untwist + normalisation fused
-//!   into the last inverse stage,
-//! * [`SoaSpectrum`] — split-complex (structure-of-arrays) batches of
-//!   spectra: one contiguous plane of real parts, one of imaginary
-//!   parts, the layout under which the batched transform entry points
-//!   ([`SpectralPlan::forward_many`], [`NegacyclicFft::forward_i64_many`],
-//!   [`NegacyclicFft::backward_f64_many`]) and the fused four-array VMA
-//!   ([`pointwise_mul_add_soa`]) autovectorise into packed `f64`
-//!   arithmetic — bit-identical to the interleaved kernel,
-//! * [`FftPlan`] — the seed iterative radix-2 decimation-in-time FFT
-//!   with natural-order spectra, kept as the correctness oracle for the
-//!   kernel (and for callers that genuinely need natural bin order),
-//! * [`FftScratch`] — caller-owned buffers for allocation-free loops of
-//!   whole negacyclic products; the `forward_*`/`backward_*` entry
-//!   points are scratch-taking by design (they write into caller
-//!   buffers and never allocate), which is what `strix-tfhe`'s larger
-//!   per-thread PBS scratch builds on,
-//! * [`StrixFftBackend`] — the pluggable kernel-backend layer: the
-//!   SoA butterfly stages, the fused fold/twist and untwist/unfold
-//!   passes, and the mixed-layout VMA kernel each exist as a portable
-//!   scalar reference plus an explicit AVX2 implementation, selected
-//!   by runtime CPU detection at plan construction (or forced via
-//!   [`SpectralPlan::with_backend`] / the `STRIX_FFT_BACKEND`
-//!   environment variable) — both backends bit-identical to the
-//!   scalar oracle,
-//! * [`mod@reference`] — exact schoolbook negacyclic convolution used as the
-//!   correctness oracle in tests and for small parameter sets.
+//!   into the last inverse stage ([`NegacyclicFft::forward_i64_many`],
+//!   [`NegacyclicFft::backward_f64_many`]);
+//! * [`pointwise_mul_add_soa`] — the fused four-array VMA, which
+//!   autovectorises into packed `f64` arithmetic;
+//! * [`StrixFftBackend`] — the two kernel backends: the SoA butterfly
+//!   stages and the fused fold/twist and untwist/unfold passes each
+//!   exist as a portable scalar reference plus an explicit AVX2
+//!   implementation, selected by runtime CPU detection at plan
+//!   construction (or forced via [`SpectralPlan::with_backend`] / the
+//!   `STRIX_FFT_BACKEND` environment variable) — both bit-identical.
+//!   The mixed-layout VMA ([`NegacyclicFft::pointwise_mul_add_key`])
+//!   is dispatched the same way; no PBS path runs it, only a
+//!   per-layer VMA probe;
+//! * [`Complex64`] — a minimal complex number type (kept
+//!   dependency-free) for scalar code, tests and the oracles.
+//!
+//! The oracles, in [`mod@reference`]:
+//!
+//! * [`reference::negacyclic_mul`] — exact schoolbook negacyclic
+//!   convolution, used in tests and for small parameter sets;
+//! * [`reference::FftPlan`] — the seed iterative radix-2
+//!   decimation-in-time FFT with natural-order spectra, which the
+//!   digit-reversed kernel matches under [`SpectralPlan::permutation`].
 //!
 //! # Example
 //!
@@ -73,11 +78,7 @@ pub use backend::{detected_cpu_features, StrixFftBackend, BACKEND_ENV_VAR};
 pub use complex::Complex64;
 pub use error::FftError;
 pub use kernel::SpectralPlan;
-pub use negacyclic::{
-    pointwise_mul_add, pointwise_mul_add_key, pointwise_mul_add_soa, FftScratch, MonomialTable,
-    NegacyclicFft,
-};
-pub use plan::FftPlan;
+pub use negacyclic::{pointwise_mul_add_key, pointwise_mul_add_soa, MonomialTable, NegacyclicFft};
 pub use soa::SoaSpectrum;
 
 /// Returns `true` if `n` is a power of two greater than or equal to `min`.

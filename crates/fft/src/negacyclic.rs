@@ -20,7 +20,7 @@
 //! kernel: the forward transform emits the spectrum **digit-reversed**
 //! and the inverse consumes exactly that ordering, so no bit-reversal
 //! permutation pass ever runs. Spectra produced by this type are only
-//! valid for *pointwise* consumption ([`pointwise_mul_add`], the VMA)
+//! valid for *pointwise* consumption ([`pointwise_mul_add_soa`], the VMA)
 //! against spectra produced under the **same plan** — which is all
 //! TFHE ever does with them. [`NegacyclicFft::spectrum_permutation`]
 //! exposes the bin→slot map for diagnostics.
@@ -37,7 +37,9 @@
 //!
 //! A transform is therefore exactly its butterfly stages: no
 //! permutation pass, no twist pass, no normalisation pass, and no
-//! direction branch anywhere in the inner loops.
+//! direction branch anywhere in the inner loops. Every entry point is
+//! batched over split-complex [`SoaSpectrum`] planes; a single
+//! polynomial is a batch of one.
 
 use crate::backend::{self, StrixFftBackend};
 use crate::complex::Complex64;
@@ -45,41 +47,6 @@ use crate::error::FftError;
 use crate::is_pow2_at_least;
 use crate::kernel::SpectralPlan;
 use crate::soa::SoaSpectrum;
-
-/// Caller-owned scratch buffers for allocation-free negacyclic
-/// arithmetic: two spectra (`N/2` complex points each) and one
-/// time-domain buffer (`N` reals), sized to one [`NegacyclicFft`] plan.
-///
-/// The transform entry points ([`NegacyclicFft::forward_f64`],
-/// [`NegacyclicFft::forward_i64`], [`NegacyclicFft::backward_f64`])
-/// already write into caller-provided buffers and never allocate; this
-/// type bundles correctly-sized instances of those buffers for loops
-/// of whole products ([`NegacyclicFft::negacyclic_mul_i64_scratch`]).
-/// Allocate one per thread and reuse it across operations. (The PBS
-/// CMUX loop needs more state than one product — per-level digits and
-/// `k+1` accumulator spectra — so `strix-tfhe` builds its larger
-/// `PbsScratch` on the same scratch-taking transforms rather than on
-/// this type.)
-#[derive(Clone, Debug)]
-pub struct FftScratch {
-    /// First spectrum buffer (`N/2` points).
-    pub spectrum_a: Vec<Complex64>,
-    /// Second spectrum buffer (`N/2` points).
-    pub spectrum_b: Vec<Complex64>,
-    /// Time-domain buffer (`N` reals).
-    pub time: Vec<f64>,
-}
-
-impl FftScratch {
-    /// Allocates scratch sized to `fft`'s polynomial size.
-    pub fn for_plan(fft: &NegacyclicFft) -> Self {
-        Self {
-            spectrum_a: vec![Complex64::ZERO; fft.fourier_size()],
-            spectrum_b: vec![Complex64::ZERO; fft.fourier_size()],
-            time: vec![0.0f64; fft.poly_size()],
-        }
-    }
-}
 
 /// Negacyclic transform of real polynomials with `N` coefficients using
 /// an `N/2`-point complex FFT under the bit-reversed-spectrum
@@ -106,18 +73,13 @@ impl FftScratch {
 pub struct NegacyclicFft {
     poly_size: usize,
     kernel: SpectralPlan,
-    /// Twist factors `e^{iπj/N}` for `j` in `[0, N/2)`, applied inside
-    /// the first forward stage.
-    twist: Vec<Complex64>,
+    /// Twist factors `e^{iπj/N}` for `j` in `[0, N/2)`, split into
+    /// re/im planes, applied inside the first forward stage.
+    twist_re: Vec<f64>,
+    twist_im: Vec<f64>,
     /// Merged inverse constants `e^{-iπj/N} / (N/2)` — untwist and
     /// normalisation in one multiply, applied inside the last inverse
     /// stage.
-    untwist_norm: Vec<Complex64>,
-    /// Split copies of `twist` (same bits, planar layout) for the SoA
-    /// batched transforms.
-    twist_re: Vec<f64>,
-    twist_im: Vec<f64>,
-    /// Split copies of `untwist_norm` for the SoA batched transforms.
     untwist_re: Vec<f64>,
     untwist_im: Vec<f64>,
 }
@@ -159,26 +121,17 @@ impl NegacyclicFft {
         let half = poly_size / 2;
         let kernel = SpectralPlan::with_backend(half, backend)?;
         let inv_n = 1.0 / half as f64;
-        let mut twist = Vec::with_capacity(half);
-        let mut untwist_norm = Vec::with_capacity(half);
-        for j in 0..half {
-            let theta = std::f64::consts::PI * j as f64 / poly_size as f64;
-            twist.push(Complex64::cis(theta));
-            untwist_norm.push(Complex64::cis(-theta).scale(inv_n));
-        }
-        let twist_re = twist.iter().map(|z| z.re).collect();
-        let twist_im = twist.iter().map(|z| z.im).collect();
-        let untwist_re = untwist_norm.iter().map(|z| z.re).collect();
-        let untwist_im = untwist_norm.iter().map(|z| z.im).collect();
+        let theta = |j: usize| std::f64::consts::PI * j as f64 / poly_size as f64;
+        let twist: Vec<Complex64> = (0..half).map(|j| Complex64::cis(theta(j))).collect();
+        let untwist: Vec<Complex64> =
+            (0..half).map(|j| Complex64::cis(-theta(j)).scale(inv_n)).collect();
         Ok(Self {
             poly_size,
             kernel,
-            twist,
-            untwist_norm,
-            twist_re,
-            twist_im,
-            untwist_re,
-            untwist_im,
+            twist_re: twist.iter().map(|z| z.re).collect(),
+            twist_im: twist.iter().map(|z| z.im).collect(),
+            untwist_re: untwist.iter().map(|z| z.re).collect(),
+            untwist_im: untwist.iter().map(|z| z.im).collect(),
         })
     }
 
@@ -212,57 +165,6 @@ impl NegacyclicFft {
         self.kernel.permutation()
     }
 
-    /// Forward transform of a polynomial given as `f64` coefficients.
-    /// The output spectrum is in the plan's digit-reversed slot order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] if `poly.len() != N` or
-    /// `out.len() != N/2`.
-    pub fn forward_f64(&self, poly: &[f64], out: &mut [Complex64]) -> Result<(), FftError> {
-        self.check_time_len(poly.len())?;
-        self.check_freq_len(out.len())?;
-        self.kernel.forward_folded_twisted(poly, &self.twist, out, |v| v);
-        Ok(())
-    }
-
-    /// Forward transform of a polynomial given as `i64` coefficients
-    /// (e.g. gadget-decomposed digits, which are small signed integers).
-    /// The output spectrum is in the plan's digit-reversed slot order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] on buffer size mismatch.
-    pub fn forward_i64(&self, poly: &[i64], out: &mut [Complex64]) -> Result<(), FftError> {
-        self.check_time_len(poly.len())?;
-        self.check_freq_len(out.len())?;
-        self.kernel.forward_folded_twisted(poly, &self.twist, out, |v| v as f64);
-        Ok(())
-    }
-
-    /// Inverse transform producing `f64` coefficients; normalised so that
-    /// `backward(forward(a)) = a`. Consumes a spectrum in the same
-    /// digit-reversed slot order the forward transforms emit.
-    ///
-    /// `spectrum` is consumed in place as scratch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] on buffer size mismatch.
-    pub fn backward_f64(
-        &self,
-        spectrum: &mut [Complex64],
-        out: &mut [f64],
-    ) -> Result<(), FftError> {
-        self.check_freq_len(spectrum.len())?;
-        self.check_time_len(out.len())?;
-        // The kernel's fused tail applies the last butterfly stage,
-        // the merged untwist/normalise multiply and the unfold in one
-        // pass over the data.
-        self.kernel.inverse_folded_untwisted(spectrum, &self.untwist_norm, out);
-        Ok(())
-    }
-
     /// Batched forward transform of `count` packed `i64` polynomials
     /// (laid out back to back in `polys`, `N` coefficients each) into
     /// the `count` transforms of `out` — the coefficient-level batching
@@ -270,11 +172,12 @@ impl NegacyclicFft {
     /// polynomials of one external product go through the kernel in
     /// one call, with every butterfly stage run across the whole batch
     /// before the next stage starts ([`SpectralPlan::forward_many`]'s
-    /// schedule) and the fold+twist fused into the first stage exactly
-    /// as in [`Self::forward_i64`].
+    /// schedule) and the fold+twist fused into the first stage, loading
+    /// straight from the coefficient array. The output spectra are in
+    /// the plan's digit-reversed slot order.
     ///
-    /// Spectra are **bit-identical** to calling [`Self::forward_i64`]
-    /// once per polynomial.
+    /// Each polynomial's spectrum has the same bits alone (a batch of
+    /// one) as at any position of any batch.
     ///
     /// # Errors
     ///
@@ -286,13 +189,14 @@ impl NegacyclicFft {
         Ok(())
     }
 
-    /// Batched inverse transform: the `count` spectra of `batch`
-    /// (consumed in place as scratch) become `count` packed real
-    /// polynomials in `out`, bit-identical to calling
-    /// [`Self::backward_f64`] once per spectrum. Every inverse stage
+    /// Batched inverse transform, normalised so that it undoes
+    /// [`Self::forward_i64_many`]: the `count` spectra of `batch`
+    /// (digit-reversed slot order, consumed in place as scratch) become
+    /// `count` packed real polynomials in `out`. Every inverse stage
     /// but the last runs across the whole batch; the merged
     /// untwist+normalise multiply and the unfold are fused into the
-    /// last stage as in the single-transform path.
+    /// last stage. Like the forward transform, each result is
+    /// independent of the batch around it.
     ///
     /// # Errors
     ///
@@ -310,7 +214,8 @@ impl NegacyclicFft {
 
     /// Backend-dispatched form of the free [`pointwise_mul_add_key`]
     /// mixed-layout VMA: interleaved `acc`/`a`, split key planes.
-    /// Bit-identical to the free function on every backend.
+    /// Bit-identical to the free function on every backend. No PBS
+    /// path runs it; it is the kernel a per-layer VMA probe times.
     ///
     /// # Panics
     ///
@@ -357,6 +262,10 @@ impl NegacyclicFft {
     /// `2²⁵−1` and `2¹⁶−1` at `N = 1024` (`‖a‖₂·‖b‖₂ ≈ 2⁵¹`) give
     /// coefficients below `2⁵²` that come back off by one.
     ///
+    /// Runs one batched forward transform of both operands, one split
+    /// VMA into a zeroed product spectrum and one inverse transform;
+    /// it allocates its buffers per call.
+    ///
     /// # Errors
     ///
     /// Returns [`FftError::LengthMismatch`] on buffer size mismatch.
@@ -366,49 +275,22 @@ impl NegacyclicFft {
         b: &[i64],
         out: &mut [i64],
     ) -> Result<(), FftError> {
-        let mut scratch = FftScratch::for_plan(self);
-        self.negacyclic_mul_i64_scratch(a, b, out, &mut scratch)
-    }
-
-    /// As [`Self::negacyclic_mul_i64`] but using caller-provided
-    /// scratch, so repeated products perform no heap allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] on buffer size mismatch
-    /// (including a scratch sized for a different plan).
-    pub fn negacyclic_mul_i64_scratch(
-        &self,
-        a: &[i64],
-        b: &[i64],
-        out: &mut [i64],
-        scratch: &mut FftScratch,
-    ) -> Result<(), FftError> {
-        self.check_time_len(a.len())?;
-        self.check_time_len(b.len())?;
-        self.check_time_len(out.len())?;
-        self.forward_i64(a, &mut scratch.spectrum_a)?;
-        self.forward_i64(b, &mut scratch.spectrum_b)?;
-        for (x, y) in scratch.spectrum_a.iter_mut().zip(&scratch.spectrum_b) {
-            *x *= *y;
+        for len in [a.len(), b.len(), out.len()] {
+            if len != self.poly_size {
+                return Err(FftError::LengthMismatch { expected: self.poly_size, actual: len });
+            }
         }
-        self.backward_f64(&mut scratch.spectrum_a, &mut scratch.time)?;
-        for (o, r) in out.iter_mut().zip(&scratch.time) {
+        let half = self.fourier_size();
+        let mut operands = SoaSpectrum::new(2, half);
+        self.forward_i64_many(&[a, b].concat(), &mut operands)?;
+        let mut product = SoaSpectrum::new(1, half);
+        let ((a_re, a_im), (b_re, b_im)) = (operands.transform(0), operands.transform(1));
+        let (p_re, p_im) = product.transform_mut(0);
+        pointwise_mul_add_soa(p_re, p_im, a_re, a_im, b_re, b_im);
+        let mut time = vec![0.0f64; self.poly_size];
+        self.backward_f64_many(&mut product, &mut time)?;
+        for (o, r) in out.iter_mut().zip(&time) {
             *o = r.round() as i64;
-        }
-        Ok(())
-    }
-
-    fn check_time_len(&self, len: usize) -> Result<(), FftError> {
-        if len != self.poly_size {
-            return Err(FftError::LengthMismatch { expected: self.poly_size, actual: len });
-        }
-        Ok(())
-    }
-
-    fn check_freq_len(&self, len: usize) -> Result<(), FftError> {
-        if len != self.fourier_size() {
-            return Err(FftError::LengthMismatch { expected: self.fourier_size(), actual: len });
         }
         Ok(())
     }
@@ -535,34 +417,13 @@ impl MonomialTable {
     // lint:hot-path-end
 }
 
-/// Multiplies `a` and `b` pointwise, accumulating into `acc`:
-/// `acc_k += a_k · b_k`.
-///
-/// This is the software analogue of the Strix VMA unit's
-/// multiply-and-adder-tree datapath operating on Fourier coefficients.
-/// It is ordering-agnostic: with all three operands in the same
-/// (digit-reversed) slot order, the result is the slot-ordered product
-/// spectrum — which is precisely why the bit-reversed-spectrum
-/// convention is free for TFHE.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths (programming error — the
-/// buffers come from plans of matching size).
-#[inline]
-pub fn pointwise_mul_add(acc: &mut [Complex64], a: &[Complex64], b: &[Complex64]) {
-    assert_eq!(acc.len(), a.len(), "pointwise length mismatch");
-    assert_eq!(acc.len(), b.len(), "pointwise length mismatch");
-    for ((s, x), y) in acc.iter_mut().zip(a).zip(b) {
-        *s += *x * *y;
-    }
-}
-
-/// As [`pointwise_mul_add`], but with the second operand in split
-/// (SoA) planes: `acc_k += a_k · (b_re_k + i·b_im_k)`. The complex
-/// multiply uses exactly [`Complex64`]'s expression, so mixing layouts
-/// never changes a bit. This is how the classical reference CMUX path
-/// consumes the split-layout bootstrapping key.
+/// Mixed-layout multiply–accumulate: interleaved `acc` and `a`, the
+/// second operand in split (SoA) planes:
+/// `acc_k += a_k · (b_re_k + i·b_im_k)`. The complex multiply uses
+/// exactly [`Complex64`]'s expression, so it rounds like
+/// [`pointwise_mul_add_soa`]. No PBS path runs it; it is the scalar
+/// reference of the backend-dispatched
+/// [`NegacyclicFft::pointwise_mul_add_key`].
 ///
 /// # Panics
 ///
@@ -583,13 +444,20 @@ pub fn pointwise_mul_add_key(acc: &mut [Complex64], a: &[Complex64], b_re: &[f64
 /// Fully split (structure-of-arrays) fused multiply–accumulate, the
 /// four-array VMA kernel of the coefficient-batched CMUX:
 /// `acc_k += a_k · b_k` with every operand in separate `re`/`im`
-/// planes. Each plane is a plain contiguous `f64` slice, so the loop
+/// planes.
+///
+/// This is the software analogue of the Strix VMA unit's
+/// multiply-and-adder-tree datapath operating on Fourier coefficients.
+/// It is ordering-agnostic: with all three operands in the same
+/// (digit-reversed) slot order, the result is the slot-ordered product
+/// spectrum — which is precisely why the bit-reversed-spectrum
+/// convention is free for TFHE. Each plane is a plain contiguous `f64` slice, so the loop
 /// below autovectorises into packed multiplies and adds with no lane
 /// shuffles — the software shape of the Strix VMA unit's datapath and
 /// of FPT's split-lane layout.
 ///
-/// Per-element arithmetic is exactly [`pointwise_mul_add`]'s, so the
-/// accumulated spectra are bit-identical to the interleaved kernel's.
+/// Per-element arithmetic is exactly [`Complex64`]'s multiply
+/// followed by an add.
 ///
 /// This loop is the split VMA's only implementation, whatever backend
 /// a plan resolved: it has no explicit SIMD kernel, because the
@@ -630,6 +498,15 @@ mod tests {
     use super::*;
     use crate::reference;
 
+    /// The spectrum of one polynomial, through a batch of one.
+    fn spectrum(fft: &NegacyclicFft, poly: &[i64]) -> Vec<Complex64> {
+        let mut batch = SoaSpectrum::new(1, fft.fourier_size());
+        fft.forward_i64_many(poly, &mut batch).unwrap();
+        let mut out = vec![Complex64::ZERO; fft.fourier_size()];
+        batch.load(0, &mut out);
+        out
+    }
+
     #[test]
     fn rejects_tiny_or_odd_sizes() {
         assert!(NegacyclicFft::new(1).is_err());
@@ -649,13 +526,13 @@ mod tests {
         for log_n in 1..=11 {
             let n = 1usize << log_n;
             let fft = NegacyclicFft::new(n).unwrap();
-            let poly: Vec<f64> = (0..n).map(|i| ((i * 7919) % 257) as f64 - 128.0).collect();
-            let mut spec = vec![Complex64::ZERO; n / 2];
-            fft.forward_f64(&poly, &mut spec).unwrap();
+            let poly: Vec<i64> = (0..n).map(|i| ((i * 7919) % 257) as i64 - 128).collect();
+            let mut spec = SoaSpectrum::new(1, n / 2);
+            fft.forward_i64_many(&poly, &mut spec).unwrap();
             let mut back = vec![0.0f64; n];
-            fft.backward_f64(&mut spec, &mut back).unwrap();
-            for (a, b) in poly.iter().zip(&back) {
-                assert!((a - b).abs() < 1e-7, "{a} vs {b} at n={n}");
+            fft.backward_f64_many(&mut spec, &mut back).unwrap();
+            for (&a, b) in poly.iter().zip(&back) {
+                assert!((a as f64 - b).abs() < 1e-7, "{a} vs {b} at n={n}");
             }
         }
     }
@@ -669,8 +546,7 @@ mod tests {
         let n = 16;
         let fft = NegacyclicFft::new(n).unwrap();
         let poly: Vec<i64> = (0..n as i64).map(|i| i * i - 5).collect();
-        let mut spec = vec![Complex64::ZERO; n / 2];
-        fft.forward_i64(&poly, &mut spec).unwrap();
+        let spec = spectrum(&fft, &poly);
         let perm = fft.spectrum_permutation();
         for (k, &slot) in perm.iter().enumerate() {
             let m = (1isize - 4 * k as isize).rem_euclid(2 * n as isize) as usize;
@@ -705,8 +581,7 @@ mod tests {
                 } else {
                     poly[reduced - n] = -1;
                 }
-                let mut spec = vec![Complex64::ZERO; n / 2];
-                fft.forward_i64(&poly, &mut spec).unwrap();
+                let spec = spectrum(&fft, &poly);
                 let mut re = vec![0.0f64; n / 2];
                 let mut im = vec![0.0f64; n / 2];
                 table.spectrum_into(degree, &mut re, &mut im).unwrap();
@@ -810,32 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_multiplication_is_bit_identical_to_allocating_path() {
-        let n = 64;
-        let fft = NegacyclicFft::new(n).unwrap();
-        let mut scratch = FftScratch::for_plan(&fft);
-        let a: Vec<i64> = (0..n).map(|i| ((i * 29 + 11) % 53) as i64 - 26).collect();
-        let b: Vec<i64> = (0..n).map(|i| ((i * 13 + 5) % 47) as i64 - 23).collect();
-        let mut alloc = vec![0i64; n];
-        fft.negacyclic_mul_i64(&a, &b, &mut alloc).unwrap();
-        // Reuse the same scratch twice: stale contents must not leak.
-        for _ in 0..2 {
-            let mut reused = vec![0i64; n];
-            fft.negacyclic_mul_i64_scratch(&a, &b, &mut reused, &mut scratch).unwrap();
-            assert_eq!(reused, alloc);
-        }
-    }
-
-    #[test]
-    fn scratch_for_wrong_plan_is_rejected() {
-        let fft = NegacyclicFft::new(8).unwrap();
-        let mut scratch = FftScratch::for_plan(&NegacyclicFft::new(16).unwrap());
-        let a = [0i64; 8];
-        let mut out = [0i64; 8];
-        assert!(fft.negacyclic_mul_i64_scratch(&a, &a, &mut out, &mut scratch).is_err());
-    }
-
-    #[test]
     fn smallest_polynomial_size_multiplies_exactly() {
         // N = 2 runs on a single-point complex FFT: the fused fold and
         // untwist paths must still be exact.
@@ -850,30 +699,28 @@ mod tests {
 
     #[test]
     fn pointwise_mul_add_accumulates() {
-        let a = [Complex64::new(1.0, 2.0), Complex64::new(0.0, 1.0)];
-        let b = [Complex64::new(3.0, 0.0), Complex64::new(0.0, 1.0)];
-        let mut acc = [Complex64::new(1.0, 1.0), Complex64::ZERO];
-        pointwise_mul_add(&mut acc, &a, &b);
-        assert_eq!(acc[0], Complex64::new(4.0, 7.0));
-        assert_eq!(acc[1], Complex64::new(-1.0, 0.0));
+        // (1+2i)(3) + (1+i) = 4+7i and i·i + 0 = −1, lane by lane.
+        let (a_re, a_im) = ([1.0, 0.0], [2.0, 1.0]);
+        let (b_re, b_im) = ([3.0, 0.0], [0.0, 1.0]);
+        let (mut acc_re, mut acc_im) = ([1.0, 0.0], [1.0, 0.0]);
+        pointwise_mul_add_soa(&mut acc_re, &mut acc_im, &a_re, &a_im, &b_re, &b_im);
+        assert_eq!((acc_re, acc_im), ([4.0, -1.0], [7.0, 0.0]));
     }
 
     #[test]
     #[should_panic(expected = "pointwise length mismatch")]
     fn pointwise_mul_add_panics_on_mismatch() {
-        let a = [Complex64::ZERO; 2];
-        let b = [Complex64::ZERO; 3];
-        let mut acc = [Complex64::ZERO; 2];
-        pointwise_mul_add(&mut acc, &a, &b);
+        let (a, b) = ([0.0; 2], [0.0; 3]);
+        let (mut acc_re, mut acc_im) = ([0.0; 2], [0.0; 2]);
+        pointwise_mul_add_soa(&mut acc_re, &mut acc_im, &a, &a, &b, &b);
     }
 
     #[test]
     fn buffer_mismatch_is_reported() {
         let fft = NegacyclicFft::new(8).unwrap();
-        let poly = vec![0.0f64; 8];
-        let mut wrong = vec![Complex64::ZERO; 8]; // should be 4
+        let mut wrong = SoaSpectrum::new(1, 8); // should be 4
         assert_eq!(
-            fft.forward_f64(&poly, &mut wrong).unwrap_err(),
+            fft.forward_i64_many(&[0i64; 8], &mut wrong).unwrap_err(),
             FftError::LengthMismatch { expected: 4, actual: 8 }
         );
     }

@@ -7,10 +7,9 @@
 //! permutation pass and per-butterfly direction branch. It is kept
 //! (unchanged, on purpose) because its natural bin ordering makes it
 //! the easy-to-trust reference: kernel tests compare
-//! `SpectralPlan::forward` against [`FftPlan::forward`] through
-//! `SpectralPlan::permutation`, and callers that genuinely need
-//! natural-order spectra (spectral diagnostics, plotting) should use
-//! this type.
+//! `SpectralPlan::forward_many` against [`FftPlan::forward`] through
+//! `SpectralPlan::permutation`. It is public only as
+//! [`crate::reference::FftPlan`], next to the schoolbook oracle.
 
 use crate::complex::Complex64;
 use crate::error::FftError;
@@ -25,7 +24,7 @@ use crate::is_pow2_at_least;
 /// # Example
 ///
 /// ```
-/// use strix_fft::{Complex64, FftPlan};
+/// use strix_fft::{reference::FftPlan, Complex64};
 ///
 /// # fn main() -> Result<(), strix_fft::FftError> {
 /// let plan = FftPlan::new(4)?;

@@ -1,6 +1,10 @@
-//! Exact schoolbook negacyclic arithmetic, used as the correctness oracle
-//! for the FFT path and directly by the software TFHE implementation for
-//! small test parameters.
+//! The crate's two mathematical oracles: exact schoolbook negacyclic
+//! arithmetic, used as the correctness oracle for the FFT path and
+//! directly by the software TFHE implementation for small test
+//! parameters, and the natural-order radix-2 [`FftPlan`] that the
+//! digit-reversed kernel is checked against.
+
+pub use crate::plan::FftPlan;
 
 /// Exact negacyclic product in `Z[X]/(X^N + 1)` with wrapping `i64`
 /// arithmetic.

@@ -12,11 +12,11 @@
 //!
 //! [`SoaSpectrum`] is that layout: a batch of `count` spectra of
 //! `transform_len` complex points each, stored as two contiguous
-//! `f64` planes. Values are **bit-identical** to their interleaved
-//! counterparts — only the addressing changes — so spectra may be
-//! converted between layouts freely without perturbing a single ULP,
-//! which is what lets the SoA CMUX path be bit-exact against the
-//! interleaved oracle.
+//! `f64` planes. It is the only layout the transforms run on.
+//! [`SoaSpectrum::store`] and [`SoaSpectrum::load`] convert to and
+//! from interleaved spectra without perturbing a single ULP — only
+//! the addressing changes — for tests and for the natural-order
+//! oracle.
 
 use crate::complex::Complex64;
 

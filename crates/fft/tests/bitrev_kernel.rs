@@ -4,7 +4,22 @@
 //! permutation-free DIF∘DIT identity, round-trip error scaling, and
 //! agreement with the natural-order seed kernel kept as oracle.
 
-use strix_fft::{reference, Complex64, FftPlan, NegacyclicFft, SpectralPlan};
+use strix_fft::reference::{self, FftPlan};
+use strix_fft::{Complex64, NegacyclicFft, SoaSpectrum, SpectralPlan};
+
+/// A batch of one transform holding `data`.
+fn batch_of(data: &[Complex64]) -> SoaSpectrum {
+    let mut batch = SoaSpectrum::new(1, data.len());
+    batch.store(0, data);
+    batch
+}
+
+/// The single transform of a batch of one, interleaved.
+fn only(batch: &SoaSpectrum) -> Vec<Complex64> {
+    let mut out = vec![Complex64::ZERO; batch.transform_len()];
+    batch.load(0, &mut out);
+    out
+}
 
 /// Deterministic pseudorandom i64 stream (splitmix64), bounded.
 fn pseudo_poly(n: usize, seed: u64, bound: i64) -> Vec<i64> {
@@ -54,10 +69,11 @@ fn dif_forward_then_dit_inverse_is_identity_without_permutation() {
         let input: Vec<Complex64> = (0..n)
             .map(|i| Complex64::new((i as f64 * 0.7).sin() * 100.0, (i as f64 * 1.3).cos() * 50.0))
             .collect();
-        let mut data = input.clone();
-        plan.forward(&mut data).unwrap();
-        plan.inverse(&mut data).unwrap();
-        let max_err = data.iter().zip(&input).map(|(a, b)| (*a - *b).abs()).fold(0.0f64, f64::max);
+        let mut batch = batch_of(&input);
+        plan.forward_many(&mut batch).unwrap();
+        plan.inverse_many(&mut batch).unwrap();
+        let max_err =
+            only(&batch).iter().zip(&input).map(|(a, b)| (*a - *b).abs()).fold(0.0f64, f64::max);
         assert!(max_err < 1e-9 * (log_n.max(1) as f64), "n={n}: max err {max_err}");
     }
 }
@@ -65,15 +81,16 @@ fn dif_forward_then_dit_inverse_is_identity_without_permutation() {
 #[test]
 fn forward_spectrum_is_the_permuted_natural_spectrum() {
     // The digit-reversed spectrum is a pure relabeling of the seed
-    // kernel's natural-order spectrum: SpectralPlan::forward at slot
-    // perm[k] equals FftPlan::forward at bin k.
+    // kernel's natural-order spectrum: SpectralPlan::forward_many at
+    // slot perm[k] equals FftPlan::forward at bin k.
     for n in [2usize, 4, 8, 32, 128, 512, 1024] {
         let input: Vec<Complex64> =
             (0..n).map(|i| Complex64::new(i as f64, -(i as f64) * 0.25)).collect();
         let plan = SpectralPlan::new(n).unwrap();
         let oracle = FftPlan::new(n).unwrap();
-        let mut reversed = input.clone();
-        plan.forward(&mut reversed).unwrap();
+        let mut batch = batch_of(&input);
+        plan.forward_many(&mut batch).unwrap();
+        let reversed = only(&batch);
         let mut natural = input;
         oracle.forward(&mut natural).unwrap();
         let perm = plan.permutation();
@@ -95,13 +112,13 @@ fn negacyclic_round_trip_error_scales_with_size() {
     for log_n in 1..=13u32 {
         let n = 1usize << log_n;
         let fft = NegacyclicFft::new(n).unwrap();
-        let poly: Vec<f64> =
-            pseudo_poly(n, 42 + log_n as u64, 1000).into_iter().map(|v| v as f64).collect();
-        let mut spec = vec![Complex64::ZERO; n / 2];
-        fft.forward_f64(&poly, &mut spec).unwrap();
+        let poly = pseudo_poly(n, 42 + log_n as u64, 1000);
+        let mut spec = SoaSpectrum::new(1, n / 2);
+        fft.forward_i64_many(&poly, &mut spec).unwrap();
         let mut back = vec![0.0f64; n];
-        fft.backward_f64(&mut spec, &mut back).unwrap();
-        let max_err = poly.iter().zip(&back).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
+        fft.backward_f64_many(&mut spec, &mut back).unwrap();
+        let max_err =
+            poly.iter().zip(&back).map(|(&a, b)| (a as f64 - b).abs()).fold(0.0f64, f64::max);
         // ~2^-52 per butterfly stage on values of size `magnitude`,
         // with sqrt(N) accumulation headroom folded into the constant.
         let tol = magnitude * (log_n as f64 + 1.0) * (n as f64).sqrt() * 1e-14;
@@ -111,18 +128,28 @@ fn negacyclic_round_trip_error_scales_with_size() {
 
 #[test]
 fn spectra_from_different_entry_points_are_interchangeable() {
-    // forward_f64 and forward_i64 must emit the same slot ordering —
-    // the external product multiplies key spectra (f64 path) against
-    // digit spectra (i64 path) pointwise.
-    let n = 256;
-    let ints = pseudo_poly(n, 9, 500);
-    let floats: Vec<f64> = ints.iter().map(|&v| v as f64).collect();
-    let fft = NegacyclicFft::new(n).unwrap();
-    let mut spec_i = vec![Complex64::ZERO; n / 2];
-    let mut spec_f = vec![Complex64::ZERO; n / 2];
-    fft.forward_i64(&ints, &mut spec_i).unwrap();
-    fft.forward_f64(&floats, &mut spec_f).unwrap();
-    assert_eq!(spec_i, spec_f);
+    // The fused negacyclic entry point (fold + twist inside the first
+    // butterfly stage) must emit exactly the spectrum of the plain
+    // kernel run on the folded, twisted polynomial: same slot order,
+    // same bits. The external product multiplies spectra of both
+    // origins' kind (key rows and digits) pointwise.
+    for n in [2usize, 8, 256, 512] {
+        let half = n / 2;
+        let ints = pseudo_poly(n, 9, 500);
+        let fft = NegacyclicFft::new(n).unwrap();
+        let mut fused = SoaSpectrum::new(1, half);
+        fft.forward_i64_many(&ints, &mut fused).unwrap();
+
+        let twisted: Vec<Complex64> = (0..half)
+            .map(|j| {
+                let twist = Complex64::cis(std::f64::consts::PI * j as f64 / n as f64);
+                Complex64::new(ints[j] as f64, ints[j + half] as f64) * twist
+            })
+            .collect();
+        let mut plain = batch_of(&twisted);
+        SpectralPlan::new(half).unwrap().forward_many(&mut plain).unwrap();
+        assert_eq!(only(&fused), only(&plain), "n={n}");
+    }
 }
 
 #[test]

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 
-use strix_fft::{reference, Complex64, FftPlan, NegacyclicFft, SpectralPlan};
+use strix_fft::reference::{self, FftPlan};
+use strix_fft::{Complex64, NegacyclicFft, SoaSpectrum, SpectralPlan};
 
 fn poly_strategy(n: usize, bound: i64) -> impl Strategy<Value = Vec<i64>> {
     prop::collection::vec(-bound..=bound, n)
@@ -72,9 +73,12 @@ proptest! {
             .enumerate()
             .map(|(i, &re)| Complex64::new(re, (i as f64 * 0.9).cos() * 100.0))
             .collect();
-        let mut data = input.clone();
-        plan.forward(&mut data).unwrap();
-        plan.inverse(&mut data).unwrap();
+        let mut batch = SoaSpectrum::new(1, n);
+        batch.store(0, &input);
+        plan.forward_many(&mut batch).unwrap();
+        plan.inverse_many(&mut batch).unwrap();
+        let mut data = vec![Complex64::ZERO; n];
+        batch.load(0, &mut data);
         for (a, b) in data.iter().zip(&input) {
             prop_assert!((*a - *b).abs() < 1e-7, "{a} vs {b}");
         }
@@ -163,11 +167,12 @@ proptest! {
         // energy of one conjugate pair).
         let n = 64;
         let fft = NegacyclicFft::new(n).unwrap();
-        let mut spec = vec![Complex64::ZERO; n / 2];
-        fft.forward_i64(&a, &mut spec).unwrap();
+        let mut spec = SoaSpectrum::new(1, n / 2);
+        fft.forward_i64_many(&a, &mut spec).unwrap();
         let time_energy: f64 = a.iter().map(|&x| (x as f64) * (x as f64)).sum();
+        let (re, im) = spec.planes();
         let freq_energy: f64 =
-            spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / (n / 2) as f64;
+            re.iter().zip(im).map(|(r, i)| r * r + i * i).sum::<f64>() / (n / 2) as f64;
         let rel = (freq_energy - time_energy).abs() / time_energy.max(1.0);
         prop_assert!(rel < 1e-9, "rel err {rel}");
     }

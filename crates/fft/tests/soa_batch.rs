@@ -1,16 +1,18 @@
-//! Bit-exactness of the split-complex (SoA) batched transforms against
-//! the interleaved single-transform kernel.
+//! Batch independence of the split-complex (SoA) batched transforms,
+//! and bit-exactness of the split VMA.
 //!
-//! The whole point of the SoA layer is that it changes *layout and
-//! loop schedule only*: every butterfly computes the same IEEE
-//! expressions in the same per-transform order, so a batched transform
-//! must agree with a loop of single transforms **bit for bit**, not
-//! just within rounding tolerance. These tests pin that contract for
-//! every entry point the CMUX hot path uses.
+//! Batching changes the *loop schedule only*: every butterfly stage
+//! runs across the whole batch before the next starts, but each
+//! transform computes the same IEEE expressions in the same order as
+//! in a batch of one. A transform must therefore give the same bits
+//! alone and at any position of any batch, not just agree within
+//! rounding tolerance — the blocked PBS engine, which transforms a
+//! whole job's digits at once, and the per-job classical reference,
+//! which is pinned to it bit for bit, rely on that.
 
 use strix_fft::{
-    pointwise_mul_add, pointwise_mul_add_key, pointwise_mul_add_soa, Complex64, NegacyclicFft,
-    SoaSpectrum, SpectralPlan,
+    pointwise_mul_add_key, pointwise_mul_add_soa, Complex64, NegacyclicFft, SoaSpectrum,
+    SpectralPlan,
 };
 
 /// Deterministic pseudo-random f64 stream (splitmix64 → [-1, 1) keeps
@@ -45,26 +47,57 @@ fn noise_i64(seed: u64, len: usize) -> Vec<i64> {
         .collect()
 }
 
+/// The bits of one transform's planes, so `-0.0` and `0.0` differ.
+fn bits((re, im): (&[f64], &[f64])) -> Vec<u64> {
+    re.iter().chain(im).map(|x| x.to_bits()).collect()
+}
+
+/// A batch holding `planes[t]` at position `t`.
+fn batch_of(planes: &[(Vec<f64>, Vec<f64>)]) -> SoaSpectrum {
+    let mut batch = SoaSpectrum::new(planes.len(), planes[0].0.len());
+    for (t, (re, im)) in planes.iter().enumerate() {
+        let (r, i) = batch.transform_mut(t);
+        r.copy_from_slice(re);
+        i.copy_from_slice(im);
+    }
+    batch
+}
+
+/// `count` transforms of length `n` with un-round planes.
+fn planes_of(seed: u64, count: usize, n: usize) -> Vec<(Vec<f64>, Vec<f64>)> {
+    (0..count as u64).map(|t| (noise(seed + t, n), noise(!(seed + t), n))).collect()
+}
+
+/// Runs `transform` on the whole batch of `planes` and on each of
+/// them alone (a batch of one), and asserts the bits agree at every
+/// position. A transform that read a neighbour's planes, or a stage
+/// loop that depended on the batch, shows up here.
+fn assert_batch_matches_looped_singles(
+    planes: &[(Vec<f64>, Vec<f64>)],
+    at: &str,
+    transform: impl Fn(&mut SoaSpectrum),
+) {
+    let mut batch = batch_of(planes);
+    transform(&mut batch);
+    for (t, one) in planes.chunks(1).enumerate() {
+        let mut single = batch_of(one);
+        transform(&mut single);
+        assert_eq!(bits(single.transform(0)), bits(batch.transform(t)), "{at} t={t}");
+    }
+}
+
+/// Complex sizes `n = 2^0 … 2^11` cover both first-stage radices and
+/// the stage-less `n = 1`.
 #[test]
 fn forward_many_is_bit_exact_vs_looped_single_transforms() {
     for log_n in 0..=11 {
         let n = 1usize << log_n;
         let plan = SpectralPlan::new(n).unwrap();
         for count in [1usize, 2, 3, 6] {
-            let inputs: Vec<Vec<Complex64>> =
-                (0..count).map(|t| noise_complex(7 + t as u64 + n as u64, n)).collect();
-            let mut batch = SoaSpectrum::new(count, n);
-            for (t, input) in inputs.iter().enumerate() {
-                batch.store(t, input);
-            }
-            plan.forward_many(&mut batch).unwrap();
-            let mut got = vec![Complex64::ZERO; n];
-            for (t, input) in inputs.iter().enumerate() {
-                let mut single = input.clone();
-                plan.forward(&mut single).unwrap();
-                batch.load(t, &mut got);
-                assert_eq!(got, single, "n={n} count={count} t={t}");
-            }
+            let planes = planes_of(7 + (n + count) as u64, count, n);
+            assert_batch_matches_looped_singles(&planes, &format!("n={n} count={count}"), |b| {
+                plan.forward_many(b).unwrap()
+            });
         }
     }
 }
@@ -74,30 +107,15 @@ fn inverse_many_is_bit_exact_vs_looped_single_transforms() {
     for log_n in 0..=11 {
         let n = 1usize << log_n;
         let plan = SpectralPlan::new(n).unwrap();
-        let count = 3;
-        let inputs: Vec<Vec<Complex64>> =
-            (0..count).map(|t| noise_complex(31 + t as u64 + n as u64, n)).collect();
-
-        let mut unnorm = SoaSpectrum::new(count, n);
-        let mut norm = SoaSpectrum::new(count, n);
-        for (t, input) in inputs.iter().enumerate() {
-            unnorm.store(t, input);
-            norm.store(t, input);
-        }
-        plan.inverse_many_unnormalized(&mut unnorm).unwrap();
-        plan.inverse_many(&mut norm).unwrap();
-
-        let mut got = vec![Complex64::ZERO; n];
-        for (t, input) in inputs.iter().enumerate() {
-            let mut single = input.clone();
-            plan.inverse_unnormalized(&mut single).unwrap();
-            unnorm.load(t, &mut got);
-            assert_eq!(got, single, "unnormalized n={n} t={t}");
-
-            let mut single = input.clone();
-            plan.inverse(&mut single).unwrap();
-            norm.load(t, &mut got);
-            assert_eq!(got, single, "normalized n={n} t={t}");
+        for count in [2usize, 3, 6] {
+            let planes = planes_of(31 + (n + count) as u64, count, n);
+            let at = format!("n={n} count={count}");
+            assert_batch_matches_looped_singles(&planes, &format!("unnormalized {at}"), |b| {
+                plan.inverse_many_unnormalized(b).unwrap()
+            });
+            assert_batch_matches_looped_singles(&planes, &format!("normalized {at}"), |b| {
+                plan.inverse_many(b).unwrap()
+            });
         }
     }
 }
@@ -114,12 +132,14 @@ fn negacyclic_forward_many_is_bit_exact_vs_looped_forward_i64() {
             let mut batch = SoaSpectrum::new(count, half);
             fft.forward_i64_many(&polys, &mut batch).unwrap();
 
-            let mut single = vec![Complex64::ZERO; half];
-            let mut got = vec![Complex64::ZERO; half];
+            let mut single = SoaSpectrum::new(1, half);
             for (t, poly) in polys.chunks_exact(n).enumerate() {
-                fft.forward_i64(poly, &mut single).unwrap();
-                batch.load(t, &mut got);
-                assert_eq!(got, single, "n={n} count={count} t={t}");
+                fft.forward_i64_many(poly, &mut single).unwrap();
+                assert_eq!(
+                    bits(single.transform(0)),
+                    bits(batch.transform(t)),
+                    "n={n} count={count} t={t}"
+                );
             }
         }
     }
@@ -130,22 +150,17 @@ fn negacyclic_backward_many_is_bit_exact_vs_looped_backward_f64() {
     for n in [2usize, 8, 256, 512, 1024, 2048] {
         let fft = NegacyclicFft::new(n).unwrap();
         let half = fft.fourier_size();
-        let count = 3;
-        let specs: Vec<Vec<Complex64>> =
-            (0..count).map(|t| noise_complex(n as u64 * 7 + t as u64, half)).collect();
+        for count in [2usize, 3, 6] {
+            let planes = planes_of(n as u64 * 7 + count as u64, count, half);
+            let mut out = vec![0.0f64; n * count];
+            fft.backward_f64_many(&mut batch_of(&planes), &mut out).unwrap();
 
-        let mut batch = SoaSpectrum::new(count, half);
-        for (t, spec) in specs.iter().enumerate() {
-            batch.store(t, spec);
-        }
-        let mut out = vec![0.0f64; n * count];
-        fft.backward_f64_many(&mut batch, &mut out).unwrap();
-
-        let mut single = vec![0.0f64; n];
-        for (t, spec) in specs.iter().enumerate() {
-            let mut s = spec.clone();
-            fft.backward_f64(&mut s, &mut single).unwrap();
-            assert_eq!(&out[t * n..(t + 1) * n], single.as_slice(), "n={n} t={t}");
+            let mut single = vec![0.0f64; n];
+            for (t, one) in planes.chunks(1).enumerate() {
+                fft.backward_f64_many(&mut batch_of(one), &mut single).unwrap();
+                let want = &out[t * n..(t + 1) * n];
+                assert_eq!(bits((&single, &[])), bits((want, &[])), "n={n} count={count} t={t}");
+            }
         }
     }
 }
@@ -172,9 +187,11 @@ fn split_vma_kernels_are_bit_exact_vs_interleaved() {
     let b = noise_complex(2, n);
     let acc0 = noise_complex(3, n);
 
-    // Interleaved oracle.
+    // Interleaved scalar oracle: `Complex64` multiply, then add.
     let mut acc = acc0.clone();
-    pointwise_mul_add(&mut acc, &a, &b);
+    for ((s, x), y) in acc.iter_mut().zip(&a).zip(&b) {
+        *s += *x * *y;
+    }
 
     // Mixed layout: interleaved accumulator/digits, split key.
     let b_re: Vec<f64> = b.iter().map(|z| z.re).collect();

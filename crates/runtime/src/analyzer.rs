@@ -62,7 +62,6 @@ use strix_tfhe::noise;
 use strix_tfhe::{PbsKernel, ServerKey, TfheParameters};
 
 use crate::error::RuntimeError;
-use crate::executor::KernelPolicy;
 use crate::session::{NodeOp, Program, Wire};
 
 /// Default minimum decision margin, in sigmas, required at every
@@ -142,22 +141,22 @@ impl ProgramAnalysis {
 /// A noise-budget admission policy: the parameter set and PBS kernel
 /// to analyze against, plus the margin threshold to enforce.
 ///
-/// The [`KernelPolicy`] here is analysed as given. To predict an
-/// execution it should name the kernel that runs — the kernel of the
-/// key being served, which is what
+/// The kernel here is analysed as given. To predict an execution it
+/// should name the kernel that runs — the kernel of the key being
+/// served, which is what
 /// [`TfheExecutor::admission`](crate::TfheExecutor) constructs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AdmissionPolicy {
     params: TfheParameters,
-    policy: KernelPolicy,
+    kernel: PbsKernel,
     threshold_sigmas: f64,
 }
 
 impl AdmissionPolicy {
-    /// A policy over `params`, running `policy`'s kernel, at the
+    /// A policy over `params`, every bootstrap on `kernel`, at the
     /// [`DEFAULT_THRESHOLD_SIGMAS`] threshold.
-    pub fn new(params: TfheParameters, policy: KernelPolicy) -> Self {
-        Self { params, policy, threshold_sigmas: DEFAULT_THRESHOLD_SIGMAS }
+    pub fn new(params: TfheParameters, kernel: PbsKernel) -> Self {
+        Self { params, kernel, threshold_sigmas: DEFAULT_THRESHOLD_SIGMAS }
     }
 
     /// Overrides the margin threshold (sigmas). Non-positive admits
@@ -175,7 +174,7 @@ impl AdmissionPolicy {
     /// Runs the abstract interpretation and returns the full report,
     /// pass or fail.
     pub fn analyze(&self, program: &Program) -> ProgramAnalysis {
-        analyze(program, &self.params, &self.policy, self.threshold_sigmas)
+        analyze(program, &self.params, self.kernel, self.threshold_sigmas)
     }
 
     /// The policy a [`TfheExecutor`](crate::TfheExecutor) on `server`
@@ -183,7 +182,7 @@ impl AdmissionPolicy {
     /// [`DEFAULT_THRESHOLD_SIGMAS`] threshold.
     pub(crate) fn for_server(server: &ServerKey) -> Self {
         let kernel = server.bootstrap_key().kernel();
-        Self::new(server.params().clone(), KernelPolicy::uniform(kernel))
+        Self::new(server.params().clone(), kernel)
     }
 
     /// Picks the form of `program` to run and admits it: the lowered
@@ -241,7 +240,7 @@ impl AdmissionPolicy {
 }
 
 /// Walks `program`'s DAG once, propagating per-wire noise variance
-/// under `params` with every bootstrap on `policy`'s kernel, and
+/// under `params` with every bootstrap on `kernel`, and
 /// reports every live bootstrap's decision margin against
 /// `threshold_sigmas`.
 ///
@@ -250,7 +249,7 @@ impl AdmissionPolicy {
 pub fn analyze(
     program: &Program,
     params: &TfheParameters,
-    policy: &KernelPolicy,
+    kernel: PbsKernel,
     threshold_sigmas: f64,
 ) -> ProgramAnalysis {
     let needed = program.needed_nodes();
@@ -293,7 +292,6 @@ pub fn analyze(
             decision_variance += gain * variance(&variances, input);
             linear_gain += gain;
         }
-        let kernel = policy.kernel();
         let output_variance = noise::lut_output_variance_for(params, kernel);
         let margin = noise::margin_sigmas(distance, decision_variance);
         variances[idx] = output_variance;
@@ -331,10 +329,6 @@ mod tests {
         TfheParameters::testing_fast()
     }
 
-    fn classical() -> KernelPolicy {
-        KernelPolicy::uniform(PbsKernel::Classical)
-    }
-
     #[test]
     fn gate_program_matches_closed_form_gate_margin() {
         // A single gate over fresh inputs: the analyzer's weighted-sum
@@ -346,7 +340,7 @@ mod tests {
         let mut program = Program::new(2);
         let g = program.gate(BinaryGate::And, Wire::Input(0), Wire::Input(1));
         program.output(g);
-        let analysis = analyze(&program, &p, &classical(), DEFAULT_THRESHOLD_SIGMAS);
+        let analysis = analyze(&program, &p, PbsKernel::Classical, DEFAULT_THRESHOLD_SIGMAS);
         assert_eq!(analysis.reports.len(), 1);
         let r = &analysis.reports[0];
         let expected = 2.0 * noise::fresh_lwe_variance(&p) + noise::modswitch_variance(&p);
@@ -367,7 +361,7 @@ mod tests {
         let b = program.gate(BinaryGate::Xor, Wire::Input(0), Wire::Input(1));
         let top = program.gate(BinaryGate::And, a, b);
         program.output(top);
-        let analysis = analyze(&program, &p, &classical(), DEFAULT_THRESHOLD_SIGMAS);
+        let analysis = analyze(&program, &p, PbsKernel::Classical, DEFAULT_THRESHOLD_SIGMAS);
         let top_report = analysis.reports.iter().find(|r| r.node == 2).unwrap();
         let expected = noise::gate_decision_variance_for(&p, PbsKernel::Classical);
         assert!((top_report.decision_variance - expected).abs() / expected < 1e-12);
@@ -385,8 +379,8 @@ mod tests {
         let mut xor_prog = Program::new(2);
         let g = xor_prog.gate(BinaryGate::Xor, Wire::Input(0), Wire::Input(1));
         xor_prog.output(g);
-        let and = analyze(&and_prog, &p, &classical(), 0.0);
-        let xor = analyze(&xor_prog, &p, &classical(), 0.0);
+        let and = analyze(&and_prog, &p, PbsKernel::Classical, 0.0);
+        let xor = analyze(&xor_prog, &p, PbsKernel::Classical, 0.0);
         let and_input_var = and.reports[0].decision_variance - noise::modswitch_variance(&p);
         let xor_input_var = xor.reports[0].decision_variance - noise::modswitch_variance(&p);
         assert!((xor_input_var / and_input_var - 4.0).abs() < 1e-9);
@@ -406,7 +400,7 @@ mod tests {
         let n = program.not(g);
         let top = program.gate(BinaryGate::Or, n, Wire::Input(0));
         program.output(top);
-        let analysis = analyze(&program, &p, &classical(), DEFAULT_THRESHOLD_SIGMAS);
+        let analysis = analyze(&program, &p, PbsKernel::Classical, DEFAULT_THRESHOLD_SIGMAS);
         // Two reports (the gates); NOT contributes no bootstrap and
         // passes its input variance through unchanged.
         assert_eq!(analysis.reports.len(), 2);
@@ -428,7 +422,7 @@ mod tests {
         let lut = Arc::new(Lut::from_function(p.polynomial_size, 2, |m| m).unwrap());
         let _dead = program.linear_lut(vec![1 << 20], vec![Wire::Input(0)], 0, lut);
         program.output(live);
-        let analysis = analyze(&program, &p, &classical(), DEFAULT_THRESHOLD_SIGMAS);
+        let analysis = analyze(&program, &p, PbsKernel::Classical, DEFAULT_THRESHOLD_SIGMAS);
         assert_eq!(analysis.reports.len(), 1);
         assert_eq!(analysis.reports[0].node, 0);
         assert!(analysis.passes());
@@ -439,7 +433,7 @@ mod tests {
         let p = params();
         let mut program = Program::new(1);
         program.output(Wire::Input(0));
-        let analysis = analyze(&program, &p, &classical(), DEFAULT_THRESHOLD_SIGMAS);
+        let analysis = analyze(&program, &p, PbsKernel::Classical, DEFAULT_THRESHOLD_SIGMAS);
         assert!(analysis.reports.is_empty());
         assert_eq!(analysis.worst, None);
         assert_eq!(analysis.worst_margin_sigmas(), f64::INFINITY);
@@ -459,7 +453,7 @@ mod tests {
             Arc::clone(&lut),
         );
         program.output(node);
-        let policy = AdmissionPolicy::new(p, classical());
+        let policy = AdmissionPolicy::new(p, PbsKernel::Classical);
         let err = policy.admit(&program).unwrap_err();
         match err {
             RuntimeError::NoiseBudgetExceeded { node, margin_sigmas, threshold_sigmas } => {
@@ -478,9 +472,9 @@ mod tests {
         let a = program.gate(BinaryGate::And, Wire::Input(0), Wire::Input(1));
         let top = program.gate(BinaryGate::And, a, Wire::Input(0));
         program.output(top);
-        let mb = KernelPolicy::uniform(PbsKernel::MultiBit { grouping_factor: 3 });
-        let classical_run = analyze(&program, &p, &classical(), 0.0);
-        let mb_run = analyze(&program, &p, &mb, 0.0);
+        let mb = PbsKernel::MultiBit { grouping_factor: 3 };
+        let classical_run = analyze(&program, &p, PbsKernel::Classical, 0.0);
+        let mb_run = analyze(&program, &p, mb, 0.0);
         // First-level gates see fresh inputs either way...
         assert_eq!(classical_run.reports[0].decision_variance, mb_run.reports[0].decision_variance);
         // ...while the second level inherits each kernel's output
@@ -496,7 +490,7 @@ mod tests {
         let mut program = Program::new(1);
         let node = program.linear_lut(vec![1 << 20], vec![Wire::Input(0)], 0, lut);
         program.output(node);
-        let policy = AdmissionPolicy::new(p, classical()).with_threshold(0.0);
+        let policy = AdmissionPolicy::new(p, PbsKernel::Classical).with_threshold(0.0);
         assert!(policy.admit(&program).is_ok());
     }
 }

@@ -22,15 +22,15 @@ use crate::registry::KeyRegistry;
 use crate::request::{Request, RequestOp, TenantId};
 
 /// A PBS kernel, named the way GPU TFHE back-ends name their
-/// CLASSICAL-vs-MULTI_BIT choice: the kernel an [`AdmissionPolicy`]
-/// analyses.
+/// CLASSICAL-vs-MULTI_BIT choice.
 ///
-/// **Advisory only** for execution. A server holds one blind-rotation
-/// key and the key decides the kernel
-/// ([`strix_tfhe::bootstrap::BootstrapKey::kernel`]); no executor takes
-/// a policy, and
-/// [`RuntimeConfig::with_kernel_policy`](crate::RuntimeConfig::with_kernel_policy)
-/// ignores the one it is given.
+/// **Read by nothing.** A server holds one blind-rotation key and the
+/// key decides the kernel
+/// ([`strix_tfhe::bootstrap::BootstrapKey::kernel`]); an
+/// [`AdmissionPolicy`] takes that [`PbsKernel`] directly. The type
+/// survives only as the argument of the no-op
+/// [`RuntimeConfig::with_kernel_policy`](crate::RuntimeConfig::with_kernel_policy),
+/// for callers that still name a kernel.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelPolicy {
     kernel: PbsKernel,
@@ -516,7 +516,7 @@ impl BatchExecutor for TfheExecutor {
     fn admission(&self) -> Option<AdmissionPolicy> {
         // The analyzer predicts the kernel the epochs run.
         Some(
-            AdmissionPolicy::new(self.keys.params().clone(), KernelPolicy::uniform(self.kernel))
+            AdmissionPolicy::new(self.keys.params().clone(), self.kernel)
                 .with_threshold(self.admission_threshold_sigmas),
         )
     }

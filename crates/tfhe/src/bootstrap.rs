@@ -63,7 +63,8 @@
 //! the key-major job-blocked loop, the batched forward FFT, the inverse
 //! drain, the `Probe` hooks, sample extraction and thread sharding.
 //! A single PBS ([`BlindRotationKey::bootstrap`]) is a batch of one
-//! through that same loop. The interleaved per-job CMUX survives only as
+//! through that same loop. The per-job CMUX, with separate rotate,
+//! subtract and decompose steps, survives only as
 //! [`ClassicalBootstrapKey::blind_rotate_reference`], the bit-identity
 //! reference the tests pin the engine against.
 //!
@@ -100,7 +101,7 @@ use crate::params::{PbsKernel, TfheParameters};
 use crate::poly::TorusPolynomial;
 use crate::profiler::{NoProbe, PbsStage, Probe, StageTimings, TimingProbe};
 use crate::rng::NoiseSampler;
-use crate::scratch::{slot_tile, ExternalProductScratch, PbsScratch, CMUX_JOB_BLOCK};
+use crate::scratch::{slot_tile, PbsScratch, CMUX_JOB_BLOCK};
 use crate::torus::{encode_fraction, f64_to_torus, modulus_switch};
 use crate::TfheError;
 
@@ -1214,12 +1215,13 @@ impl ClassicalBootstrapKey {
         })
     }
 
-    /// The classical **reference** blind rotation: the interleaved
-    /// per-job CMUX loop (rotate → subtract →
-    /// [`FourierGgsw::external_product_scratch`] → add), one job at a
-    /// time, on buffers it allocates itself. No production path runs
-    /// it; it is the oracle the blocked engine is pinned against bit for
-    /// bit.
+    /// The classical **reference** blind rotation: the per-job CMUX
+    /// loop (rotate → subtract → [`FourierGgsw::external_product`] →
+    /// add), one job at a time, on buffers it allocates itself. No
+    /// production path runs it; it is the oracle the blocked engine is
+    /// pinned against bit for bit — job blocking, key-major order, the
+    /// fused rotate-subtract-decompose staging, the mask-switch table
+    /// and thread sharding all have to reproduce these separate steps.
     ///
     /// # Errors
     ///
@@ -1235,8 +1237,6 @@ impl ClassicalBootstrapKey {
         let b_tilde = modulus_switch(ct.body(), log2_two_n) as usize;
         let mut acc = GlweCiphertext::trivial(k, lut.poly().rotate_left(b_tilde));
         let mut diff = GlweCiphertext::zero(k, n);
-        let mut prod = GlweCiphertext::zero(k, n);
-        let mut ep = ExternalProductScratch::new(k, n, self.decomp);
         for (ggsw, &a) in self.entries.0.iter().zip(ct.mask()) {
             let a_tilde = modulus_switch(a, log2_two_n) as usize;
             if a_tilde == 0 {
@@ -1244,8 +1244,7 @@ impl ClassicalBootstrapKey {
             }
             acc.rotate_right_into(a_tilde, &mut diff);
             diff.sub_assign(&acc)?;
-            ggsw.external_product_scratch(&diff, &self.fft, &mut prod, &mut ep);
-            acc.add_assign(&prod)?;
+            acc.add_assign(&ggsw.external_product(&diff, &self.fft))?;
         }
         Ok(acc)
     }

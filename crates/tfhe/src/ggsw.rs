@@ -9,20 +9,19 @@
 //!
 //! Two evaluation paths are provided:
 //!
-//! * [`FourierGgsw::external_product`] — the FFT path used in production
-//!   and modelled by the Strix PBS cluster (decomposer → FFT → VMA →
-//!   IFFT → accumulator),
+//! * [`FourierGgsw::external_product`] — the per-job FFT path
+//!   (decomposer → FFT → VMA → IFFT → accumulator, the Strix PBS
+//!   cluster's stages) that the classical reference blind rotation
+//!   drives and the blocked engine in [`crate::bootstrap`] is pinned to,
 //! * [`GgswCiphertext::external_product_exact`] — an exact integer path
 //!   used as the correctness oracle in tests.
 
-use strix_fft::{Complex64, NegacyclicFft, SoaSpectrum};
+use strix_fft::{pointwise_mul_add_soa, NegacyclicFft, SoaSpectrum};
 
 use crate::decompose::DecompositionParams;
 use crate::glwe::{add_noise, GlweCiphertext, GlweKeyProduct, GlweSecretKey};
 use crate::poly::TorusPolynomial;
-use crate::profiler::{NoProbe, PbsStage, Probe, StageTimings, TimingProbe};
 use crate::rng::NoiseSampler;
-use crate::scratch::ExternalProductScratch;
 use crate::torus::f64_to_torus;
 
 /// A GGSW ciphertext in the standard (time) domain: `(k+1)·l` GLWE rows.
@@ -179,15 +178,11 @@ impl GgswCiphertext {
     /// the same plan, which is the only way they are ever consumed —
     /// and are stored **split** (structure-of-arrays): one real plane
     /// and one imaginary plane per `(row, column)` polynomial, the
-    /// layout the SIMD-friendly VMA kernels stream. The plane values
-    /// are bit-for-bit the transform outputs, so both the split and
-    /// the interleaved CMUX paths consume the same key bits.
+    /// layout the SIMD-friendly VMA kernels stream.
     ///
     /// All `(k+1)·l·(k+1)` polynomials go through one batched
     /// [`NegacyclicFft::forward_i64_many`] call on their signed
-    /// coefficients, whose spectra are bit-identical to one
-    /// [`NegacyclicFft::forward_f64`] of `torus_to_f64_signed` per
-    /// polynomial.
+    /// coefficients.
     ///
     /// # Panics
     ///
@@ -354,10 +349,9 @@ impl<'a> GgswKeygen<'a> {
 ///
 /// Storage is **split-complex** ([`SoaSpectrum`]): all `(k+1)·l·(k+1)`
 /// polynomials live in two contiguous `f64` planes (real, imaginary),
-/// row-major then column. This is the layout the blocked CMUX's
-/// four-array VMA streams directly; the interleaved oracle path reads
-/// the same planes through [`NegacyclicFft::pointwise_mul_add_key`], so both paths
-/// consume identical key bits.
+/// row-major then column. This is the layout the four-array VMA of
+/// both the blocked CMUX and the per-job
+/// [`FourierGgsw::external_product`] streams directly.
 #[derive(Clone, Debug)]
 pub struct FourierGgsw {
     /// Transform `row·(k+1) + col` holds the spectrum of row `row`
@@ -489,125 +483,64 @@ impl FourierGgsw {
         self.spectra.byte_size()
     }
 
-    /// External product via the FFT (the interleaved per-job path):
-    /// `self ⊡ glwe ≈ GLWE(m · phase(glwe))`. Allocates its own
-    /// scratch; loops should use [`Self::external_product_scratch`].
+    /// External product via the FFT: `self ⊡ glwe ≈ GLWE(m · phase(glwe))`,
+    /// one job on buffers it allocates — the per-job form the classical
+    /// reference blind rotation drives. The blocked engine re-schedules
+    /// the same arithmetic across jobs and is pinned to this one bit
+    /// for bit:
+    ///
+    /// 1. each GLWE polynomial is decomposed into its `l` digit levels;
+    /// 2. one [`NegacyclicFft::forward_i64_many`] transforms all
+    ///    `(k+1)·l` digit polynomials;
+    /// 3. the split VMA ([`pointwise_mul_add_soa`]) accumulates row by
+    ///    row, each row into every column's spectrum;
+    /// 4. one [`NegacyclicFft::backward_f64_many`] brings the `k+1`
+    ///    accumulators back, rounded onto the torus.
     ///
     /// # Panics
     ///
     /// Panics if shapes mismatch (the bootstrap key constructor
     /// guarantees compatibility).
     pub fn external_product(&self, glwe: &GlweCiphertext, fft: &NegacyclicFft) -> GlweCiphertext {
-        let mut scratch =
-            ExternalProductScratch::new(self.glwe_dimension, glwe.poly_size(), self.decomp);
-        let mut out = GlweCiphertext::zero(self.glwe_dimension, glwe.poly_size());
-        self.external_product_scratch(glwe, fft, &mut out, &mut scratch);
-        out
-    }
-
-    /// External product with per-stage timing instrumentation, used by
-    /// the Figure-1 workload-breakdown harness. Same implementation as
-    /// the production path, observed through a timing probe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes mismatch.
-    pub fn external_product_profiled(
-        &self,
-        glwe: &GlweCiphertext,
-        fft: &NegacyclicFft,
-        timings: &mut StageTimings,
-    ) -> GlweCiphertext {
-        let mut scratch =
-            ExternalProductScratch::new(self.glwe_dimension, glwe.poly_size(), self.decomp);
-        let mut out = GlweCiphertext::zero(self.glwe_dimension, glwe.poly_size());
-        self.external_product_probed(glwe, fft, &mut out, &mut scratch, &mut TimingProbe(timings));
-        out
-    }
-
-    /// Allocation-free external product writing into `out` using
-    /// caller-provided scratch — the per-job form driven by the classical
-    /// reference blind rotation (the blocked engine re-schedules the
-    /// same arithmetic across jobs; this one is the bit-identity
-    /// reference). Bit-identical to
-    /// [`Self::external_product`]: same decompositions, same transform
-    /// and multiply order, same rounding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `glwe`, `out`, `fft` or `scratch` disagree with the
-    /// key's shape (the bootstrap key constructor and
-    /// [`crate::scratch::PbsScratch`] guarantee compatibility).
-    pub fn external_product_scratch(
-        &self,
-        glwe: &GlweCiphertext,
-        fft: &NegacyclicFft,
-        out: &mut GlweCiphertext,
-        scratch: &mut ExternalProductScratch,
-    ) {
-        self.external_product_probed(glwe, fft, out, scratch, &mut NoProbe);
-    }
-
-    /// The single implementation behind every per-job external-product
-    /// entry point, generic over a [`Probe`] so the profiled and
-    /// production paths cannot drift.
-    pub(crate) fn external_product_probed<P: Probe>(
-        &self,
-        glwe: &GlweCiphertext,
-        fft: &NegacyclicFft,
-        out: &mut GlweCiphertext,
-        scratch: &mut ExternalProductScratch,
-        probe: &mut P,
-    ) {
         let k = self.glwe_dimension;
         assert_eq!(glwe.dimension(), k, "glwe dimension mismatch");
-        assert_eq!(out.dimension(), k, "output glwe dimension mismatch");
         let n = glwe.poly_size();
-        assert_eq!(out.poly_size(), n, "output polynomial size mismatch");
         assert_eq!(fft.poly_size(), n, "fft plan size mismatch");
-        let level = self.decomp.level;
-        scratch.check_shape(k, n, level);
-        let half = fft.fourier_size();
+        let (level, half) = (self.decomp.level, fft.fourier_size());
 
-        scratch.fourier_acc.fill(Complex64::ZERO);
-        let mut row_idx = 0;
-        for poly in glwe.polys() {
-            probe.time(PbsStage::Decompose, || {
-                self.decomp.decompose_polynomial_levels(
-                    poly,
-                    &mut scratch.digit_levels,
-                    &mut scratch.decomp_state,
-                );
-            });
-            for lvl in 0..level {
-                probe.time(PbsStage::Fft, || {
-                    let digits = &scratch.digit_levels[lvl * n..(lvl + 1) * n];
-                    fft.forward_i64(digits, &mut scratch.digit_spec)
-                        // lint:allow(panic) shape invariant established at construction
-                        .expect("digit polynomial matches fft plan");
-                });
-                probe.time(PbsStage::VectorMultiply, || {
-                    for (col, acc_col) in scratch.fourier_acc.chunks_mut(half).enumerate() {
-                        let (key_re, key_im) = self.row_col(row_idx, col);
-                        fft.pointwise_mul_add_key(acc_col, &scratch.digit_spec, key_re, key_im);
-                    }
-                });
-                row_idx += 1;
+        let mut state = vec![0u64; n];
+        let mut digits = vec![0i64; (k + 1) * level * n];
+        for (poly, levels) in glwe.polys().zip(digits.chunks_exact_mut(level * n)) {
+            self.decomp.decompose_polynomial_levels(poly, levels, &mut state);
+        }
+        let mut digit_spectra = SoaSpectrum::new((k + 1) * level, half);
+        fft.forward_i64_many(&digits, &mut digit_spectra)
+            // lint:allow(panic) shape invariant asserted above
+            .expect("digit batch matches fft plan");
+
+        let mut acc = SoaSpectrum::new(k + 1, half);
+        for row in 0..self.row_count() {
+            let (d_re, d_im) = digit_spectra.transform(row);
+            for col in 0..=k {
+                let (k_re, k_im) = self.row_col(row, col);
+                let (a_re, a_im) = acc.transform_mut(col);
+                pointwise_mul_add_soa(a_re, a_im, d_re, d_im, k_re, k_im);
             }
         }
 
-        probe.time(PbsStage::IfftAccumulate, || {
-            for (col, spec) in scratch.fourier_acc.chunks_mut(half).enumerate() {
-                fft.backward_f64(spec, &mut scratch.time_domain)
-                    // lint:allow(panic) shape invariant established at construction
-                    .expect("accumulator matches fft plan");
-                // lint:allow(panic) shape invariant established at construction
-                let poly = out.poly_mut(col).expect("column within GLWE dimension");
-                for (o, &v) in poly.coeffs_mut().iter_mut().zip(&scratch.time_domain) {
-                    *o = f64_to_torus(v);
-                }
+        let mut time = vec![0.0f64; (k + 1) * n];
+        fft.backward_f64_many(&mut acc, &mut time)
+            // lint:allow(panic) shape invariant asserted above
+            .expect("accumulator batch matches fft plan");
+        let mut out = GlweCiphertext::zero(k, n);
+        for (col, values) in time.chunks_exact(n).enumerate() {
+            // lint:allow(panic) k+1 columns by construction
+            let poly = out.poly_mut(col).expect("column within GLWE dimension");
+            for (o, &v) in poly.coeffs_mut().iter_mut().zip(values) {
+                *o = f64_to_torus(v);
             }
-        });
+        }
+        out
     }
 }
 
@@ -782,55 +715,6 @@ mod tests {
         let phase = fx.glwe_sk.decrypt_phase(&prod).unwrap();
         for (p, m) in phase.coeffs().iter().zip(msg.coeffs()) {
             assert_eq!(decode_message(*p, 4), decode_message(*m, 4));
-        }
-    }
-
-    #[test]
-    fn scratch_product_is_bit_identical_to_allocating_product() {
-        // The scratch path must be *bit*-identical, not just decode to
-        // the same message: parallel epochs rely on it.
-        for (k, n) in [(1usize, 64usize), (2, 32)] {
-            let mut fx = fixture(k, n);
-            let ggsw = GgswCiphertext::encrypt_scalar(1, &fx.glwe_sk, fx.decomp, STD, &mut fx.rng)
-                .to_fourier(&fx.fft);
-            let mut scratch = ExternalProductScratch::new(k, n, fx.decomp);
-            let mut out = GlweCiphertext::zero(k, n);
-            for trial in 0..3 {
-                let msg = test_message(fx.n);
-                let ct = fx.glwe_sk.encrypt(&msg, STD, &mut fx.rng);
-                let alloc = ggsw.external_product(&ct, &fx.fft);
-                // Same scratch reused across trials: stale state must
-                // not leak into the result.
-                ggsw.external_product_scratch(&ct, &fx.fft, &mut out, &mut scratch);
-                assert_eq!(out, alloc, "k={k} n={n} trial={trial}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "scratch glwe dimension mismatch")]
-    fn scratch_product_rejects_wrong_scratch_shape() {
-        let mut fx = fixture(1, 64);
-        let ggsw = GgswCiphertext::encrypt_scalar(1, &fx.glwe_sk, fx.decomp, STD, &mut fx.rng)
-            .to_fourier(&fx.fft);
-        let ct = fx.glwe_sk.encrypt(&test_message(fx.n), STD, &mut fx.rng);
-        let mut out = GlweCiphertext::zero(1, 64);
-        let mut wrong = ExternalProductScratch::new(2, 64, fx.decomp);
-        ggsw.external_product_scratch(&ct, &fx.fft, &mut out, &mut wrong);
-    }
-
-    #[test]
-    fn profiled_product_records_all_stages() {
-        let mut fx = fixture(1, 64);
-        let ggsw = GgswCiphertext::encrypt_scalar(1, &fx.glwe_sk, fx.decomp, STD, &mut fx.rng)
-            .to_fourier(&fx.fft);
-        let ct = fx.glwe_sk.encrypt(&test_message(fx.n), STD, &mut fx.rng);
-        let mut t = StageTimings::default();
-        let _ = ggsw.external_product_profiled(&ct, &fx.fft, &mut t);
-        for stage in
-            [PbsStage::Decompose, PbsStage::Fft, PbsStage::VectorMultiply, PbsStage::IfftAccumulate]
-        {
-            assert!(t.total_for(stage) > std::time::Duration::ZERO, "{stage:?}");
         }
     }
 }

@@ -24,7 +24,7 @@
 //! gives each worker its own `PbsScratch` while all workers share one
 //! key.
 
-use strix_fft::{Complex64, SoaSpectrum};
+use strix_fft::SoaSpectrum;
 
 use crate::decompose::DecompositionParams;
 
@@ -58,58 +58,6 @@ pub(crate) const SLOT_TILE: usize = 32;
 /// whole spectrum below it.
 pub(crate) fn slot_tile(half: usize) -> usize {
     SLOT_TILE.min(half)
-}
-
-/// Scratch for one FFT-path external product (decompose → FFT → VMA →
-/// IFFT), owned by exactly one thread.
-#[derive(Clone, Debug)]
-pub struct ExternalProductScratch {
-    /// Lane-parallel decomposition state (`N` extraction words) for
-    /// the level-major decomposition pass.
-    pub(crate) decomp_state: Vec<u64>,
-    /// Level-major decomposed digit polynomials (`l · N`).
-    pub(crate) digit_levels: Vec<i64>,
-    /// Spectrum of the current digit polynomial (`N/2`), in the
-    /// transform plan's digit-reversed slot order.
-    pub(crate) digit_spec: Vec<Complex64>,
-    /// Fused accumulator spectra, column-major (`(k+1) · N/2`), in the
-    /// same slot order — pointwise accumulation never reorders.
-    pub(crate) fourier_acc: Vec<Complex64>,
-    /// Inverse-transform output buffer (`N`).
-    pub(crate) time_domain: Vec<f64>,
-    glwe_dimension: usize,
-    poly_size: usize,
-    level: usize,
-}
-
-impl ExternalProductScratch {
-    /// Allocates scratch for external products of shape `(k, N, l)`.
-    pub fn new(glwe_dimension: usize, poly_size: usize, decomp: DecompositionParams) -> Self {
-        let half = poly_size / 2;
-        Self {
-            decomp_state: vec![0u64; poly_size],
-            digit_levels: vec![0i64; decomp.level * poly_size],
-            digit_spec: vec![Complex64::ZERO; half],
-            fourier_acc: vec![Complex64::ZERO; (glwe_dimension + 1) * half],
-            time_domain: vec![0.0f64; poly_size],
-            glwe_dimension,
-            poly_size,
-            level: decomp.level,
-        }
-    }
-
-    /// Asserts this scratch matches the `(k, N, l)` shape of the
-    /// operation about to use it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any mismatch — mixing scratch between parameter sets
-    /// is a programming error, not a recoverable condition.
-    pub(crate) fn check_shape(&self, glwe_dimension: usize, poly_size: usize, level: usize) {
-        assert_eq!(self.glwe_dimension, glwe_dimension, "scratch glwe dimension mismatch");
-        assert_eq!(self.poly_size, poly_size, "scratch polynomial size mismatch");
-        assert_eq!(self.level, level, "scratch decomposition level mismatch");
-    }
 }
 
 /// Per-thread reusable working memory for programmable bootstrapping,

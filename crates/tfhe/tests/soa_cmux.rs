@@ -6,7 +6,8 @@
 //! batched split-complex FFTs, a row-major VMA over each block, a
 //! batched inverse — but performs the same per-job arithmetic in the
 //! same per-job order as the reference
-//! (`blind_rotate_reference` → `external_product_scratch`). These tests
+//! (`blind_rotate_reference` → `external_product`, which runs the same
+//! batched transforms one job at a time). These tests
 //! pin that equivalence at the bit level, including:
 //!
 //! * every combination of k ∈ {1, 2}, N ∈ {512, 1024, 2048} and

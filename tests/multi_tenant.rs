@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use strix::core::BatchGeometry;
 use strix::runtime::{
-    AdmissionPolicy, BatchExecutor, KernelPolicy, KeyRegistry, RequestOp, Runtime, RuntimeConfig,
-    TenantId, TfheExecutor,
+    AdmissionPolicy, BatchExecutor, KeyRegistry, RequestOp, Runtime, RuntimeConfig, TenantId,
+    TfheExecutor,
 };
 use strix::tfhe::bootstrap::Lut;
 use strix::tfhe::lwe::LweCiphertext;
@@ -228,7 +228,7 @@ fn pinned_and_registry_key_sources_agree_on_kernel_admission_and_bits() {
         assert_eq!(from_registry.kernel(), expected, "{case}");
         assert_eq!(
             pinned.admission(),
-            Some(AdmissionPolicy::new(params.clone(), KernelPolicy::uniform(expected))),
+            Some(AdmissionPolicy::new(params.clone(), expected)),
             "{case}"
         );
         assert_eq!(pinned.admission(), from_registry.admission(), "{case}");

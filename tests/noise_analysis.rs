@@ -27,8 +27,7 @@ use proptest::prelude::*;
 use strix::core::BatchGeometry;
 use strix::runtime::session::{Program, ProgramSession, Wire};
 use strix::runtime::{
-    AdmissionPolicy, KernelPolicy, Runtime, RuntimeConfig, RuntimeError, TfheExecutor,
-    DEFAULT_THRESHOLD_SIGMAS,
+    AdmissionPolicy, Runtime, RuntimeConfig, RuntimeError, TfheExecutor, DEFAULT_THRESHOLD_SIGMAS,
 };
 use strix::tfhe::boolean::{BinaryGate, GateRecipe};
 use strix::tfhe::bootstrap::{decode_bool, encode_bool, Lut, PbsJob};
@@ -124,7 +123,7 @@ proptest! {
 
         let kernel = PbsKernel::Classical;
         let analysis =
-            AdmissionPolicy::new(params.clone(), KernelPolicy::uniform(kernel)).analyze(&program);
+            AdmissionPolicy::new(params.clone(), kernel).analyze(&program);
         prop_assert_eq!(analysis.reports.len(), 1);
         let report = analysis.reports[0];
 
@@ -156,8 +155,7 @@ fn analyzer_matches_measured_noise_on_random_single_lut_programs() {
     for seed in [0x5EED_A001u64, 0x5EED_A002, 0x5EED_A003, 0x5EED_A004] {
         let case = random_lut_program(&params, seed);
         let analysis =
-            AdmissionPolicy::new(params.clone(), KernelPolicy::uniform(PbsKernel::Classical))
-                .analyze(&case.program);
+            AdmissionPolicy::new(params.clone(), PbsKernel::Classical).analyze(&case.program);
         let predicted = analysis.reports[0].output_variance.sqrt();
 
         let errors: Vec<f64> = (0..SAMPLES)
@@ -192,8 +190,7 @@ fn analyzer_matches_measured_noise_under_multi_bit_kernel() {
         let mut program = Program::new(1);
         let out = program.linear_lut(vec![1], vec![Wire::Input(0)], 0, Arc::clone(&lut));
         program.output(out);
-        let analysis =
-            AdmissionPolicy::new(params.clone(), KernelPolicy::uniform(kernel)).analyze(&program);
+        let analysis = AdmissionPolicy::new(params.clone(), kernel).analyze(&program);
         let predicted = analysis.reports[0].output_variance.sqrt();
 
         const MESSAGE: u64 = 1;
@@ -234,9 +231,7 @@ fn analyzer_matches_measured_noise_on_lowered_majority_and_parity_nodes() {
     program.output(sum);
     program.output(carry);
     let lowered = program.lowered();
-    let analysis =
-        AdmissionPolicy::new(params.clone(), KernelPolicy::uniform(PbsKernel::Classical))
-            .analyze(lowered);
+    let analysis = AdmissionPolicy::new(params.clone(), PbsKernel::Classical).analyze(lowered);
     assert_eq!(analysis.reports.len(), 2, "parity + majority");
 
     let bits = [true, false, true];

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use strix::core::{BatchGeometry, Workload, WorkloadNode};
 use strix::runtime::session::{Program, ProgramSession, Wire};
-use strix::runtime::{AdmissionPolicy, KernelPolicy, Runtime, RuntimeConfig, TfheExecutor};
+use strix::runtime::{AdmissionPolicy, Runtime, RuntimeConfig, TfheExecutor};
 use strix::tfhe::boolean::BinaryGate;
 use strix::tfhe::bootstrap::decode_bool;
 use strix::tfhe::lwe::LweCiphertext;
@@ -251,8 +251,7 @@ proptest! {
 /// classical kernel: live request count, depth and worst margin.
 fn shape(program: &Program) -> (usize, usize, f64) {
     let params = TfheParameters::testing_fast();
-    let analysis =
-        AdmissionPolicy::new(params, KernelPolicy::uniform(PbsKernel::Classical)).analyze(program);
+    let analysis = AdmissionPolicy::new(params, PbsKernel::Classical).analyze(program);
     (analysis.reports.len(), analysis.pbs_depth, analysis.worst_margin_sigmas())
 }
 
