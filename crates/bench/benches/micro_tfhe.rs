@@ -2,8 +2,9 @@
 //! decomposition, external product, blind rotation, keyswitching, and
 //! a full bootstrapped gate — the CPU-side cost centres of Fig. 1 —
 //! plus the classical and multi-bit PBS kernels side by side on the
-//! same batch of inputs, and real set-II key generation (per GLWE row
-//! and per key) and seeded-key expansion.
+//! same batch of inputs, and real set-II key generation (per GLWE row,
+//! the noise stream that bounds it, and per key) and seeded-key
+//! expansion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use strix_fft::NegacyclicFft;
@@ -13,6 +14,7 @@ use strix_tfhe::glwe::GlweKeyProduct;
 use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::poly::TorusPolynomial;
 use strix_tfhe::prelude::*;
+use strix_tfhe::rng::NoiseSampler;
 use strix_tfhe::torus::encode_fraction;
 
 fn bench_decomposition(c: &mut Criterion) {
@@ -112,6 +114,17 @@ fn bench_keygen(c: &mut Criterion) {
     let mut body = vec![0u64; params.polynomial_size];
     group.bench_function("key_product", |b| {
         b.iter(|| product.add_product([mask.as_slice()], &mut body, false))
+    });
+
+    // The draw stage's floor: one set-II key's noise words — n entries
+    // of (k+1)·l rows of N — drawn on one thread. Key generation's
+    // helper thread draws these (and the cheaper masks) while the
+    // calling thread runs the products and transforms.
+    let noise_words = params.lwe_dimension * params.ggsw_row_count() * params.polynomial_size;
+    let mut sampler = NoiseSampler::from_seed(9);
+    let std = params.glwe_noise_std;
+    group.bench_function("noise_stream", |b| {
+        b.iter(|| (0..noise_words).fold(0u64, |acc, _| acc ^ sampler.gaussian_torus(std)))
     });
 
     group.bench_function("server_key", |b| b.iter(|| client.server_key()));

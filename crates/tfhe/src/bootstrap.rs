@@ -94,7 +94,7 @@ use std::ops::Range;
 use strix_fft::{pointwise_mul_add_soa, MonomialTable, NegacyclicFft, SoaSpectrum};
 
 use crate::decompose::DecompositionParams;
-use crate::ggsw::{FourierGgsw, GgswCiphertext, GgswKeygen};
+use crate::ggsw::{FourierGgsw, GgswCiphertext, GgswKeygen, KeySamplers};
 use crate::glwe::{GlweCiphertext, GlweSecretKey};
 use crate::lwe::{LweCiphertext, LweSecretKey};
 use crate::params::{PbsKernel, TfheParameters};
@@ -1159,14 +1159,18 @@ impl ClassicalBootstrapKey {
         params: &TfheParameters,
         rng: &mut NoiseSampler,
     ) -> Self {
-        Self::from_entries(params, lwe_sk.bits().len(), |decomp, fft| {
-            let mut keygen = GgswKeygen::new(glwe_sk, fft);
+        let bits = lwe_sk.bits();
+        Self::from_entries(params, bits.len(), |decomp, fft| {
+            let mut keygen = GgswKeygen::new(glwe_sk, fft, decomp, params.glwe_noise_std);
             let mut coeffs = Vec::new();
-            let mut encrypt = |m| {
-                keygen.encrypt_scalar_into(m, decomp, params.glwe_noise_std, rng, &mut coeffs);
-                FourierGgsw::from_coefficients(&coeffs, decomp, params.glwe_dimension, fft)
-            };
-            layout::PerBit(lwe_sk.bits().iter().map(|&s| encrypt(s)).collect())
+            let samplers = KeySamplers { noise: rng, crs: None };
+            layout::PerBit(keygen.generate(samplers, bits.len(), |entries| {
+                let mut encrypt = |m| {
+                    entries.next_coefficients(m, &mut coeffs);
+                    FourierGgsw::from_coefficients(&coeffs, decomp, params.glwe_dimension, fft)
+                };
+                bits.iter().map(|&s| encrypt(s)).collect()
+            }))
         })
     }
 
@@ -1271,17 +1275,21 @@ impl MultiBitBootstrapKey {
         rng: &mut NoiseSampler,
     ) -> Self {
         check_grouping(grouping_factor, lwe_sk.bits().len());
+        let groups = lwe_sk.bits().chunks(grouping_factor);
+        let patterns = groups.clone().map(|bits| 1 << bits.len()).sum();
         Self::grouped(params, grouping_factor, |decomp, fft, staging| {
-            let mut keygen = GgswKeygen::new(glwe_sk, fft);
+            let mut keygen = GgswKeygen::new(glwe_sk, fft, decomp, params.glwe_noise_std);
             let mut coeffs = Vec::new();
-            let group = |bits: &[u64]| {
-                tiled_group(1 << bits.len(), staging, |pattern, spectra| {
-                    let m = pattern_indicator(bits, pattern);
-                    keygen.encrypt_scalar_into(m, decomp, params.glwe_noise_std, rng, &mut coeffs);
-                    transform_entry(fft, &coeffs, spectra);
-                })
-            };
-            lwe_sk.bits().chunks(grouping_factor).map(group).collect()
+            let samplers = KeySamplers { noise: rng, crs: None };
+            keygen.generate(samplers, patterns, |entries| {
+                let group = |bits: &[u64]| {
+                    tiled_group(1 << bits.len(), staging, |pattern, spectra| {
+                        entries.next_coefficients(pattern_indicator(bits, pattern), &mut coeffs);
+                        transform_entry(fft, &coeffs, spectra);
+                    })
+                };
+                groups.map(group).collect()
+            })
         })
     }
 

@@ -16,10 +16,12 @@
 //! * [`GgswCiphertext::external_product_exact`] — an exact integer path
 //!   used as the correctness oracle in tests.
 
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+
 use strix_fft::{pointwise_mul_add_soa, NegacyclicFft, SoaSpectrum};
 
 use crate::decompose::DecompositionParams;
-use crate::glwe::{add_noise, GlweCiphertext, GlweKeyProduct, GlweSecretKey};
+use crate::glwe::{GlweCiphertext, GlweKeyProduct, GlweSecretKey};
 use crate::poly::TorusPolynomial;
 use crate::rng::NoiseSampler;
 use crate::torus::f64_to_torus;
@@ -40,8 +42,9 @@ impl GgswCiphertext {
     ///
     /// Row `(j, lvl)` is a GLWE encryption of zero — `k` mask
     /// polynomials, then `N` noise draws — with `m·q/B^{lvl+1}` added to
-    /// coefficient 0 of polynomial `j`. A one-off call builds its own
-    /// key product; key generation reuses one per key.
+    /// coefficient 0 of polynomial `j`. A one-off call draws and
+    /// encrypts on the calling thread, under a key product of its own;
+    /// key generation runs the same rows on two threads.
     pub fn encrypt_scalar(
         message: u64,
         glwe_sk: &GlweSecretKey,
@@ -49,17 +52,15 @@ impl GgswCiphertext {
         noise_std: f64,
         rng: &mut NoiseSampler,
     ) -> Self {
-        Self::row_by_row(message, glwe_sk, decomp, |keygen, j, gadget| {
-            keygen.classical_row(j, gadget, noise_std, rng);
-        })
+        Self::one_off(message, glwe_sk, decomp, noise_std, KeySamplers { noise: rng, crs: None })
     }
 
     /// Seeded encryption of a small scalar: every mask polynomial is
     /// drawn from the shared CRS stream `crs`, so only the body
     /// polynomials (one per row) have to ship — a `(k+1)×` transport
-    /// compression of the bootstrapping key. Generation writes the
-    /// bodies alone ([`GgswKeygen::seeded_bodies_into`]); this form
-    /// keeps the masks too, for the tests that decrypt and expand it.
+    /// compression of the bootstrapping key. Generation keeps the
+    /// bodies alone ([`KeyEntries::next_bodies`]); this form keeps the
+    /// masks too, for the tests that decrypt and expand it.
     ///
     /// The gadget term cannot be folded into a CRS mask (the receiver
     /// must regenerate masks from the seed alone), so each row instead
@@ -79,30 +80,37 @@ impl GgswCiphertext {
         noise_rng: &mut NoiseSampler,
         crs: &mut NoiseSampler,
     ) -> Self {
-        Self::row_by_row(message, glwe_sk, decomp, |keygen, j, gadget| {
-            keygen.seeded_row(j, gadget, noise_std, noise_rng, crs);
-        })
+        let samplers = KeySamplers { noise: noise_rng, crs: Some(crs) };
+        Self::one_off(message, glwe_sk, decomp, noise_std, samplers)
     }
 
-    /// A one-off GGSW of `message`: `row(keygen, j, gadget)` fills the
-    /// keygen's row `(j, lvl)`, whose gadget term is `gadget`, under a
-    /// plan and key product built for this call.
-    fn row_by_row(
+    /// A one-off GGSW of `message`: one entry's draws, filled and
+    /// encrypted on the calling thread under a plan and key product
+    /// built for this call.
+    fn one_off(
         message: u64,
         glwe_sk: &GlweSecretKey,
         decomp: DecompositionParams,
-        mut row: impl FnMut(&mut GgswKeygen<'_>, usize, u64),
+        noise_std: f64,
+        mut samplers: KeySamplers<'_>,
     ) -> Self {
         let fft = glwe_sk.one_off_plan();
-        let mut keygen = GgswKeygen::new(glwe_sk, &fft);
-        let rows = (0..(glwe_sk.dimension() + 1) * decomp.level)
-            .map(|r| {
-                let gadget = message.wrapping_mul(decomp.gadget_scale(r % decomp.level + 1));
-                row(&mut keygen, r / decomp.level, gadget);
-                keygen.row_ciphertext()
+        let mut keygen = GgswKeygen::new(glwe_sk, &fft, decomp, noise_std);
+        let mut words = vec![0; keygen.entry_words()];
+        keygen.encrypt_inline(message, &mut samplers, &mut words);
+        let (k, n) = (glwe_sk.dimension(), glwe_sk.poly_size());
+        let rows = words
+            .chunks_exact((k + 1) * n)
+            .map(|row| {
+                let (masks, body) = row.split_at(k * n);
+                let masks = masks.chunks_exact(n).map(|m| TorusPolynomial::from_coeffs(m.to_vec()));
+                GlweCiphertext::from_parts(
+                    masks.collect(),
+                    TorusPolynomial::from_coeffs(body.to_vec()),
+                )
             })
             .collect();
-        Self { rows, decomp, glwe_dimension: glwe_sk.dimension() }
+        Self { rows, decomp, glwe_dimension: k }
     }
 
     /// A *trivial* (noiseless, zero-mask) GGSW encryption of `message`:
@@ -200,138 +208,220 @@ impl GgswCiphertext {
     }
 }
 
-/// Per-key state of GGSW key generation: the Fourier-domain key product
-/// and one GLWE row (`k` masks, then the body), reused across every row
-/// of every entry of one key, so the row loop allocates nothing.
+/// The samplers one key's draws come from: the client's stream for the
+/// noise, and for the masks too unless a CRS stream is given — a seeded
+/// key's masks come from the public stream its receiver regenerates.
+pub(crate) struct KeySamplers<'r> {
+    /// The client's stream: every noise word, and the private masks.
+    pub(crate) noise: &'r mut NoiseSampler,
+    /// The common-reference stream of a seeded key's masks.
+    pub(crate) crs: Option<&'r mut NoiseSampler>,
+}
+
+/// The draw stage's view of a key entry: its rows and their split.
+#[derive(Clone, Copy, Debug)]
+struct DrawShape {
+    /// Mask words per row (`k·N`).
+    mask_words: usize,
+    /// Noise words per row (`N`).
+    n: usize,
+    noise_std: f64,
+}
+
+impl DrawShape {
+    // lint:hot-path-start — the draw stage runs once per GLWE row of every key
+    /// Fills `draws`, whole rows of `k·N + N` words, with what each row
+    /// draws, in stream order: its `k·N` mask words (from the CRS
+    /// stream on the seeded path, else from the client's), then `N`
+    /// noise words from the client's stream.
+    fn fill(self, draws: &mut [u64], samplers: &mut KeySamplers<'_>) {
+        for row in draws.chunks_exact_mut(self.mask_words + self.n) {
+            let (masks, noise) = row.split_at_mut(self.mask_words);
+            match samplers.crs.as_deref_mut() {
+                Some(crs) => crs.fill_uniform(masks),
+                None => samplers.noise.fill_uniform(masks),
+            }
+            for e in noise {
+                *e = samplers.noise.gaussian_torus(self.noise_std);
+            }
+        }
+    }
+    // lint:hot-path-end
+}
+
+/// Per-key state of GGSW key generation: the Fourier-domain key product,
+/// built once per key and reused across every row of every entry.
 ///
-/// Each row draws exactly what the time-domain encryption draws, in
-/// the same order — its `k·N` mask words, then `N` noise words — and
-/// the product is exact, so every key is the one the window-sum
-/// product made, bit for bit.
+/// Generation runs in two stages ([`Self::generate`]): a helper thread
+/// draws each entry's masks and noise in stream order
+/// ([`KeySamplers`]), while the calling thread turns the draws into
+/// rows — key product and gadget term added to each row's noise — and
+/// hands each finished entry on. The keys are the ones a single thread
+/// draws and encrypts in turn ([`Self::encrypt_inline`]), bit for bit:
+/// each sampler makes the same calls in the same order, including a
+/// Box–Muller spare cached by an earlier encryption, and the product
+/// is exact, so adding noise and product to a body in either order
+/// gives the same word mod 2⁶⁴.
 pub(crate) struct GgswKeygen<'a> {
     glwe_sk: &'a GlweSecretKey,
     product: GlweKeyProduct<'a>,
-    /// The current row: `k` mask polynomials, then the body.
-    row: Vec<u64>,
+    decomp: DecompositionParams,
+    shape: DrawShape,
 }
 
 impl<'a> GgswKeygen<'a> {
     /// Transforms `glwe_sk` under `fft` (a plan of the key's `N`, built
-    /// with the parameter set's backend) and sizes the row scratch.
-    pub(crate) fn new(glwe_sk: &'a GlweSecretKey, fft: &'a NegacyclicFft) -> Self {
-        let row = vec![0; (glwe_sk.dimension() + 1) * glwe_sk.poly_size()];
-        Self { glwe_sk, product: GlweKeyProduct::new(glwe_sk, fft), row }
+    /// with the parameter set's backend) for GGSW entries of gadget
+    /// `decomp` and noise `noise_std`.
+    pub(crate) fn new(
+        glwe_sk: &'a GlweSecretKey,
+        fft: &'a NegacyclicFft,
+        decomp: DecompositionParams,
+        noise_std: f64,
+    ) -> Self {
+        let n = glwe_sk.poly_size();
+        let shape = DrawShape { mask_words: glwe_sk.dimension() * n, n, noise_std };
+        Self { glwe_sk, product: GlweKeyProduct::new(glwe_sk, fft), decomp, shape }
+    }
+
+    /// Words of one entry, drawn or encrypted: `(k+1)·l` rows of `k`
+    /// mask polynomials, then the body.
+    pub(crate) fn entry_words(&self) -> usize {
+        let row_words = self.shape.mask_words + self.shape.n;
+        (self.glwe_sk.dimension() + 1) * self.decomp.level * row_words
+    }
+
+    /// Runs key generation's two stages over `entries` entries: a
+    /// scoped helper thread fills each entry's draws from `samplers`,
+    /// while `consume`, on the calling thread, takes the entries in
+    /// order through [`KeyEntries`]. Two entry buffers, allocated here,
+    /// cycle between the threads; a closed channel ends the helper, and
+    /// the scope re-raises a panic from either side.
+    pub(crate) fn generate<R>(
+        &mut self,
+        mut samplers: KeySamplers<'_>,
+        entries: usize,
+        consume: impl FnOnce(&mut KeyEntries<'_, 'a>) -> R,
+    ) -> R {
+        let seeded = samplers.crs.is_some();
+        let shape = self.shape;
+        let buffers = [vec![0; self.entry_words()], vec![0; self.entry_words()]];
+        std::thread::scope(|scope| {
+            let (full_tx, full) = sync_channel(buffers.len());
+            let (empty, empty_rx) = sync_channel::<Vec<u64>>(buffers.len());
+            scope.spawn(move || {
+                let recycled = std::iter::from_fn(|| empty_rx.recv().ok());
+                for mut draws in buffers.into_iter().chain(recycled).take(entries) {
+                    shape.fill(&mut draws, &mut samplers);
+                    if full_tx.send(draws).is_err() {
+                        return;
+                    }
+                }
+            });
+            consume(&mut KeyEntries { keygen: self, seeded, full, empty })
+        })
+    }
+
+    /// One entry drawn and encrypted as GGSW(`message`) on the calling
+    /// thread, into `words` ([`Self::entry_words`] long): the one-off
+    /// form of what [`Self::generate`] splits across two threads.
+    pub(crate) fn encrypt_inline(
+        &mut self,
+        message: u64,
+        samplers: &mut KeySamplers<'_>,
+        words: &mut [u64],
+    ) {
+        self.shape.fill(words, samplers);
+        self.encrypt(message, words, samplers.crs.is_some());
     }
 
     // lint:hot-path-start — the key-generation row loop runs once per GLWE row of every key
-    /// Writes GGSW(`message`)'s signed coefficients — the
-    /// [`GgswCiphertext::encrypt_scalar`] rows, row-major then column —
-    /// into `coeffs`, resized to `(k+1)·l·(k+1)·N` words: the input of
-    /// one batched transform, bit-identical to what
-    /// [`GgswCiphertext::to_fourier`] transforms for that ciphertext.
-    pub(crate) fn encrypt_scalar_into(
-        &mut self,
-        message: u64,
-        decomp: DecompositionParams,
-        noise_std: f64,
-        rng: &mut NoiseSampler,
-        coeffs: &mut Vec<i64>,
-    ) {
-        let row_len = self.row.len();
-        coeffs.resize((self.glwe_sk.dimension() + 1) * decomp.level * row_len, 0);
-        for (r, slot) in coeffs.chunks_exact_mut(row_len).enumerate() {
-            let gadget = message.wrapping_mul(decomp.gadget_scale(r % decomp.level + 1));
-            self.classical_row(r / decomp.level, gadget, noise_std, rng);
-            for (s, &c) in slot.iter_mut().zip(&self.row) {
-                *s = c as i64;
+    /// Turns one entry's draws into GGSW(`message`) in place, row by
+    /// row: row `(j, lvl)`'s body — its noise words — gains the key
+    /// product of its masks and the gadget term `m·q/B^{lvl+1}`. A
+    /// classical row adds the gadget to coefficient 0 of polynomial `j`
+    /// (after the product, which takes the drawn masks); a `seeded` row,
+    /// whose masks are public, adds the gadget's phase contribution to
+    /// the body instead (`−gadget·S_j`, or the constant at `j = k`).
+    fn encrypt(&mut self, message: u64, entry: &mut [u64], seeded: bool) {
+        let DrawShape { mask_words, n, .. } = self.shape;
+        let level = self.decomp.level;
+        for (r, row) in entry.chunks_exact_mut(mask_words + n).enumerate() {
+            let (j, gadget) =
+                (r / level, message.wrapping_mul(self.decomp.gadget_scale(r % level + 1)));
+            let (masks, body) = row.split_at_mut(mask_words);
+            if seeded {
+                match self.glwe_sk.polys().get(j) {
+                    Some(key) => {
+                        for (b, &s) in body.iter_mut().zip(key.coeffs()) {
+                            *b = b.wrapping_sub(gadget.wrapping_mul(s));
+                        }
+                    }
+                    None => body[0] = body[0].wrapping_add(gadget),
+                }
+            }
+            self.product.add_product(masks.chunks_exact(n), body, false);
+            if !seeded {
+                row[j * n] = row[j * n].wrapping_add(gadget);
             }
         }
     }
+    // lint:hot-path-end
+}
 
-    /// Writes the body polynomials of seeded GGSW(`message`) — the
-    /// bodies of the rows `GgswCiphertext::encrypt_scalar_seeded`
-    /// builds, row after row — into `bodies`; the masks are drawn from
-    /// `crs` and dropped.
+/// The calling thread's end of [`GgswKeygen::generate`]: the entries
+/// the helper draws, taken in stream order.
+pub(crate) struct KeyEntries<'k, 'a> {
+    keygen: &'k mut GgswKeygen<'a>,
+    seeded: bool,
+    full: Receiver<Vec<u64>>,
+    empty: SyncSender<Vec<u64>>,
+}
+
+impl KeyEntries<'_, '_> {
+    /// Encrypts the next entry as GGSW(`message`) and writes its signed
+    /// coefficients — row-major, then column — into `coeffs`, resized
+    /// to `(k+1)·l·(k+1)·N` words: the input of one batched transform,
+    /// bit-identical to what [`GgswCiphertext::to_fourier`] transforms
+    /// for that ciphertext.
+    pub(crate) fn next_coefficients(&mut self, message: u64, coeffs: &mut Vec<i64>) {
+        self.next(message, |entry| {
+            coeffs.resize(entry.len(), 0);
+            for (c, &w) in coeffs.iter_mut().zip(entry) {
+                *c = w as i64;
+            }
+        });
+    }
+
+    /// Encrypts the next entry as seeded GGSW(`message`) and writes its
+    /// body polynomials, row after row, into `bodies`; the CRS masks
+    /// are dropped.
     ///
     /// # Panics
     ///
     /// Panics unless `bodies` holds `(k+1)·l·N` words.
-    pub(crate) fn seeded_bodies_into(
-        &mut self,
-        message: u64,
-        decomp: DecompositionParams,
-        noise_std: f64,
-        noise_rng: &mut NoiseSampler,
-        crs: &mut NoiseSampler,
-        bodies: &mut [u64],
-    ) {
-        let (k, n) = (self.glwe_sk.dimension(), self.glwe_sk.poly_size());
-        assert_eq!(bodies.len(), (k + 1) * decomp.level * n, "seeded ggsw body words");
-        for (r, out) in bodies.chunks_exact_mut(n).enumerate() {
-            let gadget = message.wrapping_mul(decomp.gadget_scale(r % decomp.level + 1));
-            self.seeded_row(r / decomp.level, gadget, noise_std, noise_rng, crs);
-            out.copy_from_slice(&self.row[k * n..]);
-        }
-    }
-
-    /// Row `(j, ·)` of a classical GGSW whose gadget term is `gadget`:
-    /// masks and noise from `rng`, then the gadget added to
-    /// coefficient 0 of polynomial `j`.
-    fn classical_row(&mut self, j: usize, gadget: u64, noise_std: f64, rng: &mut NoiseSampler) {
-        let kn = self.glwe_sk.dimension() * self.glwe_sk.poly_size();
-        let (masks, body) = self.row.split_at_mut(kn);
-        rng.fill_uniform(masks);
-        body.fill(0);
-        self.encrypt_body(noise_std, rng);
-        let target = j * self.glwe_sk.poly_size();
-        self.row[target] = self.row[target].wrapping_add(gadget);
-    }
-
-    /// Row `(j, ·)` of a seeded GGSW whose gadget term is `gadget`:
-    /// masks from `crs`, the body encrypting the gadget's phase
-    /// contribution (`−gadget·S_j`, or the constant `gadget` at `j = k`)
-    /// with noise from `noise_rng`.
-    fn seeded_row(
-        &mut self,
-        j: usize,
-        gadget: u64,
-        noise_std: f64,
-        noise_rng: &mut NoiseSampler,
-        crs: &mut NoiseSampler,
-    ) {
-        let kn = self.glwe_sk.dimension() * self.glwe_sk.poly_size();
-        let (masks, body) = self.row.split_at_mut(kn);
-        crs.fill_uniform(masks);
-        match self.glwe_sk.polys().get(j) {
-            Some(key) => {
-                for (b, &s) in body.iter_mut().zip(key.coeffs()) {
-                    *b = gadget.wrapping_mul(s).wrapping_neg();
-                }
+    pub(crate) fn next_bodies(&mut self, message: u64, bodies: &mut [u64]) {
+        let DrawShape { mask_words, n, .. } = self.keygen.shape;
+        let entry_words = self.keygen.entry_words();
+        assert_eq!(bodies.len() * (mask_words + n), entry_words * n, "seeded ggsw body words");
+        self.next(message, |entry| {
+            for (out, row) in bodies.chunks_exact_mut(n).zip(entry.chunks_exact(mask_words + n)) {
+                out.copy_from_slice(&row[mask_words..]);
             }
-            None => {
-                body.fill(0);
-                body[0] = gadget;
-            }
-        }
-        self.encrypt_body(noise_std, noise_rng);
+        });
     }
 
-    /// Adds noise from `rng` and the key product of the row's masks to
-    /// the row's body (which holds the message).
-    fn encrypt_body(&mut self, noise_std: f64, rng: &mut NoiseSampler) {
-        let n = self.glwe_sk.poly_size();
-        let (masks, body) = self.row.split_at_mut(self.glwe_sk.dimension() * n);
-        add_noise(body, noise_std, rng);
-        self.product.add_product(masks.chunks_exact(n), body, false);
-    }
-    // lint:hot-path-end
-
-    /// The current row as a ciphertext (one-off encryptions only).
-    fn row_ciphertext(&self) -> GlweCiphertext {
-        let n = self.glwe_sk.poly_size();
-        let (masks, body) = self.row.split_at(self.glwe_sk.dimension() * n);
-        let masks = masks.chunks_exact(n).map(|m| TorusPolynomial::from_coeffs(m.to_vec()));
-        GlweCiphertext::from_parts(masks.collect(), TorusPolynomial::from_coeffs(body.to_vec()))
+    /// Takes the next entry's draws from the helper, encrypts them as
+    /// GGSW(`message`), lets `sink` read the entry and hands the buffer
+    /// back for the helper to refill.
+    fn next(&mut self, message: u64, sink: impl FnOnce(&[u64])) {
+        // lint:allow(panic) the helper draws every entry unless it panicked, which the scope re-raises
+        let mut entry = self.full.recv().expect("the key draw helper stopped early");
+        self.keygen.encrypt(message, &mut entry, self.seeded);
+        sink(&entry);
+        // After the last entry the helper has returned and the buffer
+        // is dropped here; before it, the channel has room for both.
+        let _ = self.empty.send(entry);
     }
 }
 
@@ -671,6 +761,36 @@ mod tests {
             re.iter().chain(im).map(|x| x.to_bits()).collect::<Vec<_>>()
         };
         assert_eq!(bits(&expanded), bits(&ggsw.to_fourier(&fx.fft)));
+    }
+
+    #[test]
+    fn a_panicking_consumer_ends_the_draw_helper() {
+        // The helper is blocked on a buffer the consumer never returns;
+        // the consumer's unwinding must close the channel and end it,
+        // or the scope would wait forever.
+        let mut fx = fixture(1, 64);
+        let mut keygen = GgswKeygen::new(&fx.glwe_sk, &fx.fft, fx.decomp, STD);
+        let samplers = KeySamplers { noise: &mut fx.rng, crs: None };
+        let run = std::panic::AssertUnwindSafe(|| {
+            keygen.generate(samplers, 8, |entries| {
+                entries.next_coefficients(1, &mut Vec::new());
+                panic!("consumer fails after one entry");
+            })
+        });
+        assert!(std::panic::catch_unwind(run).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "the key draw helper stopped early")]
+    fn taking_more_entries_than_drawn_panics_instead_of_waiting() {
+        let mut fx = fixture(1, 64);
+        let mut keygen = GgswKeygen::new(&fx.glwe_sk, &fx.fft, fx.decomp, STD);
+        let samplers = KeySamplers { noise: &mut fx.rng, crs: None };
+        keygen.generate(samplers, 1, |entries| {
+            for _ in 0..2 {
+                entries.next_coefficients(1, &mut Vec::new());
+            }
+        });
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::bootstrap::{
     pattern_indicator, BootstrapKey, ClassicalBootstrapKey, MultiBitBootstrapKey,
 };
 use crate::decompose::DecompositionParams;
-use crate::ggsw::GgswKeygen;
+use crate::ggsw::{GgswKeygen, KeySamplers};
 use crate::glwe::GlweSecretKey;
 use crate::keyswitch::KeySwitchKey;
 use crate::lwe::{LweCiphertext, LweSecretKey};
@@ -162,25 +162,20 @@ impl ClientKey {
     pub fn seeded_server_key(&mut self, crs_seed: u64) -> SeededServerKey {
         let decomp = DecompositionParams::new(self.params.pbs_base_log, self.params.pbs_level);
         let noise_std = self.params.glwe_noise_std;
-        let bits = self.lwe_sk.bits();
-        // Every key entry's plaintext, in generation order.
-        let plaintexts: Vec<u64> = match self.params.pbs_kernel.grouping_factor() {
-            None => bits.to_vec(),
-            Some(g) => bits
-                .chunks(g)
-                .flat_map(|group| (0..1usize << group.len()).map(|p| pattern_indicator(group, p)))
-                .collect(),
-        };
+        let plaintexts = entry_plaintexts(&self.params, self.lwe_sk.bits());
         let mut crs = NoiseSampler::from_derived_seed(crs_seed, bsk_crs_stream(&self.params));
         let fft = NegacyclicFft::with_backend(self.params.polynomial_size, self.params.fft_backend)
             // lint:allow(panic) parameters were validated at construction
             .expect("validated parameters have power-of-two N and an available backend");
-        let mut keygen = GgswKeygen::new(&self.glwe_sk, &fft);
+        let mut keygen = GgswKeygen::new(&self.glwe_sk, &fft, decomp, noise_std);
         let entry_words = self.params.ggsw_row_count() * self.params.polynomial_size;
         let mut bsk_bodies = vec![0; plaintexts.len() * entry_words];
-        for (m, bodies) in plaintexts.into_iter().zip(bsk_bodies.chunks_exact_mut(entry_words)) {
-            keygen.seeded_bodies_into(m, decomp, noise_std, &mut self.rng, &mut crs, bodies);
-        }
+        let samplers = KeySamplers { noise: &mut self.rng, crs: Some(&mut crs) };
+        keygen.generate(samplers, plaintexts.len(), |entries| {
+            for (&m, bodies) in plaintexts.iter().zip(bsk_bodies.chunks_exact_mut(entry_words)) {
+                entries.next_bodies(m, bodies);
+            }
+        });
         let ksk_bodies = KeySwitchKey::with_mask_seed(
             &self.extracted_sk,
             &self.lwe_sk,
@@ -194,6 +189,19 @@ impl ClientKey {
             crs_seed,
             SeededKeyPayload::Real { bsk_bodies, ksk_bodies },
         )
+    }
+}
+
+/// Every blind-rotation key entry's plaintext, in generation order: the
+/// secret `bits` themselves, or per group of a multi-bit kernel its
+/// pattern indicators.
+fn entry_plaintexts(params: &TfheParameters, bits: &[u64]) -> Vec<u64> {
+    match params.pbs_kernel.grouping_factor() {
+        None => bits.to_vec(),
+        Some(g) => bits
+            .chunks(g)
+            .flat_map(|group| (0..1usize << group.len()).map(|p| pattern_indicator(group, p)))
+            .collect(),
     }
 }
 
@@ -454,6 +462,7 @@ pub fn generate_keys(params: &TfheParameters, seed: u64) -> (ClientKey, ServerKe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ggsw::FourierGgsw;
     use crate::params::PbsKernel;
 
     #[test]
@@ -843,6 +852,90 @@ mod tests {
             "0x9e0a136d82ad99bf",
             "set-II"
         );
+    }
+
+    /// The one-thread reference of key generation: `client`'s
+    /// blind-rotation key entries, each drawn and then encrypted on the
+    /// calling thread (masks from `crs` when given), as `(k+1)·l` rows
+    /// of masks then body.
+    fn inline_entries(client: &mut ClientKey, crs: Option<&mut NoiseSampler>) -> Vec<Vec<u64>> {
+        let params = &client.params;
+        let decomp = DecompositionParams::new(params.pbs_base_log, params.pbs_level);
+        let fft = NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend).unwrap();
+        let mut keygen = GgswKeygen::new(&client.glwe_sk, &fft, decomp, params.glwe_noise_std);
+        let mut samplers = KeySamplers { noise: &mut client.rng, crs };
+        let entry = |m| {
+            let mut words = vec![0; keygen.entry_words()];
+            keygen.encrypt_inline(m, &mut samplers, &mut words);
+            words
+        };
+        entry_plaintexts(params, client.lwe_sk.bits()).into_iter().map(entry).collect()
+    }
+
+    /// Key generation draws each entry on a helper thread and encrypts
+    /// it on the calling one; the keys must be what one thread makes,
+    /// also for a client whose stream is mid-way. Here an encryption
+    /// first leaves a Box–Muller spare cached for the key's first noise
+    /// word — the golden digests cover fresh clients only. g = 3 over
+    /// n = 64 ends on a group of one bit.
+    #[test]
+    fn pipelined_keys_match_the_one_thread_reference_after_an_encryption() {
+        let crs_seed = 7;
+        for kernel in [PbsKernel::Classical, PbsKernel::MultiBit { grouping_factor: 3 }] {
+            let params = TfheParameters::testing_fast().with_kernel(kernel);
+            let mid_stream = || {
+                let mut client = ClientKey::generate(&params, 41);
+                client.encrypt_torus(0);
+                assert!(client.rng.has_cached_gaussian(), "the encryption leaves a spare");
+                (client.clone(), client)
+            };
+
+            let (mut client, mut inline) = mid_stream();
+            let server = client.server_key();
+            let (n, k) = (params.polynomial_size, params.glwe_dimension);
+            let decomp = server.bsk.decomposition();
+            let spectra = inline_entries(&mut inline, None).into_iter().flat_map(|words| {
+                let coeffs: Vec<i64> = words.into_iter().map(|w| w as i64).collect();
+                let entry = FourierGgsw::from_coefficients(&coeffs, decomp, k, server.bsk.fft());
+                let (re, im) = entry.spectra().planes();
+                re.iter().chain(im).map(|x| x.to_bits()).collect::<Vec<_>>()
+            });
+            assert!(bsk_words(&server.bsk).eq(spectra), "{kernel:?} blind-rotation key");
+            let ksk = KeySwitchKey::generate(
+                &inline.extracted_sk,
+                &inline.lwe_sk,
+                &params,
+                &mut inline.rng,
+            );
+            assert!(ksk_words(&server.ksk).eq(ksk_words(&ksk)), "{kernel:?} keyswitching key");
+            assert_eq!(client.encrypt_torus(0), inline.encrypt_torus(0), "{kernel:?} stream");
+
+            let (mut client, mut inline) = mid_stream();
+            let seeded = client.seeded_server_key(crs_seed);
+            let mut crs = NoiseSampler::from_derived_seed(crs_seed, bsk_crs_stream(&params));
+            let rows = inline_entries(&mut inline, Some(&mut crs));
+            let mut bodies: Vec<u64> = rows
+                .iter()
+                .flat_map(|words| words.chunks_exact((k + 1) * n).flat_map(|row| &row[k * n..]))
+                .copied()
+                .collect();
+            bodies.extend(
+                KeySwitchKey::with_mask_seed(
+                    &inline.extracted_sk,
+                    &inline.lwe_sk,
+                    &params,
+                    derive_seed(crs_seed, CRS_KSK_STREAM),
+                    &mut inline.rng,
+                )
+                .into_bodies(),
+            );
+            assert!(payload_words(&seeded) == bodies, "{kernel:?} seeded payload");
+            assert_eq!(
+                client.encrypt_torus(0),
+                inline.encrypt_torus(0),
+                "{kernel:?} seeded stream"
+            );
+        }
     }
 
     #[test]

@@ -207,6 +207,13 @@ impl NoiseSampler {
         crate::torus::f64_to_torus(noise)
     }
 
+    /// Whether a second Box–Muller output waits for the next Gaussian
+    /// draw.
+    #[cfg(test)]
+    pub(crate) fn has_cached_gaussian(&self) -> bool {
+        self.spare_gaussian.is_some()
+    }
+
     /// Fills `out` with uniform torus elements.
     pub fn fill_uniform(&mut self, out: &mut [u64]) {
         for slot in out {

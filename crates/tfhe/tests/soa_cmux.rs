@@ -19,18 +19,23 @@
 //!   (skipped inside a block),
 //! * the parallel sharded entry point (`bootstrap_batch_parallel`).
 //!
-//! Keys here are timing-equivalent trivial keys with dense pseudo-
-//! random ciphertext masks: bit-identity is a property of the
-//! *arithmetic schedule*, not of key secrecy, and trivial keys make
-//! N = 2048 keygen instant. The same identities on real encrypted keys
-//! and on both kernels are pinned by `pbs_identity.rs`.
+//! Keys here are real encryptions of a random secret at each shape,
+//! and the ciphertexts carry dense pseudo-random masks: after the first
+//! CMUX every accumulator polynomial, and so every gadget level and
+//! every key row, carries dense low bits, so a reference that dropped a
+//! level or summed the rows in another order moves bits here. A trivial
+//! key would keep the accumulator trivial under these LUTs (multiples of
+//! 2⁶¹) and every digit below level 1 zero, hiding both faults. The same
+//! identities on both kernels are pinned by `pbs_identity.rs`.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use strix_tfhe::bootstrap::{ClassicalBootstrapKey, Lut, PbsJob};
-use strix_tfhe::lwe::LweCiphertext;
+use strix_tfhe::glwe::GlweSecretKey;
+use strix_tfhe::lwe::{LweCiphertext, LweSecretKey};
+use strix_tfhe::rng::NoiseSampler;
 use strix_tfhe::scratch::CMUX_JOB_BLOCK;
 use strix_tfhe::torus::encode_fraction;
 use strix_tfhe::{StrixFftBackend, TfheParameters};
@@ -48,6 +53,15 @@ fn shaped_params(k: usize, n: usize, level: usize) -> TfheParameters {
     p.pbs_level = level;
     p.validate().expect("test parameter shape must be valid");
     p
+}
+
+/// A real key at `params`' shape: a fresh LWE secret encrypted under a
+/// fresh GLWE secret, both from `seed`.
+fn real_key(params: &TfheParameters, seed: u64) -> ClassicalBootstrapKey {
+    let mut rng = NoiseSampler::from_seed(seed);
+    let lwe_sk = LweSecretKey::generate(params.lwe_dimension, &mut rng);
+    let glwe_sk = GlweSecretKey::generate(params.glwe_dimension, params.polynomial_size, &mut rng);
+    ClassicalBootstrapKey::generate(&lwe_sk, &glwe_sk, params, &mut rng)
 }
 
 /// splitmix64 — dense pseudo-random torus values so every mask element
@@ -78,7 +92,7 @@ fn blocked_cmux_is_bit_identical_to_per_job_oracle_across_shapes() {
         for n in [512usize, 1024, 2048] {
             for level in [2usize, 3] {
                 let params = shaped_params(k, n, level);
-                let bsk = ClassicalBootstrapKey::generate_for_benchmark(&params);
+                let bsk = real_key(&params, (k * n * level) as u64);
                 let lut = Lut::sign(n, encode_fraction(1, 3));
                 // CMUX_JOB_BLOCK + 1 jobs: one full block plus a
                 // partial block of one.
@@ -100,7 +114,7 @@ fn blocked_cmux_handles_zero_rotations_inside_a_block() {
     // into a block with active jobs must leave both its own output and
     // its neighbours' outputs bit-identical to the oracle.
     let params = shaped_params(1, 512, 2);
-    let bsk = ClassicalBootstrapKey::generate_for_benchmark(&params);
+    let bsk = real_key(&params, 0xBEEF);
     let lut = Lut::sign(512, encode_fraction(1, 3));
     let mut cts: Vec<LweCiphertext> =
         (0..6u64).map(|j| random_ct(0xBEEF + j, TEST_LWE_DIM)).collect();
@@ -120,10 +134,9 @@ fn forced_portable_backend_is_bit_identical_to_the_detected_backend() {
     // which is fine: it then costs one extra keygen, not coverage.
     for n in [1024usize, 2048] {
         let params = shaped_params(1, n, 2);
-        let portable_key = ClassicalBootstrapKey::generate_for_benchmark(
-            &params.clone().with_fft_backend(StrixFftBackend::Portable),
-        );
-        let auto_key = ClassicalBootstrapKey::generate_for_benchmark(&params);
+        let portable_key =
+            real_key(&params.clone().with_fft_backend(StrixFftBackend::Portable), n as u64);
+        let auto_key = real_key(&params, n as u64);
         let lut = Lut::sign(n, encode_fraction(1, 3));
         let cts: Vec<LweCiphertext> =
             (0..4u64).map(|j| random_ct(0xF0CA + j + n as u64, TEST_LWE_DIM)).collect();
@@ -142,7 +155,7 @@ fn fixture() -> &'static (TfheParameters, ClassicalBootstrapKey, Lut, Lut) {
     static FIXTURE: OnceLock<(TfheParameters, ClassicalBootstrapKey, Lut, Lut)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let params = shaped_params(1, 512, 3);
-        let bsk = ClassicalBootstrapKey::generate_for_benchmark(&params);
+        let bsk = real_key(&params, 0x5EED);
         let lut_sign = Lut::sign(512, encode_fraction(1, 3));
         let lut_id = Lut::from_function(512, 2, |m| m).unwrap();
         (params, bsk, lut_sign, lut_id)
