@@ -740,10 +740,11 @@ mod tests {
         bsk_bodies.iter().chain(ksk_bodies).copied().collect()
     }
 
-    /// Digests of a classical seeded key: its payload's bodies, then
-    /// the key `SeededServerKey::expand` materialises.
-    fn classical_seeded_digests(params: &TfheParameters, seed: u64) -> [u64; 2] {
-        let params = params.clone().with_kernel(PbsKernel::Classical);
+    /// Digests of a fresh client's seeded key under `kernel`: its
+    /// payload's bodies, then the key `SeededServerKey::expand`
+    /// materialises.
+    fn seeded_digests(params: &TfheParameters, kernel: PbsKernel, seed: u64) -> [u64; 2] {
+        let params = params.clone().with_kernel(kernel);
         let seeded = ClientKey::generate(&params, seed).seeded_server_key(seed ^ 0x5eed);
         [fnv(payload_words(&seeded)), fnv(server_key_words(&seeded.expand()))]
     }
@@ -787,24 +788,38 @@ mod tests {
         );
     }
 
-    /// The classical seeded path (the multi-tenant registry's transport
-    /// form) must reproduce these payloads and expansions bit for bit.
+    /// The seeded path (the multi-tenant registry's transport form) must
+    /// reproduce these payloads and expansions bit for bit, from a fresh
+    /// classical client and a fresh g = 3 client.
     #[test]
-    fn classical_seeded_key_matches_golden_digests() {
+    fn seeded_keys_match_golden_digests() {
         let hex = |d: [u64; 2]| d.map(|x| format!("{x:#018x}"));
+        let g3 = PbsKernel::MultiBit { grouping_factor: 3 };
+        let fast = TfheParameters::testing_fast();
         assert_eq!(
-            hex(classical_seeded_digests(&TfheParameters::testing_fast(), 3)),
+            hex(seeded_digests(&fast, PbsKernel::Classical, 3)),
             ["0x099a346fa4532f79", "0x58613a8b6052affd"],
-            "testing_fast"
+            "testing_fast classical"
+        );
+        assert_eq!(
+            hex(seeded_digests(&fast, g3, 3)),
+            ["0xdd2bc1150b7886c0", "0xb9a9a84770e5744b"],
+            "testing_fast g = 3"
         );
         // Set-II keygen is release-only, like the key digests.
         if cfg!(debug_assertions) {
             return;
         }
+        let set_ii = TfheParameters::set_ii();
         assert_eq!(
-            hex(classical_seeded_digests(&TfheParameters::set_ii(), 4)),
+            hex(seeded_digests(&set_ii, PbsKernel::Classical, 4)),
             ["0x663ebbe7e586ed6b", "0x2c3c823683e72c5d"],
-            "set-II"
+            "set-II classical"
+        );
+        assert_eq!(
+            hex(seeded_digests(&set_ii, g3, 4)),
+            ["0xf047af8d9ba0c08c", "0xa32ebd3e653c9c8c"],
+            "set-II g = 3"
         );
     }
 
