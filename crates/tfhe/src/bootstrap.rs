@@ -94,13 +94,12 @@ use std::ops::Range;
 use strix_fft::{pointwise_mul_add_soa, MonomialTable, NegacyclicFft, SoaSpectrum};
 
 use crate::decompose::DecompositionParams;
-use crate::ggsw::{FourierGgsw, GgswCiphertext, GgswKeygen, KeySamplers};
-use crate::glwe::{GlweCiphertext, GlweSecretKey};
-use crate::lwe::{LweCiphertext, LweSecretKey};
+use crate::ggsw::{FourierGgsw, GgswCiphertext};
+use crate::glwe::GlweCiphertext;
+use crate::lwe::LweCiphertext;
 use crate::params::{PbsKernel, TfheParameters};
 use crate::poly::TorusPolynomial;
 use crate::profiler::{NoProbe, PbsStage, Probe, StageTimings, TimingProbe};
-use crate::rng::NoiseSampler;
 use crate::scratch::{slot_tile, PbsScratch, CMUX_JOB_BLOCK};
 use crate::torus::{encode_fraction, f64_to_torus, modulus_switch};
 use crate::TfheError;
@@ -1152,25 +1151,19 @@ fn only<T>(mut results: Vec<T>) -> T {
 }
 
 impl ClassicalBootstrapKey {
-    /// Generates a bootstrapping key encrypting `lwe_sk` under `glwe_sk`.
-    pub fn generate(
-        lwe_sk: &LweSecretKey,
-        glwe_sk: &GlweSecretKey,
-        params: &TfheParameters,
-        rng: &mut NoiseSampler,
-    ) -> Self {
-        let bits = lwe_sk.bits();
-        Self::from_entries(params, bits.len(), |decomp, fft| {
-            let mut keygen = GgswKeygen::new(glwe_sk, fft, decomp, params.glwe_noise_std);
+    /// The per-bit layout's one Fourier builder: `next` writes each
+    /// entry's signed coefficients in secret-bit order — key generation
+    /// from [`crate::ggsw::KeyEntries::next_coefficients`], expansion
+    /// from [`FourierGgsw::seeded_coefficients_into`] — and each entry
+    /// is transformed in one batched call as soon as it is written.
+    pub(crate) fn build(params: &TfheParameters, mut next: impl FnMut(&mut Vec<i64>)) -> Self {
+        Self::from_entries(params, params.lwe_dimension, |decomp, fft| {
             let mut coeffs = Vec::new();
-            let samplers = KeySamplers { noise: rng, crs: None };
-            layout::PerBit(keygen.generate(samplers, bits.len(), |entries| {
-                let mut encrypt = |m| {
-                    entries.next_coefficients(m, &mut coeffs);
-                    FourierGgsw::from_coefficients(&coeffs, decomp, params.glwe_dimension, fft)
-                };
-                bits.iter().map(|&s| encrypt(s)).collect()
-            }))
+            let mut entry = || {
+                next(&mut coeffs);
+                FourierGgsw::from_coefficients(&coeffs, decomp, params.glwe_dimension, fft)
+            };
+            layout::PerBit((0..params.lwe_dimension).map(|_| entry()).collect())
         })
     }
 
@@ -1187,35 +1180,6 @@ impl ClassicalBootstrapKey {
     pub fn generate_for_benchmark(params: &TfheParameters) -> Self {
         Self::from_entries(params, params.lwe_dimension, |decomp, fft| {
             layout::PerBit(vec![trivial_entry(params, decomp, fft); params.lwe_dimension])
-        })
-    }
-
-    /// Expansion half of seeded key transport: rebuilds each GGSW from
-    /// its stored body polynomials and the CRS mask stream (drawn in
-    /// generation order), then runs the usual Fourier materialisation.
-    ///
-    /// `bodies` is entry-major: per secret bit, `(k+1)·l` rows of `N`
-    /// coefficients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bodies` does not hold one such entry per secret bit
-    /// (transport payload invariant).
-    pub(crate) fn from_seeded_parts(
-        bodies: &[u64],
-        params: &TfheParameters,
-        crs: &mut NoiseSampler,
-    ) -> Self {
-        let entry_len = params.ggsw_row_count() * params.polynomial_size;
-        assert_eq!(bodies.len(), params.lwe_dimension * entry_len, "seeded bsk body words");
-        Self::from_entries(params, params.lwe_dimension, |decomp, fft| {
-            let mut coeffs = Vec::new();
-            layout::PerBit(
-                bodies
-                    .chunks_exact(entry_len)
-                    .map(|entry| seeded_entry(entry, params, decomp, fft, crs, &mut coeffs))
-                    .collect(),
-            )
         })
     }
 
@@ -1255,8 +1219,11 @@ impl ClassicalBootstrapKey {
 }
 
 impl MultiBitBootstrapKey {
-    /// Generates a multi-bit bootstrapping key encrypting `lwe_sk`
-    /// under `glwe_sk` at `grouping_factor` bits per key entry.
+    /// The grouped layout's one Fourier builder at `grouping_factor`
+    /// bits per group: `next` writes each entry's signed coefficients,
+    /// group-major then pattern (as [`ClassicalBootstrapKey::build`]),
+    /// and each entry is transformed and scattered into its group's
+    /// tiled buffer as soon as it is written.
     ///
     /// Every one of a group's `2^g` pattern entries is a *real* GGSW
     /// encryption (including the `2^g − 1` encryptions of zero): which
@@ -1267,29 +1234,22 @@ impl MultiBitBootstrapKey {
     /// Panics if `grouping_factor` is 0, exceeds
     /// [`PbsKernel::MAX_GROUPING_FACTOR`] or exceeds the LWE dimension
     /// (all rejected earlier by [`TfheParameters::validate`]).
-    pub fn generate(
-        lwe_sk: &LweSecretKey,
-        glwe_sk: &GlweSecretKey,
+    pub(crate) fn build(
         params: &TfheParameters,
         grouping_factor: usize,
-        rng: &mut NoiseSampler,
+        mut next: impl FnMut(&mut Vec<i64>),
     ) -> Self {
-        check_grouping(grouping_factor, lwe_sk.bits().len());
-        let groups = lwe_sk.bits().chunks(grouping_factor);
-        let patterns = groups.clone().map(|bits| 1 << bits.len()).sum();
-        Self::grouped(params, grouping_factor, |decomp, fft, staging| {
-            let mut keygen = GgswKeygen::new(glwe_sk, fft, decomp, params.glwe_noise_std);
+        check_grouping(grouping_factor, params.lwe_dimension);
+        Self::grouped(params, grouping_factor, |_, fft, staging| {
             let mut coeffs = Vec::new();
-            let samplers = KeySamplers { noise: rng, crs: None };
-            keygen.generate(samplers, patterns, |entries| {
-                let group = |bits: &[u64]| {
-                    tiled_group(1 << bits.len(), staging, |pattern, spectra| {
-                        entries.next_coefficients(pattern_indicator(bits, pattern), &mut coeffs);
+            group_widths(params.lwe_dimension, grouping_factor)
+                .map(|bits| {
+                    tiled_group(1 << bits, staging, |spectra| {
+                        next(&mut coeffs);
                         transform_entry(fft, &coeffs, spectra);
                     })
-                };
-                groups.map(group).collect()
-            })
+                })
+                .collect()
         })
     }
 
@@ -1302,58 +1262,13 @@ impl MultiBitBootstrapKey {
     /// # Panics
     ///
     /// Panics if `grouping_factor` is out of range (see
-    /// [`Self::generate`]).
+    /// [`Self::build`]).
     pub fn generate_for_benchmark(params: &TfheParameters, grouping_factor: usize) -> Self {
         check_grouping(grouping_factor, params.lwe_dimension);
         Self::grouped(params, grouping_factor, |decomp, fft, staging| {
             staging.copy_from(trivial_entry(params, decomp, fft).spectra());
             group_widths(params.lwe_dimension, grouping_factor)
-                .map(|bits| tiled_group(1 << bits, staging, |_, _| {}))
-                .collect()
-        })
-    }
-
-    /// Expansion half of seeded key transport: rebuilds every pattern
-    /// entry from its stored body polynomials (`bodies`, group-major
-    /// then pattern, each entry `(k+1)·l` rows of `N` coefficients) and
-    /// the CRS mask stream (drawn in the same order), then runs the
-    /// usual Fourier materialisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the body length does not match the parameters
-    /// (transport payload invariant).
-    pub(crate) fn from_seeded_parts(
-        bodies: &[u64],
-        params: &TfheParameters,
-        grouping_factor: usize,
-        crs: &mut NoiseSampler,
-    ) -> Self {
-        check_grouping(grouping_factor, params.lwe_dimension);
-        let widths = group_widths(params.lwe_dimension, grouping_factor);
-        let patterns: usize = widths.clone().map(|bits| 1usize << bits).sum();
-        let entry_len = params.ggsw_row_count() * params.polynomial_size;
-        assert_eq!(bodies.len(), patterns * entry_len, "seeded mbsk body words");
-        Self::grouped(params, grouping_factor, |decomp, fft, staging| {
-            let (k, n) = (params.glwe_dimension, fft.poly_size());
-            let mut coeffs = Vec::new();
-            let mut entries = bodies.chunks_exact(entry_len);
-            widths
-                .map(|bits| {
-                    tiled_group(1 << bits, staging, |_, spectra| {
-                        // lint:allow(panic) the entry count was checked above
-                        let bodies = entries.next().expect("one entry per pattern");
-                        FourierGgsw::seeded_coefficients_into(
-                            bodies,
-                            decomp,
-                            k,
-                            crs,
-                            n,
-                            &mut coeffs,
-                        );
-                        transform_entry(fft, &coeffs, spectra);
-                    })
-                })
+                .map(|bits| tiled_group(1 << bits, staging, |_| {}))
                 .collect()
         })
     }
@@ -1513,6 +1428,18 @@ forward! {
 }
 
 impl BootstrapKey {
+    /// Builds the key of `params`' kernel from `next`, which writes each
+    /// entry's signed coefficients in key order (see
+    /// [`ClassicalBootstrapKey::build`] and [`MultiBitBootstrapKey::build`]).
+    pub(crate) fn build(params: &TfheParameters, next: impl FnMut(&mut Vec<i64>)) -> Self {
+        match params.pbs_kernel {
+            PbsKernel::Classical => Self::Classical(ClassicalBootstrapKey::build(params, next)),
+            PbsKernel::MultiBit { grouping_factor } => {
+                Self::MultiBit(MultiBitBootstrapKey::build(params, grouping_factor, next))
+            }
+        }
+    }
+
     /// The PBS kernel this key runs.
     pub fn kernel(&self) -> PbsKernel {
         match self {
@@ -1529,18 +1456,18 @@ fn group_widths(n: usize, g: usize) -> impl Iterator<Item = usize> + Clone {
 }
 
 /// Lays out one group of `patterns` entries slot-tile-major: `entry`
-/// writes pattern `b`'s spectra into `staging`, which is scattered into
-/// the group buffer before the next pattern reuses it, so no entry's
-/// logical form outlives its scatter.
+/// writes the next pattern's spectra into `staging`, which is scattered
+/// into the group buffer before the next pattern reuses it, so no
+/// entry's logical form outlives its scatter.
 fn tiled_group(
     patterns: usize,
     staging: &mut SoaSpectrum,
-    mut entry: impl FnMut(usize, &mut SoaSpectrum),
+    mut entry: impl FnMut(&mut SoaSpectrum),
 ) -> Vec<f64> {
     let (re, im) = staging.planes();
     let mut group = vec![0.0f64; patterns * (re.len() + im.len())];
     for pattern in 0..patterns {
-        entry(pattern, staging);
+        entry(staging);
         layout::write_tiled(&mut group, patterns, pattern, staging);
     }
     group
@@ -1618,19 +1545,6 @@ fn trivial_entry(
         .to_fourier(fft)
 }
 
-/// One key entry rebuilt from its transported bodies and the CRS stream,
-/// through `coeffs`, the coefficient buffer every entry of a key reuses.
-fn seeded_entry(
-    bodies: &[u64],
-    params: &TfheParameters,
-    decomp: DecompositionParams,
-    fft: &NegacyclicFft,
-    crs: &mut NoiseSampler,
-    coeffs: &mut Vec<i64>,
-) -> FourierGgsw {
-    FourierGgsw::from_seeded_parts(bodies, decomp, params.glwe_dimension, crs, fft, coeffs)
-}
-
 /// Encodes a boolean as `±1/8` on the torus (gate-bootstrapping
 /// convention): `true ↦ +1/8`, `false ↦ −1/8`.
 ///
@@ -1667,7 +1581,11 @@ pub fn decode_bool(phase: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::glwe::GlweSecretKey;
+    use crate::lwe::LweSecretKey;
+    use crate::rng::NoiseSampler;
     use crate::torus::decode_message;
+    use crate::ClientKey;
 
     struct Fixture {
         params: TfheParameters,
@@ -1678,14 +1596,26 @@ mod tests {
         rng: NoiseSampler,
     }
 
+    /// Keys of a client of `seed` at `params`: its secrets, and the
+    /// blind-rotation key its server key carries.
+    fn client_keys(params: &TfheParameters, seed: u64) -> (ClientKey, BootstrapKey) {
+        let mut client = ClientKey::generate(params, seed);
+        let bsk = client.server_key().bsk;
+        (client, bsk)
+    }
+
     fn fixture(params: TfheParameters) -> Fixture {
-        let mut rng = NoiseSampler::from_seed(4242);
-        let lwe_sk = LweSecretKey::generate(params.lwe_dimension, &mut rng);
-        let glwe_sk =
-            GlweSecretKey::generate(params.glwe_dimension, params.polynomial_size, &mut rng);
-        let extracted = glwe_sk.to_extracted_lwe_key();
-        let bsk = ClassicalBootstrapKey::generate(&lwe_sk, &glwe_sk, &params, &mut rng);
-        Fixture { params, lwe_sk, glwe_sk, extracted, bsk, rng }
+        let (client, BootstrapKey::Classical(bsk)) = client_keys(&params, 4242) else {
+            panic!("a classical client's server carries a classical key");
+        };
+        Fixture {
+            lwe_sk: client.lwe_secret_key().clone(),
+            glwe_sk: client.glwe_secret_key().clone(),
+            extracted: client.extracted_secret_key().clone(),
+            bsk,
+            rng: NoiseSampler::from_seed(4243),
+            params,
+        }
     }
 
     #[test]
@@ -1908,8 +1838,18 @@ mod tests {
         assert!(fx.bsk.bootstrap_batch(&[]).unwrap().is_empty());
     }
 
+    /// The g-bit grouped key over `fx`'s secrets: a client of the
+    /// fixture's seed draws the same secrets under every kernel.
     fn multi_bit_key(fx: &mut Fixture, g: usize) -> MultiBitBootstrapKey {
-        MultiBitBootstrapKey::generate(&fx.lwe_sk, &fx.glwe_sk, &fx.params, g, &mut fx.rng)
+        multi_bit_client_key(&fx.params, g, 4242)
+    }
+
+    fn multi_bit_client_key(params: &TfheParameters, g: usize, seed: u64) -> MultiBitBootstrapKey {
+        let params = params.clone().with_kernel(PbsKernel::MultiBit { grouping_factor: g });
+        let (_, BootstrapKey::MultiBit(key)) = client_keys(&params, seed) else {
+            panic!("a multi-bit client's server carries a grouped key");
+        };
+        key
     }
 
     #[test]
@@ -2018,11 +1958,7 @@ mod tests {
             params.polynomial_size = poly;
             params.lwe_dimension = n;
             let key = |backend| {
-                let params = params.clone().with_fft_backend(backend);
-                let mut rng = NoiseSampler::from_seed(77 + g as u64);
-                let lwe_sk = LweSecretKey::generate(n, &mut rng);
-                let glwe_sk = GlweSecretKey::generate(params.glwe_dimension, poly, &mut rng);
-                MultiBitBootstrapKey::generate(&lwe_sk, &glwe_sk, &params, g, &mut rng)
+                multi_bit_client_key(&params.clone().with_fft_backend(backend), g, 77 + g as u64)
             };
             let (auto, portable) = (key(StrixFftBackend::Auto), key(StrixFftBackend::Portable));
             let luts = [Lut::from_function(poly, 2, |m| (m + 1) % 4).unwrap(), Lut::sign(poly, 1)];

@@ -28,8 +28,8 @@ use crate::torus::f64_to_torus;
 
 /// A GGSW ciphertext in the standard (time) domain: `(k+1)·l` GLWE rows.
 ///
-/// Row `(j, lvl)` is a GLWE encryption of zero with `m · q/B^{lvl+1}`
-/// added to polynomial `j` (the gadget matrix `m·G`).
+/// Row `(j, lvl)` has the phase of a GLWE encryption of zero with
+/// `m · q/B^{lvl+1}` added to polynomial `j` (the gadget matrix `m·G`).
 #[derive(Clone, Debug)]
 pub struct GgswCiphertext {
     rows: Vec<GlweCiphertext>,
@@ -40,64 +40,29 @@ pub struct GgswCiphertext {
 impl GgswCiphertext {
     /// Encrypts a small scalar (in blind rotation: a secret-key bit).
     ///
-    /// Row `(j, lvl)` is a GLWE encryption of zero — `k` mask
-    /// polynomials, then `N` noise draws — with `m·q/B^{lvl+1}` added to
-    /// coefficient 0 of polynomial `j`. A one-off call draws and
-    /// encrypts on the calling thread, under a key product of its own;
-    /// key generation runs the same rows on two threads.
+    /// Every row draws its `k` mask polynomials from `masks` — a public
+    /// stream, so a receiver holding its seed regenerates them — and
+    /// then `N` noise words from `noise`. The gadget term cannot ride in
+    /// a mask the receiver regenerates, so each row carries its phase
+    /// contribution in the body instead: row `(j, lvl)` with `j < k`
+    /// encrypts `−m·q/B^{lvl+1}·S_j`, and the body row `j = k` the
+    /// constant `m·q/B^{lvl+1}`. Both have the phase of the gadget added
+    /// to polynomial `j`, which is all the external product reads. This
+    /// one-off form draws and encrypts on the calling thread under a key
+    /// product of its own; key generation runs the same rows on two
+    /// threads ([`GgswKeygen`]).
     pub fn encrypt_scalar(
         message: u64,
         glwe_sk: &GlweSecretKey,
         decomp: DecompositionParams,
         noise_std: f64,
-        rng: &mut NoiseSampler,
-    ) -> Self {
-        Self::one_off(message, glwe_sk, decomp, noise_std, KeySamplers { noise: rng, crs: None })
-    }
-
-    /// Seeded encryption of a small scalar: every mask polynomial is
-    /// drawn from the shared CRS stream `crs`, so only the body
-    /// polynomials (one per row) have to ship — a `(k+1)×` transport
-    /// compression of the bootstrapping key. Generation keeps the
-    /// bodies alone ([`KeyEntries::next_bodies`]); this form keeps the
-    /// masks too, for the tests that decrypt and expand it.
-    ///
-    /// The gadget term cannot be folded into a CRS mask (the receiver
-    /// must regenerate masks from the seed alone), so each row instead
-    /// encrypts the gadget's *phase contribution* directly: row
-    /// `(j, lvl)` with `j < k` is a GLWE encryption of
-    /// `−m·q/B^{lvl+1}·S_j`, and the body row `j = k` encrypts the
-    /// constant `m·q/B^{lvl+1}`. Both have exactly the phase of the
-    /// classical row (`encrypt_scalar` adds the gadget to polynomial
-    /// `j`, which shifts the phase by the same amount), so the external
-    /// product is oblivious to which generation path produced the key.
-    #[cfg(test)]
-    pub(crate) fn encrypt_scalar_seeded(
-        message: u64,
-        glwe_sk: &GlweSecretKey,
-        decomp: DecompositionParams,
-        noise_std: f64,
-        noise_rng: &mut NoiseSampler,
-        crs: &mut NoiseSampler,
-    ) -> Self {
-        let samplers = KeySamplers { noise: noise_rng, crs: Some(crs) };
-        Self::one_off(message, glwe_sk, decomp, noise_std, samplers)
-    }
-
-    /// A one-off GGSW of `message`: one entry's draws, filled and
-    /// encrypted on the calling thread under a plan and key product
-    /// built for this call.
-    fn one_off(
-        message: u64,
-        glwe_sk: &GlweSecretKey,
-        decomp: DecompositionParams,
-        noise_std: f64,
-        mut samplers: KeySamplers<'_>,
+        noise: &mut NoiseSampler,
+        masks: &mut NoiseSampler,
     ) -> Self {
         let fft = glwe_sk.one_off_plan();
         let mut keygen = GgswKeygen::new(glwe_sk, &fft, decomp, noise_std);
         let mut words = vec![0; keygen.entry_words()];
-        keygen.encrypt_inline(message, &mut samplers, &mut words);
+        keygen.encrypt_inline(message, &mut KeySamplers { noise, crs: masks }, &mut words);
         let (k, n) = (glwe_sk.dimension(), glwe_sk.poly_size());
         let rows = words
             .chunks_exact((k + 1) * n)
@@ -209,13 +174,13 @@ impl GgswCiphertext {
 }
 
 /// The samplers one key's draws come from: the client's stream for the
-/// noise, and for the masks too unless a CRS stream is given — a seeded
-/// key's masks come from the public stream its receiver regenerates.
+/// noise, and a common-reference stream for the masks, which whoever
+/// holds its seed regenerates.
 pub(crate) struct KeySamplers<'r> {
-    /// The client's stream: every noise word, and the private masks.
+    /// The client's stream: every noise word.
     pub(crate) noise: &'r mut NoiseSampler,
-    /// The common-reference stream of a seeded key's masks.
-    pub(crate) crs: Option<&'r mut NoiseSampler>,
+    /// The common-reference stream: every mask word.
+    pub(crate) crs: &'r mut NoiseSampler,
 }
 
 /// The draw stage's view of a key entry: its rows and their split.
@@ -231,16 +196,12 @@ struct DrawShape {
 impl DrawShape {
     // lint:hot-path-start — the draw stage runs once per GLWE row of every key
     /// Fills `draws`, whole rows of `k·N + N` words, with what each row
-    /// draws, in stream order: its `k·N` mask words (from the CRS
-    /// stream on the seeded path, else from the client's), then `N`
-    /// noise words from the client's stream.
+    /// draws, in stream order: its `k·N` mask words from the CRS stream,
+    /// then `N` noise words from the client's stream.
     fn fill(self, draws: &mut [u64], samplers: &mut KeySamplers<'_>) {
         for row in draws.chunks_exact_mut(self.mask_words + self.n) {
             let (masks, noise) = row.split_at_mut(self.mask_words);
-            match samplers.crs.as_deref_mut() {
-                Some(crs) => crs.fill_uniform(masks),
-                None => samplers.noise.fill_uniform(masks),
-            }
+            samplers.crs.fill_uniform(masks);
             for e in noise {
                 *e = samplers.noise.gaussian_torus(self.noise_std);
             }
@@ -291,20 +252,20 @@ impl<'a> GgswKeygen<'a> {
         (self.glwe_sk.dimension() + 1) * self.decomp.level * row_words
     }
 
-    /// Runs key generation's two stages over `entries` entries: a
+    /// Runs key generation's two stages over one entry per plaintext: a
     /// scoped helper thread fills each entry's draws from `samplers`,
     /// while `consume`, on the calling thread, takes the entries in
-    /// order through [`KeyEntries`]. Two entry buffers, allocated here,
-    /// cycle between the threads; a closed channel ends the helper, and
-    /// the scope re-raises a panic from either side.
+    /// order through [`KeyEntries`], entry `i` encrypting
+    /// `plaintexts[i]`. Two entry buffers, allocated here, cycle between
+    /// the threads; a closed channel ends the helper, and the scope
+    /// re-raises a panic from either side.
     pub(crate) fn generate<R>(
         &mut self,
         mut samplers: KeySamplers<'_>,
-        entries: usize,
+        plaintexts: &[u64],
         consume: impl FnOnce(&mut KeyEntries<'_, 'a>) -> R,
     ) -> R {
-        let seeded = samplers.crs.is_some();
-        let shape = self.shape;
+        let (shape, entries) = (self.shape, plaintexts.len());
         let buffers = [vec![0; self.entry_words()], vec![0; self.entry_words()]];
         std::thread::scope(|scope| {
             let (full_tx, full) = sync_channel(buffers.len());
@@ -318,7 +279,7 @@ impl<'a> GgswKeygen<'a> {
                     }
                 }
             });
-            consume(&mut KeyEntries { keygen: self, seeded, full, empty })
+            consume(&mut KeyEntries { keygen: self, plaintexts: plaintexts.iter(), full, empty })
         })
     }
 
@@ -332,60 +293,53 @@ impl<'a> GgswKeygen<'a> {
         words: &mut [u64],
     ) {
         self.shape.fill(words, samplers);
-        self.encrypt(message, words, samplers.crs.is_some());
+        self.encrypt(message, words);
     }
 
     // lint:hot-path-start — the key-generation row loop runs once per GLWE row of every key
     /// Turns one entry's draws into GGSW(`message`) in place, row by
-    /// row: row `(j, lvl)`'s body — its noise words — gains the key
-    /// product of its masks and the gadget term `m·q/B^{lvl+1}`. A
-    /// classical row adds the gadget to coefficient 0 of polynomial `j`
-    /// (after the product, which takes the drawn masks); a `seeded` row,
-    /// whose masks are public, adds the gadget's phase contribution to
-    /// the body instead (`−gadget·S_j`, or the constant at `j = k`).
-    fn encrypt(&mut self, message: u64, entry: &mut [u64], seeded: bool) {
+    /// row: row `(j, lvl)`'s body — its noise words — gains the gadget
+    /// term's phase contribution (`−m·q/B^{lvl+1}·S_j`, or the constant
+    /// `m·q/B^{lvl+1}` at `j = k`) and the key product of its public
+    /// masks, which stay as drawn.
+    fn encrypt(&mut self, message: u64, entry: &mut [u64]) {
         let DrawShape { mask_words, n, .. } = self.shape;
         let level = self.decomp.level;
         for (r, row) in entry.chunks_exact_mut(mask_words + n).enumerate() {
             let (j, gadget) =
                 (r / level, message.wrapping_mul(self.decomp.gadget_scale(r % level + 1)));
             let (masks, body) = row.split_at_mut(mask_words);
-            if seeded {
-                match self.glwe_sk.polys().get(j) {
-                    Some(key) => {
-                        for (b, &s) in body.iter_mut().zip(key.coeffs()) {
-                            *b = b.wrapping_sub(gadget.wrapping_mul(s));
-                        }
+            match self.glwe_sk.polys().get(j) {
+                Some(key) => {
+                    for (b, &s) in body.iter_mut().zip(key.coeffs()) {
+                        *b = b.wrapping_sub(gadget.wrapping_mul(s));
                     }
-                    None => body[0] = body[0].wrapping_add(gadget),
                 }
+                None => body[0] = body[0].wrapping_add(gadget),
             }
             self.product.add_product(masks.chunks_exact(n), body, false);
-            if !seeded {
-                row[j * n] = row[j * n].wrapping_add(gadget);
-            }
         }
     }
     // lint:hot-path-end
 }
 
 /// The calling thread's end of [`GgswKeygen::generate`]: the entries
-/// the helper draws, taken in stream order.
+/// the helper draws, taken in stream order, each with its plaintext.
 pub(crate) struct KeyEntries<'k, 'a> {
     keygen: &'k mut GgswKeygen<'a>,
-    seeded: bool,
+    plaintexts: std::slice::Iter<'k, u64>,
     full: Receiver<Vec<u64>>,
     empty: SyncSender<Vec<u64>>,
 }
 
 impl KeyEntries<'_, '_> {
-    /// Encrypts the next entry as GGSW(`message`) and writes its signed
-    /// coefficients — row-major, then column — into `coeffs`, resized
-    /// to `(k+1)·l·(k+1)·N` words: the input of one batched transform,
-    /// bit-identical to what [`GgswCiphertext::to_fourier`] transforms
-    /// for that ciphertext.
-    pub(crate) fn next_coefficients(&mut self, message: u64, coeffs: &mut Vec<i64>) {
-        self.next(message, |entry| {
+    /// Encrypts the next entry and writes its signed coefficients — row
+    /// by row, masks then body — into `coeffs`, resized to
+    /// `(k+1)·l·(k+1)·N` words: the input of one batched transform,
+    /// what [`FourierGgsw::seeded_coefficients_into`] rebuilds from the
+    /// entry's bodies and mask stream.
+    pub(crate) fn next_coefficients(&mut self, coeffs: &mut Vec<i64>) {
+        self.next(|entry| {
             coeffs.resize(entry.len(), 0);
             for (c, &w) in coeffs.iter_mut().zip(entry) {
                 *c = w as i64;
@@ -393,18 +347,17 @@ impl KeyEntries<'_, '_> {
         });
     }
 
-    /// Encrypts the next entry as seeded GGSW(`message`) and writes its
-    /// body polynomials, row after row, into `bodies`; the CRS masks
-    /// are dropped.
+    /// Encrypts the next entry and writes its body polynomials, row
+    /// after row, into `bodies`; the CRS masks are dropped.
     ///
     /// # Panics
     ///
     /// Panics unless `bodies` holds `(k+1)·l·N` words.
-    pub(crate) fn next_bodies(&mut self, message: u64, bodies: &mut [u64]) {
+    pub(crate) fn next_bodies(&mut self, bodies: &mut [u64]) {
         let DrawShape { mask_words, n, .. } = self.keygen.shape;
         let entry_words = self.keygen.entry_words();
         assert_eq!(bodies.len() * (mask_words + n), entry_words * n, "seeded ggsw body words");
-        self.next(message, |entry| {
+        self.next(|entry| {
             for (out, row) in bodies.chunks_exact_mut(n).zip(entry.chunks_exact(mask_words + n)) {
                 out.copy_from_slice(&row[mask_words..]);
             }
@@ -412,12 +365,13 @@ impl KeyEntries<'_, '_> {
     }
 
     /// Takes the next entry's draws from the helper, encrypts them as
-    /// GGSW(`message`), lets `sink` read the entry and hands the buffer
-    /// back for the helper to refill.
-    fn next(&mut self, message: u64, sink: impl FnOnce(&[u64])) {
-        // lint:allow(panic) the helper draws every entry unless it panicked, which the scope re-raises
-        let mut entry = self.full.recv().expect("the key draw helper stopped early");
-        self.keygen.encrypt(message, &mut entry, self.seeded);
+    /// GGSW of the next plaintext, lets `sink` read the entry and hands
+    /// the buffer back for the helper to refill.
+    fn next(&mut self, sink: impl FnOnce(&[u64])) {
+        let drawn = self.plaintexts.next().zip(self.full.recv().ok());
+        // lint:allow(panic) the helper draws one entry per plaintext unless it panicked, which the scope re-raises
+        let (&message, mut entry) = drawn.expect("the key draw helper stopped early");
+        self.keygen.encrypt(message, &mut entry);
         sink(&entry);
         // After the last entry the helper has returned and the buffer
         // is dropped here; before it, the channel has room for both.
@@ -467,44 +421,16 @@ impl FourierGgsw {
         Self { spectra, decomp, glwe_dimension }
     }
 
-    /// Expansion half of seeded transport, straight to the Fourier
-    /// domain: regenerates the CRS masks in the draw order of
-    /// [`GgswCiphertext::encrypt_scalar_seeded`], writes them and the
-    /// stored bodies as signed coefficients into `coeffs` — sized to
+    /// Expansion's feed of a key builder: regenerates one entry's CRS
+    /// masks in the order key generation drew them, and writes them and
+    /// the stored bodies as signed words into `coeffs` — sized to
     /// `(k+1)·l·(k+1)·N` words on first use and reused across every
-    /// entry of a key — and transforms the entry in one batched call.
-    /// Bit-identical to rebuilding the time-domain GGSW and calling
-    /// [`GgswCiphertext::to_fourier`].
+    /// entry of a key — ready for one batched transform. The words are
+    /// the ones [`KeyEntries::next_coefficients`] wrote for the entry
+    /// at generation.
     ///
     /// `bodies` holds the entry's `(k+1)·l` body polynomials back to
     /// back, row-major, `N` coefficients each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bodies` does not hold `(k+1)·l·N` words at the plan's
-    /// `N` (transport payload invariant).
-    pub(crate) fn from_seeded_parts(
-        bodies: &[u64],
-        decomp: DecompositionParams,
-        glwe_dimension: usize,
-        crs: &mut NoiseSampler,
-        fft: &NegacyclicFft,
-        coeffs: &mut Vec<i64>,
-    ) -> Self {
-        Self::seeded_coefficients_into(
-            bodies,
-            decomp,
-            glwe_dimension,
-            crs,
-            fft.poly_size(),
-            coeffs,
-        );
-        Self::from_coefficients(coeffs, decomp, glwe_dimension, fft)
-    }
-
-    /// The coefficient half of [`Self::from_seeded_parts`]: regenerates
-    /// the CRS masks and writes them and the stored bodies as signed
-    /// words into `coeffs`, ready for one batched transform.
     ///
     /// # Panics
     ///
@@ -644,6 +570,7 @@ mod tests {
     struct Fixture {
         glwe_sk: GlweSecretKey,
         rng: NoiseSampler,
+        crs: NoiseSampler,
         fft: NegacyclicFft,
         decomp: DecompositionParams,
         k: usize,
@@ -655,7 +582,15 @@ mod tests {
         let glwe_sk = GlweSecretKey::generate(k, n, &mut rng);
         let fft = NegacyclicFft::new(n).unwrap();
         let decomp = DecompositionParams::new(10, 3);
-        Fixture { glwe_sk, rng, fft, decomp, k, n }
+        Fixture { glwe_sk, rng, crs: NoiseSampler::from_seed(4242), fft, decomp, k, n }
+    }
+
+    impl Fixture {
+        /// GGSW(`message`), masks from the fixture's CRS stream.
+        fn ggsw(&mut self, message: u64) -> GgswCiphertext {
+            let (noise, crs) = (&mut self.rng, &mut self.crs);
+            GgswCiphertext::encrypt_scalar(message, &self.glwe_sk, self.decomp, STD, noise, crs)
+        }
     }
 
     fn test_message(n: usize) -> TorusPolynomial {
@@ -665,7 +600,7 @@ mod tests {
     #[test]
     fn external_product_by_one_preserves_message() {
         let mut fx = fixture(1, 64);
-        let ggsw = GgswCiphertext::encrypt_scalar(1, &fx.glwe_sk, fx.decomp, STD, &mut fx.rng);
+        let ggsw = fx.ggsw(1);
         let msg = test_message(fx.n);
         let ct = fx.glwe_sk.encrypt(&msg, STD, &mut fx.rng);
         let fourier = ggsw.to_fourier(&fx.fft);
@@ -679,7 +614,7 @@ mod tests {
     #[test]
     fn external_product_by_zero_kills_message() {
         let mut fx = fixture(1, 64);
-        let ggsw = GgswCiphertext::encrypt_scalar(0, &fx.glwe_sk, fx.decomp, STD, &mut fx.rng);
+        let ggsw = fx.ggsw(0);
         let msg = test_message(fx.n);
         let ct = fx.glwe_sk.encrypt(&msg, STD, &mut fx.rng);
         let fourier = ggsw.to_fourier(&fx.fft);
@@ -693,7 +628,7 @@ mod tests {
     #[test]
     fn fourier_path_matches_exact_path() {
         let mut fx = fixture(2, 32);
-        let ggsw = GgswCiphertext::encrypt_scalar(1, &fx.glwe_sk, fx.decomp, STD, &mut fx.rng);
+        let ggsw = fx.ggsw(1);
         let msg = test_message(fx.n);
         let ct = fx.glwe_sk.encrypt(&msg, STD, &mut fx.rng);
         let exact = ggsw.external_product_exact(&ct);
@@ -709,21 +644,13 @@ mod tests {
 
     #[test]
     fn seeded_ggsw_matches_classical_semantics() {
-        // A seeded GGSW row encrypts the gadget's phase contribution
-        // instead of folding the gadget into a mask; the external
-        // product must be unable to tell the difference.
+        // A row encrypts the gadget's phase contribution instead of
+        // adding the gadget to a mask; the external product must decrypt
+        // as if the gadget sat in polynomial j.
         for (k, n) in [(1usize, 64usize), (2, 32)] {
             let mut fx = fixture(k, n);
             for message in [0u64, 1] {
-                let mut crs = NoiseSampler::from_seed(4242);
-                let ggsw = GgswCiphertext::encrypt_scalar_seeded(
-                    message,
-                    &fx.glwe_sk,
-                    fx.decomp,
-                    STD,
-                    &mut fx.rng,
-                    &mut crs,
-                );
+                let ggsw = fx.ggsw(message);
                 let msg = test_message(fx.n);
                 let ct = fx.glwe_sk.encrypt(&msg, STD, &mut fx.rng);
                 let prod = ggsw.external_product_exact(&ct);
@@ -739,23 +666,15 @@ mod tests {
     #[test]
     fn seeded_ggsw_expansion_is_bit_identical() {
         let mut fx = fixture(2, 32);
-        let mut crs = NoiseSampler::from_seed(7);
-        let ggsw = GgswCiphertext::encrypt_scalar_seeded(
-            1,
-            &fx.glwe_sk,
-            fx.decomp,
-            STD,
-            &mut fx.rng,
-            &mut crs,
-        );
+        let ggsw = fx.ggsw(1);
         // Transport payload: the bodies only, row after row.
         let bodies: Vec<u64> =
             ggsw.rows().iter().flat_map(|r| r.body().coeffs().iter().copied()).collect();
-        let mut crs2 = NoiseSampler::from_seed(7);
+        let mut crs2 = NoiseSampler::from_seed(4242);
         // Stale buffer contents must not leak into the expanded entry.
         let mut coeffs = vec![-1i64; bodies.len() * 3];
-        let expanded =
-            FourierGgsw::from_seeded_parts(&bodies, fx.decomp, 2, &mut crs2, &fx.fft, &mut coeffs);
+        FourierGgsw::seeded_coefficients_into(&bodies, fx.decomp, 2, &mut crs2, fx.n, &mut coeffs);
+        let expanded = FourierGgsw::from_coefficients(&coeffs, fx.decomp, 2, &fx.fft);
         let bits = |g: &FourierGgsw| {
             let (re, im) = g.spectra().planes();
             re.iter().chain(im).map(|x| x.to_bits()).collect::<Vec<_>>()
@@ -770,10 +689,10 @@ mod tests {
         // or the scope would wait forever.
         let mut fx = fixture(1, 64);
         let mut keygen = GgswKeygen::new(&fx.glwe_sk, &fx.fft, fx.decomp, STD);
-        let samplers = KeySamplers { noise: &mut fx.rng, crs: None };
+        let samplers = KeySamplers { noise: &mut fx.rng, crs: &mut fx.crs };
         let run = std::panic::AssertUnwindSafe(|| {
-            keygen.generate(samplers, 8, |entries| {
-                entries.next_coefficients(1, &mut Vec::new());
+            keygen.generate(samplers, &[1; 8], |entries| {
+                entries.next_coefficients(&mut Vec::new());
                 panic!("consumer fails after one entry");
             })
         });
@@ -785,10 +704,10 @@ mod tests {
     fn taking_more_entries_than_drawn_panics_instead_of_waiting() {
         let mut fx = fixture(1, 64);
         let mut keygen = GgswKeygen::new(&fx.glwe_sk, &fx.fft, fx.decomp, STD);
-        let samplers = KeySamplers { noise: &mut fx.rng, crs: None };
-        keygen.generate(samplers, 1, |entries| {
+        let samplers = KeySamplers { noise: &mut fx.rng, crs: &mut fx.crs };
+        keygen.generate(samplers, &[1], |entries| {
             for _ in 0..2 {
-                entries.next_coefficients(1, &mut Vec::new());
+                entries.next_coefficients(&mut Vec::new());
             }
         });
     }
@@ -797,8 +716,7 @@ mod tests {
     fn external_product_is_linear_in_the_glwe() {
         // GGSW(1) ⊡ (c1 + c2) ≈ GGSW(1)⊡c1 + GGSW(1)⊡c2 (up to noise).
         let mut fx = fixture(1, 64);
-        let ggsw = GgswCiphertext::encrypt_scalar(1, &fx.glwe_sk, fx.decomp, STD, &mut fx.rng)
-            .to_fourier(&fx.fft);
+        let ggsw = fx.ggsw(1).to_fourier(&fx.fft);
         let m1 = TorusPolynomial::constant(fx.n, encode_fraction(1, 4));
         let m2 = TorusPolynomial::constant(fx.n, encode_fraction(2, 4));
         let c1 = fx.glwe_sk.encrypt(&m1, STD, &mut fx.rng);
@@ -813,7 +731,7 @@ mod tests {
     #[test]
     fn ggsw_row_count_and_fourier_size() {
         let mut fx = fixture(1, 64);
-        let ggsw = GgswCiphertext::encrypt_scalar(1, &fx.glwe_sk, fx.decomp, STD, &mut fx.rng);
+        let ggsw = fx.ggsw(1);
         assert_eq!(ggsw.rows().len(), (fx.k + 1) * fx.decomp.level);
         let fourier = ggsw.to_fourier(&fx.fft);
         // (k+1)l rows × (k+1) cols × N/2 points × 16 bytes

@@ -11,7 +11,7 @@ use crate::bootstrap::{
     pattern_indicator, BootstrapKey, ClassicalBootstrapKey, MultiBitBootstrapKey,
 };
 use crate::decompose::DecompositionParams;
-use crate::ggsw::{GgswKeygen, KeySamplers};
+use crate::ggsw::{FourierGgsw, GgswKeygen, KeyEntries, KeySamplers};
 use crate::glwe::GlweSecretKey;
 use crate::keyswitch::KeySwitchKey;
 use crate::lwe::{LweCiphertext, LweSecretKey};
@@ -51,16 +51,19 @@ impl ClientKey {
     ///
     /// The secret keys are the seed's first draws under every kernel, so
     /// one seed gives one pair of secrets whatever
-    /// [`TfheParameters::pbs_kernel`] says. What follows — server keys
-    /// and encryptions — continues the seed's stream on a classical
-    /// client, and on a multi-bit client switches to a sub-stream of
-    /// the seed, one per grouping factor. Clients of one seed under
-    /// different kernels therefore share their secrets and no later
-    /// draw: their server keys encrypt different plaintexts, and had
-    /// two of them drawn one mask and noise for one entry, the
-    /// difference of the bodies would reveal the secret bit. Two
-    /// clients of one seed *and* kernel replay each other's draws, so
-    /// reusing a seed is for tests only.
+    /// [`TfheParameters::pbs_kernel`] says. What follows continues the
+    /// seed's stream on a classical client, and on a multi-bit client
+    /// switches to a sub-stream of the seed, one per grouping factor.
+    /// That stream is private: it carries a server key's seed draw, its
+    /// key noise and keyswitching-key noise, and every encryption, while
+    /// every public key mask comes from a stream of that drawn seed
+    /// ([`Self::server_key`]). Clients of one seed under different
+    /// kernels therefore share their secrets and no later draw: their
+    /// server keys encrypt different plaintexts, and had two of them
+    /// drawn one mask and noise for one entry, the difference of the
+    /// bodies would reveal the secret bit. Two clients of one seed
+    /// *and* kernel replay each other's draws, so reusing a seed is for
+    /// tests only.
     pub fn generate(params: &TfheParameters, seed: u64) -> Self {
         // lint:allow(panic) documented constructor contract
         params.validate().expect("parameter set must be valid");
@@ -123,33 +126,25 @@ impl ClientKey {
 
     /// Derives the matching server key: one blind-rotation key, of the
     /// parameter set's kernel ([`TfheParameters::pbs_kernel`]), then the
-    /// keyswitching key, whose masks come from their own public stream
-    /// seeded by one draw from this client's stream (its noise follows
-    /// that draw). A multi-bit server carries no classical key:
+    /// keyswitching key. A multi-bit server carries no classical key:
     /// every bootstrap on it, gates and LUTs included, runs the grouped
     /// kernel.
+    ///
+    /// It is the seeded key of one fresh seed, materialised in place:
+    /// one draw from this client's stream gives a seed `s`, and the key
+    /// is bit for bit `self.seeded_server_key(s).expand()` on a client
+    /// before that draw. After the draw, this client's stream carries
+    /// the blind-rotation key's noise, then the keyswitching key's;
+    /// every mask comes from a public stream of `s`. Each entry goes
+    /// straight from its (mask, body) words into the Fourier key, so no
+    /// time-domain copy of the bodies is ever held beside it.
     pub fn server_key(&mut self) -> ServerKey {
-        let (lwe_sk, glwe_sk, params) = (&self.lwe_sk, &self.glwe_sk, &self.params);
-        let bsk = match params.pbs_kernel {
-            PbsKernel::Classical => BootstrapKey::Classical(ClassicalBootstrapKey::generate(
-                lwe_sk,
-                glwe_sk,
-                params,
-                &mut self.rng,
-            )),
-            PbsKernel::MultiBit { grouping_factor } => {
-                BootstrapKey::MultiBit(MultiBitBootstrapKey::generate(
-                    lwe_sk,
-                    glwe_sk,
-                    params,
-                    grouping_factor,
-                    &mut self.rng,
-                ))
-            }
-        };
-        let ksk =
-            KeySwitchKey::generate(&self.extracted_sk, &self.lwe_sk, &self.params, &mut self.rng);
-        ServerKey { params: self.params.clone(), bsk, ksk }
+        let crs_seed = self.rng.uniform_torus();
+        let params = self.params.clone();
+        let bsk = self.generate_entries(crs_seed, |entries| {
+            BootstrapKey::build(&params, |coeffs| entries.next_coefficients(coeffs))
+        });
+        ServerKey { bsk, ksk: self.keyswitch_key(crs_seed), params }
     }
 
     /// Derives the matching server key in **seeded transport form**:
@@ -160,34 +155,52 @@ impl ClientKey {
     /// receiving side calls [`SeededServerKey::expand`] to regenerate
     /// the masks and materialise the Fourier keys.
     pub fn seeded_server_key(&mut self, crs_seed: u64) -> SeededServerKey {
-        let decomp = DecompositionParams::new(self.params.pbs_base_log, self.params.pbs_level);
-        let noise_std = self.params.glwe_noise_std;
-        let plaintexts = entry_plaintexts(&self.params, self.lwe_sk.bits());
-        let mut crs = NoiseSampler::from_derived_seed(crs_seed, bsk_crs_stream(&self.params));
-        let fft = NegacyclicFft::with_backend(self.params.polynomial_size, self.params.fft_backend)
-            // lint:allow(panic) parameters were validated at construction
-            .expect("validated parameters have power-of-two N and an available backend");
-        let mut keygen = GgswKeygen::new(&self.glwe_sk, &fft, decomp, noise_std);
         let entry_words = self.params.ggsw_row_count() * self.params.polynomial_size;
-        let mut bsk_bodies = vec![0; plaintexts.len() * entry_words];
-        let samplers = KeySamplers { noise: &mut self.rng, crs: Some(&mut crs) };
-        keygen.generate(samplers, plaintexts.len(), |entries| {
-            for (&m, bodies) in plaintexts.iter().zip(bsk_bodies.chunks_exact_mut(entry_words)) {
-                entries.next_bodies(m, bodies);
+        let entries = entry_plaintexts(&self.params, self.lwe_sk.bits()).len();
+        let mut bsk_bodies = vec![0; entries * entry_words];
+        self.generate_entries(crs_seed, |entries| {
+            for bodies in bsk_bodies.chunks_exact_mut(entry_words) {
+                entries.next_bodies(bodies);
             }
         });
-        let ksk_bodies = KeySwitchKey::with_mask_seed(
-            &self.extracted_sk,
-            &self.lwe_sk,
-            &self.params,
-            derive_seed(crs_seed, CRS_KSK_STREAM),
-            &mut self.rng,
-        )
-        .into_bodies();
+        let ksk_bodies = self.keyswitch_key(crs_seed).into_bodies();
         SeededServerKey::new(
             self.params.clone(),
             crs_seed,
             SeededKeyPayload::Real { bsk_bodies, ksk_bodies },
+        )
+    }
+
+    /// Generates the blind-rotation key's entries, masks from
+    /// `crs_seed`'s sub-stream for the kernel and noise from this
+    /// client's stream: `consume` takes them in key order.
+    fn generate_entries<R>(
+        &mut self,
+        crs_seed: u64,
+        consume: impl FnOnce(&mut KeyEntries<'_, '_>) -> R,
+    ) -> R {
+        let params = &self.params;
+        let decomp = DecompositionParams::new(params.pbs_base_log, params.pbs_level);
+        let plaintexts = entry_plaintexts(params, self.lwe_sk.bits());
+        let mut crs = NoiseSampler::from_derived_seed(crs_seed, bsk_crs_stream(params));
+        let fft = NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend)
+            // lint:allow(panic) parameters were validated at construction
+            .expect("validated parameters have power-of-two N and an available backend");
+        let mut keygen = GgswKeygen::new(&self.glwe_sk, &fft, decomp, params.glwe_noise_std);
+        let samplers = KeySamplers { noise: &mut self.rng, crs: &mut crs };
+        keygen.generate(samplers, &plaintexts, consume)
+    }
+
+    /// The keyswitching key, masks on `crs_seed`'s keyswitching
+    /// sub-stream and row noise from this client's stream.
+    fn keyswitch_key(&mut self, crs_seed: u64) -> KeySwitchKey {
+        let mask_seed = derive_seed(crs_seed, CRS_KSK_STREAM);
+        KeySwitchKey::with_mask_seed(
+            &self.extracted_sk,
+            &self.lwe_sk,
+            &self.params,
+            mask_seed,
+            &mut self.rng,
         )
     }
 }
@@ -390,20 +403,15 @@ impl SeededServerKey {
         let SeededKeyData { params, crs_seed, payload } = &*self.shared;
         match payload {
             SeededKeyPayload::Real { bsk_bodies, ksk_bodies } => {
+                let decomp = DecompositionParams::new(params.pbs_base_log, params.pbs_level);
+                let (k, n) = (params.glwe_dimension, params.polynomial_size);
                 let mut crs = NoiseSampler::from_derived_seed(*crs_seed, bsk_crs_stream(params));
-                let bsk = match params.pbs_kernel {
-                    PbsKernel::Classical => BootstrapKey::Classical(
-                        ClassicalBootstrapKey::from_seeded_parts(bsk_bodies, params, &mut crs),
-                    ),
-                    PbsKernel::MultiBit { grouping_factor } => {
-                        BootstrapKey::MultiBit(MultiBitBootstrapKey::from_seeded_parts(
-                            bsk_bodies,
-                            params,
-                            grouping_factor,
-                            &mut crs,
-                        ))
-                    }
-                };
+                let mut entries = bsk_bodies.chunks_exact(params.ggsw_row_count() * n);
+                let bsk = BootstrapKey::build(params, |coeffs| {
+                    // lint:allow(panic) a real payload holds one body entry per key entry
+                    let bodies = entries.next().expect("seeded bsk body entries");
+                    FourierGgsw::seeded_coefficients_into(bodies, decomp, k, &mut crs, n, coeffs);
+                });
                 let ksk = KeySwitchKey::from_bodies(
                     ksk_bodies.clone(),
                     derive_seed(*crs_seed, CRS_KSK_STREAM),
@@ -462,7 +470,6 @@ pub fn generate_keys(params: &TfheParameters, seed: u64) -> (ClientKey, ServerKe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ggsw::FourierGgsw;
     use crate::params::PbsKernel;
 
     #[test]
@@ -557,6 +564,38 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), count, "stream labels collide");
+    }
+
+    /// Same-seed keys of different kernels draw their public masks from
+    /// streams that share no word: the first entry's `k·N·(k+1)·l` mask
+    /// words of every kernel's stream are distinct, for the seed a
+    /// fresh client's `server_key` draws and for one seed given to
+    /// `seeded_server_key` under every kernel.
+    #[test]
+    fn kernels_of_one_seed_share_no_mask_word() {
+        let base = TfheParameters::testing_fast();
+        let words = base.glwe_dimension * base.polynomial_size * base.ggsw_row_count();
+        let all_kernels = std::iter::once(PbsKernel::Classical).chain(
+            (1..=PbsKernel::MAX_GROUPING_FACTOR)
+                .map(|g| PbsKernel::MultiBit { grouping_factor: g }),
+        );
+        let mut drawn_seeds = Vec::new();
+        let mut seeded = std::collections::HashSet::new();
+        let mut drawn = std::collections::HashSet::new();
+        for kernel in all_kernels {
+            let params = base.clone().with_kernel(kernel);
+            let masks = |seed| {
+                let mut crs = NoiseSampler::from_derived_seed(seed, bsk_crs_stream(&params));
+                (0..words).map(move |_| crs.uniform_torus())
+            };
+            let server_key_seed = ClientKey::generate(&params, 32).rng.uniform_torus();
+            drawn_seeds.push(server_key_seed);
+            drawn.extend(masks(server_key_seed));
+            seeded.extend(masks(0x5eed));
+        }
+        let kernels = drawn_seeds.len();
+        assert_eq!(drawn.len(), kernels * words, "server_key mask streams share a word");
+        assert_eq!(seeded.len(), kernels * words, "seeded_server_key mask streams share a word");
     }
 
     #[test]
@@ -753,20 +792,22 @@ mod tests {
     /// for bit: every pinned PBS output downstream rests on them. A
     /// change here means the RNG draw order or the key arithmetic moved.
     /// The classical digest comes from a classical server; the other
-    /// four from a g = 3 server of the same seed, which draws its
-    /// grouped key first on the g = 3 client sub-stream (it holds no
-    /// classical key).
+    /// four from a g = 3 server of the same seed, which draws its seed
+    /// and grouped-key noise first on the g = 3 client sub-stream (it
+    /// holds no classical key), and from the seeded key that client
+    /// makes next, so they also pin the client stream a server key
+    /// leaves behind.
     #[test]
     fn key_material_matches_golden_digests() {
         let hex = |d: [u64; 5]| d.map(|x| format!("{x:#018x}"));
         assert_eq!(
             hex(key_digests(&TfheParameters::testing_fast(), 1)),
             [
-                "0xb790779d01601b11",
-                "0x7b06811f6ba7a018",
-                "0x13aa55079bd6f86e",
-                "0x9d907e0d5d4d8914",
-                "0x248aeae6776e35f1",
+                "0x62f0e072b066b5c9",
+                "0xd0a443ddb0821013",
+                "0x18b3e5f17c8d9bf2",
+                "0x9762f7d6fd99f43d",
+                "0xede46adf977be5fb",
             ],
             "testing_fast"
         );
@@ -778,11 +819,11 @@ mod tests {
         assert_eq!(
             hex(key_digests(&TfheParameters::set_ii(), 2)),
             [
-                "0xbc0e087a5cd347af",
-                "0xc4acf765fc75fb9b",
-                "0x356e9af86501bfcf",
-                "0x693abc00187cfc52",
-                "0xdd58dcdf61f87259",
+                "0x74bd862fac945ec8",
+                "0x71481fe6c11da790",
+                "0xc1a46649f47811c8",
+                "0x4a5a39fd8a6932e8",
+                "0xd6cc928b33e27071",
             ],
             "set-II"
         );
@@ -846,16 +887,16 @@ mod tests {
     /// The multi-bit kernel must reproduce these outputs bit for bit:
     /// any reordering of its floating-point work (key layout, assembly,
     /// VMA loop nest) that moves a single bit shows here. The values
-    /// follow the one-key draw order (secrets on the seed's stream;
-    /// grouped key, the ksk's mask seed and row noise, and encryptions
-    /// on the g = 3 client sub-stream); the kernel from before the
-    /// re-base reproduces them from those public draws.
+    /// follow the one-key draw order: secrets on the seed's stream; the
+    /// server key's seed, the grouped key's noise, the keyswitching
+    /// key's row noise and the encryptions on the g = 3 client
+    /// sub-stream; every key mask on a public stream of that seed.
     #[test]
     fn multi_bit_pbs_output_matches_golden_digest() {
         let hex = |d: u64| format!("{d:#018x}");
         assert_eq!(
             hex(multi_bit_output_digest(&TfheParameters::testing_fast(), 5)),
-            "0xbcec7705467e05bf",
+            "0x232be8c848bc05bf",
             "testing_fast"
         );
         // Set-II keygen and PBS are release-only, like the key digests.
@@ -864,16 +905,16 @@ mod tests {
         }
         assert_eq!(
             hex(multi_bit_output_digest(&TfheParameters::set_ii(), 6)),
-            "0x9e0a136d82ad99bf",
+            "0x2f78bde7ac6f99bf",
             "set-II"
         );
     }
 
     /// The one-thread reference of key generation: `client`'s
     /// blind-rotation key entries, each drawn and then encrypted on the
-    /// calling thread (masks from `crs` when given), as `(k+1)·l` rows
-    /// of masks then body.
-    fn inline_entries(client: &mut ClientKey, crs: Option<&mut NoiseSampler>) -> Vec<Vec<u64>> {
+    /// calling thread (masks from `crs`), as `(k+1)·l` rows of masks
+    /// then body.
+    fn inline_entries(client: &mut ClientKey, crs: &mut NoiseSampler) -> Vec<Vec<u64>> {
         let params = &client.params;
         let decomp = DecompositionParams::new(params.pbs_base_log, params.pbs_level);
         let fft = NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend).unwrap();
@@ -887,69 +928,59 @@ mod tests {
         entry_plaintexts(params, client.lwe_sk.bits()).into_iter().map(entry).collect()
     }
 
+    /// A client whose stream is mid-way, twice: an encryption leaves a
+    /// Box–Muller spare cached for the next Gaussian draw, which the
+    /// golden digests (fresh clients) never see.
+    fn mid_stream_clients(params: &TfheParameters) -> (ClientKey, ClientKey) {
+        let mut client = ClientKey::generate(params, 41);
+        client.encrypt_torus(0);
+        assert!(client.rng.has_cached_gaussian(), "the encryption leaves a spare");
+        (client.clone(), client)
+    }
+
     /// Key generation draws each entry on a helper thread and encrypts
     /// it on the calling one; the keys must be what one thread makes,
-    /// also for a client whose stream is mid-way. Here an encryption
-    /// first leaves a Box–Muller spare cached for the key's first noise
-    /// word — the golden digests cover fresh clients only. g = 3 over
-    /// n = 64 ends on a group of one bit.
+    /// also for a client whose stream is mid-way. g = 3 over n = 64
+    /// ends on a group of one bit.
     #[test]
     fn pipelined_keys_match_the_one_thread_reference_after_an_encryption() {
         let crs_seed = 7;
         for kernel in [PbsKernel::Classical, PbsKernel::MultiBit { grouping_factor: 3 }] {
             let params = TfheParameters::testing_fast().with_kernel(kernel);
-            let mid_stream = || {
-                let mut client = ClientKey::generate(&params, 41);
-                client.encrypt_torus(0);
-                assert!(client.rng.has_cached_gaussian(), "the encryption leaves a spare");
-                (client.clone(), client)
-            };
-
-            let (mut client, mut inline) = mid_stream();
-            let server = client.server_key();
-            let (n, k) = (params.polynomial_size, params.glwe_dimension);
-            let decomp = server.bsk.decomposition();
-            let spectra = inline_entries(&mut inline, None).into_iter().flat_map(|words| {
-                let coeffs: Vec<i64> = words.into_iter().map(|w| w as i64).collect();
-                let entry = FourierGgsw::from_coefficients(&coeffs, decomp, k, server.bsk.fft());
-                let (re, im) = entry.spectra().planes();
-                re.iter().chain(im).map(|x| x.to_bits()).collect::<Vec<_>>()
-            });
-            assert!(bsk_words(&server.bsk).eq(spectra), "{kernel:?} blind-rotation key");
-            let ksk = KeySwitchKey::generate(
-                &inline.extracted_sk,
-                &inline.lwe_sk,
-                &params,
-                &mut inline.rng,
-            );
-            assert!(ksk_words(&server.ksk).eq(ksk_words(&ksk)), "{kernel:?} keyswitching key");
-            assert_eq!(client.encrypt_torus(0), inline.encrypt_torus(0), "{kernel:?} stream");
-
-            let (mut client, mut inline) = mid_stream();
+            let (k, n) = (params.glwe_dimension, params.polynomial_size);
+            let (mut client, mut inline) = mid_stream_clients(&params);
             let seeded = client.seeded_server_key(crs_seed);
             let mut crs = NoiseSampler::from_derived_seed(crs_seed, bsk_crs_stream(&params));
-            let rows = inline_entries(&mut inline, Some(&mut crs));
+            let rows = inline_entries(&mut inline, &mut crs);
             let mut bodies: Vec<u64> = rows
                 .iter()
                 .flat_map(|words| words.chunks_exact((k + 1) * n).flat_map(|row| &row[k * n..]))
                 .copied()
                 .collect();
-            bodies.extend(
-                KeySwitchKey::with_mask_seed(
-                    &inline.extracted_sk,
-                    &inline.lwe_sk,
-                    &params,
-                    derive_seed(crs_seed, CRS_KSK_STREAM),
-                    &mut inline.rng,
-                )
-                .into_bodies(),
-            );
+            bodies.extend(inline.keyswitch_key(crs_seed).into_bodies());
             assert!(payload_words(&seeded) == bodies, "{kernel:?} seeded payload");
             assert_eq!(
                 client.encrypt_torus(0),
                 inline.encrypt_torus(0),
                 "{kernel:?} seeded stream"
             );
+        }
+    }
+
+    /// A server key is the seeded key of the seed it draws, expanded:
+    /// the same Fourier planes and keyswitching-key rows, and the client
+    /// streams agree afterwards.
+    #[test]
+    fn server_key_is_its_drawn_seeds_key_expanded() {
+        for kernel in [PbsKernel::Classical, PbsKernel::MultiBit { grouping_factor: 3 }] {
+            let params = TfheParameters::testing_fast().with_kernel(kernel);
+            let (mut client, mut seeded_client) = mid_stream_clients(&params);
+            let server = client.server_key();
+            let crs_seed = seeded_client.rng.uniform_torus();
+            let expanded = seeded_client.seeded_server_key(crs_seed).expand();
+            assert!(bsk_words(&server.bsk).eq(bsk_words(&expanded.bsk)), "{kernel:?} bsk");
+            assert!(ksk_words(&server.ksk).eq(ksk_words(&expanded.ksk)), "{kernel:?} ksk");
+            assert_eq!(client.encrypt_torus(0), seeded_client.encrypt_torus(0), "{kernel:?}");
         }
     }
 

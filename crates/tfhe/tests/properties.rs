@@ -5,14 +5,13 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use strix_tfhe::bootstrap::{ClassicalBootstrapKey, Lut, PbsJob};
+use strix_tfhe::bootstrap::{BootstrapKey, ClassicalBootstrapKey, Lut, PbsJob};
 use strix_tfhe::decompose::DecompositionParams;
-use strix_tfhe::glwe::GlweSecretKey;
 use strix_tfhe::lwe::{LweCiphertext, LweSecretKey};
 use strix_tfhe::poly::TorusPolynomial;
 use strix_tfhe::rng::NoiseSampler;
 use strix_tfhe::torus;
-use strix_tfhe::TfheParameters;
+use strix_tfhe::{ClientKey, TfheParameters};
 
 fn decomp_strategy() -> impl Strategy<Value = DecompositionParams> {
     (1u32..=16, 1usize..=4)
@@ -147,11 +146,10 @@ fn pbs_fixture() -> &'static (TfheParameters, ClassicalBootstrapKey, Vec<Lut>) {
     static FIXTURE: OnceLock<(TfheParameters, ClassicalBootstrapKey, Vec<Lut>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let params = TfheParameters::testing_fast();
-        let mut rng = NoiseSampler::from_seed(0xE90C);
-        let lwe_sk = LweSecretKey::generate(params.lwe_dimension, &mut rng);
-        let glwe_sk =
-            GlweSecretKey::generate(params.glwe_dimension, params.polynomial_size, &mut rng);
-        let bsk = ClassicalBootstrapKey::generate(&lwe_sk, &glwe_sk, &params, &mut rng);
+        let bsk = match ClientKey::generate(&params, 0xE90C).server_key().bootstrap_key() {
+            BootstrapKey::Classical(key) => key.clone(),
+            BootstrapKey::MultiBit(_) => panic!("testing_fast runs the classical kernel"),
+        };
         let luts = vec![
             Lut::sign(params.polynomial_size, torus::encode_fraction(1, 3)),
             Lut::from_function(params.polynomial_size, 2, |m| (3 * m + 1) % 4).unwrap(),

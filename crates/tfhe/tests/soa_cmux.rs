@@ -32,13 +32,11 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use strix_tfhe::bootstrap::{ClassicalBootstrapKey, Lut, PbsJob};
-use strix_tfhe::glwe::GlweSecretKey;
-use strix_tfhe::lwe::{LweCiphertext, LweSecretKey};
-use strix_tfhe::rng::NoiseSampler;
+use strix_tfhe::bootstrap::{BootstrapKey, ClassicalBootstrapKey, Lut, PbsJob};
+use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::scratch::CMUX_JOB_BLOCK;
 use strix_tfhe::torus::encode_fraction;
-use strix_tfhe::{StrixFftBackend, TfheParameters};
+use strix_tfhe::{ClientKey, StrixFftBackend, TfheParameters};
 
 /// Small LWE dimension: enough blind-rotation iterations to exercise
 /// many (entry, block) steps while keeping 2048-point transforms fast.
@@ -55,13 +53,13 @@ fn shaped_params(k: usize, n: usize, level: usize) -> TfheParameters {
     p
 }
 
-/// A real key at `params`' shape: a fresh LWE secret encrypted under a
-/// fresh GLWE secret, both from `seed`.
+/// A real key at `params`' shape: the blind-rotation key of a client of
+/// `seed`, its LWE secret encrypted under its GLWE secret.
 fn real_key(params: &TfheParameters, seed: u64) -> ClassicalBootstrapKey {
-    let mut rng = NoiseSampler::from_seed(seed);
-    let lwe_sk = LweSecretKey::generate(params.lwe_dimension, &mut rng);
-    let glwe_sk = GlweSecretKey::generate(params.glwe_dimension, params.polynomial_size, &mut rng);
-    ClassicalBootstrapKey::generate(&lwe_sk, &glwe_sk, params, &mut rng)
+    match ClientKey::generate(params, seed).server_key().bootstrap_key() {
+        BootstrapKey::Classical(key) => key.clone(),
+        BootstrapKey::MultiBit(_) => panic!("classical parameters give a classical key"),
+    }
 }
 
 /// splitmix64 — dense pseudo-random torus values so every mask element
