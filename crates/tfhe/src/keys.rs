@@ -528,18 +528,24 @@ mod tests {
         }
     }
 
+    /// The classical kernel, then the multi-bit one at every grouping
+    /// factor.
+    fn all_kernels() -> Vec<PbsKernel> {
+        std::iter::once(PbsKernel::Classical)
+            .chain(
+                (1..=PbsKernel::MAX_GROUPING_FACTOR)
+                    .map(|g| PbsKernel::MultiBit { grouping_factor: g }),
+            )
+            .collect()
+    }
+
     #[test]
     fn kernels_of_one_seed_share_no_draw_after_the_secrets() {
         // Same-seed servers of different kernels encrypt different
         // plaintexts; one shared mask and noise would reveal the secret
         // in the difference of two bodies.
         let base = TfheParameters::testing_fast();
-        let kernels: Vec<PbsKernel> = std::iter::once(PbsKernel::Classical)
-            .chain(
-                (1..=PbsKernel::MAX_GROUPING_FACTOR)
-                    .map(|g| PbsKernel::MultiBit { grouping_factor: g }),
-            )
-            .collect();
+        let kernels = all_kernels();
         let first_draws: std::collections::HashSet<Vec<u64>> = kernels
             .iter()
             .map(|&k| {
@@ -575,27 +581,21 @@ mod tests {
     fn kernels_of_one_seed_share_no_mask_word() {
         let base = TfheParameters::testing_fast();
         let words = base.glwe_dimension * base.polynomial_size * base.ggsw_row_count();
-        let all_kernels = std::iter::once(PbsKernel::Classical).chain(
-            (1..=PbsKernel::MAX_GROUPING_FACTOR)
-                .map(|g| PbsKernel::MultiBit { grouping_factor: g }),
-        );
-        let mut drawn_seeds = Vec::new();
+        let kernels = all_kernels();
         let mut seeded = std::collections::HashSet::new();
         let mut drawn = std::collections::HashSet::new();
-        for kernel in all_kernels {
+        for &kernel in &kernels {
             let params = base.clone().with_kernel(kernel);
             let masks = |seed| {
                 let mut crs = NoiseSampler::from_derived_seed(seed, bsk_crs_stream(&params));
                 (0..words).map(move |_| crs.uniform_torus())
             };
-            let server_key_seed = ClientKey::generate(&params, 32).rng.uniform_torus();
-            drawn_seeds.push(server_key_seed);
-            drawn.extend(masks(server_key_seed));
+            drawn.extend(masks(ClientKey::generate(&params, 32).rng.uniform_torus()));
             seeded.extend(masks(0x5eed));
         }
-        let kernels = drawn_seeds.len();
-        assert_eq!(drawn.len(), kernels * words, "server_key mask streams share a word");
-        assert_eq!(seeded.len(), kernels * words, "seeded_server_key mask streams share a word");
+        let total = kernels.len() * words;
+        assert_eq!(drawn.len(), total, "server_key mask streams share a word");
+        assert_eq!(seeded.len(), total, "seeded_server_key mask streams share a word");
     }
 
     #[test]
